@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterable
@@ -81,6 +81,14 @@ class KSSet:
 
     rays: tuple[Ray, ...]
     basis_groups: tuple[tuple[int, ...], ...]
+    _group_of: dict[int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        group_of: dict[int, int] = {}
+        for g, group in enumerate(self.basis_groups, start=1):
+            for i in group:
+                group_of.setdefault(i, g)    # an index listed twice keeps its first group
+        object.__setattr__(self, "_group_of", group_of)
 
     def ray(self, index: int) -> Ray:
         if not 1 <= index <= len(self.rays):
@@ -89,10 +97,9 @@ class KSSet:
 
     def basis_of(self, index: int) -> int:
         """1-based basis-group number containing the given ray index."""
-        for g, group in enumerate(self.basis_groups, start=1):
-            if index in group:
-                return g
-        raise IndexError(f"ray index {index} in no basis group")
+        if index not in self._group_of:
+            raise IndexError(f"ray index {index} in no basis group")
+        return self._group_of[index]
 
     def to_json(self) -> dict:
         return {

@@ -5,7 +5,10 @@ each pulse is assigned a uniformly drawn projector from the run's pool, and a
 detection fires with probability (1 - e^-mu) * noisy_probability.  All
 randomness flows through named sha256-derived substreams of the run seed, one
 per fixed-size pulse chunk, so results are bit-identical regardless of how the
-chunks are scheduled.
+chunks are scheduled.  A chunk's mask drift is drawn first, as one (1+P, 2, 8)
+standard-normal block for the state mask and the P pool masks: the state row
+first, then pool order, each row's transmissivity errors before its phase
+errors.  The chunk's pulse allocation and detections follow on the same stream.
 """
 
 from __future__ import annotations
@@ -212,59 +215,29 @@ def _resolve_entries(state) -> tuple[int, ...]:
     return resolve_state(state)
 
 
-def _jittered_amplitudes(prep: SlitPreparation, noise: NoiseModel, rng: np.random.Generator) -> np.ndarray:
-    # both arrays are always drawn so stream consumption never depends on the noise settings
-    t_err = rng.normal(0.0, 1.0, DIM) * noise.amplitude_jitter
-    p_err = rng.normal(0.0, 1.0, DIM) * noise.phase_jitter
-    t = np.clip(np.asarray(prep.transmissivities) * (1.0 + t_err), 0.0, None)
-    return np.sqrt(t) * np.exp(1j * (np.asarray(prep.phases) + p_err))
-
-
-def _pool_masks(entries: tuple[int, ...], pool: Sequence[int], s: KSSet) -> tuple:
-    return ray_to_mask(entries), tuple(ray_to_mask(s.ray(i)) for i in pool)
+def _mask_stack(entries: tuple[int, ...], pool: Sequence[int], s: KSSet) -> tuple[np.ndarray, np.ndarray]:
+    """(1+P, 8) transmissivities and phases: the state's mask, then the pool's in order."""
+    masks = [ray_to_mask(entries)] + [ray_to_mask(s.ray(i)) for i in pool]
+    return np.array([m.transmissivities for m in masks]), np.array([m.phases for m in masks])
 
 
 def _chunk_probs(
-    state_mask: SlitPreparation,
-    pool_masks: Sequence[SlitPreparation],
-    noise: NoiseModel,
-    mu: float,
-    rng: np.random.Generator,
+    masks: tuple[np.ndarray, np.ndarray], noise: NoiseModel, mu: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Per-pulse detection probabilities for one chunk, with freshly drawn mask drift.
 
-    Masks drift once per chunk (state first, then pool order), modeling slow
-    rendering miscalibration over a long run rather than per-pulse noise.
+    Masks drift once per chunk, modeling slow rendering miscalibration over a
+    long run rather than per-pulse noise.  The drift is drawn in full whatever
+    the noise settings, so stream consumption never depends on them.
     """
-    a = _jittered_amplitudes(state_mask, noise, rng)
-    a = a / np.linalg.norm(a)
+    t, phases = masks
+    err = rng.normal(0.0, 1.0, (len(t), 2, DIM))
+    t = np.clip(t * (1.0 + err[:, 0] * noise.amplitude_jitter), 0.0, None)
+    amps = np.sqrt(t) * np.exp(1j * (phases + err[:, 1] * noise.phase_jitter))
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    overlaps = np.abs(amps[1:].conj() @ amps[0]) ** 2
     occupied = 1.0 - math.exp(-mu)
-    probs = np.empty(len(pool_masks))
-    for idx, mask in enumerate(pool_masks):
-        b = _jittered_amplitudes(mask, noise, rng)
-        b = b / np.linalg.norm(b)
-        o = abs(np.vdot(b, a)) ** 2
-        probs[idx] = occupied * min(1.0, max(0.0, noise.efficiency * o + noise.background))
-    return probs
-
-
-def ground_truth_probabilities(
-    state, noise: NoiseModel, run: PulseRun, s: KSSet | None = None
-) -> dict[int, float]:
-    """What the flux-normalized estimator converges to for this run: the
-    pulse-weighted mean over chunks of clamp(eff*o + bg) / eff."""
-    s = s or canonical_set()
-    entries = _resolve_entries(state)
-    state_mask, pool_masks = _pool_masks(entries, run.projector_pool, s)
-    occupied = 1.0 - math.exp(-run.mu)
-    total = np.zeros(len(run.projector_pool))
-    sizes = _chunk_sizes(run.n_pulses)
-    for k, size in enumerate(sizes):
-        rng = substream(run.seed, "pulse", k)
-        p = _chunk_probs(state_mask, pool_masks, noise, run.mu, rng)
-        total += size * (p / occupied / noise.efficiency)
-    mean = total / run.n_pulses
-    return {i: float(v) for i, v in zip(run.projector_pool, mean)}
+    return occupied * np.clip(noise.efficiency * overlaps + noise.background, 0.0, 1.0)
 
 
 def _chunk_sizes(n_pulses: int) -> list[int]:
@@ -274,35 +247,81 @@ def _chunk_sizes(n_pulses: int) -> list[int]:
     return sizes
 
 
-def _draw_chunk(
-    seed: int,
-    k: int,
-    size: int,
-    state_mask: SlitPreparation,
-    pool_masks: Sequence[SlitPreparation],
-    noise: NoiseModel,
-    mu: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One chunk's (pulses per projector, detections per projector).
+def _chunks(entries: tuple[int, ...], noise: NoiseModel, run: PulseRun, s: KSSet):
+    """Yield each chunk's (pulses, detection probabilities, generator) in chunk order.
 
-    All of the chunk's randomness (mask drift, pulse allocation, detections)
-    comes from one substream keyed by the chunk index, so any scheduling of
-    chunks across workers reproduces identical output.
+    All of a chunk's randomness (mask drift, then the pulse allocation and
+    detections drawn from the yielded generator) comes from one substream keyed
+    by the chunk index, so any scheduling of chunks across workers reproduces
+    identical output.
     """
-    rng = substream(seed, "pulse", k)
-    probs = _chunk_probs(state_mask, pool_masks, noise, mu, rng)
-    alloc = rng.multinomial(size, np.full(len(probs), 1.0 / len(probs)))
-    return alloc, rng.binomial(alloc, probs)
+    masks = _mask_stack(entries, run.projector_pool, s)
+    for k, size in enumerate(_chunk_sizes(run.n_pulses)):
+        rng = substream(run.seed, "pulse", k)
+        yield size, _chunk_probs(masks, noise, run.mu, rng), rng
 
 
-def _flux_pass(run: PulseRun, noise: NoiseModel, bases: Sequence[int]) -> tuple[dict, dict]:
-    """Independent calibration: all-pass analyzer, detection probability eff*(1 - e^-mu)."""
+def _running_counts(entries: tuple[int, ...], noise: NoiseModel, run: PulseRun, s: KSSet):
+    """Yield (pulses so far, pulses per projector, detections per projector) after each chunk."""
+    n = len(run.projector_pool)
+    uniform = np.full(n, 1.0 / n)
+    alloc_total = np.zeros(n, dtype=np.int64)
+    det_total = np.zeros(n, dtype=np.int64)
+    done = 0
+    for size, probs, rng in _chunks(entries, noise, run, s):
+        alloc = rng.multinomial(size, uniform)
+        alloc_total += alloc
+        det_total += rng.binomial(alloc, probs)
+        done += size
+        yield done, alloc_total, det_total
+
+
+def _flux_pass(run: PulseRun, noise: NoiseModel, s: KSSet, expected: bool = False) -> tuple[dict, dict]:
+    """Independent calibration of each basis group the pool touches: all-pass analyzer,
+    detection probability eff*(1 - e^-mu).  `expected` gives the mean count, not a draw."""
     p_cal = noise.efficiency * (1.0 - math.exp(-run.mu))
     n_cal = max(1, run.n_pulses // len(run.projector_pool))
-    flux = {
-        b: int(substream(run.seed, "flux", b).binomial(n_cal, p_cal)) for b in bases
-    }
+    bases = sorted({s.basis_of(i) for i in run.projector_pool})
+    if expected:
+        flux = {b: n_cal * p_cal for b in bases}
+    else:
+        flux = {b: int(substream(run.seed, "flux", b).binomial(n_cal, p_cal)) for b in bases}
     return flux, {b: n_cal for b in bases}
+
+
+def _record(
+    entries: tuple[int, ...],
+    run: PulseRun,
+    counts: np.ndarray,
+    pulses: np.ndarray,
+    flux: tuple[dict, dict],
+) -> CountRecord:
+    pool = run.projector_pool
+    flux_calibration, flux_pulses = flux
+    return CountRecord(
+        state=entries,
+        projector_pool=pool,
+        counts=dict(zip(pool, counts.tolist())),
+        pulses_per_projector=dict(zip(pool, pulses.tolist())),
+        flux_calibration=flux_calibration,
+        flux_pulses=flux_pulses,
+        mu=run.mu,
+        seed=run.seed,
+    )
+
+
+def ground_truth_probabilities(
+    state, noise: NoiseModel, run: PulseRun, s: KSSet | None = None
+) -> dict[int, float]:
+    """What the flux-normalized estimator converges to for this run: the
+    pulse-weighted mean over chunks of clamp(eff*o + bg) / eff."""
+    s = s or canonical_set()
+    occupied = 1.0 - math.exp(-run.mu)
+    total = np.zeros(len(run.projector_pool))
+    for size, p, _ in _chunks(_resolve_entries(state), noise, run, s):
+        total += size * (p / occupied / noise.efficiency)
+    mean = total / run.n_pulses
+    return {i: float(v) for i, v in zip(run.projector_pool, mean)}
 
 
 def run_ks_experiment(
@@ -312,28 +331,8 @@ def run_ks_experiment(
     are Bernoulli at (1 - e^-mu) * noisy_probability, plus an independent flux pass."""
     s = s or canonical_set()
     entries = _resolve_entries(state)
-    pool = run.projector_pool
-    state_mask, pool_masks = _pool_masks(entries, pool, s)
-
-    alloc_total = np.zeros(len(pool), dtype=np.int64)
-    det_total = np.zeros(len(pool), dtype=np.int64)
-    for k, size in enumerate(_chunk_sizes(run.n_pulses)):
-        alloc, det = _draw_chunk(run.seed, k, size, state_mask, pool_masks, noise, run.mu)
-        alloc_total += alloc
-        det_total += det
-
-    bases = sorted({s.basis_of(i) for i in pool})
-    flux, flux_pulses = _flux_pass(run, noise, bases)
-    return CountRecord(
-        state=entries,
-        projector_pool=pool,
-        counts={i: int(c) for i, c in zip(pool, det_total)},
-        pulses_per_projector={i: int(a) for i, a in zip(pool, alloc_total)},
-        flux_calibration=flux,
-        flux_pulses=flux_pulses,
-        mu=run.mu,
-        seed=run.seed,
-    )
+    *_, (_, alloc, det) = _running_counts(entries, noise, run, s)
+    return _record(entries, run, det, alloc, _flux_pass(run, noise, s))
 
 
 def expected_record(
@@ -343,29 +342,12 @@ def expected_record(
     (floats) given this seed's drift sequence, with exact uniform pulse allocation."""
     s = s or canonical_set()
     entries = _resolve_entries(state)
-    pool = run.projector_pool
-    state_mask, pool_masks = _pool_masks(entries, pool, s)
-
-    expected = np.zeros(len(pool))
-    for k, size in enumerate(_chunk_sizes(run.n_pulses)):
-        rng = substream(run.seed, "pulse", k)
-        p = _chunk_probs(state_mask, pool_masks, noise, run.mu, rng)
-        expected += (size / len(pool)) * p
-
-    share = run.n_pulses / len(pool)
-    bases = sorted({s.basis_of(i) for i in pool})
-    p_cal = noise.efficiency * (1.0 - math.exp(-run.mu))
-    n_cal = max(1, run.n_pulses // len(pool))
-    return CountRecord(
-        state=entries,
-        projector_pool=pool,
-        counts={i: float(c) for i, c in zip(pool, expected)},
-        pulses_per_projector={i: share for i in pool},
-        flux_calibration={b: n_cal * p_cal for b in bases},
-        flux_pulses={b: n_cal for b in bases},
-        mu=run.mu,
-        seed=run.seed,
-    )
+    n = len(run.projector_pool)
+    expected = np.zeros(n)
+    for size, p, _ in _chunks(entries, noise, run, s):
+        expected += (size / n) * p
+    share = np.full(n, run.n_pulses / n)
+    return _record(entries, run, expected, share, _flux_pass(run, noise, s, expected=True))
 
 
 @dataclass(frozen=True)
@@ -400,11 +382,15 @@ def run_exclusivity_campaign(
     s = s or canonical_set()
     if run is None:
         raise ValueError("a PulseRun template (seed, n_pulses, mu) is required")
+    initial_rays = tuple(initial_rays)
+    for k, i in enumerate(initial_rays):
+        if not 1 <= i <= N_RAYS:
+            raise ValueError(f"initial ray {i} outside 1..40")
+        if i in initial_rays[:k]:
+            raise ValueError(f"initial ray {i} is repeated")
     g = build_graph(s)
     pairs: list[PairEstimate] = []
     for i in initial_rays:
-        if not 1 <= i <= N_RAYS:
-            raise ValueError(f"initial ray {i} outside 1..40")
         partners = g.neighbors(i)
         leg = PulseRun(
             seed=derive_seed(run.seed, "exclusivity", i),
@@ -467,34 +453,13 @@ def convergence_trace(
         raise ValueError("checkpoints must be increasing")
     s = s or canonical_set()
     entries = _resolve_entries(state)
-    pool = run.projector_pool
-    state_mask, pool_masks = _pool_masks(entries, pool, s)
-    bases = sorted({s.basis_of(i) for i in pool})
-    flux, flux_pulses = _flux_pass(run, noise, bases)
-
+    flux = _flux_pass(run, noise, s)
     marks = snap_checkpoints(checkpoints, run.n_pulses)
     points: list[TracePoint] = []
-    alloc_total = np.zeros(len(pool), dtype=np.int64)
-    det_total = np.zeros(len(pool), dtype=np.int64)
-    done = 0
-    record = None
-    for k, size in enumerate(_chunk_sizes(run.n_pulses)):
-        alloc, det = _draw_chunk(run.seed, k, size, state_mask, pool_masks, noise, run.mu)
-        alloc_total += alloc
-        det_total += det
-        done += size
+    for done, alloc, det in _running_counts(entries, noise, run, s):
         if done in marks:
-            partial = CountRecord(
-                state=entries,
-                projector_pool=pool,
-                counts={i: int(c) for i, c in zip(pool, det_total)},
-                pulses_per_projector={i: int(a) for i, a in zip(pool, alloc_total)},
-                flux_calibration=flux,
-                flux_pulses=flux_pulses,
-                mu=run.mu,
-                seed=run.seed,
-            )
-            est = estimate_probabilities(partial)
+            record = _record(entries, run, det, alloc, flux)
+            est = estimate_probabilities(record)
             points.append(
                 TracePoint(
                     pulses=done,
@@ -504,7 +469,5 @@ def convergence_trace(
                     S_err=est.S_err,
                 )
             )
-            if done == run.n_pulses:
-                record = partial
-    assert record is not None
+    # the last chunk ends at n_pulses, always a mark, so record is the full run's
     return TraceResult(points=tuple(points), record=record)

@@ -1,6 +1,12 @@
 """Slow independent reference implementations the fast code is checked against."""
 
 import itertools
+import math
+from typing import Sequence
+
+import numpy as np
+
+from kp40.simulate import DIM, NoiseModel, SlitPreparation
 
 
 def count_independent_subsets(g, size: int) -> int:
@@ -39,3 +45,35 @@ def brute_mis_size(g, subset) -> int:
         if ok:
             best = mask.bit_count()
     return best
+
+
+def _jittered_amplitudes(prep: SlitPreparation, noise: NoiseModel, rng: np.random.Generator) -> np.ndarray:
+    # both arrays are always drawn so stream consumption never depends on the noise settings
+    t_err = rng.normal(0.0, 1.0, DIM) * noise.amplitude_jitter
+    p_err = rng.normal(0.0, 1.0, DIM) * noise.phase_jitter
+    t = np.clip(np.asarray(prep.transmissivities) * (1.0 + t_err), 0.0, None)
+    return np.sqrt(t) * np.exp(1j * (np.asarray(prep.phases) + p_err))
+
+
+def chunk_probs_loop(
+    state_mask: SlitPreparation,
+    pool_masks: Sequence[SlitPreparation],
+    noise: NoiseModel,
+    mu: float,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Per-pulse detection probabilities for one chunk, one mask at a time.
+
+    Masks drift once per chunk (state first, then pool order), modeling slow
+    rendering miscalibration over a long run rather than per-pulse noise.
+    """
+    a = _jittered_amplitudes(state_mask, noise, rng)
+    a = a / np.linalg.norm(a)
+    occupied = 1.0 - math.exp(-mu)
+    probs = np.empty(len(pool_masks))
+    for idx, mask in enumerate(pool_masks):
+        b = _jittered_amplitudes(mask, noise, rng)
+        b = b / np.linalg.norm(b)
+        o = abs(np.vdot(b, a)) ** 2
+        probs[idx] = occupied * min(1.0, max(0.0, noise.efficiency * o + noise.background))
+    return probs

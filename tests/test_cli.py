@@ -234,6 +234,15 @@ def test_exclusivity_bundle(tmp_path, capsys):
     assert 0.0 <= eps["epsilon"] < 0.05
 
 
+def test_exclusivity_rejects_a_repeated_initial_ray(tmp_path, capsys):
+    code, _, err = run_cli(
+        ["--out", str(tmp_path), "exclusivity", "--pulses", "30000", "--initial", "1,9,1"], capsys
+    )
+    assert code == 2
+    assert err.splitlines() == ["error: initial ray 1 is repeated"]
+    assert not (tmp_path / "eps.json").exists()
+
+
 def test_calibrate_closed_loop(tmp_path, capsys):
     import math
 

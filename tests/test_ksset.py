@@ -34,6 +34,8 @@ def test_basis_of_round_trip(kset):
     for g, group in enumerate(kset.basis_groups, start=1):
         for i in group:
             assert kset.basis_of(i) == g
+    with pytest.raises(IndexError):
+        kset.basis_of(N_RAYS + 1)
 
 
 def test_every_degree_is_23(graph):

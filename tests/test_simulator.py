@@ -5,11 +5,15 @@ import numpy as np
 import pytest
 
 from kp40.analysis import estimate_probabilities
-from kp40.ksset import canonical_set, mermin_subset
+from kp40.cli import load_noise_config
+from kp40.ksset import build_graph, canonical_set, mermin_subset
 from kp40.simulate import (
     CHUNK,
     DEFAULT_INITIAL_RAYS,
+    DEFAULT_MU,
+    DIM,
     IDEAL_NOISE,
+    KS40_POOL,
     CountRecord,
     NoiseModel,
     PulseRun,
@@ -24,9 +28,13 @@ from kp40.simulate import (
     run_ks_experiment,
     snap_checkpoints,
     substream,
+    _chunk_probs,
+    _mask_stack,
 )
 from kp40.rays import same_direction
-from kp40.states import profile
+from kp40.states import profile, resolve_state
+
+from oracles import chunk_probs_loop
 
 
 # ------------------------------------------------------------- randomness plumbing
@@ -65,6 +73,36 @@ def test_mask_amplitudes_are_normalized(kset):
 def test_mask_rejects_zero_ray():
     with pytest.raises(ValueError):
         ray_to_mask((0,) * 8)
+
+
+# ------------------------------------------------------------- chunk kernel
+
+# Both paths sum the same eight products per norm and per overlap, in different
+# orders; on unit vectors each order is off by at most about DIM ulps, and
+# squaring the overlap doubles that.
+KERNEL_RTOL = 2 * DIM * np.finfo(float).eps
+HEAVY_NOISE = NoiseModel(phase_jitter=0.4, amplitude_jitter=0.2, background=0.01, efficiency=0.5)
+
+
+@pytest.mark.parametrize("noise", [IDEAL_NOISE, load_noise_config(None), HEAVY_NOISE],
+                         ids=["ideal", "calibrated", "heavy"])
+@pytest.mark.parametrize("state,pool", [
+    ("ghz", KS40_POOL),
+    ("w", mermin_subset()),
+    (canonical_set().ray(1), build_graph(canonical_set()).neighbors(1)),    # an exclusivity leg
+], ids=["ks40", "mermin16", "exclusivity23"])
+def test_chunk_kernel_matches_per_mask_loop(kset, noise, state, pool):
+    entries = resolve_state(state)
+    masks = _mask_stack(entries, pool, kset)
+    state_mask, pool_masks = ray_to_mask(entries), [ray_to_mask(kset.ray(i)) for i in pool]
+    for k in range(6):
+        fast_rng, slow_rng = substream(17, "pulse", k), substream(17, "pulse", k)
+        fast = _chunk_probs(masks, noise, DEFAULT_MU, fast_rng)
+        slow = chunk_probs_loop(state_mask, pool_masks, noise, DEFAULT_MU, slow_rng)
+        assert fast.shape == slow.shape == (len(pool),)
+        assert np.max(np.abs(fast - slow)) <= KERNEL_RTOL * np.max(slow)
+        # the generator is left where the loop leaves it, so later draws agree
+        assert fast_rng.random() == slow_rng.random()
 
 
 # ------------------------------------------------------------- config objects
