@@ -12,7 +12,14 @@ from pathlib import Path
 from typing import Sequence
 
 from . import __version__
-from .analysis import bhattacharyya, estimate_probabilities, fig3_rows, fig4_rows, verdict
+from .analysis import (
+    EstimationError,
+    bhattacharyya,
+    estimate_probabilities,
+    fig3_rows,
+    fig4_rows,
+    verdict,
+)
 from .bounds import (
     corrected_S_bound,
     corrected_sigma_bound,
@@ -43,11 +50,11 @@ from .simulate import (
     PulseRun,
     convergence_trace,
     derive_seed,
-    mermin_pool,
     run_exclusivity_campaign,
     run_ks_experiment,
 )
-from .states import NAMED_STATES, profile, resolve_state
+from .rays import rational_to_str
+from .states import NAMED_STATES, S_of_profile, profile, resolve_state, sigma_of_profile
 
 EPSILON_TARGET = 0.0140
 F_TARGETS = {"ghz": 0.93, "w": 0.97, "beta": 0.92, "eta": 0.98, "prod": 0.95}
@@ -240,13 +247,11 @@ def cmd_predict(args) -> int:
         for i in range(1, N_RAYS + 1)
     ]
     if _fmt(args, default="csv") == "json":
-        sigma = sum(prof.probs.values())
-        S = sum(prof.probs[i] for i in mermin_subset())
         print(_dump_json({
             "state": label,
             "profile": rows,
-            "sigma": f"{sigma.numerator}/{sigma.denominator}",
-            "S": f"{S.numerator}/{S.denominator}",
+            "sigma": rational_to_str(sigma_of_profile(prof.probs)),
+            "S": rational_to_str(S_of_profile(prof.probs)),
         }), end="")
     else:
         w = csv.DictWriter(sys.stdout, fieldnames=list(rows[0]), lineterminator="\n")
@@ -265,7 +270,7 @@ def _default_checkpoints(n: int) -> list[int]:
 
 def cmd_simulate(args) -> int:
     noise = load_noise_config(args.noise)
-    pool = mermin_pool() if args.pool == "mermin16" else KS40_POOL
+    pool = mermin_subset() if args.pool == "mermin16" else KS40_POOL
     run = PulseRun(seed=args.seed, n_pulses=args.pulses, mu=args.mu, projector_pool=pool)
     label, entries = _resolve_state_arg(args)
     checkpoints = (
@@ -448,28 +453,53 @@ def cmd_analyze(args) -> int:
 
 # ---------------------------------------------------------------- reproduce
 
-def _sigma_leg(task) -> tuple[str, dict]:
-    seed, state, noise_json, pulses, mu = task
+# The legs of a reproduce bundle as (kind, state): the exclusivity campaign,
+# the longest, first; then one record per sigma state (all 40 tests) and per
+# S state (the 16 Mermin tests).
+REPRODUCE_LEGS: tuple[tuple[str, str | None], ...] = (
+    ("excl", None),
+    *(("sigma", st) for st in SIGMA_STATES),
+    *(("s", st) for st in S_STATES),
+)
+
+
+def _leg(task):
+    """Run one reproduce leg: the campaign's (epsilon, pairs), or a record's JSON."""
+    (kind, state), seed, noise_json, pulses, mu = task
     noise = NoiseModel.from_json(noise_json)
-    run = PulseRun(seed=derive_seed(seed, "sigma", state), n_pulses=pulses, mu=mu)
-    return state, run_ks_experiment(state, noise, run).to_json()
+    if state is None:
+        run = PulseRun(seed=derive_seed(seed, kind), n_pulses=pulses, mu=mu)
+        epsilon, pairs = run_exclusivity_campaign(noise=noise, run=run)
+        return epsilon, [p.to_json() for p in pairs]
+    pool = mermin_subset() if kind == "s" else KS40_POOL
+    run = PulseRun(seed=derive_seed(seed, kind, state), n_pulses=pulses, mu=mu, projector_pool=pool)
+    return run_ks_experiment(state, noise, run).to_json()
 
 
-def _s_leg(task) -> tuple[str, dict]:
-    seed, state, noise_json, pulses, mu = task
-    noise = NoiseModel.from_json(noise_json)
-    run = PulseRun(
-        seed=derive_seed(seed, "s", state), n_pulses=pulses, mu=mu, projector_pool=mermin_pool()
-    )
-    return state, run_ks_experiment(state, noise, run).to_json()
-
-
-def _campaign_leg(task) -> tuple[float, list[dict]]:
-    seed, noise_json, pulses, mu = task
-    noise = NoiseModel.from_json(noise_json)
-    run = PulseRun(seed=derive_seed(seed, "excl"), n_pulses=pulses, mu=mu)
-    epsilon, pairs = run_exclusivity_campaign(noise=noise, run=run)
-    return epsilon, [p.to_json() for p in pairs]
+def _summary_row(kind: str, state: str, est, sigma_bound: float, s_bound: float) -> dict:
+    if kind == "sigma":
+        return {
+            "state": state,
+            "quantity": "sigma",
+            "estimate": est.sigma_est,
+            "error": est.sigma_err,
+            "corrected_bound": sigma_bound,
+            "quantum_value": 5.0,
+            "violates": est.sigma_est > sigma_bound,
+            "F": bhattacharyya(est, profile(state)).F,
+            "F_target": F_TARGETS[state],
+        }
+    return {
+        "state": state,
+        "quantity": "S",
+        "estimate": est.S_est,
+        "error": est.S_err,
+        "corrected_bound": s_bound,
+        "quantum_value": 4.0 if state == "ghz" else 3.5,
+        "violates": est.S_est > s_bound,
+        "F": "",
+        "F_target": "",
+    }
 
 
 def cmd_reproduce(args) -> int:
@@ -477,20 +507,20 @@ def cmd_reproduce(args) -> int:
     noise_json = noise.to_json()
     seed, pulses, mu = args.seed, args.pulses, args.mu
 
-    sigma_tasks = [(seed, st, noise_json, pulses, mu) for st in SIGMA_STATES]
-    s_tasks = [(seed, st, noise_json, pulses, mu) for st in S_STATES]
-    campaign_task = (seed, noise_json, pulses, mu)
-
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as ex:
-            campaign_future = ex.submit(_campaign_leg, campaign_task)
-            sigma_results = list(ex.map(_sigma_leg, sigma_tasks))
-            s_results = list(ex.map(_s_leg, s_tasks))
-            epsilon, pairs = campaign_future.result()
-    else:
-        sigma_results = [_sigma_leg(t) for t in sigma_tasks]
-        s_results = [_s_leg(t) for t in s_tasks]
-        epsilon, pairs = _campaign_leg(campaign_task)
+    tasks = [(leg, seed, noise_json, pulses, mu) for leg in REPRODUCE_LEGS]
+    try:
+        if args.workers > 1:
+            with ProcessPoolExecutor(max_workers=args.workers) as ex:
+                results = dict(zip(REPRODUCE_LEGS, ex.map(_leg, tasks)))
+        else:
+            results = dict(zip(REPRODUCE_LEGS, map(_leg, tasks)))
+        epsilon, pairs = results.pop(("excl", None))
+        estimates = {
+            leg: estimate_probabilities(CountRecord.from_json(record_json))
+            for leg, record_json in results.items()
+        }
+    except EstimationError as e:
+        raise ValueError(f"--pulses {pulses} is too short for a flux calibration: {e}") from None
 
     out = Path(args.out)
     (out / "records").mkdir(parents=True, exist_ok=True)
@@ -502,42 +532,14 @@ def cmd_reproduce(args) -> int:
         "pairs": pairs,
     })
 
-    summary_rows: list[dict] = []
     sigma_bound = corrected_sigma_bound(epsilon)
     s_bound = corrected_S_bound(epsilon)
-    for state, record_json in sigma_results:
-        rel = f"records/sigma_{state}.json"
+    summary_rows: list[dict] = []
+    for (kind, state), record_json in results.items():
+        rel = f"records/{kind}_{state}.json"
         _write_json(out / rel, record_json)
         outputs.append(rel)
-        est = estimate_probabilities(CountRecord.from_json(record_json))
-        F = bhattacharyya(est, profile(state)).F
-        summary_rows.append({
-            "state": state,
-            "quantity": "sigma",
-            "estimate": est.sigma_est,
-            "error": est.sigma_err,
-            "corrected_bound": sigma_bound,
-            "quantum_value": 5.0,
-            "violates": est.sigma_est > sigma_bound,
-            "F": F,
-            "F_target": F_TARGETS[state],
-        })
-    for state, record_json in s_results:
-        rel = f"records/s_{state}.json"
-        _write_json(out / rel, record_json)
-        outputs.append(rel)
-        est = estimate_probabilities(CountRecord.from_json(record_json))
-        summary_rows.append({
-            "state": state,
-            "quantity": "S",
-            "estimate": est.S_est,
-            "error": est.S_err,
-            "corrected_bound": s_bound,
-            "quantum_value": 4.0 if state == "ghz" else 3.5,
-            "violates": est.S_est > s_bound,
-            "F": "",
-            "F_target": "",
-        })
+        summary_rows.append(_summary_row(kind, state, estimates[kind, state], sigma_bound, s_bound))
 
     _write_json(out / "summary.json", {
         "epsilon": epsilon,

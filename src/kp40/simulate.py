@@ -9,6 +9,13 @@ chunks are scheduled.  A chunk's mask drift is drawn first, as one (1+P, 2, 8)
 standard-normal block for the state mask and the P pool masks: the state row
 first, then pool order, each row's transmissivity errors before its phase
 errors.  The chunk's pulse allocation and detections follow on the same stream.
+
+Chunks are processed in blocks of up to BLOCK.  Each chunk of a block draws its
+drift from its own substream, in chunk order; the stacked (K, 1+P, 2, 8) drift
+becomes a (K, P) probability matrix in one NumPy pass; then each chunk draws its
+allocation and detections from its own generator, again in chunk order.  Every
+stream is consumed exactly as if the chunks ran one at a time, and memory
+depends on BLOCK, not on the run's length.
 """
 
 from __future__ import annotations
@@ -20,12 +27,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .ksset import KSSet, N_RAYS, build_graph, canonical_set, mermin_subset
+from .ksset import KSSet, N_RAYS, build_graph, canonical_set
 from .rays import Ray, canonical_form, entries_of
 
 DIM = 8
 DEFAULT_MU = 0.14
 CHUNK = 32768    # pulses per RNG substream; results never depend on scheduling across chunks
+BLOCK = 64       # chunks whose probabilities are computed in one pass (a 2M-pulse run is one block)
 KS40_POOL: tuple[int, ...] = tuple(range(1, N_RAYS + 1))
 # four named in the reference data plus one ray per remaining basis group
 DEFAULT_INITIAL_RAYS: tuple[int, ...] = (1, 9, 17, 25, 27, 34, 36, 40)
@@ -148,10 +156,6 @@ class PulseRun:
         object.__setattr__(self, "projector_pool", pool)
 
 
-def mermin_pool() -> tuple[int, ...]:
-    return mermin_subset()
-
-
 @dataclass(frozen=True)
 class CountRecord:
     """Detected counts per projector plus the independent per-basis flux calibration.
@@ -191,22 +195,66 @@ class CountRecord:
 
     @classmethod
     def from_json(cls, data: dict) -> "CountRecord":
-        def intkeys(d, cast):
-            return {int(k): cast(v) for k, v in d.items()}
+        """Load a record; malformed input raises a ValueError that names the field."""
+        if not isinstance(data, dict):
+            raise ValueError("record: expected a JSON object")
+        for key in cls.__dataclass_fields__:
+            if key not in data:
+                raise ValueError(f"record: missing field {key!r}")
 
-        def intish(v):
-            return int(v) if float(v).is_integer() else float(v)
+        def field(key, convert):
+            try:
+                return convert(data[key])
+            except (TypeError, ValueError, AttributeError) as e:
+                raise ValueError(f"record field {key!r}: {e}") from None
 
+        def index(i) -> int:
+            i = int(i)
+            if not 1 <= i <= N_RAYS:
+                raise ValueError(f"index {i} outside 1..{N_RAYS}")
+            return i
+
+        def amount(v):
+            f = float(v)
+            if not f >= 0:
+                raise ValueError(f"{v!r} is not a nonnegative number")
+            return int(v) if f.is_integer() else f
+
+        def per_index(d) -> dict:
+            return {index(k): amount(v) for k, v in d.items()}
+
+        pool = field("projector_pool", lambda v: tuple(index(i) for i in v))
+        counts = field("counts", per_index)
+        pulses = field("pulses_per_projector", per_index)
+        flux = field("flux_calibration", lambda d: {int(b): float(amount(c)) for b, c in d.items()})
+        flux_pulses = field("flux_pulses", lambda d: {int(b): int(amount(n)) for b, n in d.items()})
+        if len(set(pool)) != len(pool):
+            raise ValueError("record field 'projector_pool': repeated index")
+        for key, table in (("counts", counts), ("pulses_per_projector", pulses)):
+            stray = sorted(set(table) ^ set(pool))
+            if stray:
+                raise ValueError(f"record field {key!r}: its keys and projector_pool differ at index {stray[0]}")
+        for i in pool:
+            if counts[i] > pulses[i]:
+                raise ValueError(f"record field 'counts': projector {i} has {counts[i]} counts "
+                                 f"but {pulses[i]} pulses")
+        s = canonical_set()
+        missing = sorted({s.basis_of(i) for i in pool} - set(flux))
+        if missing:
+            raise ValueError(f"record field 'flux_calibration': no entry for basis group {missing[0]}")
+        if set(flux_pulses) != set(flux):
+            raise ValueError("record field 'flux_pulses': keys do not match flux_calibration")
         return cls(
-            state=tuple(int(x) for x in data["state"]),
-            projector_pool=tuple(int(i) for i in data["projector_pool"]),
-            counts={int(k): intish(v) for k, v in data["counts"].items()},
-            pulses_per_projector=intkeys(data["pulses_per_projector"], intish),
-            flux_calibration=intkeys(data["flux_calibration"], float),
-            flux_pulses=intkeys(data["flux_pulses"], int),
-            mu=float(data["mu"]),
-            seed=int(data["seed"]),
+            state=field("state", _resolve_entries),
+            projector_pool=pool,
+            counts=counts,
+            pulses_per_projector=pulses,
+            flux_calibration=flux,
+            flux_pulses=flux_pulses,
+            mu=field("mu", float),
+            seed=field("seed", int),
         )
+
 
 
 def _resolve_entries(state) -> tuple[int, ...]:
@@ -222,20 +270,18 @@ def _mask_stack(entries: tuple[int, ...], pool: Sequence[int], s: KSSet) -> tupl
 
 
 def _chunk_probs(
-    masks: tuple[np.ndarray, np.ndarray], noise: NoiseModel, mu: float, rng: np.random.Generator
+    masks: tuple[np.ndarray, np.ndarray], noise: NoiseModel, mu: float, drift: np.ndarray
 ) -> np.ndarray:
-    """Per-pulse detection probabilities for one chunk, with freshly drawn mask drift.
+    """(K, P) per-pulse detection probabilities of K chunks from their (K, 1+P, 2, 8) mask drift.
 
     Masks drift once per chunk, modeling slow rendering miscalibration over a
-    long run rather than per-pulse noise.  The drift is drawn in full whatever
-    the noise settings, so stream consumption never depends on them.
+    long run rather than per-pulse noise.
     """
     t, phases = masks
-    err = rng.normal(0.0, 1.0, (len(t), 2, DIM))
-    t = np.clip(t * (1.0 + err[:, 0] * noise.amplitude_jitter), 0.0, None)
-    amps = np.sqrt(t) * np.exp(1j * (phases + err[:, 1] * noise.phase_jitter))
-    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
-    overlaps = np.abs(amps[1:].conj() @ amps[0]) ** 2
+    t = np.clip(t * (1.0 + drift[:, :, 0] * noise.amplitude_jitter), 0.0, None)
+    amps = np.sqrt(t) * np.exp(1j * (phases + drift[:, :, 1] * noise.phase_jitter))
+    amps /= np.linalg.norm(amps, axis=2, keepdims=True)
+    overlaps = np.abs(amps[:, 1:].conj() @ amps[:, 0, :, None])[..., 0] ** 2
     occupied = 1.0 - math.exp(-mu)
     return occupied * np.clip(noise.efficiency * overlaps + noise.background, 0.0, 1.0)
 
@@ -253,12 +299,18 @@ def _chunks(entries: tuple[int, ...], noise: NoiseModel, run: PulseRun, s: KSSet
     All of a chunk's randomness (mask drift, then the pulse allocation and
     detections drawn from the yielded generator) comes from one substream keyed
     by the chunk index, so any scheduling of chunks across workers reproduces
-    identical output.
+    identical output.  Drift is drawn and turned into probabilities a block of
+    up to BLOCK chunks at a time.  It is drawn in full whatever the noise
+    settings, so stream consumption never depends on them.
     """
     masks = _mask_stack(entries, run.projector_pool, s)
-    for k, size in enumerate(_chunk_sizes(run.n_pulses)):
-        rng = substream(run.seed, "pulse", k)
-        yield size, _chunk_probs(masks, noise, run.mu, rng), rng
+    shape = (len(masks[0]), 2, DIM)
+    sizes = _chunk_sizes(run.n_pulses)
+    for start in range(0, len(sizes), BLOCK):
+        block = sizes[start:start + BLOCK]
+        rngs = [substream(run.seed, "pulse", k) for k in range(start, start + len(block))]
+        drift = np.stack([rng.normal(0.0, 1.0, shape) for rng in rngs])
+        yield from zip(block, _chunk_probs(masks, noise, run.mu, drift), rngs)
 
 
 def _running_counts(entries: tuple[int, ...], noise: NoiseModel, run: PulseRun, s: KSSet):

@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-from kp40.simulate import DIM, NoiseModel, SlitPreparation
+from kp40.simulate import CHUNK, DIM, NoiseModel, PulseRun, SlitPreparation, substream
 
 
 def count_independent_subsets(g, size: int) -> int:
@@ -77,3 +77,16 @@ def chunk_probs_loop(
         o = abs(np.vdot(b, a)) ** 2
         probs[idx] = occupied * min(1.0, max(0.0, noise.efficiency * o + noise.background))
     return probs
+
+
+def chunks_loop(
+    state_mask: SlitPreparation,
+    pool_masks: Sequence[SlitPreparation],
+    noise: NoiseModel,
+    run: PulseRun,
+):
+    """Each chunk's (pulses, probabilities, generator) of a run, one chunk at a time."""
+    for k, start in enumerate(range(0, run.n_pulses, CHUNK)):
+        rng = substream(run.seed, "pulse", k)
+        probs = chunk_probs_loop(state_mask, pool_masks, noise, run.mu, rng)
+        yield min(CHUNK, run.n_pulses - start), probs, rng

@@ -11,7 +11,8 @@ from kp40.analysis import (
     fig4_rows,
     verdict,
 )
-from kp40.simulate import IDEAL_NOISE, CountRecord, PulseRun, mermin_pool, run_ks_experiment
+from kp40.ksset import mermin_subset
+from kp40.simulate import IDEAL_NOISE, CountRecord, PulseRun, run_ks_experiment
 from kp40.states import profile
 
 
@@ -71,7 +72,7 @@ def test_basis_sums_near_one_on_a_real_run():
 
 
 def test_S_over_partial_pool_uses_available_indices_only():
-    run = PulseRun(seed=22, n_pulses=100_000, projector_pool=mermin_pool())
+    run = PulseRun(seed=22, n_pulses=100_000, projector_pool=mermin_subset())
     est = estimate_probabilities(run_ks_experiment("ghz", IDEAL_NOISE, run))
     assert len(est.probabilities) == 16
     assert est.S_est == pytest.approx(sum(p for p, _ in est.probabilities.values()))
@@ -133,8 +134,6 @@ def test_bhattacharyya_input_validation():
 
 def _flat_estimate(indices, p, err):
     probs = {i: (p, err) for i in indices}
-    from kp40.ksset import mermin_subset
-
     in_s = [i for i in mermin_subset() if i in probs]
     return EstimateSet(
         probabilities=probs,
@@ -154,8 +153,6 @@ def test_verdict_full_pool():
 
 
 def test_verdict_partial_pool_has_no_sigma_section():
-    from kp40.ksset import mermin_subset
-
     e = _flat_estimate(mermin_subset(), 0.24, 0.002)
     v = verdict(e, 0.0140)
     assert v["sigma"] is None
@@ -175,7 +172,5 @@ def test_fig3_rows_with_and_without_ideal():
 def test_fig4_rows_shapes():
     full = _flat_estimate(range(1, 41), 0.125, 0.001)
     assert [r["quantity"] for r in fig4_rows(full, 0.014)] == ["sigma", "S"]
-    from kp40.ksset import mermin_subset
-
     partial = _flat_estimate(mermin_subset(), 0.24, 0.002)
     assert [r["quantity"] for r in fig4_rows(partial, 0.014)] == ["S"]

@@ -225,6 +225,45 @@ def test_analyze_missing_record_is_a_usage_error(tmp_path, capsys):
     assert err
 
 
+def _drop_seed(r):
+    del r["seed"]
+
+
+def _negative_count(r):
+    r["counts"]["1"] = -1
+
+
+def _count_above_pulses(r):
+    r["counts"]["1"] = r["pulses_per_projector"]["1"] + 1
+
+
+def _pool_without_counts(r):
+    r["projector_pool"] = r["projector_pool"][:-1]
+
+
+def _index_out_of_range(r):
+    r["pulses_per_projector"]["41"] = r["pulses_per_projector"].pop("40")
+
+
+@pytest.mark.parametrize("corrupt,field", [
+    (_drop_seed, "seed"),
+    (_negative_count, "counts"),
+    (_count_above_pulses, "counts"),
+    (_pool_without_counts, "counts"),
+    (_index_out_of_range, "pulses_per_projector"),
+], ids=["missing-key", "negative-count", "count-above-pulses", "pool-mismatch", "index-out-of-range"])
+def test_analyze_rejects_a_malformed_record(tmp_path, capsys, corrupt, field):
+    run_cli(["--seed", "3", "--out", str(tmp_path), "simulate", "--state", "ghz",
+             "--pulses", "40000"], capsys)
+    record = json.loads((tmp_path / "record.json").read_text())
+    corrupt(record)
+    (tmp_path / "record.json").write_text(json.dumps(record))
+    code, _, err = run_cli(["--out", str(tmp_path), "analyze", str(tmp_path / "record.json")], capsys)
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert f"'{field}'" in err
+
+
 # ------------------------------------------------------------- exclusivity and calibrate
 
 def test_exclusivity_bundle(tmp_path, capsys):
@@ -277,6 +316,14 @@ def test_calibrate_closed_loop(tmp_path, capsys):
     eps, pairs = run_exclusivity_campaign(noise=noise, run=rerun)
     sd = math.sqrt(sum(p.error ** 2 for p in pairs)) / len(pairs)
     assert abs(eps - data["calibration"]["epsilon_simulated"]) <= 2 * math.sqrt(2) * sd
+
+
+def test_reproduce_says_when_pulses_are_too_few_to_calibrate(tmp_path, capsys):
+    code, _, err = run_cli(["--out", str(tmp_path), "reproduce", "--pulses", "10"], capsys)
+    assert code == 2
+    assert err.count("\n") == 1
+    assert "--pulses 10 is too short for a flux calibration" in err
+    assert not (tmp_path / "summary.json").exists()
 
 
 def test_reproduce_without_config_names_calibrate(tmp_path, capsys):

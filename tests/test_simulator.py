@@ -8,6 +8,7 @@ from kp40.analysis import estimate_probabilities
 from kp40.cli import load_noise_config
 from kp40.ksset import build_graph, canonical_set, mermin_subset
 from kp40.simulate import (
+    BLOCK,
     CHUNK,
     DEFAULT_INITIAL_RAYS,
     DEFAULT_MU,
@@ -22,19 +23,17 @@ from kp40.simulate import (
     expected_record,
     ground_truth_probabilities,
     mask_to_ray,
-    mermin_pool,
     ray_to_mask,
     run_exclusivity_campaign,
     run_ks_experiment,
     snap_checkpoints,
     substream,
-    _chunk_probs,
-    _mask_stack,
+    _chunks,
 )
 from kp40.rays import same_direction
 from kp40.states import profile, resolve_state
 
-from oracles import chunk_probs_loop
+from oracles import chunk_probs_loop, chunks_loop
 
 
 # ------------------------------------------------------------- randomness plumbing
@@ -92,17 +91,70 @@ HEAVY_NOISE = NoiseModel(phase_jitter=0.4, amplitude_jitter=0.2, background=0.01
     (canonical_set().ray(1), build_graph(canonical_set()).neighbors(1)),    # an exclusivity leg
 ], ids=["ks40", "mermin16", "exclusivity23"])
 def test_chunk_kernel_matches_per_mask_loop(kset, noise, state, pool):
+    # six chunks make one block: one drift stack, one batched probability pass
     entries = resolve_state(state)
-    masks = _mask_stack(entries, pool, kset)
+    run = PulseRun(seed=17, n_pulses=6 * CHUNK, projector_pool=pool)
     state_mask, pool_masks = ray_to_mask(entries), [ray_to_mask(kset.ray(i)) for i in pool]
-    for k in range(6):
-        fast_rng, slow_rng = substream(17, "pulse", k), substream(17, "pulse", k)
-        fast = _chunk_probs(masks, noise, DEFAULT_MU, fast_rng)
+    chunks = list(_chunks(entries, noise, run, kset))
+    assert len(chunks) == 6
+    for k, (size, fast, fast_rng) in enumerate(chunks):
+        slow_rng = substream(17, "pulse", k)
         slow = chunk_probs_loop(state_mask, pool_masks, noise, DEFAULT_MU, slow_rng)
+        assert size == CHUNK
         assert fast.shape == slow.shape == (len(pool),)
         assert np.max(np.abs(fast - slow)) <= KERNEL_RTOL * np.max(slow)
-        # the generator is left where the loop leaves it, so later draws agree
+        # each chunk's generator is left where the loop leaves it, so later draws agree
         assert fast_rng.random() == slow_rng.random()
+
+
+def _chunk_at_a_time(entries, noise, run, kset):
+    """(running (pulses, allocation, detections) per chunk, expected counts) of the reference loop."""
+    pool = run.projector_pool
+    uniform = np.full(len(pool), 1.0 / len(pool))
+    alloc, det, expected = np.zeros(len(pool), np.int64), np.zeros(len(pool), np.int64), np.zeros(len(pool))
+    running, done = [], 0
+    state_mask, pool_masks = ray_to_mask(entries), [ray_to_mask(kset.ray(i)) for i in pool]
+    for size, probs, rng in chunks_loop(state_mask, pool_masks, noise, run):
+        a = rng.multinomial(size, uniform)
+        alloc, det = alloc + a, det + rng.binomial(a, probs)
+        expected += (size / len(pool)) * probs
+        done += size
+        running.append((done, alloc, det))
+    return running, expected
+
+
+def test_run_across_a_block_boundary_matches_chunk_at_a_time(kset):
+    # BLOCK + 4 chunks, the last one partial: two blocks, the second short
+    pool = mermin_subset()
+    run = PulseRun(seed=31, n_pulses=(BLOCK + 3) * CHUNK + 123, projector_pool=pool)
+    entries = resolve_state("ghz")
+    running, expected = _chunk_at_a_time(entries, IDEAL_NOISE, run, kset)
+    assert len(running) == BLOCK + 4 and running[-1][0] == run.n_pulses
+
+    rec = run_ks_experiment(entries, IDEAL_NOISE, run, kset)
+    _, alloc, det = running[-1]
+    assert rec.counts == dict(zip(pool, det.tolist()))
+    assert rec.pulses_per_projector == dict(zip(pool, alloc.tolist()))
+
+    marks = [CHUNK, BLOCK * CHUNK, (BLOCK + 1) * CHUNK, run.n_pulses]
+    trace = convergence_trace(entries, IDEAL_NOISE, run, marks, kset)
+    assert trace.record == rec
+    want = []
+    for done, a, d in running:
+        if done in marks:
+            est = estimate_probabilities(CountRecord(
+                state=entries, projector_pool=pool, counts=dict(zip(pool, d.tolist())),
+                pulses_per_projector=dict(zip(pool, a.tolist())),
+                flux_calibration=rec.flux_calibration, flux_pulses=rec.flux_pulses,
+                mu=run.mu, seed=run.seed,
+            ))
+            want.append((done, est.sigma_est, est.sigma_err, est.S_est, est.S_err))
+    assert [(p.pulses, p.sigma_est, p.sigma_err, p.S_est, p.S_err) for p in trace.points] == want
+
+    assert expected_record(entries, IDEAL_NOISE, run, kset).counts == dict(zip(pool, expected.tolist()))
+    _, expected = _chunk_at_a_time(entries, load_noise_config(None), run, kset)
+    fast = np.array(list(expected_record(entries, load_noise_config(None), run, kset).counts.values()))
+    assert np.max(np.abs(fast - expected)) <= KERNEL_RTOL * np.max(expected)
 
 
 # ------------------------------------------------------------- config objects
@@ -133,10 +185,6 @@ def test_pulse_run_validation():
         PulseRun(seed=1, n_pulses=10, projector_pool=(0, 1))
 
 
-def test_mermin_pool_matches_subset():
-    assert mermin_pool() == mermin_subset()
-
-
 def test_count_record_round_trip_and_validation():
     run = PulseRun(seed=11, n_pulses=60_000)
     rec = run_ks_experiment("ghz", IDEAL_NOISE, run)
@@ -148,6 +196,20 @@ def test_count_record_round_trip_and_validation():
     bad["counts"][first] = bad["pulses_per_projector"][first] + 1
     with pytest.raises(ValueError):
         CountRecord.from_json(bad)
+
+
+@pytest.mark.parametrize("field,corrupt", [
+    ("projector_pool", lambda r: r["projector_pool"].append(r["projector_pool"][0])),
+    ("flux_calibration", lambda r: r["flux_calibration"].pop("1")),
+    ("flux_pulses", lambda r: r["flux_pulses"].pop("1")),
+    ("mu", lambda r: r.update(mu="high")),
+    ("state", lambda r: r.update(state=[0] * 8)),
+], ids=["repeated-index", "uncalibrated-basis", "flux-pulses-keys", "mu-type", "zero-state"])
+def test_count_record_loader_names_the_bad_field(field, corrupt):
+    data = run_ks_experiment("ghz", IDEAL_NOISE, PulseRun(seed=11, n_pulses=40_000)).to_json()
+    corrupt(data)
+    with pytest.raises(ValueError, match=f"'{field}'"):
+        CountRecord.from_json(data)
 
 
 # ------------------------------------------------------------- runs
