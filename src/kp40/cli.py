@@ -476,29 +476,19 @@ def _leg(task):
     return run_ks_experiment(state, noise, run).to_json()
 
 
-def _summary_row(kind: str, state: str, est, sigma_bound: float, s_bound: float) -> dict:
-    if kind == "sigma":
-        return {
-            "state": state,
-            "quantity": "sigma",
-            "estimate": est.sigma_est,
-            "error": est.sigma_err,
-            "corrected_bound": sigma_bound,
-            "quantum_value": 5.0,
-            "violates": est.sigma_est > sigma_bound,
-            "F": bhattacharyya(est, profile(state)).F,
-            "F_target": F_TARGETS[state],
-        }
+def _summary_row(kind: str, state: str, est, bound: float) -> dict:
+    sigma = kind == "sigma"
+    estimate, error = (est.sigma_est, est.sigma_err) if sigma else (est.S_est, est.S_err)
     return {
         "state": state,
-        "quantity": "S",
-        "estimate": est.S_est,
-        "error": est.S_err,
-        "corrected_bound": s_bound,
-        "quantum_value": 4.0 if state == "ghz" else 3.5,
-        "violates": est.S_est > s_bound,
-        "F": "",
-        "F_target": "",
+        "quantity": "sigma" if sigma else "S",
+        "estimate": estimate,
+        "error": error,
+        "corrected_bound": bound,
+        "quantum_value": 5.0 if sigma else 4.0 if state == "ghz" else 3.5,
+        "violates": estimate > bound,
+        "F": bhattacharyya(est, profile(state)).F if sigma else "",
+        "F_target": F_TARGETS[state] if sigma else "",
     }
 
 
@@ -532,19 +522,18 @@ def cmd_reproduce(args) -> int:
         "pairs": pairs,
     })
 
-    sigma_bound = corrected_sigma_bound(epsilon)
-    s_bound = corrected_S_bound(epsilon)
+    bounds = {"sigma": corrected_sigma_bound(epsilon), "s": corrected_S_bound(epsilon)}
     summary_rows: list[dict] = []
     for (kind, state), record_json in results.items():
         rel = f"records/{kind}_{state}.json"
         _write_json(out / rel, record_json)
         outputs.append(rel)
-        summary_rows.append(_summary_row(kind, state, estimates[kind, state], sigma_bound, s_bound))
+        summary_rows.append(_summary_row(kind, state, estimates[kind, state], bounds[kind]))
 
     _write_json(out / "summary.json", {
         "epsilon": epsilon,
-        "sigma_corrected_bound": sigma_bound,
-        "S_corrected_bound": s_bound,
+        "sigma_corrected_bound": bounds["sigma"],
+        "S_corrected_bound": bounds["s"],
         "rows": summary_rows,
     })
     _write_csv(out / "summary.csv", summary_rows, list(summary_rows[0]))
