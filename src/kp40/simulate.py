@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -220,20 +221,22 @@ class CountRecord:
                 raise ValueError(f"{v!r} is not a nonnegative number")
             return int(v) if f.is_integer() else f
 
-        def per_index(d) -> dict:
-            return {index(k): amount(v) for k, v in d.items()}
+        def per_key(d) -> dict:
+            return {int(k): amount(v) for k, v in d.items()}
 
         pool = field("projector_pool", lambda v: tuple(index(i) for i in v))
-        counts = field("counts", per_index)
-        pulses = field("pulses_per_projector", per_index)
-        flux = field("flux_calibration", lambda d: {int(b): float(amount(c)) for b, c in d.items()})
-        flux_pulses = field("flux_pulses", lambda d: {int(b): int(amount(n)) for b, n in d.items()})
-        if len(set(pool)) != len(pool):
+        counts = field("counts", per_key)
+        pulses = field("pulses_per_projector", per_key)
+        flux = field("flux_calibration", lambda d: {b: float(c) for b, c in per_key(d).items()})
+        flux_pulses = field("flux_pulses", lambda d: {b: int(n) for b, n in per_key(d).items()})
+        members = set(pool)
+        if len(members) != len(pool):
             raise ValueError("record field 'projector_pool': repeated index")
         for key, table in (("counts", counts), ("pulses_per_projector", pulses)):
-            stray = sorted(set(table) ^ set(pool))
-            if stray:
-                raise ValueError(f"record field {key!r}: its keys and projector_pool differ at index {stray[0]}")
+            if table.keys() != members:
+                wild = [i for i in table if not 1 <= i <= N_RAYS]
+                problem = f"index {wild[0]} outside 1..{N_RAYS}" if wild else "keys do not match projector_pool"
+                raise ValueError(f"record field {key!r}: {problem}")
         for i in pool:
             if counts[i] > pulses[i]:
                 raise ValueError(f"record field 'counts': projector {i} has {counts[i]} counts "
@@ -263,9 +266,15 @@ def _resolve_entries(state) -> tuple[int, ...]:
     return resolve_state(state)
 
 
+@lru_cache(maxsize=128)
+def _mask_of(entries: tuple[int, ...]) -> SlitPreparation:
+    """ray_to_mask, kept for rays seen before: every run re-stacks the same pool masks."""
+    return ray_to_mask(entries)
+
+
 def _mask_stack(entries: tuple[int, ...], pool: Sequence[int], s: KSSet) -> tuple[np.ndarray, np.ndarray]:
     """(1+P, 8) transmissivities and phases: the state's mask, then the pool's in order."""
-    masks = [ray_to_mask(entries)] + [ray_to_mask(s.ray(i)) for i in pool]
+    masks = [_mask_of(entries)] + [_mask_of(s.ray(i).entries) for i in pool]
     return np.array([m.transmissivities for m in masks]), np.array([m.phases for m in masks])
 
 
