@@ -177,7 +177,8 @@ class CountRecord:
     def __post_init__(self):
         for i, c in self.counts.items():
             if c > self.pulses_per_projector[i]:
-                raise ValueError(f"projector {i}: count {c} exceeds its {self.pulses_per_projector[i]} pulses")
+                raise ValueError(f"record field 'counts': projector {i} has {c} counts "
+                                 f"but {self.pulses_per_projector[i]} pulses")
 
     def n_pulses(self) -> int:
         return sum(self.pulses_per_projector.values())
@@ -237,10 +238,6 @@ class CountRecord:
                 wild = [i for i in table if not 1 <= i <= N_RAYS]
                 problem = f"index {wild[0]} outside 1..{N_RAYS}" if wild else "keys do not match projector_pool"
                 raise ValueError(f"record field {key!r}: {problem}")
-        for i in pool:
-            if counts[i] > pulses[i]:
-                raise ValueError(f"record field 'counts': projector {i} has {counts[i]} counts "
-                                 f"but {pulses[i]} pulses")
         s = canonical_set()
         missing = sorted({s.basis_of(i) for i in pool} - set(flux))
         if missing:

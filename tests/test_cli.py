@@ -225,32 +225,13 @@ def test_analyze_missing_record_is_a_usage_error(tmp_path, capsys):
     assert err
 
 
-def _drop_seed(r):
-    del r["seed"]
-
-
-def _negative_count(r):
-    r["counts"]["1"] = -1
-
-
-def _count_above_pulses(r):
-    r["counts"]["1"] = r["pulses_per_projector"]["1"] + 1
-
-
-def _pool_without_counts(r):
-    r["projector_pool"] = r["projector_pool"][:-1]
-
-
-def _index_out_of_range(r):
-    r["pulses_per_projector"]["41"] = r["pulses_per_projector"].pop("40")
-
-
 @pytest.mark.parametrize("corrupt,field", [
-    (_drop_seed, "seed"),
-    (_negative_count, "counts"),
-    (_count_above_pulses, "counts"),
-    (_pool_without_counts, "counts"),
-    (_index_out_of_range, "pulses_per_projector"),
+    (lambda r: r.pop("seed"), "seed"),
+    (lambda r: r["counts"].update({"1": -1}), "counts"),
+    (lambda r: r["counts"].update({"1": r["pulses_per_projector"]["1"] + 1}), "counts"),
+    (lambda r: r["projector_pool"].pop(), "counts"),
+    (lambda r: r["pulses_per_projector"].update({"41": r["pulses_per_projector"].pop("40")}),
+     "pulses_per_projector"),
 ], ids=["missing-key", "negative-count", "count-above-pulses", "pool-mismatch", "index-out-of-range"])
 def test_analyze_rejects_a_malformed_record(tmp_path, capsys, corrupt, field):
     run_cli(["--seed", "3", "--out", str(tmp_path), "simulate", "--state", "ghz",
