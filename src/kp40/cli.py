@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import importlib.resources
+import itertools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -50,6 +52,8 @@ from .simulate import (
     PulseRun,
     convergence_trace,
     derive_seed,
+    read_fields,
+    read_json,
     run_exclusivity_campaign,
     run_ks_experiment,
 )
@@ -66,19 +70,23 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _fmt(args, default: str = "json") -> str:
-    return args.format or default
-
-
 def _write_json(path: Path, obj) -> None:
     path.write_text(_dump_json(obj))
 
 
-def _write_csv(path: Path, rows: Sequence[dict], fieldnames: Sequence[str]) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.DictWriter(f, fieldnames=fieldnames, lineterminator="\n")
-        w.writeheader()
-        w.writerows(rows)
+def _write_rows(f, rows: Sequence[dict]) -> None:
+    """CSV with a header taken from the first row's keys."""
+    w = csv.DictWriter(f, fieldnames=list(rows[0]), lineterminator="\n")
+    w.writeheader()
+    w.writerows(rows)
+
+
+def _print(args, default: str, obj, rows: Sequence[dict]) -> None:
+    """Report on stdout: `rows` as CSV, or `obj` as JSON, by --format (else `default`)."""
+    if (args.format or default) == "csv":
+        _write_rows(sys.stdout, rows)
+    else:
+        print(_dump_json(obj), end="")
 
 
 def _write_manifest(out: Path, command: str, arguments: dict, outputs: list[str]) -> None:
@@ -93,38 +101,49 @@ def _write_manifest(out: Path, command: str, arguments: dict, outputs: list[str]
     )
 
 
-def packaged_noise_path() -> Path:
-    return Path(importlib.resources.files("kp40") / "data" / "noise_calibrated.json")
+def _write_bundle(out: Path, command: str, arguments: dict, files: dict) -> None:
+    """Write `files` under `out`, rows for a .csv name and JSON otherwise, then the manifest."""
+    for name, content in files.items():
+        path = out / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if name.endswith(".csv"):
+            with open(path, "w", newline="") as f:
+                _write_rows(f, content)
+        else:
+            _write_json(path, content)
+    _write_manifest(out, command, arguments, list(files))
 
 
 def load_noise_config(path: str | Path | None) -> NoiseModel:
-    """Read a noise config: either the four bare NoiseModel fields or a calibrate output."""
+    """Read a noise config, by default the packaged calibrated one: either the four
+    bare NoiseModel fields or a calibrate output."""
     if path is None:
-        path = packaged_noise_path()
+        path = importlib.resources.files("kp40") / "data" / "noise_calibrated.json"
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(
             f"noise config {p} not found; run `kp40 calibrate --config-out {p}` to create one"
         )
-    data = json.loads(p.read_text())
-    return NoiseModel.from_json(data["noise"] if "noise" in data else data)
-
-
-def _parse_ray_arg(text: str) -> tuple[int, ...]:
-    parts = [p for p in text.replace(",", " ").split() if p]
-    try:
-        entries = tuple(int(p) for p in parts)
-    except ValueError:
-        raise ValueError(f"ray entries must be integers, got {text!r}") from None
-    return resolve_state(entries)
+    data = read_json(p, "noise config")
+    if isinstance(data, dict) and "noise" in data:    # a calibrate output
+        data = data["noise"]
+    return NoiseModel.from_json(data)    # rejects anything that is not a JSON object
 
 
 def _resolve_state_arg(args) -> tuple[str, tuple[int, ...]]:
     if getattr(args, "ray", None):
-        entries = _parse_ray_arg(args.ray)
+        try:
+            entries = tuple(int(p) for p in args.ray.replace(",", " ").split())
+        except ValueError:
+            raise ValueError(f"ray entries must be integers, got {args.ray!r}") from None
+        entries = resolve_state(entries)
         return ",".join(str(e) for e in entries), entries
-    name = args.state.lower()
-    return name, resolve_state(name)
+    return args.state, resolve_state(args.state)
+
+
+def _run_arguments(args, noise: NoiseModel) -> dict:
+    """The manifest arguments of a run: master seed, pulses, mu and the noise used."""
+    return {"seed": args.seed, "pulses": args.pulses, "mu": args.mu, "noise": noise.to_json()}
 
 
 # ---------------------------------------------------------------- verify
@@ -170,18 +189,10 @@ def verification_checks(
 
 
 def cmd_verify(args) -> int:
-    if args.rays:
-        try:
-            s = load_ksset_file(args.rays)
-        except (ValueError, KeyError, OSError) as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
-        checks = verification_checks(s)
-    else:
-        checks = verification_checks()
+    checks = verification_checks(load_ksset_file(args.rays)) if args.rays else verification_checks()
 
     passed = all(ok for _, ok, _ in checks)
-    if _fmt(args) == "json":
+    if (args.format or "json") == "json":
         print(_dump_json({
             "checks": [{"name": n, "ok": ok, "detail": d} for n, ok, d in checks],
             "passed": passed,
@@ -199,18 +210,12 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------- octads
 
 def cmd_octads(args) -> int:
-    g = build_graph(canonical_set())
-    octads = enumerate_octads(g)
-    if _fmt(args) == "csv":
-        rows = [
-            {"octad": k, **{f"ray{j + 1}": o[j] for j in range(8)}}
-            for k, o in enumerate(octads, start=1)
-        ]
-        w = csv.DictWriter(sys.stdout, fieldnames=list(rows[0]), lineterminator="\n")
-        w.writeheader()
-        w.writerows(rows)
-    else:
-        print(_dump_json({"count": len(octads), "octads": [list(o) for o in octads]}), end="")
+    octads = enumerate_octads(build_graph(canonical_set()))
+    rows = [
+        {"octad": k, **{f"ray{j + 1}": o[j] for j in range(8)}}
+        for k, o in enumerate(octads, start=1)
+    ]
+    _print(args, "json", {"count": len(octads), "octads": [list(o) for o in octads]}, rows)
     return 0
 
 
@@ -220,13 +225,7 @@ def cmd_bounds(args) -> int:
     report = full_report_json(epsilon=args.epsilon)
     if args.extrapolated_quantum:
         report["sigma_quantum_extrapolated"] = extrapolated_quantum_sigma_bound(args.epsilon)
-    if _fmt(args) == "csv":
-        w = csv.writer(sys.stdout, lineterminator="\n")
-        w.writerow(["key", "value"])
-        for k, v in sorted(report.items()):
-            w.writerow([k, v])
-    else:
-        print(_dump_json(report), end="")
+    _print(args, "json", report, [{"key": k, "value": v} for k, v in sorted(report.items())])
     return 0
 
 
@@ -246,17 +245,12 @@ def cmd_predict(args) -> int:
         }
         for i in range(1, N_RAYS + 1)
     ]
-    if _fmt(args, default="csv") == "json":
-        print(_dump_json({
-            "state": label,
-            "profile": rows,
-            "sigma": rational_to_str(sigma_of_profile(prof.probs)),
-            "S": rational_to_str(S_of_profile(prof.probs)),
-        }), end="")
-    else:
-        w = csv.DictWriter(sys.stdout, fieldnames=list(rows[0]), lineterminator="\n")
-        w.writeheader()
-        w.writerows(rows)
+    _print(args, "csv", {
+        "state": label,
+        "profile": rows,
+        "sigma": rational_to_str(sigma_of_profile(prof.probs)),
+        "S": rational_to_str(S_of_profile(prof.probs)),
+    }, rows)
     return 0
 
 
@@ -280,35 +274,15 @@ def cmd_simulate(args) -> int:
     trace = convergence_trace(entries, noise, run, checkpoints)
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "record.json", trace.record.to_json())
-    _write_csv(
-        out / "trace.csv",
-        [
-            {
-                "pulses": p.pulses,
-                "sigma_est": p.sigma_est,
-                "sigma_err": p.sigma_err,
-                "S_est": p.S_est,
-                "S_err": p.S_err,
-            }
-            for p in trace.points
-        ],
-        ["pulses", "sigma_est", "sigma_err", "S_est", "S_err"],
-    )
-    _write_manifest(
+    _write_bundle(
         out,
         "simulate",
+        {"state": label, "pool": args.pool, "checkpoints": checkpoints,
+         **_run_arguments(args, noise)},
         {
-            "state": label,
-            "pool": args.pool,
-            "pulses": args.pulses,
-            "mu": args.mu,
-            "seed": args.seed,
-            "noise": noise.to_json(),
-            "checkpoints": checkpoints,
+            "record.json": trace.record.to_json(),
+            "trace.csv": [dataclasses.asdict(p) for p in trace.points],
         },
-        ["record.json", "trace.csv"],
     )
     print(f"wrote {out / 'record.json'} and {out / 'trace.csv'}")
     return 0
@@ -316,30 +290,32 @@ def cmd_simulate(args) -> int:
 
 # ---------------------------------------------------------------- exclusivity
 
+def _eps_json(noise: NoiseModel, initial: tuple[int, ...], run: PulseRun) -> dict:
+    """Run the exclusivity campaign and return the content of its eps.json."""
+    epsilon, pairs = run_exclusivity_campaign(noise=noise, initial_rays=initial, run=run)
+    return {
+        "epsilon": epsilon,
+        "n_pairs": len(pairs),
+        "initial_rays": list(initial),
+        "pairs": [dataclasses.asdict(p) for p in pairs],
+    }
+
+
 def cmd_exclusivity(args) -> int:
     noise = load_noise_config(args.noise)
     initial = (
         tuple(int(i) for i in args.initial.split(",")) if args.initial else DEFAULT_INITIAL_RAYS
     )
-    run = PulseRun(seed=args.seed, n_pulses=args.pulses, mu=args.mu)
-    epsilon, pairs = run_exclusivity_campaign(noise=noise, initial_rays=initial, run=run)
+    eps = _eps_json(noise, initial, PulseRun(seed=args.seed, n_pulses=args.pulses, mu=args.mu))
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "eps.json", {
-        "epsilon": epsilon,
-        "n_pairs": len(pairs),
-        "initial_rays": list(initial),
-        "pairs": [p.to_json() for p in pairs],
-    })
-    _write_manifest(
+    _write_bundle(
         out,
         "exclusivity",
-        {"pulses": args.pulses, "mu": args.mu, "seed": args.seed,
-         "noise": noise.to_json(), "initial_rays": list(initial)},
-        ["eps.json"],
+        {**_run_arguments(args, noise), "initial_rays": list(initial)},
+        {"eps.json": eps},
     )
-    print(f"epsilon = {epsilon:.5f} over {len(pairs)} pairs; wrote {out / 'eps.json'}")
+    print(f"epsilon = {eps['epsilon']:.5f} over {eps['n_pairs']} pairs; wrote {out / 'eps.json'}")
     return 0
 
 
@@ -358,22 +334,18 @@ def cmd_calibrate(args) -> int:
     run = PulseRun(seed=args.seed, n_pulses=args.pulses, mu=args.mu)
     ghz_run = PulseRun(seed=derive_seed(args.seed, "cal", "ghz"), n_pulses=args.pulses, mu=args.mu)
     trace = []
-    for pj in CALIBRATION_GRID["phase_jitter"]:
-        for aj in CALIBRATION_GRID["amplitude_jitter"]:
-            for bg in CALIBRATION_GRID["background"]:
-                for eff in CALIBRATION_GRID["efficiency"]:
-                    noise = NoiseModel(
-                        amplitude_jitter=aj, phase_jitter=pj, background=bg, efficiency=eff
-                    )
-                    epsilon, _ = run_exclusivity_campaign(noise=noise, run=run)
-                    est = estimate_probabilities(run_ks_experiment("ghz", noise, ghz_run))
-                    F = bhattacharyya(est, profile("ghz")).F
-                    trace.append({
-                        "noise": noise.to_json(),
-                        "epsilon": epsilon,
-                        "F_GHZ": F,
-                        "accepted": 0.010 <= epsilon <= 0.018 and 0.90 <= F <= 0.99,
-                    })
+    # the grid's key order is the loop nesting: phase jitter outermost, efficiency innermost
+    for values in itertools.product(*CALIBRATION_GRID.values()):
+        noise = NoiseModel(**dict(zip(CALIBRATION_GRID, values)))
+        epsilon, _ = run_exclusivity_campaign(noise=noise, run=run)
+        est = estimate_probabilities(run_ks_experiment("ghz", noise, ghz_run))
+        F = bhattacharyya(est, profile("ghz")).F
+        trace.append({
+            "noise": noise.to_json(),
+            "epsilon": epsilon,
+            "F_GHZ": F,
+            "accepted": 0.010 <= epsilon <= 0.018 and 0.90 <= F <= 0.99,
+        })
 
     accepted = [p for p in trace if p["accepted"]]
     if not accepted:
@@ -415,12 +387,12 @@ def cmd_calibrate(args) -> int:
 # ---------------------------------------------------------------- analyze
 
 def cmd_analyze(args) -> int:
-    record = CountRecord.from_json(json.loads(Path(args.record).read_text()))
+    record = CountRecord.from_json(read_json(args.record, "record"))
     if args.epsilon is not None:
         epsilon = args.epsilon
     elif args.epsilon_file:
-        data = json.loads(Path(args.epsilon_file).read_text())
-        epsilon = float(data["epsilon"]) if isinstance(data, dict) else float(data)
+        eps = read_fields(read_json(args.epsilon_file, "eps file"), "eps file", {"epsilon": float})
+        epsilon = eps["epsilon"]
     else:
         epsilon = 0.0
 
@@ -435,17 +407,12 @@ def cmd_analyze(args) -> int:
     }
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "report.json", report)
-    rows3 = fig3_rows(est, ideal)
-    _write_csv(out / "fig3.csv", rows3, list(rows3[0]))
-    rows4 = fig4_rows(est, epsilon)
-    _write_csv(out / "fig4.csv", rows4, list(rows4[0]))
-    _write_manifest(
+    _write_bundle(
         out,
         "analyze",
         {"record": str(args.record), "epsilon": epsilon, "global_F": bool(args.global_F)},
-        ["report.json", "fig3.csv", "fig4.csv"],
+        {"report.json": report, "fig3.csv": fig3_rows(est, ideal),
+         "fig4.csv": fig4_rows(est, epsilon)},
     )
     print(f"wrote {out / 'report.json'}, {out / 'fig3.csv'}, {out / 'fig4.csv'}")
     return 0
@@ -464,13 +431,11 @@ REPRODUCE_LEGS: tuple[tuple[str, str | None], ...] = (
 
 
 def _leg(task):
-    """Run one reproduce leg: the campaign's (epsilon, pairs), or a record's JSON."""
-    (kind, state), seed, noise_json, pulses, mu = task
-    noise = NoiseModel.from_json(noise_json)
+    """Run one reproduce leg: the campaign's eps.json content, or a record's JSON."""
+    (kind, state), seed, noise, pulses, mu = task
     if state is None:
         run = PulseRun(seed=derive_seed(seed, kind), n_pulses=pulses, mu=mu)
-        epsilon, pairs = run_exclusivity_campaign(noise=noise, run=run)
-        return epsilon, [p.to_json() for p in pairs]
+        return _eps_json(noise, DEFAULT_INITIAL_RAYS, run)
     pool = mermin_subset() if kind == "s" else KS40_POOL
     run = PulseRun(seed=derive_seed(seed, kind, state), n_pulses=pulses, mu=mu, projector_pool=pool)
     return run_ks_experiment(state, noise, run).to_json()
@@ -494,17 +459,16 @@ def _summary_row(kind: str, state: str, est, bound: float) -> dict:
 
 def cmd_reproduce(args) -> int:
     noise = load_noise_config(args.noise)
-    noise_json = noise.to_json()
     seed, pulses, mu = args.seed, args.pulses, args.mu
 
-    tasks = [(leg, seed, noise_json, pulses, mu) for leg in REPRODUCE_LEGS]
+    tasks = [(leg, seed, noise, pulses, mu) for leg in REPRODUCE_LEGS]
     try:
         if args.workers > 1:
             with ProcessPoolExecutor(max_workers=args.workers) as ex:
                 results = dict(zip(REPRODUCE_LEGS, ex.map(_leg, tasks)))
         else:
             results = dict(zip(REPRODUCE_LEGS, map(_leg, tasks)))
-        epsilon, pairs = results.pop(("excl", None))
+        eps = results.pop(("excl", None))
         estimates = {
             leg: estimate_probabilities(CountRecord.from_json(record_json))
             for leg, record_json in results.items()
@@ -512,42 +476,31 @@ def cmd_reproduce(args) -> int:
     except EstimationError as e:
         raise ValueError(f"--pulses {pulses} is too short for a flux calibration: {e}") from None
 
-    out = Path(args.out)
-    (out / "records").mkdir(parents=True, exist_ok=True)
-    outputs = ["eps.json", "summary.json", "summary.csv"]
-    _write_json(out / "eps.json", {
-        "epsilon": epsilon,
-        "n_pairs": len(pairs),
-        "initial_rays": list(DEFAULT_INITIAL_RAYS),
-        "pairs": pairs,
-    })
-
+    epsilon = eps["epsilon"]
     bounds = {"sigma": corrected_sigma_bound(epsilon), "s": corrected_S_bound(epsilon)}
-    summary_rows: list[dict] = []
-    for (kind, state), record_json in results.items():
-        rel = f"records/{kind}_{state}.json"
-        _write_json(out / rel, record_json)
-        outputs.append(rel)
-        summary_rows.append(_summary_row(kind, state, estimates[kind, state], bounds[kind]))
-
-    _write_json(out / "summary.json", {
-        "epsilon": epsilon,
-        "sigma_corrected_bound": bounds["sigma"],
-        "S_corrected_bound": bounds["s"],
-        "rows": summary_rows,
-    })
-    _write_csv(out / "summary.csv", summary_rows, list(summary_rows[0]))
-    _write_manifest(
+    summary_rows = [
+        _summary_row(kind, state, estimates[kind, state], bounds[kind]) for kind, state in results
+    ]
+    out = Path(args.out)
+    _write_bundle(
         out,
         "reproduce",
-        {"seed": seed, "pulses": pulses, "mu": mu, "noise": noise_json,
-         "workers_invariant": True},
-        outputs,
+        {**_run_arguments(args, noise), "workers_invariant": True},
+        {
+            "eps.json": eps,
+            **{f"records/{kind}_{state}.json": record for (kind, state), record in results.items()},
+            "summary.json": {
+                "epsilon": epsilon,
+                "sigma_corrected_bound": bounds["sigma"],
+                "S_corrected_bound": bounds["s"],
+                "rows": summary_rows,
+            },
+            "summary.csv": summary_rows,
+        },
     )
     for row in summary_rows:
-        q = row["quantity"]
         print(
-            f"{row['state']:>5} {q:>5}: {row['estimate']:.3f} +- {row['error']:.3f} "
+            f"{row['state']:>5} {row['quantity']:>5}: {row['estimate']:.3f} +- {row['error']:.3f} "
             f"(corrected bound {row['corrected_bound']:.3f}, "
             f"{'violates' if row['violates'] else 'no violation'})"
         )
@@ -574,6 +527,12 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=argparse.SUPPRESS)
     common.add_argument("--format", choices=("json", "csv"), default=argparse.SUPPRESS)
 
+    # the run flags of simulate, exclusivity and reproduce
+    pulse_run = argparse.ArgumentParser(add_help=False)
+    pulse_run.add_argument("--pulses", type=int, default=2_000_000)
+    pulse_run.add_argument("--mu", type=float, default=DEFAULT_MU)
+    pulse_run.add_argument("--noise", help="noise config (default: the packaged calibrated one)")
+
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("verify", parents=[common], help="structural self-checks of the ray set")
@@ -597,23 +556,17 @@ def build_parser() -> argparse.ArgumentParser:
     grp.add_argument("--ray", help="8 comma-separated integer components")
     sp.set_defaults(func=cmd_predict)
 
-    sp = sub.add_parser("simulate", parents=[common],
+    sp = sub.add_parser("simulate", parents=[common, pulse_run],
                         help="one pulse-level run with a convergence trace")
     grp = sp.add_mutually_exclusive_group(required=True)
     grp.add_argument("--state", type=str.lower, choices=sorted(NAMED_STATES))
     grp.add_argument("--ray")
     sp.add_argument("--pool", choices=("ks40", "mermin16"), default="ks40")
-    sp.add_argument("--pulses", type=int, default=2_000_000)
-    sp.add_argument("--mu", type=float, default=DEFAULT_MU)
-    sp.add_argument("--noise", help="noise config path (default: packaged calibrated config)")
     sp.add_argument("--checkpoints", help="comma-separated pulse counts for the trace")
     sp.set_defaults(func=cmd_simulate)
 
-    sp = sub.add_parser("exclusivity", parents=[common],
+    sp = sub.add_parser("exclusivity", parents=[common, pulse_run],
                         help="orthogonal-pair campaign estimating epsilon")
-    sp.add_argument("--pulses", type=int, default=2_000_000)
-    sp.add_argument("--mu", type=float, default=DEFAULT_MU)
-    sp.add_argument("--noise")
     sp.add_argument("--initial", help="comma-separated initial ray indices (default 8 rays)")
     sp.set_defaults(func=cmd_exclusivity)
 
@@ -634,11 +587,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="single global similarity coefficient instead of the per-basis mean")
     sp.set_defaults(func=cmd_analyze)
 
-    sp = sub.add_parser("reproduce", parents=[common],
+    sp = sub.add_parser("reproduce", parents=[common, pulse_run],
                         help="full bundle: 5 sigma runs, 2 S runs, exclusivity")
-    sp.add_argument("--pulses", type=int, default=2_000_000)
-    sp.add_argument("--mu", type=float, default=DEFAULT_MU)
-    sp.add_argument("--noise", help="noise config path (default: packaged calibrated config)")
     sp.add_argument("--workers", type=int, default=1)
     sp.set_defaults(func=cmd_reproduce)
 
@@ -649,7 +599,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

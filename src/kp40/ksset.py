@@ -136,17 +136,30 @@ def _validate_groups(rays: tuple[Ray, ...], groups: tuple[tuple[int, ...], ...])
                     raise ValueError(f"rays {a} and {b} in one basis group are not orthogonal")
 
 
-def _validate_against_pentagram(rays: tuple[Ray, ...], groups: tuple[tuple[int, ...], ...]) -> None:
-    for context, group in zip(pentagram.pentagram_contexts(), groups):
-        generated = [r for r, _ in pentagram.common_eigenrays(context)]
+PentagramMap = dict[tuple[int, tuple[int, int, int, int]], int]
+
+
+def _match_pentagram(rays: tuple[Ray, ...], groups: tuple[tuple[int, ...], ...]) -> PentagramMap:
+    """Map (context number 1..5, sign pattern) -> table index of the ray it generates.
+
+    Raises unless each generated ray matches exactly one row of its context's
+    basis group and the matches cover all 40 rows.
+    """
+    mapping: PentagramMap = {}
+    for c_idx, (context, group) in enumerate(zip(pentagram.pentagram_contexts(), groups), start=1):
         remaining = list(group)
-        for gen in generated:
-            match = [i for i in remaining if same_direction(gen, rays[i - 1])]
+        for ray, pattern in pentagram.common_eigenrays(context):
+            match = [i for i in remaining if same_direction(ray, rays[i - 1])]
             if len(match) != 1:
-                raise ValueError(f"generated ray {gen.entries} matches table rows {match}")
+                raise ValueError(f"context {c_idx} pattern {pattern}: generated ray "
+                                 f"{ray.entries} matches table rows {match}")
+            mapping[(c_idx, pattern)] = match[0]
             remaining.remove(match[0])
         if remaining:
             raise ValueError(f"table rows {remaining} not produced by their context")
+    if len(mapping) != N_RAYS:
+        raise ValueError(f"matched {len(mapping)} rays, expected {N_RAYS}")
+    return mapping
 
 
 @lru_cache(maxsize=1)
@@ -154,7 +167,7 @@ def canonical_set() -> KSSet:
     """The table data, validated at construction against orthogonality and the pentagram."""
     rays = tuple(Ray(row, label=i) for i, row in enumerate(_TABLE, start=1))
     _validate_groups(rays, _BASIS_GROUPS)
-    _validate_against_pentagram(rays, _BASIS_GROUPS)
+    _match_pentagram(rays, _BASIS_GROUPS)
     return KSSet(rays=rays, basis_groups=_BASIS_GROUPS)
 
 
@@ -202,40 +215,36 @@ def mermin_subset() -> tuple[int, ...]:
     return _MERMIN_SUBSET
 
 
-def pentagram_match_map() -> dict[tuple[int, tuple[int, int, int, int]], int]:
+def pentagram_match_map() -> PentagramMap:
     """Map (context number 1..5, sign pattern) -> table index, asserting a 40/40 bijection."""
     s = canonical_set()
-    mapping: dict[tuple[int, tuple[int, int, int, int]], int] = {}
-    for c_idx, (context, group) in enumerate(
-        zip(pentagram.pentagram_contexts(), s.basis_groups), start=1
-    ):
-        remaining = list(group)
-        for ray, pattern in pentagram.common_eigenrays(context):
-            match = [i for i in remaining if same_direction(ray, s.rays[i - 1])]
-            if len(match) != 1:
-                raise ValueError(f"context {c_idx} pattern {pattern}: matches {match}")
-            mapping[(c_idx, pattern)] = match[0]
-            remaining.remove(match[0])
-    if len(mapping) != N_RAYS:
-        raise ValueError(f"matched {len(mapping)} rays, expected {N_RAYS}")
-    return mapping
+    return _match_pentagram(s.rays, s.basis_groups)
 
 
 def load_ksset_file(path: str | Path) -> KSSet:
-    """Parse a ksset.json file, validating row by row (errors name the offending ray)."""
+    """Parse a ksset.json file: an object with `rays` and optional `basis_groups`, or a
+    bare list of rays.  Malformed input raises a ValueError naming the field or ray."""
     with open(path) as f:
-        data = json.load(f)
+        try:
+            data = json.load(f)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"ray file {path} is not JSON: {e}") from None
+    if isinstance(data, dict) and "rays" not in data:
+        raise ValueError("ray file: missing field 'rays'")
     rows = data["rays"] if isinstance(data, dict) else data
-    if len(rows) != N_RAYS:
-        raise ValueError(f"expected {N_RAYS} rays, got {len(rows)}")
+    if not isinstance(rows, list) or len(rows) != N_RAYS:
+        raise ValueError(f"ray file field 'rays': expected a list of {N_RAYS} rays")
     rays = tuple(
         Ray(parse_ray_entries(row, index=i), label=i) for i, row in enumerate(rows, start=1)
     )
-    groups = (
-        tuple(tuple(int(i) for i in grp) for grp in data["basis_groups"])
-        if isinstance(data, dict) and "basis_groups" in data
-        else _BASIS_GROUPS
-    )
+    groups = _BASIS_GROUPS
+    if isinstance(data, dict) and "basis_groups" in data:
+        try:
+            groups = tuple(tuple(int(i) for i in grp) for grp in data["basis_groups"])
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"ray file field 'basis_groups': {e}") from None
+        if any(not 1 <= i <= N_RAYS for grp in groups for i in grp):
+            raise ValueError(f"ray file field 'basis_groups': index outside 1..{N_RAYS}")
     _validate_groups(rays, groups)
     return KSSet(rays=rays, basis_groups=groups)
 

@@ -32,9 +32,6 @@ class Ray:
     def norm_sq(self) -> int:
         return sum(e * e for e in self.entries)
 
-    def to_json(self) -> list[int]:
-        return list(self.entries)
-
 
 RayLike = Union[Ray, Sequence[int]]
 
@@ -47,10 +44,6 @@ def entries_of(v: RayLike) -> tuple[int, ...]:
     if len(t) != DIM:
         raise ValueError(f"expected {DIM} entries, got {len(t)}")
     return t
-
-
-def as_ray(v: RayLike) -> Ray:
-    return v if isinstance(v, Ray) else Ray(entries_of(v))
 
 
 def dot(a: RayLike, b: RayLike) -> int:
@@ -96,13 +89,6 @@ def same_direction(a: RayLike, b: RayLike) -> bool:
 def rational_to_str(q: Fraction) -> str:
     """Serialize a rational as "num/den" (always in lowest terms, positive denominator)."""
     return f"{q.numerator}/{q.denominator}"
-
-
-def rational_from_str(s: str) -> Fraction:
-    num, _, den = s.partition("/")
-    if not den:
-        raise ValueError(f"malformed rational {s!r}, expected 'num/den'")
-    return Fraction(int(num), int(den))
 
 
 def parse_ray_entries(row: Iterable, index: int | None = None) -> tuple[int, ...]:

@@ -21,15 +21,18 @@ depends on BLOCK, not on the run's length.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
-from typing import Sequence
+from pathlib import Path
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .ksset import KSSet, N_RAYS, build_graph, canonical_set
 from .rays import Ray, canonical_form, entries_of
+from .states import resolve_state
 
 DIM = 8
 DEFAULT_MU = 0.14
@@ -40,22 +43,52 @@ KS40_POOL: tuple[int, ...] = tuple(range(1, N_RAYS + 1))
 DEFAULT_INITIAL_RAYS: tuple[int, ...] = (1, 9, 17, 25, 27, 34, 36, 40)
 
 
-def substream(seed: int, *path) -> np.random.Generator:
-    """Independent generator for a named substream of the master seed."""
+def _path_digest(seed: int, path: tuple) -> bytes:
+    """sha256 of the master seed followed by "/part" for each part of a named path."""
     h = hashlib.sha256(str(int(seed)).encode())
     for part in path:
         h.update(b"/")
         h.update(str(part).encode())
-    return np.random.Generator(np.random.PCG64(int.from_bytes(h.digest()[:16], "little")))
+    return h.digest()
+
+
+def substream(seed: int, *path) -> np.random.Generator:
+    """Independent generator for a named substream of the master seed."""
+    digest = _path_digest(seed, path)
+    return np.random.Generator(np.random.PCG64(int.from_bytes(digest[:16], "little")))
 
 
 def derive_seed(seed: int, *path) -> int:
     """64-bit child seed for a named sub-run."""
-    h = hashlib.sha256(str(int(seed)).encode())
-    for part in path:
-        h.update(b"/")
-        h.update(str(part).encode())
-    return int.from_bytes(h.digest()[:8], "little")
+    return int.from_bytes(_path_digest(seed, path)[:8], "little")
+
+
+def read_json(path: str | Path, what: str):
+    """Parse a JSON file; text that is not JSON raises a ValueError naming `what` and the path."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{what} {path} is not JSON: {e}") from None
+
+
+def read_fields(data, what: str, converters: Mapping[str, Callable]) -> dict:
+    """Convert the named fields of a loaded JSON object, one converter per field.
+
+    Input that is not an object, a missing field, or a failed conversion raises a
+    ValueError naming `what` and the field.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{what}: expected a JSON object")
+    for key in converters:
+        if key not in data:
+            raise ValueError(f"{what}: missing field {key!r}")
+    out = {}
+    for key, convert in converters.items():
+        try:
+            out[key] = convert(data[key])
+        except (TypeError, ValueError, AttributeError) as e:
+            raise ValueError(f"{what} field {key!r}: {e}") from None
+    return out
 
 
 @dataclass(frozen=True)
@@ -117,21 +150,13 @@ class NoiseModel:
             raise ValueError("efficiency must be in (0, 1]")
 
     def to_json(self) -> dict:
-        return {
-            "amplitude_jitter": self.amplitude_jitter,
-            "phase_jitter": self.phase_jitter,
-            "background": self.background,
-            "efficiency": self.efficiency,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, data: dict) -> "NoiseModel":
-        return cls(
-            amplitude_jitter=float(data["amplitude_jitter"]),
-            phase_jitter=float(data["phase_jitter"]),
-            background=float(data["background"]),
-            efficiency=float(data["efficiency"]),
-        )
+        """Load the four fields; malformed input raises a ValueError that names the field."""
+        fields = read_fields(data, "noise config", dict.fromkeys(cls.__dataclass_fields__, float))
+        return cls(**fields)
 
 
 IDEAL_NOISE = NoiseModel()
@@ -198,17 +223,6 @@ class CountRecord:
     @classmethod
     def from_json(cls, data: dict) -> "CountRecord":
         """Load a record; malformed input raises a ValueError that names the field."""
-        if not isinstance(data, dict):
-            raise ValueError("record: expected a JSON object")
-        for key in cls.__dataclass_fields__:
-            if key not in data:
-                raise ValueError(f"record: missing field {key!r}")
-
-        def field(key, convert):
-            try:
-                return convert(data[key])
-            except (TypeError, ValueError, AttributeError) as e:
-                raise ValueError(f"record field {key!r}: {e}") from None
 
         def index(i) -> int:
             i = int(i)
@@ -225,11 +239,19 @@ class CountRecord:
         def per_key(d) -> dict:
             return {int(k): amount(v) for k, v in d.items()}
 
-        pool = field("projector_pool", lambda v: tuple(index(i) for i in v))
-        counts = field("counts", per_key)
-        pulses = field("pulses_per_projector", per_key)
-        flux = field("flux_calibration", lambda d: {b: float(c) for b, c in per_key(d).items()})
-        flux_pulses = field("flux_pulses", lambda d: {b: int(n) for b, n in per_key(d).items()})
+        fields = read_fields(data, "record", {
+            "state": resolve_state,
+            "projector_pool": lambda v: tuple(index(i) for i in v),
+            "counts": per_key,
+            "pulses_per_projector": per_key,
+            "flux_calibration": lambda d: {b: float(c) for b, c in per_key(d).items()},
+            "flux_pulses": lambda d: {b: int(n) for b, n in per_key(d).items()},
+            "mu": float,
+            "seed": int,
+        })
+        pool, counts = fields["projector_pool"], fields["counts"]
+        pulses, flux = fields["pulses_per_projector"], fields["flux_calibration"]
+        flux_pulses = fields["flux_pulses"]
         members = set(pool)
         if len(members) != len(pool):
             raise ValueError("record field 'projector_pool': repeated index")
@@ -244,23 +266,7 @@ class CountRecord:
             raise ValueError(f"record field 'flux_calibration': no entry for basis group {missing[0]}")
         if set(flux_pulses) != set(flux):
             raise ValueError("record field 'flux_pulses': keys do not match flux_calibration")
-        return cls(
-            state=field("state", _resolve_entries),
-            projector_pool=pool,
-            counts=counts,
-            pulses_per_projector=pulses,
-            flux_calibration=flux,
-            flux_pulses=flux_pulses,
-            mu=field("mu", float),
-            seed=field("seed", int),
-        )
-
-
-
-def _resolve_entries(state) -> tuple[int, ...]:
-    from .states import resolve_state
-
-    return resolve_state(state)
+        return cls(**fields)
 
 
 @lru_cache(maxsize=128)
@@ -376,7 +382,7 @@ def ground_truth_probabilities(
     s = s or canonical_set()
     occupied = 1.0 - math.exp(-run.mu)
     total = np.zeros(len(run.projector_pool))
-    for size, p, _ in _chunks(_resolve_entries(state), noise, run, s):
+    for size, p, _ in _chunks(resolve_state(state), noise, run, s):
         total += size * (p / occupied / noise.efficiency)
     mean = total / run.n_pulses
     return {i: float(v) for i, v in zip(run.projector_pool, mean)}
@@ -388,7 +394,7 @@ def run_ks_experiment(
     """Simulate one run: every pulse gets a uniformly drawn pool projector, detections
     are Bernoulli at (1 - e^-mu) * noisy_probability, plus an independent flux pass."""
     s = s or canonical_set()
-    entries = _resolve_entries(state)
+    entries = resolve_state(state)
     *_, (_, alloc, det) = _running_counts(entries, noise, run, s)
     return _record(entries, run, det, alloc, _flux_pass(run, noise, s))
 
@@ -399,7 +405,7 @@ def expected_record(
     """Infinite-statistics limit: counts replaced by their exact expected values
     (floats) given this seed's drift sequence, with exact uniform pulse allocation."""
     s = s or canonical_set()
-    entries = _resolve_entries(state)
+    entries = resolve_state(state)
     n = len(run.projector_pool)
     expected = np.zeros(n)
     for size, p, _ in _chunks(entries, noise, run, s):
@@ -414,14 +420,6 @@ class PairEstimate:
     partner: int
     probability: float
     error: float
-
-    def to_json(self) -> dict:
-        return {
-            "initial": self.initial,
-            "partner": self.partner,
-            "probability": self.probability,
-            "error": self.error,
-        }
 
 
 def run_exclusivity_campaign(
@@ -510,7 +508,7 @@ def convergence_trace(
     if list(checkpoints) != sorted(checkpoints):
         raise ValueError("checkpoints must be increasing")
     s = s or canonical_set()
-    entries = _resolve_entries(state)
+    entries = resolve_state(state)
     flux = _flux_pass(run, noise, s)
     marks = snap_checkpoints(checkpoints, run.n_pulses)
     points: list[TracePoint] = []

@@ -245,6 +245,40 @@ def test_analyze_rejects_a_malformed_record(tmp_path, capsys, corrupt, field):
     assert f"'{field}'" in err
 
 
+_SIMULATE_GHZ = ["simulate", "--state", "ghz", "--pulses", "1000", "--noise", "bad.json"]
+_ANALYZE_WITH_EPS = ["analyze", "record.json", "--epsilon-file", "bad.json"]
+
+
+# case -> (content of bad.json, or None to make it a directory; command; what the error names)
+MALFORMED_ARTIFACTS = {
+    "noise-missing-field": ('{"phase_jitter": 0.1, "background": 0.0, "efficiency": 0.5}',
+                            _SIMULATE_GHZ, "'amplitude_jitter'"),
+    "noise-field-not-an-object": ('{"noise": 3}', _SIMULATE_GHZ, "noise config"),
+    "noise-not-an-object": ("[1, 2]", _SIMULATE_GHZ, "noise config"),
+    "eps-missing-field": ('{"eps": 0.1}', _ANALYZE_WITH_EPS, "'epsilon'"),
+    "eps-not-a-number": ('{"epsilon": "x"}', _ANALYZE_WITH_EPS, "'epsilon'"),
+    "ray-file-without-rays": ('{"basis_groups": []}', ["verify", "--rays", "bad.json"], "'rays'"),
+    "record-is-a-directory": (None, ["analyze", "bad.json"], "bad.json"),
+    "record-not-json": ("{counts: 1", ["analyze", "bad.json"], "record"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_ARTIFACTS))
+def test_malformed_artifact_is_a_one_line_usage_error(tmp_path, monkeypatch, capsys, case):
+    content, argv, named = MALFORMED_ARTIFACTS[case]
+    monkeypatch.chdir(tmp_path)
+    if "record.json" in argv:
+        run_cli(["--out", ".", "simulate", "--state", "ghz", "--pulses", "40000"], capsys)
+    if content is None:
+        Path("bad.json").mkdir()
+    else:
+        Path("bad.json").write_text(content)
+    code, _, err = run_cli(["--out", "out", *argv], capsys)
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: "), err
+    assert named in err
+
+
 # ------------------------------------------------------------- exclusivity and calibrate
 
 def test_exclusivity_bundle(tmp_path, capsys):

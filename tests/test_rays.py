@@ -10,7 +10,6 @@ from kp40.rays import (
     dot,
     overlap_prob,
     parse_ray_entries,
-    rational_from_str,
     rational_to_str,
     same_direction,
 )
@@ -66,9 +65,6 @@ def test_rational_round_trip():
     q = Fraction(3, 12)
     s = rational_to_str(q)
     assert s == "1/4"
-    assert rational_from_str(s) == q
-    with pytest.raises(ValueError):
-        rational_from_str("0.25")
 
 
 def test_parse_ray_entries_names_the_row():
