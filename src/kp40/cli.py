@@ -297,7 +297,7 @@ def _eps_json(noise: NoiseModel, initial: tuple[int, ...], run: PulseRun) -> dic
         "epsilon": epsilon,
         "n_pairs": len(pairs),
         "initial_rays": list(initial),
-        "pairs": [dataclasses.asdict(p) for p in pairs],
+        "pairs": [dict(vars(p)) for p in pairs],    # the fields, without asdict's deep copies
     }
 
 
@@ -334,7 +334,7 @@ def cmd_calibrate(args) -> int:
     run = PulseRun(seed=args.seed, n_pulses=args.pulses, mu=args.mu)
     ghz_run = PulseRun(seed=derive_seed(args.seed, "cal", "ghz"), n_pulses=args.pulses, mu=args.mu)
     trace = []
-    # the grid's key order is the loop nesting: phase jitter outermost, efficiency innermost
+    # in the grid's key order: phase jitter varies slowest, efficiency fastest
     for values in itertools.product(*CALIBRATION_GRID.values()):
         noise = NoiseModel(**dict(zip(CALIBRATION_GRID, values)))
         epsilon, _ = run_exclusivity_campaign(noise=noise, run=run)
