@@ -1,56 +1,39 @@
-"""40-ray Kochen-Specker toolkit: exact bounds, quantum values, and a photon-counting simulator."""
+"""40-ray Kochen-Specker toolkit: exact bounds, quantum values, and a photon-counting simulator.
+
+Submodules load on first use (PEP 562), so the exact layers never import the
+NumPy-backed simulator unless a caller asks for one of its names.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .rays import Ray, canonical_form, dot, overlap_prob, same_direction
-from .pentagram import (
-    Context,
-    PauliWord,
-    common_eigenrays,
-    pentagram_contexts,
-    pentagram_unsat,
-    pentagram_words,
-)
-from .ksset import (
-    EDGE_COUNT,
-    N_OCTADS,
-    N_RAYS,
-    RAY_DEGREE,
-    KSSet,
-    OrthoGraph,
-    build_graph,
-    canonical_set,
-    enumerate_octads,
-    mermin_subset,
-)
-from .bounds import (
-    Assignment,
-    BoundReport,
-    corrected_S_bound,
-    corrected_sigma_bound,
-    ks_colorable,
-    max_ones,
-    mermin_kappa_to_S,
-)
-from .states import NAMED_STATES, ProbabilityProfile, S_value, profile, sigma_value
-from .simulate import (
-    CountRecord,
-    NoiseModel,
-    PulseRun,
-    SlitPreparation,
-    convergence_trace,
-    expected_record,
-    mask_to_ray,
-    ray_to_mask,
-    run_exclusivity_campaign,
-    run_ks_experiment,
-)
-from .analysis import (
-    EstimateSet,
-    SimilarityReport,
-    bhattacharyya,
-    estimate_probabilities,
-    verdict,
-)
+# submodule -> the public names it contributes
+_EXPORTS = {
+    "rays": "Ray canonical_form dot overlap_prob same_direction",
+    "pentagram": "Context PauliWord common_eigenrays pentagram_contexts pentagram_unsat "
+                 "pentagram_words",
+    "ksset": "EDGE_COUNT N_OCTADS N_RAYS RAY_DEGREE KSSet OrthoGraph build_graph canonical_set "
+             "enumerate_octads mermin_subset",
+    "bounds": "Assignment BoundReport corrected_S_bound corrected_sigma_bound ks_colorable "
+              "max_ones mermin_kappa_to_S",
+    "states": "NAMED_STATES ProbabilityProfile S_value profile sigma_value",
+    "simulate": "CountRecord NoiseModel PulseRun SlitPreparation convergence_trace expected_record "
+                "mask_to_ray ray_to_mask run_exclusivity_campaign run_ks_experiment",
+    "analysis": "EstimateSet SimilarityReport bhattacharyya estimate_probabilities verdict",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted([*_EXPORTS, *_MODULE_OF])
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    if name in _MODULE_OF:
+        return getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted([*globals(), *__all__])

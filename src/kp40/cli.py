@@ -1,27 +1,22 @@
-"""Command-line entry point: verification, exact reports, simulation, and reproduction bundles."""
+"""Command-line entry point: verification, exact reports, simulation, and reproduction bundles.
+
+The exact commands (verify, octads, bounds, predict) run on integers and
+fractions alone.  The NumPy-backed simulator, the analysis and the process
+pool are imported inside the commands that use them, looked up at call time.
+"""
 
 from __future__ import annotations
 
 import argparse
 import csv
 import dataclasses
-import importlib.resources
 import itertools
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import __version__
-from .analysis import (
-    EstimationError,
-    bhattacharyya,
-    estimate_probabilities,
-    fig3_rows,
-    fig4_rows,
-    verdict,
-)
 from .bounds import (
     corrected_S_bound,
     corrected_sigma_bound,
@@ -43,23 +38,13 @@ from .ksset import (
     pentagram_match_map,
 )
 from .pentagram import pentagram_unsat
-from .simulate import (
-    DEFAULT_INITIAL_RAYS,
-    DEFAULT_MU,
-    KS40_POOL,
-    CountRecord,
-    NoiseModel,
-    PulseRun,
-    convergence_trace,
-    derive_seed,
-    read_fields,
-    read_json,
-    run_exclusivity_campaign,
-    run_ks_experiment,
-)
 from .rays import rational_to_str
 from .states import NAMED_STATES, S_of_profile, profile, resolve_state, sigma_of_profile
 
+if TYPE_CHECKING:
+    from .simulate import NoiseModel, PulseRun
+
+DEFAULT_MU = 0.14    # simulate.DEFAULT_MU, restated so that building the parser imports no NumPy
 EPSILON_TARGET = 0.0140
 F_TARGETS = {"ghz": 0.93, "w": 0.97, "beta": 0.92, "eta": 0.98, "prod": 0.95}
 SIGMA_STATES = ("ghz", "w", "beta", "eta", "prod")
@@ -117,9 +102,9 @@ def _write_bundle(out: Path, command: str, arguments: dict, files: dict) -> None
 def load_noise_config(path: str | Path | None) -> NoiseModel:
     """Read a noise config, by default the packaged calibrated one: either the four
     bare NoiseModel fields or a calibrate output."""
-    if path is None:
-        path = importlib.resources.files("kp40") / "data" / "noise_calibrated.json"
-    p = Path(path)
+    from .simulate import NoiseModel, read_json
+
+    p = Path(__file__).parent / "data" / "noise_calibrated.json" if path is None else Path(path)
     if not p.exists():
         raise FileNotFoundError(
             f"noise config {p} not found; run `kp40 calibrate --config-out {p}` to create one"
@@ -139,6 +124,14 @@ def _resolve_state_arg(args) -> tuple[str, tuple[int, ...]]:
         entries = resolve_state(entries)
         return ",".join(str(e) for e in entries), entries
     return args.state, resolve_state(args.state)
+
+
+def _int_list(flag: str, value: str) -> list[int]:
+    """Comma-separated integers; a bad entry raises a ValueError naming the flag and the value."""
+    try:
+        return [int(p) for p in value.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} takes comma-separated integers, got {value!r}") from None
 
 
 def _run_arguments(args, noise: NoiseModel) -> dict:
@@ -263,12 +256,14 @@ def _default_checkpoints(n: int) -> list[int]:
 
 
 def cmd_simulate(args) -> int:
+    from .simulate import KS40_POOL, PulseRun, convergence_trace
+
     noise = load_noise_config(args.noise)
     pool = mermin_subset() if args.pool == "mermin16" else KS40_POOL
     run = PulseRun(seed=args.seed, n_pulses=args.pulses, mu=args.mu, projector_pool=pool)
     label, entries = _resolve_state_arg(args)
     checkpoints = (
-        [int(c) for c in args.checkpoints.split(",")] if args.checkpoints
+        _int_list("--checkpoints", args.checkpoints) if args.checkpoints
         else _default_checkpoints(args.pulses)
     )
     trace = convergence_trace(entries, noise, run, checkpoints)
@@ -292,6 +287,8 @@ def cmd_simulate(args) -> int:
 
 def _eps_json(noise: NoiseModel, initial: tuple[int, ...], run: PulseRun) -> dict:
     """Run the exclusivity campaign and return the content of its eps.json."""
+    from .simulate import run_exclusivity_campaign
+
     epsilon, pairs = run_exclusivity_campaign(noise=noise, initial_rays=initial, run=run)
     return {
         "epsilon": epsilon,
@@ -302,9 +299,11 @@ def _eps_json(noise: NoiseModel, initial: tuple[int, ...], run: PulseRun) -> dic
 
 
 def cmd_exclusivity(args) -> int:
+    from .simulate import DEFAULT_INITIAL_RAYS, PulseRun
+
     noise = load_noise_config(args.noise)
     initial = (
-        tuple(int(i) for i in args.initial.split(",")) if args.initial else DEFAULT_INITIAL_RAYS
+        tuple(_int_list("--initial", args.initial)) if args.initial else DEFAULT_INITIAL_RAYS
     )
     eps = _eps_json(noise, initial, PulseRun(seed=args.seed, n_pulses=args.pulses, mu=args.mu))
 
@@ -330,6 +329,11 @@ CALIBRATION_GRID = {
 
 
 def cmd_calibrate(args) -> int:
+    from .analysis import bhattacharyya, estimate_probabilities
+    from .simulate import (
+        NoiseModel, PulseRun, derive_seed, run_exclusivity_campaign, run_ks_experiment,
+    )
+
     target = args.target
     run = PulseRun(seed=args.seed, n_pulses=args.pulses, mu=args.mu)
     ghz_run = PulseRun(seed=derive_seed(args.seed, "cal", "ghz"), n_pulses=args.pulses, mu=args.mu)
@@ -387,6 +391,9 @@ def cmd_calibrate(args) -> int:
 # ---------------------------------------------------------------- analyze
 
 def cmd_analyze(args) -> int:
+    from .analysis import bhattacharyya, estimate_probabilities, fig3_rows, fig4_rows, verdict
+    from .simulate import CountRecord, read_fields, read_json
+
     record = CountRecord.from_json(read_json(args.record, "record"))
     if args.epsilon is not None:
         epsilon = args.epsilon
@@ -432,6 +439,8 @@ REPRODUCE_LEGS: tuple[tuple[str, str | None], ...] = (
 
 def _leg(task):
     """Run one reproduce leg: the campaign's eps.json content, or a record's JSON."""
+    from .simulate import DEFAULT_INITIAL_RAYS, KS40_POOL, PulseRun, derive_seed, run_ks_experiment
+
     (kind, state), seed, noise, pulses, mu = task
     if state is None:
         run = PulseRun(seed=derive_seed(seed, kind), n_pulses=pulses, mu=mu)
@@ -442,6 +451,8 @@ def _leg(task):
 
 
 def _summary_row(kind: str, state: str, est, bound: float) -> dict:
+    from .analysis import bhattacharyya
+
     sigma = kind == "sigma"
     estimate, error = (est.sigma_est, est.sigma_err) if sigma else (est.S_est, est.S_err)
     return {
@@ -458,6 +469,13 @@ def _summary_row(kind: str, state: str, est, bound: float) -> dict:
 
 
 def cmd_reproduce(args) -> int:
+    from concurrent.futures import ProcessPoolExecutor
+
+    from .analysis import EstimationError, estimate_probabilities
+    from .simulate import CountRecord
+
+    if args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
     noise = load_noise_config(args.noise)
     seed, pulses, mu = args.seed, args.pulses, args.mu
 

@@ -1,9 +1,12 @@
 """Mermin's pentagram of ten three-qubit observables and its five commuting lines.
 
-Each observable is a tensor word over {I, X, Z} (Y never occurs, so every
-matrix is a real signed permutation).  The five lines pairwise commute, four
+Each observable is a tensor word over {I, X, Z} (Y never occurs), so it acts
+on the 8 basis states as a signed permutation: X flips a bit and Z signs it.
+A word is therefore a pair of 3-bit masks on the basis index, qubit 1 the most
+significant bit (the Kronecker order).  The five lines pairwise commute, four
 multiply to +identity and one to -identity, and the common eigenvectors of
-the lines are the 40 rays of the Kernaghan-Peres set.
+the lines are the 40 rays of the Kernaghan-Peres set.  All arithmetic here is
+on Python integers.
 """
 
 from __future__ import annotations
@@ -12,17 +15,12 @@ import itertools
 from dataclasses import dataclass
 from math import prod
 
-import numpy as np
-
-from .rays import Ray, canonical_form
+from .rays import Ray, canonical_form, dot
 
 FACTORS = ("I", "X", "Z")
+DIM = 8
 
-_PAULI_2 = {
-    "I": np.eye(2, dtype=np.int64),
-    "X": np.array([[0, 1], [1, 0]], dtype=np.int64),
-    "Z": np.array([[1, 0], [0, -1]], dtype=np.int64),
-}
+Vector = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -46,16 +44,6 @@ class Context:
     words: tuple[PauliWord, PauliWord, PauliWord, PauliWord]
     product_sign: int
 
-    def to_json(self) -> dict:
-        return {"words": [w.factors for w in self.words], "product_sign": self.product_sign}
-
-
-def pauli_matrix(w: PauliWord | str) -> np.ndarray:
-    """8x8 integer matrix: Kronecker product of the three 2x2 factors (qubit 1 first)."""
-    factors = w.factors if isinstance(w, PauliWord) else PauliWord(w).factors
-    a, b, c = (_PAULI_2[f] for f in factors)
-    return np.kron(np.kron(a, b), c)
-
 
 def commutes(w1: PauliWord | str, w2: PauliWord | str) -> bool:
     """True iff the number of positions holding one X against one Z is even."""
@@ -63,6 +51,25 @@ def commutes(w1: PauliWord | str, w2: PauliWord | str) -> bool:
     f2 = w2.factors if isinstance(w2, PauliWord) else w2
     anti = sum(1 for a, b in zip(f1, f2) if a != "I" and b != "I" and a != b)
     return anti % 2 == 0
+
+
+def _sign(bits: int) -> int:
+    """(-1) to the number of set bits."""
+    return -1 if bits.bit_count() & 1 else 1
+
+
+def _masks(w: PauliWord) -> tuple[int, int]:
+    """(xmask, zmask) on the basis index: the bits the word flips and the bits it signs."""
+    x = z = 0
+    for f in w.factors:    # qubit 1 first, so it lands in the most significant bit
+        x, z = x << 1 | (f == "X"), z << 1 | (f == "Z")
+    return x, z
+
+
+def _apply(masks: tuple[int, int], v: Vector) -> Vector:
+    """W v: basis column c goes to row c ^ xmask, signed by (-1)^popcount(c & zmask)."""
+    x, z = masks
+    return tuple(_sign((r ^ x) & z) * v[r ^ x] for r in range(DIM))
 
 
 # The five lines, in the order of the 40-ray table's basis groups.  Each of the
@@ -78,19 +85,21 @@ _LINES: tuple[tuple[str, str, str, str], ...] = (
 
 
 def _context_sign(words: tuple[PauliWord, ...]) -> int:
-    p = np.eye(8, dtype=np.int64)
-    for w in words:
-        p = p @ pauli_matrix(w)
-    ident = np.eye(8, dtype=np.int64)
-    if np.array_equal(p, ident):
-        return 1
-    if np.array_equal(p, -ident):
-        return -1
+    """s with W1 W2 W3 W4 = s * identity, from where the product sends each basis column."""
+    signs = set()
+    for c in range(DIM):
+        row, sign = c, 1
+        for w in reversed(words):    # the rightmost word acts first
+            x, z = _masks(w)
+            row, sign = row ^ x, sign * _sign(row & z)
+        signs.add(sign if row == c else 0)
+    if len(signs) == 1 and 0 not in signs:
+        return signs.pop()
     raise ValueError(f"words {[w.factors for w in words]} do not multiply to +/-identity")
 
 
 def pentagram_contexts() -> tuple[Context, ...]:
-    """The five contexts of the pentagram, signs derived from the matrix product."""
+    """The five contexts of the pentagram, signs derived from the operator product."""
     out = []
     for line in _LINES:
         words = tuple(PauliWord(f) for f in line)
@@ -101,50 +110,44 @@ def pentagram_contexts() -> tuple[Context, ...]:
     return tuple(out)
 
 
-def sign_pattern_projector(c: Context, pattern: tuple[int, int, int, int]) -> np.ndarray:
-    """16x the joint eigenprojector for the given sign pattern, as an exact integer matrix."""
-    p = np.eye(8, dtype=np.int64)
-    for s, w in zip(pattern, c.words):
-        p = p @ (np.eye(8, dtype=np.int64) + s * pauli_matrix(w))
-    return p
-
-
-def _assert_rank_one(p16: np.ndarray) -> None:
-    # symmetric with p16^2 = 16*p16 means eigenvalues in {0, 16}; rank = trace/16
-    if not np.array_equal(p16, p16.T):
-        raise ArithmeticError("projector not symmetric")
-    if not np.array_equal(p16 @ p16, 16 * p16):
-        raise ArithmeticError("projector not idempotent at scale 16")
-    if int(np.trace(p16)) != 16:
-        raise ArithmeticError(f"projector rank {int(np.trace(p16)) // 16}, expected 1")
-
-
-def _extract_ray(p16: np.ndarray) -> Ray:
-    for j in range(8):
-        col = p16[:, j]
-        if np.any(col):
-            return canonical_form(tuple(int(x) for x in col))
-    raise ArithmeticError("zero projector has no ray")
+def _eigenvector(masks: list[tuple[int, int]], pattern: tuple[int, ...]) -> Vector:
+    """First nonzero column of prod_k (I + s_k W_k), 16x the joint eigenprojector."""
+    for j in range(DIM):
+        v = tuple(int(r == j) for r in range(DIM))
+        for m, s in zip(reversed(masks), reversed(pattern)):
+            v = tuple(a + s * b for a, b in zip(v, _apply(m, v)))
+        if any(v):
+            return v
+    raise ArithmeticError(f"sign pattern {pattern} has no common eigenvector")
 
 
 def common_eigenrays(c: Context) -> list[tuple[Ray, tuple[int, int, int, int]]]:
     """The 8 common eigenrays of a context, one per sign pattern consistent with its product sign.
 
-    Patterns with s1*s2*s3*s4 != product_sign must give an exactly zero
-    projector; that is verified here and such patterns are skipped.
+    Patterns with s1*s2*s3*s4 != product_sign have no common eigenvector,
+    because W1 W2 W3 W4 = product_sign * identity (checked by composing the
+    words in pentagram_contexts).  For each of the 8 consistent patterns the
+    ray is the first nonzero column v of prod_k (I + s_k W_k), certified here:
+    W_k v = s_k v for all four words, and the 8 vectors are pairwise
+    orthogonal.  Eight orthogonal nonzero joint eigenvectors in dimension 8
+    make every joint eigenspace rank one.  A failed check raises ArithmeticError.
     """
-    out = []
+    masks = [_masks(w) for w in c.words]
+    found = []
     for pattern in itertools.product((1, -1), repeat=4):
-        p16 = sign_pattern_projector(c, pattern)
         if prod(pattern) != c.product_sign:
-            if np.any(p16):
-                raise ArithmeticError(f"pattern {pattern} inconsistent but projector nonzero")
             continue
-        _assert_rank_one(p16)
-        out.append((_extract_ray(p16), pattern))
-    if len(out) != 8:
-        raise ArithmeticError(f"context produced {len(out)} rays, expected 8")
-    return out
+        v = _eigenvector(masks, pattern)
+        for m, s in zip(masks, pattern):
+            if _apply(m, v) != tuple(s * a for a in v):
+                raise ArithmeticError(f"sign pattern {pattern}: column is not an eigenvector")
+        found.append((v, pattern))
+    if len(found) != DIM:
+        raise ArithmeticError(f"context produced {len(found)} rays, expected {DIM}")
+    for (u, p), (v, q) in itertools.combinations(found, 2):
+        if dot(u, v) != 0:
+            raise ArithmeticError(f"eigenvectors of patterns {p} and {q} are not orthogonal")
+    return [(canonical_form(v), pattern) for v, pattern in found]
 
 
 def pentagram_words() -> tuple[PauliWord, ...]:
@@ -159,20 +162,21 @@ def pentagram_words() -> tuple[PauliWord, ...]:
 def pentagram_unsat() -> tuple[int, int]:
     """Brute-force all 2^10 noncontextual +/-1 assignments against the five line constraints.
 
-    Returns (number of assignments satisfying all 5 lines, max lines
-    simultaneously satisfiable).
+    Bit i of an assignment set means word i takes the value -1, so a line's
+    product is -1 exactly when the assignment has an odd number of bits on
+    the line.  Returns (number of assignments satisfying all 5 lines, max
+    lines simultaneously satisfiable).
     """
-    contexts = pentagram_contexts()
     words = pentagram_words()
     index = {w.factors: i for i, w in enumerate(words)}
     lines = [
-        ([index[w.factors] for w in c.words], c.product_sign) for c in contexts
+        (sum(1 << index[w.factors] for w in c.words), int(c.product_sign == -1))
+        for c in pentagram_contexts()
     ]
     satisfying = 0
     best = 0
     for bits in range(1 << len(words)):
-        vals = [1 - 2 * ((bits >> i) & 1) for i in range(len(words))]
-        sat = sum(1 for idxs, sign in lines if prod(vals[i] for i in idxs) == sign)
+        sat = sum(1 for mask, odd in lines if (bits & mask).bit_count() & 1 == odd)
         if sat == len(lines):
             satisfying += 1
         best = max(best, sat)

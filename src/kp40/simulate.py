@@ -142,8 +142,9 @@ class NoiseModel:
     efficiency: float = 1.0          # overall detection scale
 
     def __post_init__(self):
-        if self.amplitude_jitter < 0 or self.phase_jitter < 0:
-            raise ValueError("jitter std-devs must be nonnegative")
+        for name in ("amplitude_jitter", "phase_jitter"):
+            if not 0 <= getattr(self, name) < math.inf:    # false for NaN too
+                raise ValueError(f"{name} must be finite and nonnegative, got {getattr(self, name)}")
         if not 0.0 <= self.background < 1.0:
             raise ValueError("background must be in [0, 1)")
         if not 0.0 < self.efficiency <= 1.0:
@@ -172,8 +173,8 @@ class PulseRun:
     def __post_init__(self):
         if self.n_pulses <= 0:
             raise ValueError("n_pulses must be positive")
-        if self.mu <= 0:
-            raise ValueError("mu must be positive")
+        if not 0 < self.mu < math.inf:    # false for NaN too
+            raise ValueError(f"mu must be finite and positive, got {self.mu}")
         pool = tuple(self.projector_pool)
         if not pool or len(set(pool)) != len(pool):
             raise ValueError("projector_pool must be nonempty without repeats")

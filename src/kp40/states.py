@@ -33,12 +33,6 @@ class ProbabilityProfile:
             for g, group in enumerate(s.basis_groups)
         }
 
-    def to_json(self) -> dict:
-        return {
-            "state": list(self.state),
-            "probs": {str(i): str(p) for i, p in sorted(self.probs.items())},
-        }
-
 
 def resolve_state(state: str | Sequence[int]) -> tuple[int, ...]:
     if isinstance(state, str):

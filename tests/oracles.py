@@ -6,6 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
+from kp40.pentagram import Context, PauliWord
 from kp40.simulate import CHUNK, DIM, NoiseModel, PulseRun, SlitPreparation, substream
 
 
@@ -90,3 +91,25 @@ def chunks_loop(
         rng = substream(run.seed, "pulse", k)
         probs = chunk_probs_loop(state_mask, pool_masks, noise, run.mu, rng)
         yield min(CHUNK, run.n_pulses - start), probs, rng
+
+
+_PAULI_2 = {
+    "I": np.eye(2, dtype=np.int64),
+    "X": np.array([[0, 1], [1, 0]], dtype=np.int64),
+    "Z": np.array([[1, 0], [0, -1]], dtype=np.int64),
+}
+
+
+def pauli_matrix(w: PauliWord | str) -> np.ndarray:
+    """8x8 integer matrix: Kronecker product of the three 2x2 factors (qubit 1 first)."""
+    factors = w.factors if isinstance(w, PauliWord) else PauliWord(w).factors
+    a, b, c = (_PAULI_2[f] for f in factors)
+    return np.kron(np.kron(a, b), c)
+
+
+def sign_pattern_projector(c: Context, pattern: tuple[int, int, int, int]) -> np.ndarray:
+    """16x the joint eigenprojector for the given sign pattern, as an exact integer matrix."""
+    p = np.eye(8, dtype=np.int64)
+    for s, w in zip(pattern, c.words):
+        p = p @ (np.eye(8, dtype=np.int64) + s * pauli_matrix(w))
+    return p

@@ -255,6 +255,8 @@ MALFORMED_ARTIFACTS = {
                             _SIMULATE_GHZ, "'amplitude_jitter'"),
     "noise-field-not-an-object": ('{"noise": 3}', _SIMULATE_GHZ, "noise config"),
     "noise-not-an-object": ("[1, 2]", _SIMULATE_GHZ, "noise config"),
+    "noise-nan-jitter": ('{"amplitude_jitter": NaN, "phase_jitter": 0.1, "background": 0.0, '
+                         '"efficiency": 0.5}', _SIMULATE_GHZ, "amplitude_jitter must be finite"),
     "eps-missing-field": ('{"eps": 0.1}', _ANALYZE_WITH_EPS, "'epsilon'"),
     "eps-not-a-number": ('{"epsilon": "x"}', _ANALYZE_WITH_EPS, "'epsilon'"),
     "ray-file-without-rays": ('{"basis_groups": []}', ["verify", "--rays", "bad.json"], "'rays'"),
@@ -277,6 +279,34 @@ def test_malformed_artifact_is_a_one_line_usage_error(tmp_path, monkeypatch, cap
     assert code == 2
     assert err.count("\n") == 1 and err.startswith("error: "), err
     assert named in err
+
+
+# case -> (command line, what the one error line names)
+BAD_FLAG_VALUES = {
+    "mu-nan": (["simulate", "--state", "ghz", "--pulses", "1000", "--mu", "nan"],
+               "mu must be finite and positive, got nan"),
+    "mu-inf": (["exclusivity", "--pulses", "1000", "--mu", "inf"],
+               "mu must be finite and positive, got inf"),
+    "initial-not-an-integer": (["exclusivity", "--pulses", "1000", "--initial", "1,x"],
+                               "--initial takes comma-separated integers, got '1,x'"),
+    "checkpoints-not-an-integer": (
+        ["simulate", "--state", "ghz", "--pulses", "1000", "--checkpoints", "5,y"],
+        "--checkpoints takes comma-separated integers, got '5,y'"),
+    "workers-zero": (["reproduce", "--pulses", "1000", "--workers", "0"],
+                     "--workers must be at least 1, got 0"),
+    "workers-negative": (["reproduce", "--pulses", "1000", "--workers", "-2"],
+                         "--workers must be at least 1, got -2"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_FLAG_VALUES))
+def test_bad_flag_value_is_a_one_line_usage_error(tmp_path, capsys, case):
+    argv, named = BAD_FLAG_VALUES[case]
+    code, _, err = run_cli(["--out", str(tmp_path), *argv], capsys)
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: "), err
+    assert named in err
+    assert not any(tmp_path.iterdir())
 
 
 # ------------------------------------------------------------- exclusivity and calibrate
@@ -348,6 +378,46 @@ def test_reproduce_without_config_names_calibrate(tmp_path, capsys):
     )
     assert code == 2
     assert "calibrate" in err
+
+
+def test_cli_default_mu_is_the_simulator_default():
+    from kp40.simulate import DEFAULT_MU
+
+    assert cli.DEFAULT_MU == DEFAULT_MU
+
+
+# ------------------------------------------------------------- package and imports
+
+def test_star_import_yields_every_public_name():
+    namespace: dict = {}
+    exec("from kp40 import *", namespace)
+    assert set(kp40.__all__) <= set(namespace)
+    assert namespace["canonical_set"] is kp40.ksset.canonical_set
+    assert namespace["simulate"] is kp40.simulate
+
+
+def _src_env() -> dict:
+    """The environment with this tree's kp40 first on PYTHONPATH."""
+    src = str(Path(kp40.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+# case -> code run in a fresh interpreter
+EXACT_RUNS = {
+    **{argv[0]: f"from kp40.cli import main; assert main({argv!r}) == 0"
+       for argv in (["bounds"], ["verify"], ["octads"], ["predict", "--state", "ghz"])},
+    "canonical_set": "import kp40; kp40.canonical_set()",
+}
+
+
+@pytest.mark.parametrize("case", list(EXACT_RUNS))
+def test_exact_path_never_imports_numpy(case):
+    code = f"import sys\n{EXACT_RUNS[case]}\nprint('numpy' in sys.modules, file=sys.stderr)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=_src_env())
+    assert res.returncode == 0, res.stderr
+    assert res.stderr.splitlines()[-1] == "False", "numpy was imported"
 
 
 def test_console_script_is_installed(tmp_path):

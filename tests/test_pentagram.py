@@ -1,4 +1,8 @@
-"""Operator-level checks of the five-context pentagram and its eigenray extraction."""
+"""Operator-level checks of the five-context pentagram and its eigenray extraction.
+
+The integer signed-permutation code in kp40.pentagram is checked against the
+8x8 NumPy matrices of tests/oracles.py.
+"""
 
 import itertools
 
@@ -6,15 +10,16 @@ import numpy as np
 import pytest
 
 from kp40.pentagram import (
+    Context,
     PauliWord,
     commutes,
     common_eigenrays,
-    pauli_matrix,
     pentagram_contexts,
     pentagram_unsat,
     pentagram_words,
-    sign_pattern_projector,
 )
+from kp40.rays import canonical_form
+from oracles import pauli_matrix, sign_pattern_projector
 
 
 def test_ten_distinct_words():
@@ -81,6 +86,44 @@ def test_eigenrays_are_simultaneous_eigenvectors():
             v = np.array(ray.entries)
             for w, s in zip(c.words, pattern):
                 assert np.array_equal(pauli_matrix(w) @ v, s * v)
+
+
+def test_eigenrays_match_the_matrix_oracle():
+    # The oracle's projector is nonzero for exactly the returned patterns, each
+    # is 16x a rank-one projector, and its first nonzero column is the ray.
+    for c in pentagram_contexts():
+        rays = {pattern: ray for ray, pattern in common_eigenrays(c)}
+        for pattern in itertools.product((1, -1), repeat=4):
+            p16 = sign_pattern_projector(c, pattern)
+            assert np.any(p16) == (pattern in rays)
+            if pattern not in rays:
+                continue
+            assert np.array_equal(p16, p16.T)
+            assert np.array_equal(p16 @ p16, 16 * p16)
+            assert int(np.trace(p16)) == 16
+            col = next(p16[:, j] for j in range(8) if np.any(p16[:, j]))
+            assert canonical_form(tuple(int(x) for x in col)) == rays[pattern]
+
+
+def _corrupted(context_no: int, position: int | None, word: str | None) -> Context:
+    c = pentagram_contexts()[context_no]
+    if position is None:    # flip the product sign
+        return Context(words=c.words, product_sign=-c.product_sign)
+    words = list(c.words)
+    words[position] = PauliWord(word)
+    return Context(words=tuple(words), product_sign=c.product_sign)
+
+
+@pytest.mark.parametrize("context_no,position,word", [
+    (0, None, None),     # the -identity line given sign +1
+    (1, None, None),     # a +identity line given sign -1
+    (1, 2, "IIX"),       # IIX anticommutes with ZZZ
+    (1, 3, "ZZI"),       # commutes, but the product is IIZ, not +/-identity
+    (4, 0, "XII"),       # XII anticommutes with ZXX
+])
+def test_corrupted_context_raises(context_no, position, word):
+    with pytest.raises(ArithmeticError):
+        common_eigenrays(_corrupted(context_no, position, word))
 
 
 def test_inadmissible_pattern_annihilates():

@@ -185,6 +185,20 @@ def test_pulse_run_validation():
         PulseRun(seed=1, n_pulses=10, projector_pool=(0, 1))
 
 
+NON_FINITE_FIELDS = {
+    "amplitude_jitter": lambda v: NoiseModel(amplitude_jitter=v),
+    "phase_jitter": lambda v: NoiseModel(phase_jitter=v),
+    "mu": lambda v: PulseRun(seed=1, n_pulses=10, mu=v),
+}
+
+
+@pytest.mark.parametrize("field", list(NON_FINITE_FIELDS))
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_value_is_rejected_with_its_field_named(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        NON_FINITE_FIELDS[field](value)
+
+
 def test_count_record_round_trip_and_validation():
     run = PulseRun(seed=11, n_pulses=60_000)
     rec = run_ks_experiment("ghz", IDEAL_NOISE, run)
