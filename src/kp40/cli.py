@@ -151,7 +151,7 @@ def verification_checks(
     try:
         s = s or canonical_set()
         if s is canonical_set():
-            pentagram_match_map()    # raises unless the bijection is perfect
+            pentagram_match_map()    # certified 40/40 when canonical_set built the set
         checks.append(("ray regeneration", True, f"{len(s.rays)}/40 rays matched"))
     except (ValueError, IndexError) as e:
         checks.append(("ray regeneration", False, str(e)))
@@ -405,7 +405,12 @@ def cmd_analyze(args) -> int:
 
     est = estimate_probabilities(record)
     ideal = profile(record.state)
-    sim = bhattacharyya(est, ideal, per_basis=not args.global_F)
+    # F leaves out a pool group the state never reaches: it has no shape to compare
+    group = {i: canonical_set().basis_of(i) for i in record.projector_pool}
+    reached = {group[i] for i in group if ideal.probs[i]}
+    compared = [i for i in group if group[i] in reached]
+    sim = bhattacharyya({i: est.probabilities[i][0] for i in compared},
+                        {i: ideal.probs[i] for i in compared}, per_basis=not args.global_F)
     report = {
         "estimates": est.to_json(),
         "similarity": sim.to_json(),

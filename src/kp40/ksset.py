@@ -5,11 +5,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import mul
 from pathlib import Path
 from typing import Iterable
 
 from . import pentagram
-from .rays import Ray, canonical_form, dot, parse_ray_entries, same_direction
+from .rays import Ray, canonical_form, parse_ray_entries
 
 N_RAYS = 40
 RAY_DEGREE = 23
@@ -75,12 +76,17 @@ _MERMIN_SUBSET: tuple[int, ...] = (10, 11, 13, 16, 17, 20, 22, 23, 26, 27, 29, 3
 Octad = tuple[int, ...]
 
 
+PentagramMap = dict[tuple[int, tuple[int, int, int, int]], int]
+
+
 @dataclass(frozen=True)
 class KSSet:
     """The 40 rays (1-based table order) plus the 5 basis groups of 8 indices."""
 
     rays: tuple[Ray, ...]
     basis_groups: tuple[tuple[int, ...], ...]
+    # the pentagram map canonical_set certified for this set; a loaded set has none
+    _pentagram: PentagramMap | None = field(default=None, repr=False, compare=False)
     _group_of: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -132,31 +138,30 @@ def _validate_groups(rays: tuple[Ray, ...], groups: tuple[tuple[int, ...], ...])
     for group in groups:
         for a_pos, a in enumerate(group):
             for b in group[a_pos + 1:]:
-                if dot(rays[a - 1], rays[b - 1]) != 0:
+                if sum(map(mul, rays[a - 1].entries, rays[b - 1].entries)):
                     raise ValueError(f"rays {a} and {b} in one basis group are not orthogonal")
-
-
-PentagramMap = dict[tuple[int, tuple[int, int, int, int]], int]
 
 
 def _match_pentagram(rays: tuple[Ray, ...], groups: tuple[tuple[int, ...], ...]) -> PentagramMap:
     """Map (context number 1..5, sign pattern) -> table index of the ray it generates.
 
-    Raises unless each generated ray matches exactly one row of its context's
-    basis group and the matches cover all 40 rows.
+    Raises unless the rows of each basis group span distinct lines and each
+    generated ray, already canonical, is the canonical form of one unmatched row.
     """
     mapping: PentagramMap = {}
     for c_idx, (context, group) in enumerate(zip(pentagram.pentagram_contexts(), groups), start=1):
-        remaining = list(group)
+        remaining: dict[tuple[int, ...], int] = {}
+        for i in group:
+            j = remaining.setdefault(canonical_form(rays[i - 1]).entries, i)
+            if j != i:
+                raise ValueError(f"table rows {j} and {i} of context {c_idx} span one line")
         for ray, pattern in pentagram.common_eigenrays(context):
-            match = [i for i in remaining if same_direction(ray, rays[i - 1])]
-            if len(match) != 1:
+            if ray.entries not in remaining:
                 raise ValueError(f"context {c_idx} pattern {pattern}: generated ray "
-                                 f"{ray.entries} matches table rows {match}")
-            mapping[(c_idx, pattern)] = match[0]
-            remaining.remove(match[0])
+                                 f"{ray.entries} matches no unmatched table row")
+            mapping[(c_idx, pattern)] = remaining.pop(ray.entries)
         if remaining:
-            raise ValueError(f"table rows {remaining} not produced by their context")
+            raise ValueError(f"table rows {list(remaining.values())} not produced by their context")
     if len(mapping) != N_RAYS:
         raise ValueError(f"matched {len(mapping)} rays, expected {N_RAYS}")
     return mapping
@@ -167,20 +172,20 @@ def canonical_set() -> KSSet:
     """The table data, validated at construction against orthogonality and the pentagram."""
     rays = tuple(Ray(row, label=i) for i, row in enumerate(_TABLE, start=1))
     _validate_groups(rays, _BASIS_GROUPS)
-    _match_pentagram(rays, _BASIS_GROUPS)
-    return KSSet(rays=rays, basis_groups=_BASIS_GROUPS)
+    mapping = _match_pentagram(rays, _BASIS_GROUPS)
+    return KSSet(rays=rays, basis_groups=_BASIS_GROUPS, _pentagram=mapping)
 
 
 def build_graph(s: KSSet) -> OrthoGraph:
     """Edge (i, j) iff dot(v_i, v_j) == 0."""
-    n = len(s.rays)
-    adj = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dot(s.rays[i], s.rays[j]) == 0:
+    rows = [r.entries for r in s.rays]
+    adj = [0] * len(rows)
+    for i, a in enumerate(rows):
+        for j in range(i + 1, len(rows)):
+            if not sum(map(mul, a, rows[j])):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-    return OrthoGraph(n=n, adj=tuple(adj))
+    return OrthoGraph(n=len(rows), adj=tuple(adj))
 
 
 def enumerate_octads(g: OrthoGraph) -> tuple[Octad, ...]:
@@ -216,9 +221,9 @@ def mermin_subset() -> tuple[int, ...]:
 
 
 def pentagram_match_map() -> PentagramMap:
-    """Map (context number 1..5, sign pattern) -> table index, asserting a 40/40 bijection."""
-    s = canonical_set()
-    return _match_pentagram(s.rays, s.basis_groups)
+    """Map (context number 1..5, sign pattern) -> table index: a copy of the 40/40 bijection
+    canonical_set certified, which goes with the set on `canonical_set.cache_clear()`."""
+    return dict(canonical_set()._pentagram)
 
 
 def load_ksset_file(path: str | Path) -> KSSet:

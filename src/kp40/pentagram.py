@@ -14,8 +14,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import prod
+from operator import mul
 
-from .rays import Ray, canonical_form, dot
+from .rays import Ray, canonical_form
 
 FACTORS = ("I", "X", "Z")
 DIM = 8
@@ -53,9 +54,8 @@ def commutes(w1: PauliWord | str, w2: PauliWord | str) -> bool:
     return anti % 2 == 0
 
 
-def _sign(bits: int) -> int:
-    """(-1) to the number of set bits."""
-    return -1 if bits.bit_count() & 1 else 1
+# _SIGNS[zmask][c] = (-1)^popcount(c & zmask), the sign a word gives basis column c
+_SIGNS = tuple(tuple(-1 if (c & z).bit_count() & 1 else 1 for c in range(DIM)) for z in range(DIM))
 
 
 def _masks(w: PauliWord) -> tuple[int, int]:
@@ -69,7 +69,8 @@ def _masks(w: PauliWord) -> tuple[int, int]:
 def _apply(masks: tuple[int, int], v: Vector) -> Vector:
     """W v: basis column c goes to row c ^ xmask, signed by (-1)^popcount(c & zmask)."""
     x, z = masks
-    return tuple(_sign((r ^ x) & z) * v[r ^ x] for r in range(DIM))
+    signs = _SIGNS[z]
+    return tuple(signs[r ^ x] * v[r ^ x] for r in range(DIM))
 
 
 # The five lines, in the order of the 40-ray table's basis groups.  Each of the
@@ -91,7 +92,7 @@ def _context_sign(words: tuple[PauliWord, ...]) -> int:
         row, sign = c, 1
         for w in reversed(words):    # the rightmost word acts first
             x, z = _masks(w)
-            row, sign = row ^ x, sign * _sign(row & z)
+            row, sign = row ^ x, sign * _SIGNS[z][row]
         signs.add(sign if row == c else 0)
     if len(signs) == 1 and 0 not in signs:
         return signs.pop()
@@ -114,8 +115,9 @@ def _eigenvector(masks: list[tuple[int, int]], pattern: tuple[int, ...]) -> Vect
     """First nonzero column of prod_k (I + s_k W_k), 16x the joint eigenprojector."""
     for j in range(DIM):
         v = tuple(int(r == j) for r in range(DIM))
-        for m, s in zip(reversed(masks), reversed(pattern)):
-            v = tuple(a + s * b for a, b in zip(v, _apply(m, v)))
+        for (x, z), s in zip(reversed(masks), reversed(pattern)):
+            signs = _SIGNS[z]    # v + s W v, entry by entry
+            v = tuple(v[r] + s * signs[r ^ x] * v[r ^ x] for r in range(DIM))
         if any(v):
             return v
     raise ArithmeticError(f"sign pattern {pattern} has no common eigenvector")
@@ -145,7 +147,7 @@ def common_eigenrays(c: Context) -> list[tuple[Ray, tuple[int, int, int, int]]]:
     if len(found) != DIM:
         raise ArithmeticError(f"context produced {len(found)} rays, expected {DIM}")
     for (u, p), (v, q) in itertools.combinations(found, 2):
-        if dot(u, v) != 0:
+        if sum(map(mul, u, v)):
             raise ArithmeticError(f"eigenvectors of patterns {p} and {q} are not orthogonal")
     return [(canonical_form(v), pattern) for v, pattern in found]
 
@@ -173,11 +175,8 @@ def pentagram_unsat() -> tuple[int, int]:
         (sum(1 << index[w.factors] for w in c.words), int(c.product_sign == -1))
         for c in pentagram_contexts()
     ]
-    satisfying = 0
-    best = 0
-    for bits in range(1 << len(words)):
-        sat = sum(1 for mask, odd in lines if (bits & mask).bit_count() & 1 == odd)
-        if sat == len(lines):
-            satisfying += 1
-        best = max(best, sat)
-    return satisfying, best
+    sat = [0] * (1 << len(words))    # lines each assignment satisfies, tallied line by line
+    for mask, odd in lines:
+        for bits in range(len(sat)):
+            sat[bits] += (bits & mask).bit_count() & 1 == odd
+    return sat.count(len(lines)), max(sat)

@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 DIM = 8
@@ -29,9 +30,6 @@ class Ray:
             raise ValueError("zero ray")
         object.__setattr__(self, "entries", entries)
 
-    def norm_sq(self) -> int:
-        return sum(e * e for e in self.entries)
-
 
 RayLike = Union[Ray, Sequence[int]]
 
@@ -48,8 +46,7 @@ def entries_of(v: RayLike) -> tuple[int, ...]:
 
 def dot(a: RayLike, b: RayLike) -> int:
     """Exact integer inner product (all rays are real)."""
-    ea, eb = entries_of(a), entries_of(b)
-    return sum(x * y for x, y in zip(ea, eb))
+    return sum(map(mul, entries_of(a), entries_of(b)))
 
 
 def overlap_prob(state: RayLike, v: RayLike) -> Fraction:
@@ -61,29 +58,25 @@ def overlap_prob(state: RayLike, v: RayLike) -> Fraction:
     es, ev = entries_of(state), entries_of(v)
     if not any(es) or not any(ev):
         raise ValueError("overlap_prob of a zero ray")
-    d = dot(es, ev)
-    return Fraction(d * d, dot(es, es) * dot(ev, ev))
+    d = sum(map(mul, es, ev))
+    return Fraction(d * d, sum(map(mul, es, es)) * sum(map(mul, ev, ev)))
 
 
 def canonical_form(v: RayLike) -> Ray:
     """Divide by the gcd of the entries and fix sign so the first nonzero entry is positive."""
     e = entries_of(v)
-    if not any(e):
+    g = gcd(*e)
+    if not g:
         raise ValueError("zero ray has no canonical form")
-    g = 0
-    for x in e:
-        g = gcd(g, abs(x))
-    e = tuple(x // g for x in e)
-    first = next(x for x in e if x)
-    if first < 0:
-        e = tuple(-x for x in e)
+    if next(x for x in e if x) < 0:
+        g = -g
     label = v.label if isinstance(v, Ray) else None
-    return Ray(e, label=label)
+    return Ray(tuple(x // g for x in e), label=label)
 
 
 def same_direction(a: RayLike, b: RayLike) -> bool:
-    """True iff a and b span the same line (equal up to nonzero integer scaling)."""
-    return overlap_prob(a, b) == 1
+    """True iff a and b span the same line, that is, their canonical forms agree."""
+    return canonical_form(a).entries == canonical_form(b).entries
 
 
 def rational_to_str(q: Fraction) -> str:

@@ -99,10 +99,6 @@ class SlitPreparation:
     phases: tuple[float, ...]
     normalization: float
 
-    def amplitudes(self) -> np.ndarray:
-        t = np.asarray(self.transmissivities)
-        return self.normalization * np.sqrt(t) * np.exp(1j * np.asarray(self.phases))
-
 
 def ray_to_mask(v: Ray | Sequence[int]) -> SlitPreparation:
     """Encode an integer ray: t_l = (entry_l / max|entry|)^2, phase pi for negative entries."""

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Mapping, Sequence
 
 from .ksset import KSSet, canonical_set, mermin_subset
-from .rays import entries_of, overlap_prob
+from .rays import entries_of
 
 # Unnormalized integer components; basis order matches the ray table's qubit ordering.
 NAMED_STATES: dict[str, tuple[int, ...]] = {
@@ -26,13 +27,6 @@ class ProbabilityProfile:
     state: tuple[int, ...]
     probs: dict[int, Fraction]
 
-    def basis_sums(self, s: KSSet | None = None) -> dict[int, Fraction]:
-        s = s or canonical_set()
-        return {
-            g + 1: sum((self.probs[i] for i in group), Fraction(0))
-            for g, group in enumerate(s.basis_groups)
-        }
-
 
 def resolve_state(state: str | Sequence[int]) -> tuple[int, ...]:
     if isinstance(state, str):
@@ -47,9 +41,14 @@ def resolve_state(state: str | Sequence[int]) -> tuple[int, ...]:
 
 
 def profile(state: str | Sequence[int], s: KSSet | None = None) -> ProbabilityProfile:
+    """Exact overlap_prob(state, v_i) for every ray, on the validated entry tuples."""
     s = s or canonical_set()
     entries = resolve_state(state)
-    probs = {i: overlap_prob(entries, s.ray(i)) for i in range(1, len(s.rays) + 1)}
+    norm = sum(map(mul, entries, entries))
+    probs = {
+        i: Fraction(sum(map(mul, entries, v)) ** 2, norm * sum(map(mul, v, v)))
+        for i, v in enumerate((r.entries for r in s.rays), start=1)
+    }
     return ProbabilityProfile(state=entries, probs=probs)
 
 

@@ -2,12 +2,35 @@
 
 import itertools
 import math
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
+from kp40.ksset import KSSet
 from kp40.pentagram import Context, PauliWord
+from kp40.rays import Ray
 from kp40.simulate import CHUNK, DIM, NoiseModel, PulseRun, SlitPreparation, substream
+from kp40.states import ProbabilityProfile
+
+
+def norm_sq(ray: Ray) -> int:
+    """Squared Euclidean norm of a ray's integer entries."""
+    return sum(e * e for e in ray.entries)
+
+
+def basis_sums(p: ProbabilityProfile, s: KSSet) -> dict[int, Fraction]:
+    """Exact sum of a profile's probabilities over each basis group, by group number."""
+    return {
+        g + 1: sum((p.probs[i] for i in group), Fraction(0))
+        for g, group in enumerate(s.basis_groups)
+    }
+
+
+def slit_amplitudes(prep: SlitPreparation) -> np.ndarray:
+    """The complex slit amplitudes a mask encodes, scaled by its normalization constant."""
+    t = np.asarray(prep.transmissivities)
+    return prep.normalization * np.sqrt(t) * np.exp(1j * np.asarray(prep.phases))
 
 
 def count_independent_subsets(g, size: int) -> int:

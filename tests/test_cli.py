@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 import kp40
-from kp40 import cli
-from kp40.ksset import canonical_set
+from kp40 import cli, pentagram
+from kp40.ksset import canonical_set, mermin_subset
 from kp40.simulate import CountRecord
 
 
@@ -53,6 +53,22 @@ def test_verify_reports_first_failing_check(monkeypatch, capsys):
     code, out, err = run_cli(["verify"], capsys)
     assert code == 1
     assert "degree check" in err
+
+
+def test_a_cold_set_and_verify_certify_the_pentagram_once(monkeypatch, capsys):
+    # canonical_set certifies the bijection; verify reads it back, not regenerates it
+    calls = []
+    real = pentagram.common_eigenrays
+    monkeypatch.setattr(pentagram, "common_eigenrays", lambda c: calls.append(c) or real(c))
+    canonical_set.cache_clear()
+    canonical_set()
+    assert all(ok for _, ok, _ in cli.verification_checks())
+    assert len(calls) == 5
+    calls.clear()
+    canonical_set.cache_clear()
+    code, _, _ = run_cli(["verify"], capsys)
+    assert code == 0
+    assert len(calls) == 5
 
 
 def test_verification_checks_fail_on_a_graph_with_a_missing_edge():
@@ -217,6 +233,29 @@ def test_analyze_reads_epsilon_file(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads((tmp_path / "report.json").read_text())["verdict"]["epsilon"] == 0.012
+
+
+@pytest.mark.parametrize("state,groups", [
+    ("ghz", [2, 3, 4, 5]),
+    ("prod", [3, 4, 5]),    # no Mermin ray of group 2 overlaps prod, so F leaves it out
+], ids=["ghz", "prod"])
+def test_analyze_a_mermin16_record(tmp_path, capsys, state, groups):
+    run_cli(
+        ["--seed", "5", "--out", str(tmp_path), "simulate", "--state", state,
+         "--pool", "mermin16", "--pulses", "100000"], capsys
+    )
+    code, _, err = run_cli(
+        ["--out", str(tmp_path), "analyze", str(tmp_path / "record.json"),
+         "--epsilon", "0.014"], capsys
+    )
+    assert code == 0, err
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["verdict"]["sigma"] is None
+    assert report["verdict"]["S"]["quantum_value"] == 4
+    assert sorted(int(i) for i in report["estimates"]["probabilities"]) == list(mermin_subset())
+    assert [int(b) for b in report["similarity"]["per_basis"]] == groups
+    fig4 = list(csv.DictReader((tmp_path / "fig4.csv").read_text().splitlines()))
+    assert [r["quantity"] for r in fig4] == ["S"]
 
 
 def test_analyze_missing_record_is_a_usage_error(tmp_path, capsys):

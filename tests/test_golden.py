@@ -49,11 +49,14 @@ def test_multi_block_simulate_matches_golden_digest(tmp_path, capsys):
 _EXCLUSIVITY = ["--seed", "6", "--out", "excl", "exclusivity", "--pulses", "30000",
                 "--initial", "1,9,40"]
 _SIMULATE = ["--seed", "3", "--out", "sim", "simulate", "--state", "ghz", "--pulses", "100000"]
+_SIMULATE_M16 = ["--seed", "3", "--out", "sim16", "simulate", "--state", "w", "--pool", "mermin16",
+                 "--pulses", "100000"]
 
 # name -> (commands run in order, bundle directory, tree digest).  The paths are
 # relative because analyze and calibrate write the paths they are given into
 # their manifests.  The digests were taken before the CLI wrote its bundles
-# through one writer.
+# through one writer; the mermin16 analyze digest was taken when that flow
+# first ran.
 GOLDEN_BUNDLES = {
     "exclusivity": (
         [_EXCLUSIVITY], "excl",
@@ -65,6 +68,9 @@ GOLDEN_BUNDLES = {
     "analyze-global-F": (
         [_SIMULATE, ["--out", "an", "analyze", "sim/record.json", "--epsilon", "0.01", "--global-F"]],
         "an", "019a2c1f55e6c6b24744aeb06cbefcc291d46f91beeaf885afee7156cc2e601a"),
+    "analyze-mermin16": (
+        [_SIMULATE_M16, ["--out", "an", "analyze", "sim16/record.json", "--epsilon", "0.014"]],
+        "an", "ffe4cfa6648036ac902f45c152f3fa3749f59a6b94146280036683af577b48f1"),
     "calibrate": (
         [["--seed", "1", "--out", "cal", "calibrate", "--pulses", "60000",
           "--config-out", "cal/noise.json"]], "cal",

@@ -3,18 +3,24 @@ import json
 
 import networkx as nx
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kp40.ksset import (
+    _BASIS_GROUPS,
     EDGE_COUNT,
     N_OCTADS,
     N_RAYS,
+    KSSet,
+    _match_pentagram,
+    build_graph,
     canonical_set,
     induced_bitmask,
     load_ksset_file,
     mermin_subset,
     pentagram_match_map,
 )
-from kp40.rays import dot
+from kp40.rays import Ray, dot
 
 
 def test_forty_rays_in_five_groups(kset):
@@ -125,6 +131,60 @@ def test_pentagram_regeneration_is_a_bijection():
     mapping = pentagram_match_map()
     assert len(mapping) == N_RAYS
     assert sorted(mapping.values()) == list(range(1, N_RAYS + 1))
+
+
+# entries in -1..1 make orthogonal pairs common
+small_rays = st.lists(
+    st.lists(st.integers(-1, 1), min_size=8, max_size=8).filter(any), min_size=1, max_size=12
+)
+
+
+@given(small_rays)
+def test_build_graph_is_the_pairwise_dot_adjacency(rows):
+    s = KSSet(rays=tuple(Ray(r) for r in rows), basis_groups=())
+    g = build_graph(s)
+    assert g.n == len(rows)
+    for i, j in itertools.product(range(1, g.n + 1), repeat=2):
+        assert g.adjacent(i, j) == (i != j and dot(rows[i - 1], rows[j - 1]) == 0)
+
+
+def _table_with(changes: dict[int, tuple[int, ...]]) -> tuple[Ray, ...]:
+    """The canonical rays with the given 1-based rows replaced."""
+    return tuple(
+        Ray(changes.get(r.label, r.entries), label=r.label) for r in canonical_set().rays
+    )
+
+
+def test_match_pentagram_finds_a_row_scaled_by_minus_three(kset):
+    scaled = tuple(-3 * e for e in kset.ray(5).entries)
+    assert _match_pentagram(_table_with({5: scaled}), _BASIS_GROUPS) == pentagram_match_map()
+
+
+def test_match_pentagram_rejects_two_rows_on_one_line(kset):
+    doubled = tuple(2 * e for e in kset.ray(17).entries)
+    with pytest.raises(ValueError, match="span one line"):
+        _match_pentagram(_table_with({18: doubled}), _BASIS_GROUPS)
+
+
+def test_match_pentagram_rejects_a_row_swapped_into_another_group(kset):
+    swapped = {1: kset.ray(9).entries, 9: kset.ray(1).entries}    # groups 1 and 2
+    with pytest.raises(ValueError, match="context 1"):
+        _match_pentagram(_table_with(swapped), _BASIS_GROUPS)
+
+
+def test_pentagram_match_map_is_a_fresh_copy():
+    mapping = pentagram_match_map()
+    mapping.clear()
+    assert len(pentagram_match_map()) == N_RAYS
+
+
+def test_load_ksset_file_rejects_a_non_orthogonal_group(tmp_path, kset):
+    data = kset.to_json()
+    data["basis_groups"][0][7] = 10    # ray 10 is not orthogonal to ray 1
+    p = tmp_path / "groups.json"
+    p.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="not orthogonal"):
+        load_ksset_file(p)
 
 
 def test_induced_bitmask():

@@ -14,6 +14,8 @@ from kp40.rays import (
     same_direction,
 )
 
+from oracles import norm_sq
+
 nonzero_entries = st.lists(st.integers(-9, 9), min_size=8, max_size=8).filter(any)
 
 
@@ -22,7 +24,7 @@ def test_ray_validates_length_and_nonzero():
         Ray((1, 0, 0))
     with pytest.raises(ValueError):
         Ray((0,) * 8)
-    assert Ray((0, 1, 0, 0, 0, 0, 0, 0)).norm_sq() == 1
+    assert norm_sq(Ray((0, 1, 0, 0, 0, 0, 0, 0))) == 1
 
 
 def test_overlap_prob_is_exact():
@@ -59,6 +61,26 @@ def test_canonical_form_idempotent_and_same_direction(e):
 def test_canonical_form_kills_scaling(e, k):
     scaled = tuple(k * x for x in e)
     assert canonical_form(scaled).entries == canonical_form(e).entries
+
+
+# the second ray is a nonzero multiple of the first (sign and scale free) or unrelated
+ray_pairs = st.one_of(
+    st.tuples(nonzero_entries, st.integers(-4, 4).filter(bool)).map(
+        lambda ek: (ek[0], [ek[1] * x for x in ek[0]])),
+    st.tuples(nonzero_entries, nonzero_entries),
+)
+
+
+@given(ray_pairs)
+def test_same_direction_is_unit_overlap(pair):
+    a, b = pair
+    assert same_direction(a, b) == (overlap_prob(a, b) == 1)
+    assert same_direction(Ray(a), b) == same_direction(b, a)
+
+
+def test_same_direction_rejects_zero_ray():
+    with pytest.raises(ValueError):
+        same_direction((0,) * 8, (1,) + (0,) * 7)
 
 
 def test_rational_round_trip():

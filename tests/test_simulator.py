@@ -33,7 +33,7 @@ from kp40.simulate import (
 from kp40.rays import same_direction
 from kp40.states import profile, resolve_state
 
-from oracles import chunk_probs_loop, chunks_loop
+from oracles import chunk_probs_loop, chunks_loop, slit_amplitudes
 
 
 # ------------------------------------------------------------- randomness plumbing
@@ -65,7 +65,7 @@ def test_mask_round_trip_over_all_forty_rays(kset):
 
 def test_mask_amplitudes_are_normalized(kset):
     for i in (1, 17, 40):
-        a = ray_to_mask(kset.ray(i)).amplitudes()
+        a = slit_amplitudes(ray_to_mask(kset.ray(i)))
         assert np.vdot(a, a).real == pytest.approx(1.0)
 
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kp40.ksset import canonical_set
 from kp40.rays import Ray
 from kp40.states import (
     NAMED_STATES,
@@ -14,6 +15,8 @@ from kp40.states import (
     sigma_of_profile,
     sigma_value,
 )
+
+from oracles import basis_sums
 
 nonzero_state = st.lists(st.integers(-20, 20), min_size=8, max_size=8).filter(any)
 
@@ -40,7 +43,7 @@ def test_sigma_is_exactly_five_for_any_state(entries):
 
 @given(nonzero_state)
 def test_basis_sums_are_each_exactly_one(entries):
-    sums = profile(entries).basis_sums()
+    sums = basis_sums(profile(entries), canonical_set())
     assert sums == {g: 1 for g in range(1, 6)}
 
 
