@@ -15,12 +15,12 @@ _EXPORTS = {
                  "pentagram_words",
     "ksset": "EDGE_COUNT N_OCTADS N_RAYS RAY_DEGREE KSSet OrthoGraph build_graph canonical_set "
              "enumerate_octads mermin_subset",
-    "bounds": "Assignment BoundReport corrected_S_bound corrected_sigma_bound ks_colorable "
-              "max_ones mermin_kappa_to_S",
-    "states": "NAMED_STATES ProbabilityProfile S_value profile sigma_value",
+    "bounds": "Assignment S_NCHV_BOUND SIGMA_NCHV_BOUND corrected_S_bound corrected_sigma_bound "
+              "ks_colorable max_ones mermin_kappa_to_S",
+    "states": "NAMED_STATES ProbabilityProfile S_of_profile profile sigma_of_profile",
     "simulate": "CountRecord NoiseModel PulseRun SlitPreparation convergence_trace expected_record "
                 "mask_to_ray ray_to_mask run_exclusivity_campaign run_ks_experiment",
-    "analysis": "EstimateSet SimilarityReport bhattacharyya estimate_probabilities verdict",
+    "analysis": "EstimateSet SimilarityReport bhattacharyya estimate_probabilities judge verdict",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -7,12 +7,12 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
-from .bounds import corrected_S_bound, corrected_sigma_bound
+from .bounds import S_NCHV_BOUND, SIGMA_NCHV_BOUND, corrected_S_bound, corrected_sigma_bound
 from .ksset import canonical_set, mermin_subset
-from .simulate import CountRecord
-from .states import ProbabilityProfile
+from .simulate import KS40_POOL, CountRecord
+from .states import ProbabilityProfile, S_of_profile, profile, sigma_of_profile
 
 
 class EstimationError(ValueError):
@@ -105,8 +105,6 @@ class SimilarityReport:
 
 
 def _as_prob_dict(x) -> dict[int, float]:
-    if isinstance(x, EstimateSet):
-        return {i: p for i, (p, _) in x.probabilities.items()}
     if isinstance(x, ProbabilityProfile):
         return {i: float(v) for i, v in x.probs.items()}
     if isinstance(x, Mapping):
@@ -171,7 +169,8 @@ def bhattacharyya(p, q, per_basis: bool = True) -> SimilarityReport:
     )
 
 
-def _bound_section(value: float, err: float, ideal: int, corrected: float, quantum: int, name: str) -> dict:
+def _bound_section(value: float, err: float, ideal: int, corrected: float, quantum: float,
+                   name: str) -> dict:
     gap = value - corrected
     margin = math.inf if err == 0 and gap > 0 else (gap / err if err > 0 else 0.0)
     if gap > 0:
@@ -189,19 +188,46 @@ def _bound_section(value: float, err: float, ideal: int, corrected: float, quant
     }
 
 
-def verdict(e: EstimateSet, epsilon: float) -> dict:
-    """Classify the estimated sums against ideal bounds, corrected bounds, and quantum values."""
-    full_pool = len(e.probabilities) == 40
-    out: dict = {"epsilon": float(epsilon)}
-    out["sigma"] = (
-        _bound_section(
-            e.sigma_est, e.sigma_err, 4, corrected_sigma_bound(epsilon), 5, "NCHV"
-        )
-        if full_pool
-        else None
-    )
-    out["S"] = _bound_section(e.S_est, e.S_err, 3, corrected_S_bound(epsilon), 4, "Mermin")
+def verdict(e: EstimateSet, epsilon: float, ideal: ProbabilityProfile) -> dict:
+    """Classify the estimated sums against the ideal and corrected noncontextual bounds
+    and against the quantum values of the exact profile `ideal`.  S is judged when the
+    pool holds the 16 Mermin rays, sigma when it holds all 40; a pool without the
+    Mermin rays has neither sum and raises a ValueError."""
+    pool = set(e.probabilities)
+    if not pool >= set(mermin_subset()):
+        raise ValueError(f"record field 'projector_pool': {sorted(pool)} holds neither all "
+                         f"{len(KS40_POOL)} rays nor the {len(mermin_subset())} Mermin rays")
+    out: dict = {"epsilon": float(epsilon), "sigma": None}
+    if pool >= set(KS40_POOL):
+        out["sigma"] = _bound_section(e.sigma_est, e.sigma_err, SIGMA_NCHV_BOUND,
+                                      corrected_sigma_bound(epsilon),
+                                      float(sigma_of_profile(ideal.probs)), "NCHV")
+    out["S"] = _bound_section(e.S_est, e.S_err, S_NCHV_BOUND, corrected_S_bound(epsilon),
+                              float(S_of_profile(ideal.probs)), "Mermin")
     return out
+
+
+class Judgment(NamedTuple):
+    estimates: EstimateSet
+    ideal: ProbabilityProfile    # the exact profile of the record's state
+    similarity: SimilarityReport
+    verdict: dict
+
+
+def judge(record: CountRecord, epsilon: float, per_basis: bool) -> Judgment:
+    """Estimate a record, compare it with the exact profile of its state, and judge its sums.
+
+    F leaves out a pool group the state never reaches: it has no shape to compare.
+    """
+    est = estimate_probabilities(record)
+    ideal = profile(record.state)
+    v = verdict(est, epsilon, ideal)
+    s = canonical_set()
+    reached = {s.basis_of(i) for i in record.projector_pool if ideal.probs[i]}
+    compared = [i for i in record.projector_pool if s.basis_of(i) in reached]
+    sim = bhattacharyya({i: est.probabilities[i][0] for i in compared},
+                        {i: ideal.probs[i] for i in compared}, per_basis=per_basis)
+    return Judgment(estimates=est, ideal=ideal, similarity=sim, verdict=v)
 
 
 def fig3_rows(e: EstimateSet, ideal: ProbabilityProfile | None = None) -> list[dict]:
@@ -224,13 +250,7 @@ def fig3_rows(e: EstimateSet, ideal: ProbabilityProfile | None = None) -> list[d
     return rows
 
 
-def fig4_rows(e: EstimateSet, epsilon: float) -> list[dict]:
-    """Plot-ready summary table: one row per inequality sum."""
-    v = verdict(e, epsilon)
-    rows = []
-    if v["sigma"] is not None:
-        rows.append({"quantity": "sigma", **{k: v["sigma"][k] for k in
-                     ("value", "error", "ideal_bound", "corrected_bound", "quantum_value")}})
-    rows.append({"quantity": "S", **{k: v["S"][k] for k in
-                 ("value", "error", "ideal_bound", "corrected_bound", "quantum_value")}})
-    return rows
+def fig4_rows(v: dict) -> list[dict]:
+    """Plot-ready summary table: one row per inequality sum the verdict `v` judged."""
+    keys = ("value", "error", "ideal_bound", "corrected_bound", "quantum_value")
+    return [{"quantity": q, **{k: v[q][k] for k in keys}} for q in ("sigma", "S") if v[q] is not None]

@@ -5,7 +5,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .ksset import Octad, OrthoGraph, build_graph, canonical_set, induced_bitmask, mermin_subset
+from .ksset import (N_RAYS, Octad, OrthoGraph, build_graph, canonical_set, enumerate_octads,
+                    induced_bitmask, mermin_subset)
+
+# The noncontextual bounds, max_ones on the full graph and on the Mermin subset
+SIGMA_NCHV_BOUND = 4
+S_NCHV_BOUND = 3
 
 
 @dataclass(frozen=True)
@@ -21,20 +26,6 @@ class Assignment:
         """No two rays assigned 1 may be orthogonal (adjacent)."""
         ones = self.ones()
         return all(not g.adjacent(a, b) for k, a in enumerate(ones) for b in ones[k + 1:])
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """One inequality's classical limit, ideal and error-corrected."""
-
-    ideal_bound: int
-    witness: Assignment
-    epsilon: float
-    corrected_bound: float
-
-    def __post_init__(self):
-        if self.corrected_bound < self.ideal_bound:
-            raise ValueError("corrected bound fell below the ideal bound")
 
 
 @dataclass(frozen=True)
@@ -137,14 +128,14 @@ def corrected_sigma_bound(epsilon: float) -> float:
     """Noncontextual limit of the 40-test sum once every test may false-positive
     with rate epsilon: 4(1-eps) + 40 eps."""
     eps = _check_epsilon(epsilon)
-    return 4.0 * (1.0 - eps) + 40.0 * eps
+    return SIGMA_NCHV_BOUND * (1.0 - eps) + N_RAYS * eps
 
 
 def corrected_S_bound(epsilon: float) -> float:
     """Noncontextual limit of the 16-test sum under the same false-positive
     argument: 3(1-eps) + 16 eps."""
     eps = _check_epsilon(epsilon)
-    return 3.0 * (1.0 - eps) + 16.0 * eps
+    return S_NCHV_BOUND * (1.0 - eps) + len(mermin_subset()) * eps
 
 
 def extrapolated_quantum_sigma_bound(epsilon: float) -> float:
@@ -155,34 +146,19 @@ def extrapolated_quantum_sigma_bound(epsilon: float) -> float:
     return 5.0 * (1.0 - eps) + 40.0 * eps
 
 
-def sigma_report(g: OrthoGraph, epsilon: float = 0.0) -> BoundReport:
-    bound, witness = max_ones(g)
-    return BoundReport(ideal_bound=bound, witness=witness, epsilon=float(epsilon),
-                       corrected_bound=corrected_sigma_bound(epsilon))
-
-
-def mermin_report(g: OrthoGraph, epsilon: float = 0.0) -> BoundReport:
-    bound, witness = max_ones(g, subset=mermin_subset())
-    return BoundReport(ideal_bound=bound, witness=witness, epsilon=float(epsilon),
-                       corrected_bound=corrected_S_bound(epsilon))
-
-
 def full_report_json(epsilon: float = 0.0, octads: Sequence[Octad] | None = None) -> dict:
     """The combined bounds report: both inequalities plus the colorability verdict."""
-    from .ksset import enumerate_octads
-
     g = build_graph(canonical_set())
     if octads is None:
         octads = enumerate_octads(g)
-    sig = sigma_report(g, epsilon)
-    mer = mermin_report(g, epsilon)
-    color = ks_colorable(octads, g)
+    sigma_nchv, witness = max_ones(g)
+    S_nchv, _ = max_ones(g, subset=mermin_subset())
     return {
-        "sigma_nchv": sig.ideal_bound,
-        "S_nchv": mer.ideal_bound,
-        "ks_colorable": color.colorable,
+        "sigma_nchv": sigma_nchv,
+        "S_nchv": S_nchv,
+        "ks_colorable": ks_colorable(octads, g).colorable,
         "epsilon": float(epsilon),
-        "sigma_corrected": sig.corrected_bound,
-        "S_corrected": mer.corrected_bound,
-        "witness": list(sig.witness.ones()),
+        "sigma_corrected": corrected_sigma_bound(epsilon),
+        "S_corrected": corrected_S_bound(epsilon),
+        "witness": list(witness.ones()),
     }

@@ -30,6 +30,7 @@ from .ksset import (
     RAY_DEGREE,
     KSSet,
     OrthoGraph,
+    _match_pentagram,
     build_graph,
     canonical_set,
     enumerate_octads,
@@ -150,9 +151,9 @@ def verification_checks(
     checks: list[tuple[str, bool, str]] = []
     try:
         s = s or canonical_set()
-        if s is canonical_set():
-            pentagram_match_map()    # certified 40/40 when canonical_set built the set
-        checks.append(("ray regeneration", True, f"{len(s.rays)}/40 rays matched"))
+        # canonical_set certified its map when it built the set; any other set is matched here
+        mapping = pentagram_match_map() if s._pentagram else _match_pentagram(s.rays, s.basis_groups)
+        checks.append(("ray regeneration", True, f"{len(mapping)}/40 rays matched"))
     except (ValueError, IndexError) as e:
         checks.append(("ray regeneration", False, str(e)))
         return checks
@@ -329,7 +330,7 @@ CALIBRATION_GRID = {
 
 
 def cmd_calibrate(args) -> int:
-    from .analysis import bhattacharyya, estimate_probabilities
+    from .analysis import judge
     from .simulate import (
         NoiseModel, PulseRun, derive_seed, run_exclusivity_campaign, run_ks_experiment,
     )
@@ -342,8 +343,7 @@ def cmd_calibrate(args) -> int:
     for values in itertools.product(*CALIBRATION_GRID.values()):
         noise = NoiseModel(**dict(zip(CALIBRATION_GRID, values)))
         epsilon, _ = run_exclusivity_campaign(noise=noise, run=run)
-        est = estimate_probabilities(run_ks_experiment("ghz", noise, ghz_run))
-        F = bhattacharyya(est, profile("ghz")).F
+        F = judge(run_ks_experiment("ghz", noise, ghz_run), epsilon, per_basis=True).similarity.F
         trace.append({
             "noise": noise.to_json(),
             "epsilon": epsilon,
@@ -391,7 +391,7 @@ def cmd_calibrate(args) -> int:
 # ---------------------------------------------------------------- analyze
 
 def cmd_analyze(args) -> int:
-    from .analysis import bhattacharyya, estimate_probabilities, fig3_rows, fig4_rows, verdict
+    from .analysis import fig3_rows, fig4_rows, judge
     from .simulate import CountRecord, read_fields, read_json
 
     record = CountRecord.from_json(read_json(args.record, "record"))
@@ -403,18 +403,11 @@ def cmd_analyze(args) -> int:
     else:
         epsilon = 0.0
 
-    est = estimate_probabilities(record)
-    ideal = profile(record.state)
-    # F leaves out a pool group the state never reaches: it has no shape to compare
-    group = {i: canonical_set().basis_of(i) for i in record.projector_pool}
-    reached = {group[i] for i in group if ideal.probs[i]}
-    compared = [i for i in group if group[i] in reached]
-    sim = bhattacharyya({i: est.probabilities[i][0] for i in compared},
-                        {i: ideal.probs[i] for i in compared}, per_basis=not args.global_F)
+    j = judge(record, epsilon, per_basis=not args.global_F)
     report = {
-        "estimates": est.to_json(),
-        "similarity": sim.to_json(),
-        "verdict": verdict(est, epsilon),
+        "estimates": j.estimates.to_json(),
+        "similarity": j.similarity.to_json(),
+        "verdict": j.verdict,
         "epsilon": epsilon,
     }
 
@@ -423,8 +416,8 @@ def cmd_analyze(args) -> int:
         out,
         "analyze",
         {"record": str(args.record), "epsilon": epsilon, "global_F": bool(args.global_F)},
-        {"report.json": report, "fig3.csv": fig3_rows(est, ideal),
-         "fig4.csv": fig4_rows(est, epsilon)},
+        {"report.json": report, "fig3.csv": fig3_rows(j.estimates, j.ideal),
+         "fig4.csv": fig4_rows(j.verdict)},
     )
     print(f"wrote {out / 'report.json'}, {out / 'fig3.csv'}, {out / 'fig4.csv'}")
     return 0
@@ -455,20 +448,20 @@ def _leg(task):
     return run_ks_experiment(state, noise, run).to_json()
 
 
-def _summary_row(kind: str, state: str, est, bound: float) -> dict:
-    from .analysis import bhattacharyya
-
+def _summary_row(kind: str, state: str, judged) -> dict:
+    """One summary row: a leg's judged sum, with F for the sigma legs only."""
     sigma = kind == "sigma"
-    estimate, error = (est.sigma_est, est.sigma_err) if sigma else (est.S_est, est.S_err)
+    quantity = "sigma" if sigma else "S"
+    v = judged.verdict[quantity]
     return {
         "state": state,
-        "quantity": "sigma" if sigma else "S",
-        "estimate": estimate,
-        "error": error,
-        "corrected_bound": bound,
-        "quantum_value": 5.0 if sigma else 4.0 if state == "ghz" else 3.5,
-        "violates": estimate > bound,
-        "F": bhattacharyya(est, profile(state)).F if sigma else "",
+        "quantity": quantity,
+        "estimate": v["value"],
+        "error": v["error"],
+        "corrected_bound": v["corrected_bound"],
+        "quantum_value": v["quantum_value"],
+        "violates": v["value"] > v["corrected_bound"],
+        "F": judged.similarity.F if sigma else "",
         "F_target": F_TARGETS[state] if sigma else "",
     }
 
@@ -476,7 +469,7 @@ def _summary_row(kind: str, state: str, est, bound: float) -> dict:
 def cmd_reproduce(args) -> int:
     from concurrent.futures import ProcessPoolExecutor
 
-    from .analysis import EstimationError, estimate_probabilities
+    from .analysis import EstimationError, judge
     from .simulate import CountRecord
 
     if args.workers < 1:
@@ -492,18 +485,16 @@ def cmd_reproduce(args) -> int:
         else:
             results = dict(zip(REPRODUCE_LEGS, map(_leg, tasks)))
         eps = results.pop(("excl", None))
-        estimates = {
-            leg: estimate_probabilities(CountRecord.from_json(record_json))
+        # judged from the records as written, so the summary is what analyze reads from them
+        judged = {
+            leg: judge(CountRecord.from_json(record_json), eps["epsilon"], per_basis=True)
             for leg, record_json in results.items()
         }
     except EstimationError as e:
         raise ValueError(f"--pulses {pulses} is too short for a flux calibration: {e}") from None
 
     epsilon = eps["epsilon"]
-    bounds = {"sigma": corrected_sigma_bound(epsilon), "s": corrected_S_bound(epsilon)}
-    summary_rows = [
-        _summary_row(kind, state, estimates[kind, state], bounds[kind]) for kind, state in results
-    ]
+    summary_rows = [_summary_row(kind, state, judged[kind, state]) for kind, state in results]
     out = Path(args.out)
     _write_bundle(
         out,
@@ -514,8 +505,8 @@ def cmd_reproduce(args) -> int:
             **{f"records/{kind}_{state}.json": record for (kind, state), record in results.items()},
             "summary.json": {
                 "epsilon": epsilon,
-                "sigma_corrected_bound": bounds["sigma"],
-                "S_corrected_bound": bounds["s"],
+                "sigma_corrected_bound": corrected_sigma_bound(epsilon),
+                "S_corrected_bound": corrected_S_bound(epsilon),
                 "rows": summary_rows,
             },
             "summary.csv": summary_rows,

@@ -52,19 +52,6 @@ def profile(state: str | Sequence[int], s: KSSet | None = None) -> ProbabilityPr
     return ProbabilityProfile(state=entries, probs=probs)
 
 
-def sigma_value(state: str | Sequence[int], s: KSSet | None = None) -> Fraction:
-    """Sum of the 40 outcome probabilities.  Equals 5 for every state: the five
-    basis groups are complete, so each contributes exactly 1."""
-    p = profile(state, s)
-    return sum(p.probs.values(), Fraction(0))
-
-
-def S_value(state: str | Sequence[int], s: KSSet | None = None) -> Fraction:
-    """Sum of the 16 outcome probabilities over the Mermin-test subset."""
-    p = profile(state, s)
-    return sum((p.probs[i] for i in mermin_subset()), Fraction(0))
-
-
 def sigma_of_profile(probs: Mapping[int, Fraction | float]) -> Fraction | float:
     return sum(probs.values())
 

@@ -21,7 +21,7 @@ from kp40.bounds import (
 from kp40.ksset import build_graph, canonical_set, enumerate_octads, pentagram_match_map
 from kp40.pentagram import pentagram_unsat
 from kp40.simulate import IDEAL_NOISE, PulseRun, convergence_trace
-from kp40.states import S_value, sigma_value
+from kp40.states import S_of_profile, profile, sigma_of_profile
 
 from oracles import count_independent_subsets
 
@@ -87,9 +87,10 @@ def test_ac4_ks_contradiction():
 
 def test_ac5_exact_quantum_values():
     t0 = time.perf_counter()
-    sigmas = {n: sigma_value(n) for n in ("ghz", "w", "beta", "eta", "prod")}
+    sigmas = {n: sigma_of_profile(profile(n).probs) for n in ("ghz", "w", "beta", "eta", "prod")}
     ok = all(v == 5 for v in sigmas.values())
-    ok = ok and S_value("ghz") == 4 and S_value("w") == Fraction(7, 2)
+    ok = ok and S_of_profile(profile("ghz").probs) == 4
+    ok = ok and S_of_profile(profile("w").probs) == Fraction(7, 2)
     g = build_graph(canonical_set())
     from kp40.ksset import mermin_subset
 
@@ -100,7 +101,7 @@ def test_ac5_exact_quantum_values():
         entries = [rng.randint(-9, 9) for _ in range(8)]
         if not any(entries):
             entries[0] = 1
-        if sigma_value(entries) != 5:
+        if sigma_of_profile(profile(entries).probs) != 5:
             ok = False
             break
         checked += 1

@@ -146,17 +146,20 @@ def _flat_estimate(indices, p, err):
 
 def test_verdict_full_pool():
     e = _flat_estimate(range(1, 41), 0.125, 0.001)
-    v = verdict(e, 0.0140)
+    v = verdict(e, 0.0140, profile("ghz"))
     assert v["sigma"]["label"].startswith("violates corrected NCHV bound")
     assert v["sigma"]["margin_sigma"] > 0
     assert v["S"]["label"] == "no violation"    # 16 * 0.125 = 2 < 3.182
+    assert (v["sigma"]["ideal_bound"], v["S"]["ideal_bound"]) == (4, 3)
+    assert (v["sigma"]["quantum_value"], v["S"]["quantum_value"]) == (5.0, 4.0)
 
 
 def test_verdict_partial_pool_has_no_sigma_section():
     e = _flat_estimate(mermin_subset(), 0.24, 0.002)
-    v = verdict(e, 0.0140)
+    v = verdict(e, 0.0140, profile("w"))
     assert v["sigma"] is None
     assert v["S"]["label"].startswith("violates corrected Mermin bound")
+    assert v["S"]["quantum_value"] == 3.5
 
 
 def test_fig3_rows_with_and_without_ideal():
@@ -171,6 +174,6 @@ def test_fig3_rows_with_and_without_ideal():
 
 def test_fig4_rows_shapes():
     full = _flat_estimate(range(1, 41), 0.125, 0.001)
-    assert [r["quantity"] for r in fig4_rows(full, 0.014)] == ["sigma", "S"]
+    assert [r["quantity"] for r in fig4_rows(verdict(full, 0.014, profile("ghz")))] == ["sigma", "S"]
     partial = _flat_estimate(mermin_subset(), 0.24, 0.002)
-    assert [r["quantity"] for r in fig4_rows(partial, 0.014)] == ["S"]
+    assert [r["quantity"] for r in fig4_rows(verdict(partial, 0.014, profile("ghz")))] == ["S"]

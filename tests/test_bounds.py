@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kp40.bounds import (
+    S_NCHV_BOUND,
+    SIGMA_NCHV_BOUND,
     Assignment,
-    BoundReport,
     corrected_S_bound,
     corrected_sigma_bound,
     extrapolated_quantum_sigma_bound,
@@ -14,8 +15,6 @@ from kp40.bounds import (
     ks_colorable,
     max_ones,
     mermin_kappa_to_S,
-    mermin_report,
-    sigma_report,
 )
 from kp40.ksset import mermin_subset
 
@@ -24,21 +23,21 @@ from oracles import brute_mis_size
 
 def test_max_ones_full_graph(graph):
     best, witness = max_ones(graph)
-    assert best == 4
+    assert best == 4 == SIGMA_NCHV_BOUND
     assert witness.ones() == (1, 10, 20, 32)
     assert witness.is_admissible(graph)
 
 
 def test_max_ones_mermin_subgraph(graph):
     best, witness = max_ones(graph, mermin_subset())
-    assert best == 3
+    assert best == 3 == S_NCHV_BOUND
     assert witness.ones() == (10, 20, 32)
     assert witness.is_admissible(graph)
     assert set(witness.ones()) <= set(mermin_subset())
 
 
 def test_max_ones_matches_exhaustive_oracle_on_mermin(graph):
-    assert brute_mis_size(graph, mermin_subset()) == 3
+    assert brute_mis_size(graph, mermin_subset()) == 3 == S_NCHV_BOUND
 
 
 def test_max_ones_within_a_single_octad_is_one(graph, octads):
@@ -136,18 +135,12 @@ def test_extrapolated_quantum_bound():
     assert extrapolated_quantum_sigma_bound(0.0140) == pytest.approx(5 * (1 - 0.0140) + 40 * 0.0140)
 
 
-def test_bound_report_rejects_corrected_below_ideal():
-    with pytest.raises(ValueError):
-        BoundReport(ideal_bound=4, witness=None, epsilon=0.0, corrected_bound=3.9)
-
-
-def test_reports(graph):
-    sr = sigma_report(graph, 0.0140)
-    assert sr.ideal_bound == 4
-    assert sr.corrected_bound == pytest.approx(4.504)
-    mr = mermin_report(graph, 0.0140)
-    assert mr.ideal_bound == 3
-    assert mr.corrected_bound == pytest.approx(3.182)
+def test_reports():
+    report = full_report_json(0.0140)
+    assert report["sigma_nchv"] == 4
+    assert report["sigma_corrected"] == pytest.approx(4.504)
+    assert report["S_nchv"] == 3
+    assert report["S_corrected"] == pytest.approx(3.182)
 
 
 def test_full_report_json_keys():

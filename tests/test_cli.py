@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -45,6 +46,29 @@ def test_verify_names_malformed_ray(tmp_path, capsys):
     code, _, err = run_cli(["verify", "--rays", str(p)], capsys)
     assert code == 2
     assert "ray 37" in err
+
+
+def _swap_first_two_groups(rays):
+    # still orthogonal groups, but group 1 no longer holds the rays its
+    # pentagram context generates
+    return rays[8:16] + rays[:8] + rays[16:]
+
+
+@pytest.mark.parametrize("rows,code,report", [
+    (lambda rays: rays, 0, ["ok: ray regeneration: 40/40 rays matched"]),
+    (_swap_first_two_groups, 1, [
+        "FAIL: ray regeneration: context 1 pattern (1, 1, 1, -1): generated ray "
+        "(0, 1, 1, 0, 1, 0, 0, -1) matches no unmatched table row"]),
+], ids=["built-in-rows", "groups-swapped"])
+def test_verify_rays_regenerates_and_matches_the_file(tmp_path, capsys, rows, code, report):
+    data = canonical_set().to_json()
+    data["rays"] = rows(data["rays"])
+    p = tmp_path / "rays.json"
+    p.write_text(json.dumps(data))
+    got, out, _ = run_cli(["verify", "--rays", str(p), "--format", "csv"], capsys)
+    assert got == code
+    assert out.splitlines()[:1] == report
+    assert out.count("ok:") == (5 if code == 0 else 0)
 
 
 def test_verify_reports_first_failing_check(monkeypatch, capsys):
@@ -235,11 +259,11 @@ def test_analyze_reads_epsilon_file(tmp_path, capsys):
     assert json.loads((tmp_path / "report.json").read_text())["verdict"]["epsilon"] == 0.012
 
 
-@pytest.mark.parametrize("state,groups", [
-    ("ghz", [2, 3, 4, 5]),
-    ("prod", [3, 4, 5]),    # no Mermin ray of group 2 overlaps prod, so F leaves it out
+@pytest.mark.parametrize("state,groups,S", [
+    ("ghz", [2, 3, 4, 5], 4.0),
+    ("prod", [3, 4, 5], 1.5),    # no Mermin ray of group 2 overlaps prod, so F leaves it out
 ], ids=["ghz", "prod"])
-def test_analyze_a_mermin16_record(tmp_path, capsys, state, groups):
+def test_analyze_a_mermin16_record(tmp_path, capsys, state, groups, S):
     run_cli(
         ["--seed", "5", "--out", str(tmp_path), "simulate", "--state", state,
          "--pool", "mermin16", "--pulses", "100000"], capsys
@@ -251,7 +275,7 @@ def test_analyze_a_mermin16_record(tmp_path, capsys, state, groups):
     assert code == 0, err
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["verdict"]["sigma"] is None
-    assert report["verdict"]["S"]["quantum_value"] == 4
+    assert report["verdict"]["S"]["quantum_value"] == S
     assert sorted(int(i) for i in report["estimates"]["probabilities"]) == list(mermin_subset())
     assert [int(b) for b in report["similarity"]["per_basis"]] == groups
     fig4 = list(csv.DictReader((tmp_path / "fig4.csv").read_text().splitlines()))
@@ -284,8 +308,39 @@ def test_analyze_rejects_a_malformed_record(tmp_path, capsys, corrupt, field):
     assert f"'{field}'" in err
 
 
+def test_reproduce_summary_agrees_with_analyze_on_its_records(tmp_path, capsys):
+    full = tmp_path / "full"
+    code, _, _ = run_cli(["--seed", "42", "--out", str(full), "reproduce", "--pulses", "200000"],
+                         capsys)
+    assert code == 0
+    rows = {(r["quantity"].lower(), r["state"]): r
+            for r in json.loads((full / "summary.json").read_text())["rows"]}
+    records = sorted((full / "records").glob("*.json"))
+    assert sorted(f"{kind}_{state}.json" for kind, state in rows) == [p.name for p in records]
+    for record in records:
+        row = rows[tuple(record.stem.split("_"))]
+        out = tmp_path / record.stem
+        code, _, err = run_cli(["--out", str(out), "analyze", str(record),
+                                "--epsilon-file", str(full / "eps.json")], capsys)
+        assert code == 0, err
+        report = json.loads((out / "report.json").read_text())
+        v = report["verdict"][row["quantity"]]
+        assert [row[k] for k in ("estimate", "error", "corrected_bound", "quantum_value")] == \
+            [v[k] for k in ("value", "error", "corrected_bound", "quantum_value")], record.name
+        assert row["violates"] == v["label"].startswith("violates"), record.name
+        F = report["similarity"]["F"] if row["quantity"] == "sigma" else ""    # sigma rows only
+        assert row["F"] == F, record.name
+
+
 _SIMULATE_GHZ = ["simulate", "--state", "ghz", "--pulses", "1000", "--noise", "bad.json"]
 _ANALYZE_WITH_EPS = ["analyze", "record.json", "--epsilon-file", "bad.json"]
+# a well-formed record on rays 1-8 alone: neither all 40 rays nor the 16 Mermin rays
+_RECORD_ON_RAYS_1_TO_8 = json.dumps({
+    "state": [0, 1, 1, 0, 1, 0, 0, -1], "projector_pool": list(range(1, 9)),
+    "counts": {str(i): 10 for i in range(1, 9)},
+    "pulses_per_projector": {str(i): 100 for i in range(1, 9)},
+    "flux_calibration": {"1": 50}, "flux_pulses": {"1": 100}, "mu": 0.14, "seed": 0,
+})
 
 
 # case -> (content of bad.json, or None to make it a directory; command; what the error names)
@@ -301,6 +356,8 @@ MALFORMED_ARTIFACTS = {
     "ray-file-without-rays": ('{"basis_groups": []}', ["verify", "--rays", "bad.json"], "'rays'"),
     "record-is-a-directory": (None, ["analyze", "bad.json"], "bad.json"),
     "record-not-json": ("{counts: 1", ["analyze", "bad.json"], "record"),
+    "record-pool-without-mermin-rays": (_RECORD_ON_RAYS_1_TO_8, ["analyze", "bad.json"],
+                                        "'projector_pool': [1, 2, 3, 4, 5, 6, 7, 8]"),
 }
 
 
@@ -426,6 +483,20 @@ def test_cli_default_mu_is_the_simulator_default():
 
 
 # ------------------------------------------------------------- package and imports
+
+def _readme_commands() -> list[list[str]]:
+    """Every `kp40 ...` line in the README's code blocks, split as a shell would, comments off."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = readme.split("```")[1::2]
+    return [shlex.split(line, comments=True) for block in blocks for line in block.splitlines()
+            if line.startswith("kp40 ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command_parses(argv):
+    assert argv[0] == "kp40"
+    args = cli.build_parser().parse_args(argv[1:])    # parses only; runs nothing
+    assert args.command == argv[1]
 
 def test_star_import_yields_every_public_name():
     namespace: dict = {}

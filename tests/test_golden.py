@@ -56,7 +56,8 @@ _SIMULATE_M16 = ["--seed", "3", "--out", "sim16", "simulate", "--state", "w", "-
 # relative because analyze and calibrate write the paths they are given into
 # their manifests.  The digests were taken before the CLI wrote its bundles
 # through one writer; the mermin16 analyze digest was taken when that flow
-# first ran.
+# first ran.  The three analyze digests were retaken when quantum_value came
+# to be read from the state's exact profile, written as a float.
 GOLDEN_BUNDLES = {
     "exclusivity": (
         [_EXCLUSIVITY], "excl",
@@ -64,13 +65,13 @@ GOLDEN_BUNDLES = {
     "analyze-epsilon-file": (
         [_EXCLUSIVITY, _SIMULATE,
          ["--out", "an", "analyze", "sim/record.json", "--epsilon-file", "excl/eps.json"]], "an",
-        "171e6277022548a089b54856e8b38f098e2fe68d903adc18138ed4db9bd05f4d"),
+        "108b868d279396d9fe4f16a4cb591a81b6bb7f18e29410463f2d64d02304df29"),
     "analyze-global-F": (
         [_SIMULATE, ["--out", "an", "analyze", "sim/record.json", "--epsilon", "0.01", "--global-F"]],
-        "an", "019a2c1f55e6c6b24744aeb06cbefcc291d46f91beeaf885afee7156cc2e601a"),
+        "an", "f258f71fa9d16bad9a163161cb95db09e6a4bc99c1a621c29beca2385334a02a"),
     "analyze-mermin16": (
         [_SIMULATE_M16, ["--out", "an", "analyze", "sim16/record.json", "--epsilon", "0.014"]],
-        "an", "ffe4cfa6648036ac902f45c152f3fa3749f59a6b94146280036683af577b48f1"),
+        "an", "4c2c86d392963d9c0a7b7c496222aeba3d13d55a0f6b79c9c848adf7d35a7df5"),
     "calibrate": (
         [["--seed", "1", "--out", "cal", "calibrate", "--pulses", "60000",
           "--config-out", "cal/noise.json"]], "cal",

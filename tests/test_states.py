@@ -4,16 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kp40.ksset import canonical_set
+from kp40.ksset import canonical_set, mermin_subset
 from kp40.rays import Ray
 from kp40.states import (
     NAMED_STATES,
     S_of_profile,
-    S_value,
     profile,
     resolve_state,
     sigma_of_profile,
-    sigma_value,
 )
 
 from oracles import basis_sums
@@ -23,22 +21,23 @@ nonzero_state = st.lists(st.integers(-20, 20), min_size=8, max_size=8).filter(an
 
 def test_sigma_is_exactly_five_for_named_states():
     for name in NAMED_STATES:
-        assert sigma_value(name) == 5
+        assert sigma_of_profile(profile(name).probs) == 5
 
 
 def test_S_exact_values():
-    assert S_value("ghz") == 4
-    assert S_value("w") == Fraction(7, 2)
-    assert S_value("beta") == 2
-    assert S_value("eta") == Fraction(8, 3)
-    assert S_value("prod") == Fraction(3, 2)
+    S = {name: S_of_profile(profile(name).probs) for name in NAMED_STATES}
+    assert S["ghz"] == 4
+    assert S["w"] == Fraction(7, 2)
+    assert S["beta"] == 2
+    assert S["eta"] == Fraction(8, 3)
+    assert S["prod"] == Fraction(3, 2)
 
 
 @settings(max_examples=200, deadline=None)
 @given(nonzero_state)
 def test_sigma_is_exactly_five_for_any_state(entries):
     # five complete bases, each resolving the identity, so the sum is exactly 5
-    assert sigma_value(entries) == 5
+    assert sigma_of_profile(profile(entries).probs) == 5
 
 
 @given(nonzero_state)
@@ -84,5 +83,5 @@ def test_resolve_state_rejects_garbage():
 
 def test_profile_sums_match_value_functions():
     p = profile("eta")
-    assert sigma_of_profile(p.probs) == sigma_value("eta")
-    assert S_of_profile(p.probs) == S_value("eta")
+    assert sigma_of_profile(p.probs) == sum(p.probs.values()) == 5
+    assert S_of_profile(p.probs) == sum(p.probs[i] for i in mermin_subset()) == Fraction(8, 3)
