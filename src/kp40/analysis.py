@@ -104,14 +104,6 @@ class SimilarityReport:
         }
 
 
-def _as_prob_dict(x) -> dict[int, float]:
-    if isinstance(x, ProbabilityProfile):
-        return {i: float(v) for i, v in x.probs.items()}
-    if isinstance(x, Mapping):
-        return {int(k): float(v) for k, v in x.items()}
-    raise TypeError(f"cannot interpret {type(x).__name__} as a probability table")
-
-
 def _dist_hash(groups: dict[int, dict[int, float]]) -> str:
     payload = json.dumps(
         {str(b): {str(i): round(v, 12) for i, v in sorted(d.items())} for b, d in sorted(groups.items())},
@@ -120,15 +112,16 @@ def _dist_hash(groups: dict[int, dict[int, float]]) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
-def bhattacharyya(p, q, per_basis: bool = True) -> SimilarityReport:
+def bhattacharyya(p: Mapping[int, float], q: Mapping[int, float],
+                  per_basis: bool = True) -> SimilarityReport:
     """Similarity F between two probability tables over the same ray indices.
 
     Default grouping: normalize within each basis group, F_b = sum_i sqrt(p_i q_i),
     F = mean of F_b over the groups.  The global variant normalizes over all
     indices at once and reports a single coefficient.
     """
-    pd = _as_prob_dict(p)
-    qd = _as_prob_dict(q)
+    pd = {int(k): float(v) for k, v in p.items()}
+    qd = {int(k): float(v) for k, v in q.items()}
     if set(pd) != set(qd):
         raise ValueError("probability tables cover different ray indices")
     if any(v < 0 for v in pd.values()) or any(v < 0 for v in qd.values()):
@@ -217,36 +210,38 @@ class Judgment(NamedTuple):
 def judge(record: CountRecord, epsilon: float, per_basis: bool) -> Judgment:
     """Estimate a record, compare it with the exact profile of its state, and judge its sums.
 
-    F leaves out a pool group the state never reaches: it has no shape to compare.
+    F leaves out a pool group the state never reaches: it has no shape to compare.  A state
+    that reaches no pool group leaves no F, and raises a ValueError.
     """
     est = estimate_probabilities(record)
     ideal = profile(record.state)
     v = verdict(est, epsilon, ideal)
     s = canonical_set()
     reached = {s.basis_of(i) for i in record.projector_pool if ideal.probs[i]}
+    if not reached:
+        raise ValueError(f"record state {list(record.state)} has zero overlap with every pool ray; "
+                         "F is undefined")
     compared = [i for i in record.projector_pool if s.basis_of(i) in reached]
     sim = bhattacharyya({i: est.probabilities[i][0] for i in compared},
                         {i: ideal.probs[i] for i in compared}, per_basis=per_basis)
     return Judgment(estimates=est, ideal=ideal, similarity=sim, verdict=v)
 
 
-def fig3_rows(e: EstimateSet, ideal: ProbabilityProfile | None = None) -> list[dict]:
-    """Plot-ready per-ray table: estimate, error, and the exact value when a profile is given."""
+def fig3_rows(e: EstimateSet, ideal: ProbabilityProfile) -> list[dict]:
+    """Plot-ready per-ray table: estimate, error, and the exact value from the profile `ideal`."""
     s = canonical_set()
     rows = []
     for i in sorted(e.probabilities):
         p, err = e.probabilities[i]
-        row = {
+        exact: Fraction = ideal.probs[i]
+        rows.append({
             "index": i,
             "basis_group": s.basis_of(i),
             "estimate": p,
             "error": err,
-        }
-        if ideal is not None:
-            exact: Fraction = ideal.probs[i]
-            row["ideal_num"] = exact.numerator
-            row["ideal_den"] = exact.denominator
-        rows.append(row)
+            "ideal_num": exact.numerator,
+            "ideal_den": exact.denominator,
+        })
     return rows
 
 

@@ -76,12 +76,10 @@ def max_ones(g: OrthoGraph, subset: Iterable[int] | None = None) -> tuple[int, A
     return best, Assignment(bits=bits)
 
 
-def ks_colorable(octads: Sequence[Octad], g: OrthoGraph | None = None) -> ColorabilityResult:
+def ks_colorable(octads: Sequence[Octad], g: OrthoGraph) -> ColorabilityResult:
     """Search for a 0/1 assignment with exactly one 1 per octad and no two
     orthogonal 1s.  Octads are processed in order; an octad that already holds
     a chosen 1 is satisfied (it cannot hold two, being a clique)."""
-    if g is None:
-        g = build_graph(canonical_set())
     adj = g.adj
     masks = [induced_bitmask(o) for o in octads]
     nodes = 0
@@ -139,24 +137,23 @@ def corrected_S_bound(epsilon: float) -> float:
 
 
 def extrapolated_quantum_sigma_bound(epsilon: float) -> float:
-    """Affine extrapolation 5(1-eps) + 40 eps of the quantum 40-test value.
+    """Affine extrapolation 5(1-eps) + 40 eps of the quantum 40-test value: every
+    state's sigma is the number of basis groups, each complete basis summing to 1.
     Exposed as an optional, clearly labeled extrapolation with no measured
     target; reported only on explicit request."""
     eps = _check_epsilon(epsilon)
-    return 5.0 * (1.0 - eps) + 40.0 * eps
+    return len(canonical_set().basis_groups) * (1.0 - eps) + N_RAYS * eps
 
 
-def full_report_json(epsilon: float = 0.0, octads: Sequence[Octad] | None = None) -> dict:
+def full_report_json(epsilon: float = 0.0) -> dict:
     """The combined bounds report: both inequalities plus the colorability verdict."""
     g = build_graph(canonical_set())
-    if octads is None:
-        octads = enumerate_octads(g)
     sigma_nchv, witness = max_ones(g)
     S_nchv, _ = max_ones(g, subset=mermin_subset())
     return {
         "sigma_nchv": sigma_nchv,
         "S_nchv": S_nchv,
-        "ks_colorable": ks_colorable(octads, g).colorable,
+        "ks_colorable": ks_colorable(enumerate_octads(g), g).colorable,
         "epsilon": float(epsilon),
         "sigma_corrected": corrected_sigma_bound(epsilon),
         "S_corrected": corrected_S_bound(epsilon),

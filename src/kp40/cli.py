@@ -37,6 +37,7 @@ from .ksset import (
     load_ksset_file,
     mermin_subset,
     pentagram_match_map,
+    read_json,
 )
 from .pentagram import pentagram_unsat
 from .rays import rational_to_str
@@ -103,7 +104,7 @@ def _write_bundle(out: Path, command: str, arguments: dict, files: dict) -> None
 def load_noise_config(path: str | Path | None) -> NoiseModel:
     """Read a noise config, by default the packaged calibrated one: either the four
     bare NoiseModel fields or a calibrate output."""
-    from .simulate import NoiseModel, read_json
+    from .simulate import NoiseModel
 
     p = Path(__file__).parent / "data" / "noise_calibrated.json" if path is None else Path(path)
     if not p.exists():
@@ -392,7 +393,7 @@ def cmd_calibrate(args) -> int:
 
 def cmd_analyze(args) -> int:
     from .analysis import fig3_rows, fig4_rows, judge
-    from .simulate import CountRecord, read_fields, read_json
+    from .simulate import CountRecord, read_fields
 
     record = CountRecord.from_json(read_json(args.record, "record"))
     if args.epsilon is not None:

@@ -226,14 +226,18 @@ def pentagram_match_map() -> PentagramMap:
     return dict(canonical_set()._pentagram)
 
 
+def read_json(path: str | Path, what: str):
+    """Parse a JSON file; text that is not JSON raises a ValueError naming `what` and the path."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{what} {path} is not JSON: {e}") from None
+
+
 def load_ksset_file(path: str | Path) -> KSSet:
     """Parse a ksset.json file: an object with `rays` and optional `basis_groups`, or a
     bare list of rays.  Malformed input raises a ValueError naming the field or ray."""
-    with open(path) as f:
-        try:
-            data = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"ray file {path} is not JSON: {e}") from None
+    data = read_json(path, "ray file")
     if isinstance(data, dict) and "rays" not in data:
         raise ValueError("ray file: missing field 'rays'")
     rows = data["rays"] if isinstance(data, dict) else data

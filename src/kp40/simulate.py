@@ -21,16 +21,14 @@ depends on BLOCK, not on the run's length.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .ksset import KSSet, N_RAYS, build_graph, canonical_set
+from .ksset import N_RAYS, build_graph, canonical_set
 from .rays import Ray, canonical_form, entries_of
 from .states import resolve_state
 
@@ -61,14 +59,6 @@ def substream(seed: int, *path) -> np.random.Generator:
 def derive_seed(seed: int, *path) -> int:
     """64-bit child seed for a named sub-run."""
     return int.from_bytes(_path_digest(seed, path)[:8], "little")
-
-
-def read_json(path: str | Path, what: str):
-    """Parse a JSON file; text that is not JSON raises a ValueError naming `what` and the path."""
-    try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
-        raise ValueError(f"{what} {path} is not JSON: {e}") from None
 
 
 def read_fields(data, what: str, converters: Mapping[str, Callable]) -> dict:
@@ -202,9 +192,6 @@ class CountRecord:
                 raise ValueError(f"record field 'counts': projector {i} has {c} counts "
                                  f"but {self.pulses_per_projector[i]} pulses")
 
-    def n_pulses(self) -> int:
-        return sum(self.pulses_per_projector.values())
-
     def to_json(self) -> dict:
         return {
             "state": list(self.state),
@@ -272,8 +259,9 @@ def _mask_of(entries: tuple[int, ...]) -> SlitPreparation:
     return ray_to_mask(entries)
 
 
-def _mask_stack(entries: tuple[int, ...], pool: Sequence[int], s: KSSet) -> tuple[np.ndarray, np.ndarray]:
+def _mask_stack(entries: tuple[int, ...], pool: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """(1+P, 8) transmissivities and phases: the state's mask, then the pool's in order."""
+    s = canonical_set()
     masks = [_mask_of(entries)] + [_mask_of(s.ray(i).entries) for i in pool]
     return np.array([m.transmissivities for m in masks]), np.array([m.phases for m in masks])
 
@@ -302,7 +290,7 @@ def _chunk_sizes(n_pulses: int) -> list[int]:
     return sizes
 
 
-def _chunks(entries: tuple[int, ...], noise: NoiseModel, run: PulseRun, s: KSSet):
+def _chunks(entries: tuple[int, ...], noise: NoiseModel, run: PulseRun):
     """Yield each chunk's (pulses, detection probabilities, generator) in chunk order.
 
     All of a chunk's randomness (mask drift, then the pulse allocation and
@@ -312,7 +300,7 @@ def _chunks(entries: tuple[int, ...], noise: NoiseModel, run: PulseRun, s: KSSet
     up to BLOCK chunks at a time.  It is drawn in full whatever the noise
     settings, so stream consumption never depends on them.
     """
-    masks = _mask_stack(entries, run.projector_pool, s)
+    masks = _mask_stack(entries, run.projector_pool)
     shape = (len(masks[0]), 2, DIM)
     sizes = _chunk_sizes(run.n_pulses)
     for start in range(0, len(sizes), BLOCK):
@@ -322,14 +310,14 @@ def _chunks(entries: tuple[int, ...], noise: NoiseModel, run: PulseRun, s: KSSet
         yield from zip(block, _chunk_probs(masks, noise, run.mu, drift), rngs)
 
 
-def _running_counts(entries: tuple[int, ...], noise: NoiseModel, run: PulseRun, s: KSSet):
+def _running_counts(entries: tuple[int, ...], noise: NoiseModel, run: PulseRun):
     """Yield (pulses so far, pulses per projector, detections per projector) after each chunk."""
     n = len(run.projector_pool)
     uniform = np.full(n, 1.0 / n)
     alloc_total = np.zeros(n, dtype=np.int64)
     det_total = np.zeros(n, dtype=np.int64)
     done = 0
-    for size, probs, rng in _chunks(entries, noise, run, s):
+    for size, probs, rng in _chunks(entries, noise, run):
         alloc = rng.multinomial(size, uniform)
         alloc_total += alloc
         det_total += rng.binomial(alloc, probs)
@@ -337,12 +325,12 @@ def _running_counts(entries: tuple[int, ...], noise: NoiseModel, run: PulseRun, 
         yield done, alloc_total, det_total
 
 
-def _flux_pass(run: PulseRun, noise: NoiseModel, s: KSSet, expected: bool = False) -> tuple[dict, dict]:
+def _flux_pass(run: PulseRun, noise: NoiseModel, expected: bool = False) -> tuple[dict, dict]:
     """Independent calibration of each basis group the pool touches: all-pass analyzer,
     detection probability eff*(1 - e^-mu).  `expected` gives the mean count, not a draw."""
     p_cal = noise.efficiency * (1.0 - math.exp(-run.mu))
     n_cal = max(1, run.n_pulses // len(run.projector_pool))
-    bases = sorted({s.basis_of(i) for i in run.projector_pool})
+    bases = sorted({canonical_set().basis_of(i) for i in run.projector_pool})
     if expected:
         flux = {b: n_cal * p_cal for b in bases}
     else:
@@ -371,44 +359,35 @@ def _record(
     )
 
 
-def ground_truth_probabilities(
-    state, noise: NoiseModel, run: PulseRun, s: KSSet | None = None
-) -> dict[int, float]:
+def ground_truth_probabilities(state, noise: NoiseModel, run: PulseRun) -> dict[int, float]:
     """What the flux-normalized estimator converges to for this run: the
     pulse-weighted mean over chunks of clamp(eff*o + bg) / eff."""
-    s = s or canonical_set()
     occupied = 1.0 - math.exp(-run.mu)
     total = np.zeros(len(run.projector_pool))
-    for size, p, _ in _chunks(resolve_state(state), noise, run, s):
+    for size, p, _ in _chunks(resolve_state(state), noise, run):
         total += size * (p / occupied / noise.efficiency)
     mean = total / run.n_pulses
     return {i: float(v) for i, v in zip(run.projector_pool, mean)}
 
 
-def run_ks_experiment(
-    state, noise: NoiseModel, run: PulseRun, s: KSSet | None = None
-) -> CountRecord:
+def run_ks_experiment(state, noise: NoiseModel, run: PulseRun) -> CountRecord:
     """Simulate one run: every pulse gets a uniformly drawn pool projector, detections
     are Bernoulli at (1 - e^-mu) * noisy_probability, plus an independent flux pass."""
-    s = s or canonical_set()
     entries = resolve_state(state)
-    *_, (_, alloc, det) = _running_counts(entries, noise, run, s)
-    return _record(entries, run, det, alloc, _flux_pass(run, noise, s))
+    *_, (_, alloc, det) = _running_counts(entries, noise, run)
+    return _record(entries, run, det, alloc, _flux_pass(run, noise))
 
 
-def expected_record(
-    state, noise: NoiseModel, run: PulseRun, s: KSSet | None = None
-) -> CountRecord:
+def expected_record(state, noise: NoiseModel, run: PulseRun) -> CountRecord:
     """Infinite-statistics limit: counts replaced by their exact expected values
     (floats) given this seed's drift sequence, with exact uniform pulse allocation."""
-    s = s or canonical_set()
     entries = resolve_state(state)
     n = len(run.projector_pool)
     expected = np.zeros(n)
-    for size, p, _ in _chunks(entries, noise, run, s):
+    for size, p, _ in _chunks(entries, noise, run):
         expected += (size / n) * p
     share = np.full(n, run.n_pulses / n)
-    return _record(entries, run, expected, share, _flux_pass(run, noise, s, expected=True))
+    return _record(entries, run, expected, share, _flux_pass(run, noise, expected=True))
 
 
 @dataclass(frozen=True)
@@ -420,10 +399,9 @@ class PairEstimate:
 
 
 def run_exclusivity_campaign(
-    s: KSSet | None = None,
+    run: PulseRun,
     noise: NoiseModel = IDEAL_NOISE,
     initial_rays: Sequence[int] = DEFAULT_INITIAL_RAYS,
-    run: PulseRun | None = None,
 ) -> tuple[float, list[PairEstimate]]:
     """Prepare each initial ray as the state and measure its 23 orthogonal partners.
 
@@ -432,15 +410,13 @@ def run_exclusivity_campaign(
     """
     from .analysis import estimate_probabilities
 
-    s = s or canonical_set()
-    if run is None:
-        raise ValueError("a PulseRun template (seed, n_pulses, mu) is required")
     initial_rays = tuple(initial_rays)
     for k, i in enumerate(initial_rays):
         if not 1 <= i <= N_RAYS:
             raise ValueError(f"initial ray {i} outside 1..40")
         if i in initial_rays[:k]:
             raise ValueError(f"initial ray {i} is repeated")
+    s = canonical_set()
     g = build_graph(s)
     pairs: list[PairEstimate] = []
     for i in initial_rays:
@@ -451,7 +427,7 @@ def run_exclusivity_campaign(
             mu=run.mu,
             projector_pool=partners,
         )
-        record = run_ks_experiment(s.ray(i), noise, leg, s)
+        record = run_ks_experiment(s.ray(i), noise, leg)
         est = estimate_probabilities(record)
         for j in partners:
             p, err = est.probabilities[j]
@@ -494,7 +470,6 @@ def convergence_trace(
     noise: NoiseModel,
     run: PulseRun,
     checkpoints: Sequence[int],
-    s: KSSet | None = None,
 ) -> TraceResult:
     """Running (pulses, sigma_est +- err, S_est +- err) at chunk-aligned checkpoints.
 
@@ -504,12 +479,11 @@ def convergence_trace(
 
     if list(checkpoints) != sorted(checkpoints):
         raise ValueError("checkpoints must be increasing")
-    s = s or canonical_set()
     entries = resolve_state(state)
-    flux = _flux_pass(run, noise, s)
+    flux = _flux_pass(run, noise)
     marks = snap_checkpoints(checkpoints, run.n_pulses)
     points: list[TracePoint] = []
-    for done, alloc, det in _running_counts(entries, noise, run, s):
+    for done, alloc, det in _running_counts(entries, noise, run):
         if done in marks:
             record = _record(entries, run, det, alloc, flux)
             est = estimate_probabilities(record)

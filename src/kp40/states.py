@@ -7,7 +7,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Mapping, Sequence
 
-from .ksset import KSSet, canonical_set, mermin_subset
+from .ksset import canonical_set, mermin_subset
 from .rays import entries_of
 
 # Unnormalized integer components; basis order matches the ray table's qubit ordering.
@@ -40,14 +40,13 @@ def resolve_state(state: str | Sequence[int]) -> tuple[int, ...]:
     return entries
 
 
-def profile(state: str | Sequence[int], s: KSSet | None = None) -> ProbabilityProfile:
+def profile(state: str | Sequence[int]) -> ProbabilityProfile:
     """Exact overlap_prob(state, v_i) for every ray, on the validated entry tuples."""
-    s = s or canonical_set()
     entries = resolve_state(state)
     norm = sum(map(mul, entries, entries))
     probs = {
         i: Fraction(sum(map(mul, entries, v)) ** 2, norm * sum(map(mul, v, v)))
-        for i, v in enumerate((r.entries for r in s.rays), start=1)
+        for i, v in enumerate((r.entries for r in canonical_set().rays), start=1)
     }
     return ProbabilityProfile(state=entries, probs=probs)
 

@@ -81,7 +81,7 @@ def test_S_over_partial_pool_uses_available_indices_only():
 # ------------------------------------------------------------- similarity
 
 def test_bhattacharyya_identical_profiles():
-    p = profile("ghz")
+    p = profile("ghz").probs
     rep = bhattacharyya(p, p)
     assert rep.F == 1.0
     assert rep.p_hash == rep.q_hash
@@ -90,8 +90,8 @@ def test_bhattacharyya_identical_profiles():
 
 
 def test_bhattacharyya_symmetric_and_bounded():
-    a = bhattacharyya(profile("ghz"), profile("w"))
-    b = bhattacharyya(profile("w"), profile("ghz"))
+    a = bhattacharyya(profile("ghz").probs, profile("w").probs)
+    b = bhattacharyya(profile("w").probs, profile("ghz").probs)
     assert a.F == pytest.approx(b.F)
     assert 0.0 <= a.F < 1.0
     assert a.p_hash != a.q_hash
@@ -106,7 +106,7 @@ def test_bhattacharyya_uniform_vs_point_mass():
 
 
 def test_bhattacharyya_global_grouping():
-    p = profile("ghz")
+    p = profile("ghz").probs
     rep = bhattacharyya(p, p, per_basis=False)
     assert rep.grouping == "global"
     assert list(rep.per_basis) == [0]
@@ -164,10 +164,8 @@ def test_verdict_partial_pool_has_no_sigma_section():
 
 def test_fig3_rows_with_and_without_ideal():
     e = _flat_estimate(range(1, 41), 0.125, 0.001)
-    bare = fig3_rows(e)
-    assert len(bare) == 40
-    assert "ideal_num" not in bare[0]
     rows = fig3_rows(e, profile("ghz"))
+    assert len(rows) == 40
     assert {"index", "basis_group", "estimate", "error", "ideal_num", "ideal_den"} <= set(rows[0])
     assert rows[0]["index"] == 1
 

@@ -17,6 +17,7 @@ from kp40.bounds import (
     mermin_kappa_to_S,
 )
 from kp40.ksset import mermin_subset
+from kp40.states import NAMED_STATES, profile, sigma_of_profile
 
 from oracles import brute_mis_size
 
@@ -86,10 +87,6 @@ def test_ks_colorable_basis_groups_alone_already_fail(kset, graph):
     assert res.colorable is False
 
 
-def test_ks_colorable_defaults_to_canonical_graph(octads):
-    assert ks_colorable(octads).colorable is False
-
-
 def test_ks_colorable_single_octad_is_satisfiable(kset, graph):
     res = ks_colorable(kset.basis_groups[:1], graph)
     assert res.colorable is True
@@ -133,6 +130,9 @@ def test_corrected_bounds_reject_bad_epsilon():
 def test_extrapolated_quantum_bound():
     assert extrapolated_quantum_sigma_bound(0.0) == 5.0
     assert extrapolated_quantum_sigma_bound(0.0140) == pytest.approx(5 * (1 - 0.0140) + 40 * 0.0140)
+    # at eps = 0 the extrapolation is the exact quantum sigma of every state
+    for name in NAMED_STATES:
+        assert extrapolated_quantum_sigma_bound(0.0) == sigma_of_profile(profile(name).probs)
 
 
 def test_reports():

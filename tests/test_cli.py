@@ -206,7 +206,7 @@ def test_simulate_writes_bundle(tmp_path, capsys):
     )
     assert code == 0
     record = CountRecord.from_json(json.loads((tmp_path / "record.json").read_text()))
-    assert record.n_pulses() == 100_000
+    assert sum(record.pulses_per_projector.values()) == 100_000
     assert record.seed == 3
     trace = list(csv.DictReader((tmp_path / "trace.csv").read_text().splitlines()))
     assert int(trace[-1]["pulses"]) == 100_000
@@ -341,6 +341,14 @@ _RECORD_ON_RAYS_1_TO_8 = json.dumps({
     "pulses_per_projector": {str(i): 100 for i in range(1, 9)},
     "flux_calibration": {"1": 50}, "flux_pulses": {"1": 100}, "mu": 0.14, "seed": 0,
 })
+# a well-formed mermin16 record of a state orthogonal to all 16 Mermin rays: F compares no group
+_MERMIN16_RECORD_OF_A_DARK_STATE = json.dumps({
+    "state": [1, 0, 0, -1, 0, -1, -1, 0], "projector_pool": list(mermin_subset()),
+    "counts": {str(i): 0 for i in mermin_subset()},
+    "pulses_per_projector": {str(i): 2500 for i in mermin_subset()},
+    "flux_calibration": {str(b): 300 for b in range(2, 6)},
+    "flux_pulses": {str(b): 2500 for b in range(2, 6)}, "mu": 0.14, "seed": 0,
+})
 
 
 # case -> (content of bad.json, or None to make it a directory; command; what the error names)
@@ -354,10 +362,13 @@ MALFORMED_ARTIFACTS = {
     "eps-missing-field": ('{"eps": 0.1}', _ANALYZE_WITH_EPS, "'epsilon'"),
     "eps-not-a-number": ('{"epsilon": "x"}', _ANALYZE_WITH_EPS, "'epsilon'"),
     "ray-file-without-rays": ('{"basis_groups": []}', ["verify", "--rays", "bad.json"], "'rays'"),
+    "ray-file-not-json": ("{rays: 1", ["verify", "--rays", "bad.json"], "ray file bad.json is not JSON"),
     "record-is-a-directory": (None, ["analyze", "bad.json"], "bad.json"),
     "record-not-json": ("{counts: 1", ["analyze", "bad.json"], "record"),
     "record-pool-without-mermin-rays": (_RECORD_ON_RAYS_1_TO_8, ["analyze", "bad.json"],
                                         "'projector_pool': [1, 2, 3, 4, 5, 6, 7, 8]"),
+    "record-of-a-state-no-pool-ray-sees": (_MERMIN16_RECORD_OF_A_DARK_STATE, ["analyze", "bad.json"],
+                                           "[1, 0, 0, -1, 0, -1, -1, 0]"),
 }
 
 
