@@ -29,16 +29,6 @@ class EstimateSet:
     S_est: float
     S_err: float
 
-    def basis_sums(self) -> dict[int, tuple[float, float]]:
-        s = canonical_set()
-        out: dict[int, list[float]] = {}
-        for i, (p, err) in self.probabilities.items():
-            b = s.basis_of(i)
-            tot = out.setdefault(b, [0.0, 0.0])
-            tot[0] += p
-            tot[1] += err * err
-        return {b: (tot[0], math.sqrt(tot[1])) for b, tot in sorted(out.items())}
-
     def to_json(self) -> dict:
         return {
             "probabilities": {

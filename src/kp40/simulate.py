@@ -3,19 +3,20 @@
 A state is encoded as an 8-slit mask (transmissivity + binary phase per slit),
 each pulse is assigned a uniformly drawn projector from the run's pool, and a
 detection fires with probability (1 - e^-mu) * noisy_probability.  All
-randomness flows through named sha256-derived substreams of the run seed, one
-per fixed-size pulse chunk, so results are bit-identical regardless of how the
-chunks are scheduled.  A chunk's mask drift is drawn first, as one (1+P, 2, 8)
-standard-normal block for the state mask and the P pool masks: the state row
-first, then pool order, each row's transmissivity errors before its phase
-errors.  The chunk's pulse allocation and detections follow on the same stream.
+randomness flows through named substreams of the run seed, ("pulse", k) for
+pulse chunk k and ("flux", b) for basis group b, so results are bit-identical
+however the chunks are scheduled.  A substream is np.random.PCG64(key), where
+key is the first 16 bytes of the sha256 of its path, read little-endian: NumPy's
+SeedSequence hash turns each key into the four 64-bit words that seed its PCG64,
+here as uint32 array operations over a whole block of keys at once.
 
-Chunks are processed in blocks of up to BLOCK.  Each chunk of a block draws its
-drift from its own substream, in chunk order; the stacked (K, 1+P, 2, 8) drift
-becomes a (K, P) probability matrix in one NumPy pass; then each chunk draws its
-allocation and detections from its own generator, again in chunk order.  Every
-stream is consumed exactly as if the chunks ran one at a time, and memory
-depends on BLOCK, not on the run's length.
+Chunks are processed in blocks of up to BLOCK.  Each chunk's stream gives its
+mask drift first, one (1+P, 2, 8) standard-normal block for the state mask and
+the P pool masks (state row first, then pool order, each row's transmissivity
+errors before its phase errors), then its pulse allocation and detections.  The
+block's (K, 1+P, 2, 8) drift becomes a (K, P) probability matrix in one NumPy
+pass.  Every stream is consumed exactly as if the chunks ran one at a time, and
+memory depends on BLOCK, not on the run's length.
 """
 
 from __future__ import annotations
@@ -50,10 +51,51 @@ def _path_digest(seed: int, path: tuple) -> bytes:
     return h.digest()
 
 
-def substream(seed: int, *path) -> np.random.Generator:
-    """Independent generator for a named substream of the master seed."""
-    digest = _path_digest(seed, path)
-    return np.random.Generator(np.random.PCG64(int.from_bytes(digest[:16], "little")))
+def _hash_keys(h: int, mult: int, n: int) -> np.ndarray:
+    """(2, n) uint32: the xors and multipliers SeedSequence's running hash constant steps through."""
+    return np.array([(h, h := h * mult & 0xFFFFFFFF) for _ in range(n)], dtype=np.uint32).T
+
+
+# NumPy's SeedSequence constants: 4 pool words then 12 cross mixes, and 8 output words
+_MIX_KEYS = _hash_keys(0x43B0D7E5, 0x931E8875, 16)
+_STATE_KEYS = _hash_keys(0x8B51F9DD, 0x58F38DED, 8).reshape(2, 2, 4)    # word 4j + i hashes pool[i]
+
+
+def _hashmix(v: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    v = (v ^ keys[0]) * keys[1]
+    return v ^ (v >> 16)
+
+
+@dataclass
+class _StateWords(np.random.bit_generator.ISeedSequence):
+    """Hands a bit generator the state words computed for it in advance."""
+
+    words: np.ndarray
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        return self.words
+
+
+def _seed_words(entropy: np.ndarray) -> np.ndarray:
+    """np.random.SeedSequence(key).generate_state(4, np.uint64) for each (K, 4) row of a
+    key's little-endian uint32 words, as uint32 array operations over the whole block."""
+    # an int key's missing top words hash as zero words, so every key takes all four
+    pool = _hashmix(entropy, _MIX_KEYS[:, :4])
+    for src in range(4):
+        # word src, hashed afresh for each other word in turn, is mixed into that word
+        dst = [d for d in range(4) if d != src]
+        hashed = _hashmix(pool[:, src, None], _MIX_KEYS[:, 4 + 3 * src:7 + 3 * src])
+        mixed = 0xCA01F9DD * pool[:, dst] - 0x4973F715 * hashed
+        pool[:, dst] = mixed ^ (mixed >> 16)
+    state = _hashmix(pool[:, None, :], _STATE_KEYS).reshape(-1, 8)
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+def _substreams(seed: int, name: str, indices) -> list[np.random.Generator]:
+    """A generator on np.random.PCG64(int.from_bytes(digest[:16], "little")) per path (name, index)."""
+    digests = b"".join(_path_digest(seed, (name, k))[:16] for k in indices)
+    entropy = np.frombuffer(digests, dtype="<u4").reshape(-1, 4)
+    return [np.random.Generator(np.random.PCG64(_StateWords(w))) for w in _seed_words(entropy)]
 
 
 def derive_seed(seed: int, *path) -> int:
@@ -208,8 +250,13 @@ class CountRecord:
     def from_json(cls, data: dict) -> "CountRecord":
         """Load a record; malformed input raises a ValueError that names the field."""
 
+        def integer(v) -> int:
+            if not float(v).is_integer():
+                raise ValueError(f"{v!r} is not an integer")
+            return int(v)
+
         def index(i) -> int:
-            i = int(i)
+            i = integer(i)
             if not 1 <= i <= N_RAYS:
                 raise ValueError(f"index {i} outside 1..{N_RAYS}")
             return i
@@ -229,9 +276,9 @@ class CountRecord:
             "counts": per_key,
             "pulses_per_projector": per_key,
             "flux_calibration": lambda d: {b: float(c) for b, c in per_key(d).items()},
-            "flux_pulses": lambda d: {b: int(n) for b, n in per_key(d).items()},
+            "flux_pulses": lambda d: {b: integer(n) for b, n in per_key(d).items()},
             "mu": float,
-            "seed": int,
+            "seed": integer,
         })
         pool, counts = fields["projector_pool"], fields["counts"]
         pulses, flux = fields["pulses_per_projector"], fields["flux_calibration"]
@@ -283,30 +330,22 @@ def _chunk_probs(
     return occupied * np.clip(noise.efficiency * overlaps + noise.background, 0.0, 1.0)
 
 
-def _chunk_sizes(n_pulses: int) -> list[int]:
-    sizes = [CHUNK] * (n_pulses // CHUNK)
-    if n_pulses % CHUNK:
-        sizes.append(n_pulses % CHUNK)
-    return sizes
-
-
 def _chunks(entries: tuple[int, ...], noise: NoiseModel, run: PulseRun):
     """Yield each chunk's (pulses, detection probabilities, generator) in chunk order.
 
-    All of a chunk's randomness (mask drift, then the pulse allocation and
-    detections drawn from the yielded generator) comes from one substream keyed
-    by the chunk index, so any scheduling of chunks across workers reproduces
-    identical output.  Drift is drawn and turned into probabilities a block of
-    up to BLOCK chunks at a time.  It is drawn in full whatever the noise
-    settings, so stream consumption never depends on them.
+    Chunk k's generator is its ("pulse", k) substream, left just after its drift.
+    Drift is drawn in full whatever the noise settings, so stream consumption
+    never depends on them.
     """
     masks = _mask_stack(entries, run.projector_pool)
     shape = (len(masks[0]), 2, DIM)
-    sizes = _chunk_sizes(run.n_pulses)
+    sizes = [min(CHUNK, run.n_pulses - p) for p in range(0, run.n_pulses, CHUNK)]
     for start in range(0, len(sizes), BLOCK):
         block = sizes[start:start + BLOCK]
-        rngs = [substream(run.seed, "pulse", k) for k in range(start, start + len(block))]
-        drift = np.stack([rng.normal(0.0, 1.0, shape) for rng in rngs])
+        rngs = _substreams(run.seed, "pulse", range(start, start + len(block)))
+        drift = np.empty((len(block), *shape))
+        for rng, chunk_drift in zip(rngs, drift):
+            rng.standard_normal(out=chunk_drift)
         yield from zip(block, _chunk_probs(masks, noise, run.mu, drift), rngs)
 
 
@@ -334,7 +373,8 @@ def _flux_pass(run: PulseRun, noise: NoiseModel, expected: bool = False) -> tupl
     if expected:
         flux = {b: n_cal * p_cal for b in bases}
     else:
-        flux = {b: int(substream(run.seed, "flux", b).binomial(n_cal, p_cal)) for b in bases}
+        rngs = _substreams(run.seed, "flux", bases)
+        flux = {b: int(rng.binomial(n_cal, p_cal)) for b, rng in zip(bases, rngs)}
     return flux, {b: n_cal for b in bases}
 
 

@@ -10,8 +10,25 @@ import numpy as np
 from kp40.ksset import KSSet
 from kp40.pentagram import Context, PauliWord
 from kp40.rays import Ray
-from kp40.simulate import CHUNK, DIM, NoiseModel, PulseRun, SlitPreparation, substream
+from kp40.simulate import CHUNK, DIM, NoiseModel, PulseRun, SlitPreparation, _path_digest
 from kp40.states import ProbabilityProfile
+
+
+def substream(seed: int, *path) -> np.random.Generator:
+    """A named substream of the master seed, built the plain way: one PCG64 keyed by the
+    integer of the path digest's first 16 bytes, with NumPy's own SeedSequence."""
+    digest = _path_digest(seed, path)
+    return np.random.Generator(np.random.PCG64(int.from_bytes(digest[:16], "little")))
+
+
+def estimate_basis_sums(est, s: KSSet) -> dict[int, tuple[float, float]]:
+    """Sum of an estimate set's probabilities over each basis group it covers, errors in quadrature."""
+    out: dict[int, list[float]] = {}
+    for i, (p, err) in est.probabilities.items():
+        tot = out.setdefault(s.basis_of(i), [0.0, 0.0])
+        tot[0] += p
+        tot[1] += err * err
+    return {b: (tot[0], math.sqrt(tot[1])) for b, tot in sorted(out.items())}
 
 
 def norm_sq(ray: Ray) -> int:

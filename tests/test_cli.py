@@ -351,6 +351,17 @@ _MERMIN16_RECORD_OF_A_DARK_STATE = json.dumps({
 })
 
 
+# a well-formed mermin16 record of GHZ that analyze judges, with the given fields replaced
+def _mermin16_ghz_record(**fields) -> str:
+    return json.dumps({
+        "state": [1, 0, 0, 0, 0, 0, 0, 1], "projector_pool": list(mermin_subset()),
+        "counts": {str(i): 300 for i in mermin_subset()},
+        "pulses_per_projector": {str(i): 2500 for i in mermin_subset()},
+        "flux_calibration": {str(b): 300 for b in range(2, 6)},
+        "flux_pulses": {str(b): 2500 for b in range(2, 6)}, "mu": 0.14, "seed": 0, **fields,
+    })
+
+
 # case -> (content of bad.json, or None to make it a directory; command; what the error names)
 MALFORMED_ARTIFACTS = {
     "noise-missing-field": ('{"phase_jitter": 0.1, "background": 0.0, "efficiency": 0.5}',
@@ -369,6 +380,11 @@ MALFORMED_ARTIFACTS = {
                                         "'projector_pool': [1, 2, 3, 4, 5, 6, 7, 8]"),
     "record-of-a-state-no-pool-ray-sees": (_MERMIN16_RECORD_OF_A_DARK_STATE, ["analyze", "bad.json"],
                                            "[1, 0, 0, -1, 0, -1, -1, 0]"),
+    "record-flux-pulses-not-an-integer": (
+        _mermin16_ghz_record(flux_pulses={str(b): 1000.5 for b in range(2, 6)}),
+        ["analyze", "bad.json"], "'flux_pulses': 1000.5 is not an integer"),
+    "record-seed-not-an-integer": (_mermin16_ghz_record(seed=1.9), ["analyze", "bad.json"],
+                                   "'seed': 1.9 is not an integer"),
 }
 
 

@@ -27,13 +27,15 @@ from kp40.simulate import (
     run_exclusivity_campaign,
     run_ks_experiment,
     snap_checkpoints,
-    substream,
     _chunks,
+    _seed_words,
+    _substreams,
 )
+from kp40 import simulate
 from kp40.rays import same_direction
 from kp40.states import profile, resolve_state
 
-from oracles import chunk_probs_loop, chunks_loop, slit_amplitudes
+from oracles import chunk_probs_loop, chunks_loop, slit_amplitudes, substream
 
 
 # ------------------------------------------------------------- randomness plumbing
@@ -46,6 +48,57 @@ def test_substream_is_deterministic_and_path_separated():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+SEEDER_SEEDS = [0, 1, 2**63, 2**64 - 1, *np.random.default_rng(10).integers(0, 2**62, 6).tolist()]
+
+
+@pytest.mark.parametrize("name", ["pulse", "flux"])
+def test_block_seeder_matches_the_plain_substream(name):
+    # 10 seeds x 2 names x 100 indices: 2000 (seed, name, index) triples across a block boundary
+    indices = range(BLOCK - 50, BLOCK + 50)
+    for seed in SEEDER_SEEDS:
+        for k, fast in zip(indices, _substreams(seed, name, indices), strict=True):
+            slow = substream(seed, name, k)
+            assert fast.bit_generator.state == slow.bit_generator.state, (seed, name, k)
+            assert fast.random(3).tolist() == slow.random(3).tolist(), (seed, name, k)
+
+
+def test_seed_words_match_seed_sequence_on_short_keys():
+    # an int key with zero top words has fewer than four words; the block hash takes all four
+    rng = np.random.default_rng(11)
+    entropy = rng.integers(0, 2**32, (400, 4), dtype=np.uint32)
+    for row, zeros in zip(entropy, itertools.cycle([0, 1, 2, 3])):
+        row[4 - zeros:] = 0
+    entropy[-1] = 0
+    for row, words in zip(entropy, _seed_words(entropy), strict=True):
+        key = int.from_bytes(row.astype("<u4").tobytes(), "little")
+        assert np.array_equal(words, np.random.SeedSequence(key).generate_state(4, np.uint64)), key
+
+
+def test_block_drift_is_the_plain_normal_stack(monkeypatch):
+    # two blocks, the second short: each block's drift stack is the substreams' normal draws
+    seen = []
+    chunk_probs = simulate._chunk_probs
+    monkeypatch.setattr(simulate, "_chunk_probs", lambda *a: seen.append(a[3]) or chunk_probs(*a))
+    run = PulseRun(seed=5, n_pulses=(BLOCK + 3) * CHUNK, projector_pool=mermin_subset())
+    shape = (1 + len(run.projector_pool), 2, DIM)
+    list(_chunks(resolve_state("w"), IDEAL_NOISE, run))
+    assert [len(d) for d in seen] == [BLOCK, 3]
+    for start, drift in zip((0, BLOCK), seen):
+        plain = np.stack([substream(5, "pulse", start + k).normal(0.0, 1.0, shape)
+                          for k in range(len(drift))])
+        assert drift.tobytes() == plain.tobytes()
+
+
+@pytest.mark.parametrize("chunks,calls", [(BLOCK, 2), (BLOCK + 3, 3)])
+def test_a_run_seeds_each_block_once(monkeypatch, chunks, calls):
+    # one seeder call per block of chunks plus one for the flux pass, never one per chunk
+    seeder, count = simulate._substreams, []
+    monkeypatch.setattr(simulate, "_substreams", lambda *a: count.append(a) or seeder(*a))
+    run_ks_experiment("ghz", IDEAL_NOISE, PulseRun(seed=3, n_pulses=chunks * CHUNK))
+    assert len(count) == calls
+    assert [a[1] for a in count] == ["pulse"] * (calls - 1) + ["flux"]
 
 
 def test_derive_seed_is_stable():
@@ -218,12 +271,25 @@ def test_count_record_round_trip_and_validation():
     ("flux_pulses", lambda r: r["flux_pulses"].pop("1")),
     ("mu", lambda r: r.update(mu="high")),
     ("state", lambda r: r.update(state=[0] * 8)),
-], ids=["repeated-index", "uncalibrated-basis", "flux-pulses-keys", "mu-type", "zero-state"])
+    ("flux_pulses", lambda r: r["flux_pulses"].update({"1": 1000.5})),
+    ("seed", lambda r: r.update(seed=1.9)),
+    ("projector_pool", lambda r: r["projector_pool"].__setitem__(0, 1.5)),
+], ids=["repeated-index", "uncalibrated-basis", "flux-pulses-keys", "mu-type", "zero-state",
+        "flux-pulses-fraction", "seed-fraction", "pool-index-fraction"])
 def test_count_record_loader_names_the_bad_field(field, corrupt):
     data = run_ks_experiment("ghz", IDEAL_NOISE, PulseRun(seed=11, n_pulses=40_000)).to_json()
     corrupt(data)
     with pytest.raises(ValueError, match=f"'{field}'"):
         CountRecord.from_json(data)
+
+
+def test_count_record_loads_integral_floats_as_integers():
+    data = run_ks_experiment("ghz", IDEAL_NOISE, PulseRun(seed=11, n_pulses=40_000)).to_json()
+    data["flux_pulses"]["1"] = float(data["flux_pulses"]["1"])
+    data["seed"] = 11.0
+    rec = CountRecord.from_json(data)
+    assert rec.seed == 11 and type(rec.seed) is int
+    assert all(type(n) is int for n in rec.flux_pulses.values())
 
 
 # ------------------------------------------------------------- runs
