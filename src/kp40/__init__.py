@@ -18,9 +18,9 @@ _EXPORTS = {
     "bounds": "Assignment S_NCHV_BOUND SIGMA_NCHV_BOUND corrected_S_bound corrected_sigma_bound "
               "ks_colorable max_ones mermin_kappa_to_S",
     "states": "NAMED_STATES ProbabilityProfile S_of_profile profile sigma_of_profile",
-    "simulate": "CountRecord NoiseModel PulseRun SlitPreparation convergence_trace expected_record "
+    "simulate": "NoiseModel PulseRun SlitPreparation convergence_trace expected_record "
                 "mask_to_ray ray_to_mask run_exclusivity_campaign run_ks_experiment",
-    "analysis": "EstimateSet SimilarityReport bhattacharyya estimate_probabilities judge verdict",
+    "analysis": "CountRecord EstimateSet SimilarityReport bhattacharyya estimate_probabilities judge verdict",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

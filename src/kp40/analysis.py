@@ -1,4 +1,4 @@
-"""Estimators and figures of merit for simulated count records."""
+"""Count records, simulated or measured, and the estimators and figures of merit that judge them."""
 
 from __future__ import annotations
 
@@ -10,9 +10,95 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple
 
 from .bounds import S_NCHV_BOUND, SIGMA_NCHV_BOUND, corrected_S_bound, corrected_sigma_bound
-from .ksset import canonical_set, mermin_subset
-from .simulate import KS40_POOL, CountRecord
-from .states import ProbabilityProfile, S_of_profile, profile, sigma_of_profile
+from .ksset import KS40_POOL, N_RAYS, canonical_set, mermin_subset, read_fields
+from .rays import integer
+from .states import ProbabilityProfile, S_of_profile, profile, resolve_state, sigma_of_profile
+
+
+@dataclass(frozen=True)
+class CountRecord:
+    """Detected counts per projector plus the independent per-basis flux calibration.
+
+    counts are integers for simulated or measured runs; the simulator's
+    infinite-statistics limit (expected_record) stores exact expected values as floats.
+    """
+
+    state: tuple[int, ...]
+    projector_pool: tuple[int, ...]
+    counts: dict[int, float]
+    pulses_per_projector: dict[int, float]    # ints for simulated runs, exact shares in the limit
+    flux_calibration: dict[int, float]        # basis group -> calibration count
+    flux_pulses: dict[int, int]               # basis group -> pulses in the calibration pass
+    mu: float
+    seed: int
+
+    def __post_init__(self):
+        for key, unit, counts, pulses in (
+                ("counts", "projector", self.counts, self.pulses_per_projector),
+                ("flux_calibration", "basis group", self.flux_calibration, self.flux_pulses)):
+            for i, c in counts.items():
+                if c > pulses[i]:
+                    raise ValueError(f"record field {key!r}: {unit} {i} has {c} counts but {pulses[i]} pulses")
+
+    def to_json(self) -> dict:
+        return {
+            "state": list(self.state),
+            "projector_pool": list(self.projector_pool),
+            "counts": {str(i): c for i, c in self.counts.items()},
+            "pulses_per_projector": {str(i): p for i, p in self.pulses_per_projector.items()},
+            "flux_calibration": {str(b): c for b, c in self.flux_calibration.items()},
+            "flux_pulses": {str(b): p for b, p in self.flux_pulses.items()},
+            "mu": self.mu,
+            "seed": self.seed,
+        }
+
+    @classmethod
+    def from_json(cls, data: dict) -> "CountRecord":
+        """Load a record; malformed input raises a ValueError that names the field."""
+
+        def index(i) -> int:
+            i = integer(i)
+            if not 1 <= i <= N_RAYS:
+                raise ValueError(f"index {i} outside 1..{N_RAYS}")
+            return i
+
+        def amount(v):
+            f = float(v)
+            if not f >= 0:
+                raise ValueError(f"{v!r} is not a nonnegative number")
+            return int(v) if f.is_integer() else f
+
+        def per_key(d) -> dict:
+            return {int(k): amount(v) for k, v in d.items()}
+
+        fields = read_fields(data, "record", {
+            "state": lambda v: resolve_state(v if isinstance(v, str) else tuple(map(integer, v))),
+            "projector_pool": lambda v: tuple(index(i) for i in v),
+            "counts": per_key,
+            "pulses_per_projector": per_key,
+            "flux_calibration": lambda d: {b: float(c) for b, c in per_key(d).items()},
+            "flux_pulses": lambda d: {b: integer(n) for b, n in per_key(d).items()},
+            "mu": float,
+            "seed": integer,
+        })
+        pool, counts = fields["projector_pool"], fields["counts"]
+        pulses, flux = fields["pulses_per_projector"], fields["flux_calibration"]
+        flux_pulses = fields["flux_pulses"]
+        members = set(pool)
+        if len(members) != len(pool):
+            raise ValueError("record field 'projector_pool': repeated index")
+        for key, table in (("counts", counts), ("pulses_per_projector", pulses)):
+            if table.keys() != members:
+                wild = [i for i in table if not 1 <= i <= N_RAYS]
+                problem = f"index {wild[0]} outside 1..{N_RAYS}" if wild else "keys do not match projector_pool"
+                raise ValueError(f"record field {key!r}: {problem}")
+        s = canonical_set()
+        missing = sorted({s.basis_of(i) for i in pool} - set(flux))
+        if missing:
+            raise ValueError(f"record field 'flux_calibration': no entry for basis group {missing[0]}")
+        if set(flux_pulses) != set(flux):
+            raise ValueError("record field 'flux_pulses': keys do not match flux_calibration")
+        return cls(**fields)
 
 
 class EstimationError(ValueError):

@@ -1,8 +1,8 @@
 """Command-line entry point: verification, exact reports, simulation, and reproduction bundles.
 
 The exact commands (verify, octads, bounds, predict) run on integers and
-fractions alone.  The NumPy-backed simulator, the analysis and the process
-pool are imported inside the commands that use them, looked up at call time.
+fractions alone.  The simulator, the analysis and the process pool are
+imported inside the commands that use them, looked up at call time.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .bounds import (
 )
 from .ksset import (
     EDGE_COUNT,
+    KS40_POOL,
     N_OCTADS,
     N_RAYS,
     RAY_DEGREE,
@@ -37,6 +38,7 @@ from .ksset import (
     load_ksset_file,
     mermin_subset,
     pentagram_match_map,
+    read_fields,
     read_json,
 )
 from .pentagram import pentagram_unsat
@@ -258,7 +260,7 @@ def _default_checkpoints(n: int) -> list[int]:
 
 
 def cmd_simulate(args) -> int:
-    from .simulate import KS40_POOL, PulseRun, convergence_trace
+    from .simulate import PulseRun, convergence_trace
 
     noise = load_noise_config(args.noise)
     pool = mermin_subset() if args.pool == "mermin16" else KS40_POOL
@@ -392,8 +394,7 @@ def cmd_calibrate(args) -> int:
 # ---------------------------------------------------------------- analyze
 
 def cmd_analyze(args) -> int:
-    from .analysis import fig3_rows, fig4_rows, judge
-    from .simulate import CountRecord, read_fields
+    from .analysis import CountRecord, fig3_rows, fig4_rows, judge
 
     record = CountRecord.from_json(read_json(args.record, "record"))
     if args.epsilon is not None:
@@ -438,7 +439,7 @@ REPRODUCE_LEGS: tuple[tuple[str, str | None], ...] = (
 
 def _leg(task):
     """Run one reproduce leg: the campaign's eps.json content, or a record's JSON."""
-    from .simulate import DEFAULT_INITIAL_RAYS, KS40_POOL, PulseRun, derive_seed, run_ks_experiment
+    from .simulate import DEFAULT_INITIAL_RAYS, PulseRun, derive_seed, run_ks_experiment
 
     (kind, state), seed, noise, pulses, mu = task
     if state is None:
@@ -470,8 +471,7 @@ def _summary_row(kind: str, state: str, judged) -> dict:
 def cmd_reproduce(args) -> int:
     from concurrent.futures import ProcessPoolExecutor
 
-    from .analysis import EstimationError, judge
-    from .simulate import CountRecord
+    from .analysis import CountRecord, EstimationError, judge
 
     if args.workers < 1:
         raise ValueError(f"--workers must be at least 1, got {args.workers}")

@@ -7,10 +7,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, Mapping
 
 from . import pentagram
-from .rays import Ray, canonical_form, parse_ray_entries
+from .rays import Ray, canonical_form, integer, parse_ray_entries
 
 N_RAYS = 40
 RAY_DEGREE = 23
@@ -72,6 +72,7 @@ _BASIS_GROUPS: tuple[tuple[int, ...], ...] = tuple(
 )
 
 _MERMIN_SUBSET: tuple[int, ...] = (10, 11, 13, 16, 17, 20, 22, 23, 26, 27, 29, 32, 34, 35, 37, 40)
+KS40_POOL: tuple[int, ...] = tuple(range(1, N_RAYS + 1))    # every ray, the pool of the sigma runs
 
 Octad = tuple[int, ...]
 
@@ -234,6 +235,26 @@ def read_json(path: str | Path, what: str):
         raise ValueError(f"{what} {path} is not JSON: {e}") from None
 
 
+def read_fields(data, what: str, converters: Mapping[str, Callable]) -> dict:
+    """Convert the named fields of a loaded JSON object, one converter per field.
+
+    Input that is not an object, a missing field, or a failed conversion raises a
+    ValueError naming `what` and the field.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{what}: expected a JSON object")
+    for key in converters:
+        if key not in data:
+            raise ValueError(f"{what}: missing field {key!r}")
+    out = {}
+    for key, convert in converters.items():
+        try:
+            out[key] = convert(data[key])
+        except (TypeError, ValueError, AttributeError, OverflowError) as e:
+            raise ValueError(f"{what} field {key!r}: {e}") from None
+    return out
+
+
 def load_ksset_file(path: str | Path) -> KSSet:
     """Parse a ksset.json file: an object with `rays` and optional `basis_groups`, or a
     bare list of rays.  Malformed input raises a ValueError naming the field or ray."""
@@ -249,7 +270,7 @@ def load_ksset_file(path: str | Path) -> KSSet:
     groups = _BASIS_GROUPS
     if isinstance(data, dict) and "basis_groups" in data:
         try:
-            groups = tuple(tuple(int(i) for i in grp) for grp in data["basis_groups"])
+            groups = tuple(tuple(integer(i) for i in grp) for grp in data["basis_groups"])
         except (TypeError, ValueError) as e:
             raise ValueError(f"ray file field 'basis_groups': {e}") from None
         if any(not 1 <= i <= N_RAYS for grp in groups for i in grp):

@@ -84,11 +84,18 @@ def rational_to_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def integer(v) -> int:
+    """A loaded number as an int: 1.0 loads as 1, but 1.5, NaN or infinity raise a ValueError."""
+    if isinstance(v, float) and not v.is_integer():
+        raise ValueError(f"{v!r} is not an integer")
+    return int(v)
+
+
 def parse_ray_entries(row: Iterable, index: int | None = None) -> tuple[int, ...]:
     """Parse one serialized ray (JSON array of 8 integers), naming the row on error."""
     where = f"ray {index}" if index is not None else "ray"
     try:
-        t = tuple(int(x) for x in row)
+        t = tuple(integer(x) for x in row)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{where}: entries must be integers") from exc
     if len(t) != DIM:

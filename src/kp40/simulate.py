@@ -25,11 +25,12 @@ import hashlib
 import math
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .ksset import N_RAYS, build_graph, canonical_set
+from .analysis import CountRecord, estimate_probabilities
+from .ksset import KS40_POOL, N_RAYS, build_graph, canonical_set, read_fields
 from .rays import Ray, canonical_form, entries_of
 from .states import resolve_state
 
@@ -37,7 +38,6 @@ DIM = 8
 DEFAULT_MU = 0.14
 CHUNK = 32768    # pulses per RNG substream; results never depend on scheduling across chunks
 BLOCK = 64       # chunks whose probabilities are computed in one pass (a 2M-pulse run is one block)
-KS40_POOL: tuple[int, ...] = tuple(range(1, N_RAYS + 1))
 # four named in the reference data plus one ray per remaining basis group
 DEFAULT_INITIAL_RAYS: tuple[int, ...] = (1, 9, 17, 25, 27, 34, 36, 40)
 
@@ -101,26 +101,6 @@ def _substreams(seed: int, name: str, indices) -> list[np.random.Generator]:
 def derive_seed(seed: int, *path) -> int:
     """64-bit child seed for a named sub-run."""
     return int.from_bytes(_path_digest(seed, path)[:8], "little")
-
-
-def read_fields(data, what: str, converters: Mapping[str, Callable]) -> dict:
-    """Convert the named fields of a loaded JSON object, one converter per field.
-
-    Input that is not an object, a missing field, or a failed conversion raises a
-    ValueError naming `what` and the field.
-    """
-    if not isinstance(data, dict):
-        raise ValueError(f"{what}: expected a JSON object")
-    for key in converters:
-        if key not in data:
-            raise ValueError(f"{what}: missing field {key!r}")
-    out = {}
-    for key, convert in converters.items():
-        try:
-            out[key] = convert(data[key])
-        except (TypeError, ValueError, AttributeError) as e:
-            raise ValueError(f"{what} field {key!r}: {e}") from None
-    return out
 
 
 @dataclass(frozen=True)
@@ -209,95 +189,6 @@ class PulseRun:
         if any(not 1 <= i <= N_RAYS for i in pool):
             raise ValueError("projector_pool indices must lie in 1..40")
         object.__setattr__(self, "projector_pool", pool)
-
-
-@dataclass(frozen=True)
-class CountRecord:
-    """Detected counts per projector plus the independent per-basis flux calibration.
-
-    counts are integers for simulated runs; the infinite-statistics limit
-    (expected_record) stores exact expected values as floats.
-    """
-
-    state: tuple[int, ...]
-    projector_pool: tuple[int, ...]
-    counts: dict[int, float]
-    pulses_per_projector: dict[int, float]    # ints for simulated runs, exact shares in the limit
-    flux_calibration: dict[int, float]        # basis group -> calibration count
-    flux_pulses: dict[int, int]               # basis group -> pulses in the calibration pass
-    mu: float
-    seed: int
-
-    def __post_init__(self):
-        for i, c in self.counts.items():
-            if c > self.pulses_per_projector[i]:
-                raise ValueError(f"record field 'counts': projector {i} has {c} counts "
-                                 f"but {self.pulses_per_projector[i]} pulses")
-
-    def to_json(self) -> dict:
-        return {
-            "state": list(self.state),
-            "projector_pool": list(self.projector_pool),
-            "counts": {str(i): c for i, c in self.counts.items()},
-            "pulses_per_projector": {str(i): p for i, p in self.pulses_per_projector.items()},
-            "flux_calibration": {str(b): c for b, c in self.flux_calibration.items()},
-            "flux_pulses": {str(b): p for b, p in self.flux_pulses.items()},
-            "mu": self.mu,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CountRecord":
-        """Load a record; malformed input raises a ValueError that names the field."""
-
-        def integer(v) -> int:
-            if not float(v).is_integer():
-                raise ValueError(f"{v!r} is not an integer")
-            return int(v)
-
-        def index(i) -> int:
-            i = integer(i)
-            if not 1 <= i <= N_RAYS:
-                raise ValueError(f"index {i} outside 1..{N_RAYS}")
-            return i
-
-        def amount(v):
-            f = float(v)
-            if not f >= 0:
-                raise ValueError(f"{v!r} is not a nonnegative number")
-            return int(v) if f.is_integer() else f
-
-        def per_key(d) -> dict:
-            return {int(k): amount(v) for k, v in d.items()}
-
-        fields = read_fields(data, "record", {
-            "state": resolve_state,
-            "projector_pool": lambda v: tuple(index(i) for i in v),
-            "counts": per_key,
-            "pulses_per_projector": per_key,
-            "flux_calibration": lambda d: {b: float(c) for b, c in per_key(d).items()},
-            "flux_pulses": lambda d: {b: integer(n) for b, n in per_key(d).items()},
-            "mu": float,
-            "seed": integer,
-        })
-        pool, counts = fields["projector_pool"], fields["counts"]
-        pulses, flux = fields["pulses_per_projector"], fields["flux_calibration"]
-        flux_pulses = fields["flux_pulses"]
-        members = set(pool)
-        if len(members) != len(pool):
-            raise ValueError("record field 'projector_pool': repeated index")
-        for key, table in (("counts", counts), ("pulses_per_projector", pulses)):
-            if table.keys() != members:
-                wild = [i for i in table if not 1 <= i <= N_RAYS]
-                problem = f"index {wild[0]} outside 1..{N_RAYS}" if wild else "keys do not match projector_pool"
-                raise ValueError(f"record field {key!r}: {problem}")
-        s = canonical_set()
-        missing = sorted({s.basis_of(i) for i in pool} - set(flux))
-        if missing:
-            raise ValueError(f"record field 'flux_calibration': no entry for basis group {missing[0]}")
-        if set(flux_pulses) != set(flux):
-            raise ValueError("record field 'flux_pulses': keys do not match flux_calibration")
-        return cls(**fields)
 
 
 @lru_cache(maxsize=128)
@@ -448,8 +339,6 @@ def run_exclusivity_campaign(
     Returns (epsilon, per-pair table) with epsilon the mean of all should-be-zero
     probability estimates.  Each leg is a full run with its own derived seed.
     """
-    from .analysis import estimate_probabilities
-
     initial_rays = tuple(initial_rays)
     for k, i in enumerate(initial_rays):
         if not 1 <= i <= N_RAYS:
@@ -515,8 +404,6 @@ def convergence_trace(
 
     The final point always sits at n_pulses, so it matches estimating the full record.
     """
-    from .analysis import estimate_probabilities
-
     if list(checkpoints) != sorted(checkpoints):
         raise ValueError("checkpoints must be increasing")
     entries = resolve_state(state)

@@ -362,6 +362,13 @@ def _mermin16_ghz_record(**fields) -> str:
     })
 
 
+# the canonical set as a ray file, with entry [row][col] of `field` replaced by `value`
+def _ray_file(field: str, row: int, col: int, value) -> str:
+    data = canonical_set().to_json()
+    data[field][row][col] = value
+    return json.dumps(data)
+
+
 # case -> (content of bad.json, or None to make it a directory; command; what the error names)
 MALFORMED_ARTIFACTS = {
     "noise-missing-field": ('{"phase_jitter": 0.1, "background": 0.0, "efficiency": 0.5}',
@@ -374,6 +381,11 @@ MALFORMED_ARTIFACTS = {
     "eps-not-a-number": ('{"epsilon": "x"}', _ANALYZE_WITH_EPS, "'epsilon'"),
     "ray-file-without-rays": ('{"basis_groups": []}', ["verify", "--rays", "bad.json"], "'rays'"),
     "ray-file-not-json": ("{rays: 1", ["verify", "--rays", "bad.json"], "ray file bad.json is not JSON"),
+    "ray-file-entry-not-an-integer": (_ray_file("rays", 8, 0, 1.5), ["verify", "--rays", "bad.json"],
+                                      "ray 9: entries must be integers"),
+    "ray-file-group-index-not-an-integer": (_ray_file("basis_groups", 0, 0, 1.9),
+                                            ["verify", "--rays", "bad.json"],
+                                            "'basis_groups': 1.9 is not an integer"),
     "record-is-a-directory": (None, ["analyze", "bad.json"], "bad.json"),
     "record-not-json": ("{counts: 1", ["analyze", "bad.json"], "record"),
     "record-pool-without-mermin-rays": (_RECORD_ON_RAYS_1_TO_8, ["analyze", "bad.json"],
@@ -385,6 +397,13 @@ MALFORMED_ARTIFACTS = {
         ["analyze", "bad.json"], "'flux_pulses': 1000.5 is not an integer"),
     "record-seed-not-an-integer": (_mermin16_ghz_record(seed=1.9), ["analyze", "bad.json"],
                                    "'seed': 1.9 is not an integer"),
+    "record-count-beyond-a-float": (_mermin16_ghz_record(counts={str(i): 10**400 for i in mermin_subset()}),
+                                    ["analyze", "bad.json"], "'counts': int too large to convert to float"),
+    "record-state-not-an-integer": (_mermin16_ghz_record(state=[1, 0, 0, 0, 0, 0, 0, 1.5]),
+                                    ["analyze", "bad.json"], "'state': 1.5 is not an integer"),
+    "record-flux-above-its-pulses": (
+        _mermin16_ghz_record(flux_pulses={str(b): 100 for b in range(2, 6)}),
+        ["analyze", "bad.json"], "'flux_calibration': basis group 2 has 300.0 counts but 100 pulses"),
 }
 
 
@@ -545,6 +564,12 @@ EXACT_RUNS = {
     **{argv[0]: f"from kp40.cli import main; assert main({argv!r}) == 0"
        for argv in (["bounds"], ["verify"], ["octads"], ["predict", "--state", "ghz"])},
     "canonical_set": "import kp40; kp40.canonical_set()",
+    # a command that reads a record and draws nothing
+    "analyze": "import pathlib, tempfile\nfrom kp40.cli import main\n"
+               "with tempfile.TemporaryDirectory() as d:\n"
+               f"    pathlib.Path(d, 'record.json').write_text({_mermin16_ghz_record()!r})\n"
+               "    assert main(['--out', d, 'analyze', str(pathlib.Path(d, 'record.json'))]) == 0",
+    "CountRecord": "import kp40; kp40.CountRecord; kp40.judge",
 }
 
 
