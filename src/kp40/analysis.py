@@ -10,8 +10,8 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple
 
 from .bounds import S_NCHV_BOUND, SIGMA_NCHV_BOUND, corrected_S_bound, corrected_sigma_bound
-from .ksset import KS40_POOL, N_RAYS, canonical_set, mermin_subset, read_fields
-from .rays import integer
+from .ksset import KS40_POOL, N_RAYS, canonical_set, mermin_subset, ray_indices, read_fields
+from .rays import integer, number
 from .states import ProbabilityProfile, S_of_profile, profile, resolve_state, sigma_of_profile
 
 
@@ -56,37 +56,29 @@ class CountRecord:
     def from_json(cls, data: dict) -> "CountRecord":
         """Load a record; malformed input raises a ValueError that names the field."""
 
-        def index(i) -> int:
-            i = integer(i)
-            if not 1 <= i <= N_RAYS:
-                raise ValueError(f"index {i} outside 1..{N_RAYS}")
-            return i
-
         def amount(v):
-            f = float(v)
-            if not f >= 0:
-                raise ValueError(f"{v!r} is not a nonnegative number")
-            return int(v) if f.is_integer() else f
+            f = number(v)
+            if not 0 <= f < math.inf:    # false for NaN too
+                raise ValueError(f"{v!r} is not a finite nonnegative number")
+            return integer(v) if f.is_integer() else f
 
         def per_key(d) -> dict:
             return {int(k): amount(v) for k, v in d.items()}
 
         fields = read_fields(data, "record", {
-            "state": lambda v: resolve_state(v if isinstance(v, str) else tuple(map(integer, v))),
-            "projector_pool": lambda v: tuple(index(i) for i in v),
+            "state": resolve_state,
+            "projector_pool": lambda v: ray_indices(v, "index"),
             "counts": per_key,
             "pulses_per_projector": per_key,
             "flux_calibration": lambda d: {b: float(c) for b, c in per_key(d).items()},
             "flux_pulses": lambda d: {b: integer(n) for b, n in per_key(d).items()},
-            "mu": float,
+            "mu": number,
             "seed": integer,
         })
         pool, counts = fields["projector_pool"], fields["counts"]
         pulses, flux = fields["pulses_per_projector"], fields["flux_calibration"]
         flux_pulses = fields["flux_pulses"]
         members = set(pool)
-        if len(members) != len(pool):
-            raise ValueError("record field 'projector_pool': repeated index")
         for key, table in (("counts", counts), ("pulses_per_projector", pulses)):
             if table.keys() != members:
                 wild = [i for i in table if not 1 <= i <= N_RAYS]

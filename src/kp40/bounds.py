@@ -32,7 +32,7 @@ class Assignment:
 class ColorabilityResult:
     colorable: bool
     witness: Assignment | None
-    nodes_explored: int    # exhausted search tree size, the conflict certificate
+    nodes_explored: int    # size of the exhausted search tree; only rerunning the search checks it
 
 
 def _mis_size(adj: Sequence[int], cand: int, memo: dict[int, int]) -> int:

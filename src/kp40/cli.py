@@ -42,7 +42,7 @@ from .ksset import (
     read_json,
 )
 from .pentagram import pentagram_unsat
-from .rays import rational_to_str
+from .rays import number, rational_to_str
 from .states import NAMED_STATES, S_of_profile, profile, resolve_state, sigma_of_profile
 
 if TYPE_CHECKING:
@@ -121,19 +121,15 @@ def load_noise_config(path: str | Path | None) -> NoiseModel:
 
 def _resolve_state_arg(args) -> tuple[str, tuple[int, ...]]:
     if getattr(args, "ray", None):
-        try:
-            entries = tuple(int(p) for p in args.ray.replace(",", " ").split())
-        except ValueError:
-            raise ValueError(f"ray entries must be integers, got {args.ray!r}") from None
-        entries = resolve_state(entries)
+        entries = resolve_state(_int_list("--ray", args.ray))
         return ",".join(str(e) for e in entries), entries
     return args.state, resolve_state(args.state)
 
 
 def _int_list(flag: str, value: str) -> list[int]:
-    """Comma-separated integers; a bad entry raises a ValueError naming the flag and the value."""
+    """Integers split on commas or spaces; a bad entry raises a ValueError naming flag and value."""
     try:
-        return [int(p) for p in value.split(",")]
+        return [int(p) for p in value.replace(",", " ").split()]
     except ValueError:
         raise ValueError(f"{flag} takes comma-separated integers, got {value!r}") from None
 
@@ -400,7 +396,7 @@ def cmd_analyze(args) -> int:
     if args.epsilon is not None:
         epsilon = args.epsilon
     elif args.epsilon_file:
-        eps = read_fields(read_json(args.epsilon_file, "eps file"), "eps file", {"epsilon": float})
+        eps = read_fields(read_json(args.epsilon_file, "eps file"), "eps file", {"epsilon": number})
         epsilon = eps["epsilon"]
     else:
         epsilon = 0.0

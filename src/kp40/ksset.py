@@ -10,7 +10,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
 from . import pentagram
-from .rays import Ray, canonical_form, integer, parse_ray_entries
+from .rays import Ray, canonical_form, integer
 
 N_RAYS = 40
 RAY_DEGREE = 23
@@ -227,6 +227,19 @@ def pentagram_match_map() -> PentagramMap:
     return dict(canonical_set()._pentagram)
 
 
+def ray_indices(values: Iterable, what: str) -> tuple[int, ...]:
+    """Whole numbers in 1..40, none repeated, as ints.  An index out of range or repeated
+    raises a ValueError naming `what` and the index; a value that is not a whole number
+    raises `integer`'s, which names the value."""
+    indices = tuple(map(integer, values))
+    for k, i in enumerate(indices):
+        if not 1 <= i <= N_RAYS:
+            raise ValueError(f"{what} {i} outside 1..{N_RAYS}")
+        if i in indices[:k]:
+            raise ValueError(f"{what} {i} is repeated")
+    return indices
+
+
 def read_json(path: str | Path, what: str):
     """Parse a JSON file; text that is not JSON raises a ValueError naming `what` and the path."""
     try:
@@ -264,17 +277,18 @@ def load_ksset_file(path: str | Path) -> KSSet:
     rows = data["rays"] if isinstance(data, dict) else data
     if not isinstance(rows, list) or len(rows) != N_RAYS:
         raise ValueError(f"ray file field 'rays': expected a list of {N_RAYS} rays")
-    rays = tuple(
-        Ray(parse_ray_entries(row, index=i), label=i) for i, row in enumerate(rows, start=1)
-    )
-    groups = _BASIS_GROUPS
+    rays = []
+    for i, row in enumerate(rows, start=1):
+        try:
+            rays.append(Ray(row, label=i))
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"ray {i}: {e}") from None
+    rays, groups = tuple(rays), _BASIS_GROUPS
     if isinstance(data, dict) and "basis_groups" in data:
         try:
-            groups = tuple(tuple(integer(i) for i in grp) for grp in data["basis_groups"])
+            groups = tuple(ray_indices(grp, "index") for grp in data["basis_groups"])
         except (TypeError, ValueError) as e:
             raise ValueError(f"ray file field 'basis_groups': {e}") from None
-        if any(not 1 <= i <= N_RAYS for grp in groups for i in grp):
-            raise ValueError(f"ray file field 'basis_groups': index outside 1..{N_RAYS}")
     _validate_groups(rays, groups)
     return KSSet(rays=rays, basis_groups=groups)
 

@@ -9,23 +9,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from numbers import Integral, Real
 from operator import mul
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 DIM = 8
 
 
 @dataclass(frozen=True)
 class Ray:
-    """Unnormalized 8-component integer vector representing a rank-1 yes-no test."""
+    """Unnormalized 8-component integer vector representing a rank-1 yes-no test.
+
+    The entries may be any sequence of 8 whole numbers, or another Ray, not all zero.
+    """
 
     entries: tuple[int, ...]
     label: int | None = None
 
     def __post_init__(self) -> None:
-        entries = tuple(int(e) for e in self.entries)
-        if len(entries) != DIM:
-            raise ValueError(f"ray needs {DIM} entries, got {len(entries)}")
+        entries = entries_of(self.entries)
         if not any(entries):
             raise ValueError("zero ray")
         object.__setattr__(self, "entries", entries)
@@ -35,10 +37,10 @@ RayLike = Union[Ray, Sequence[int]]
 
 
 def entries_of(v: RayLike) -> tuple[int, ...]:
-    """Coerce a Ray or plain sequence to an 8-tuple of ints (zero allowed)."""
+    """A Ray's entries, or a plain sequence's 8 whole numbers as ints (zero allowed)."""
     if isinstance(v, Ray):
         return v.entries
-    t = tuple(int(x) for x in v)
+    t = tuple(map(integer, v))
     if len(t) != DIM:
         raise ValueError(f"expected {DIM} entries, got {len(t)}")
     return t
@@ -55,9 +57,7 @@ def overlap_prob(state: RayLike, v: RayLike) -> Fraction:
     Returns dot(state, v)^2 / (dot(state, state) * dot(v, v)) in lowest terms.
     Raises ValueError for a zero argument.
     """
-    es, ev = entries_of(state), entries_of(v)
-    if not any(es) or not any(ev):
-        raise ValueError("overlap_prob of a zero ray")
+    es, ev = Ray(state).entries, Ray(v).entries
     d = sum(map(mul, es, ev))
     return Fraction(d * d, sum(map(mul, es, es)) * sum(map(mul, ev, ev)))
 
@@ -85,21 +85,19 @@ def rational_to_str(q: Fraction) -> str:
 
 
 def integer(v) -> int:
-    """A loaded number as an int: 1.0 loads as 1, but 1.5, NaN or infinity raise a ValueError."""
-    if isinstance(v, float) and not v.is_integer():
-        raise ValueError(f"{v!r} is not an integer")
-    return int(v)
+    """A whole number as an int: ints, NumPy ints and integral floats (1.0 is 1) pass;
+    1.5, NaN, infinity, a bool or a string raise a ValueError naming the value."""
+    if type(v) is int:    # the common case, checked first
+        return v
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    if isinstance(v, Integral) and not isinstance(v, bool):
+        return int(v)
+    raise ValueError(f"{v!r} is not an integer")
 
 
-def parse_ray_entries(row: Iterable, index: int | None = None) -> tuple[int, ...]:
-    """Parse one serialized ray (JSON array of 8 integers), naming the row on error."""
-    where = f"ray {index}" if index is not None else "ray"
-    try:
-        t = tuple(integer(x) for x in row)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{where}: entries must be integers") from exc
-    if len(t) != DIM:
-        raise ValueError(f"{where}: expected {DIM} entries, got {len(t)}")
-    if not any(t):
-        raise ValueError(f"{where}: all entries are zero")
-    return t
+def number(v) -> float:
+    """A real number as a float; a bool, a string or anything else raises a ValueError."""
+    if isinstance(v, Real) and not isinstance(v, bool):
+        return float(v)
+    raise ValueError(f"{v!r} is not a number")

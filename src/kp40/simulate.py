@@ -30,8 +30,8 @@ from typing import Sequence
 import numpy as np
 
 from .analysis import CountRecord, estimate_probabilities
-from .ksset import KS40_POOL, N_RAYS, build_graph, canonical_set, read_fields
-from .rays import Ray, canonical_form, entries_of
+from .ksset import KS40_POOL, build_graph, canonical_set, ray_indices, read_fields
+from .rays import Ray, canonical_form, integer, number
 from .states import resolve_state
 
 DIM = 8
@@ -114,9 +114,7 @@ class SlitPreparation:
 
 def ray_to_mask(v: Ray | Sequence[int]) -> SlitPreparation:
     """Encode an integer ray: t_l = (entry_l / max|entry|)^2, phase pi for negative entries."""
-    entries = entries_of(v)
-    if not any(entries):
-        raise ValueError("cannot encode the zero ray as a slit mask")
+    entries = Ray(v).entries
     peak = max(abs(e) for e in entries)
     t = tuple((e / peak) ** 2 for e in entries)
     phases = tuple(math.pi if e < 0 else 0.0 for e in entries)
@@ -164,7 +162,7 @@ class NoiseModel:
     @classmethod
     def from_json(cls, data: dict) -> "NoiseModel":
         """Load the four fields; malformed input raises a ValueError that names the field."""
-        fields = read_fields(data, "noise config", dict.fromkeys(cls.__dataclass_fields__, float))
+        fields = read_fields(data, "noise config", dict.fromkeys(cls.__dataclass_fields__, number))
         return cls(**fields)
 
 
@@ -179,16 +177,16 @@ class PulseRun:
     projector_pool: tuple[int, ...] = KS40_POOL
 
     def __post_init__(self):
+        for name, convert in (("seed", integer), ("n_pulses", integer), ("mu", number)):
+            object.__setattr__(self, name, convert(getattr(self, name)))
+        pool = ray_indices(self.projector_pool, "projector_pool index")
+        object.__setattr__(self, "projector_pool", pool)
         if self.n_pulses <= 0:
             raise ValueError("n_pulses must be positive")
         if not 0 < self.mu < math.inf:    # false for NaN too
             raise ValueError(f"mu must be finite and positive, got {self.mu}")
-        pool = tuple(self.projector_pool)
-        if not pool or len(set(pool)) != len(pool):
-            raise ValueError("projector_pool must be nonempty without repeats")
-        if any(not 1 <= i <= N_RAYS for i in pool):
-            raise ValueError("projector_pool indices must lie in 1..40")
-        object.__setattr__(self, "projector_pool", pool)
+        if not pool:
+            raise ValueError("projector_pool must be nonempty")
 
 
 @lru_cache(maxsize=128)
@@ -339,12 +337,7 @@ def run_exclusivity_campaign(
     Returns (epsilon, per-pair table) with epsilon the mean of all should-be-zero
     probability estimates.  Each leg is a full run with its own derived seed.
     """
-    initial_rays = tuple(initial_rays)
-    for k, i in enumerate(initial_rays):
-        if not 1 <= i <= N_RAYS:
-            raise ValueError(f"initial ray {i} outside 1..40")
-        if i in initial_rays[:k]:
-            raise ValueError(f"initial ray {i} is repeated")
+    initial_rays = ray_indices(initial_rays, "initial ray")
     s = canonical_set()
     g = build_graph(s)
     pairs: list[PairEstimate] = []

@@ -8,7 +8,7 @@ from operator import mul
 from typing import Mapping, Sequence
 
 from .ksset import canonical_set, mermin_subset
-from .rays import entries_of
+from .rays import Ray
 
 # Unnormalized integer components; basis order matches the ray table's qubit ordering.
 NAMED_STATES: dict[str, tuple[int, ...]] = {
@@ -29,15 +29,13 @@ class ProbabilityProfile:
 
 
 def resolve_state(state: str | Sequence[int]) -> tuple[int, ...]:
+    """A named state's components, or a sequence's checked as a Ray's entries."""
     if isinstance(state, str):
         try:
             return NAMED_STATES[state.lower()]
         except KeyError:
             raise ValueError(f"unknown state name {state!r}; known: {sorted(NAMED_STATES)}") from None
-    entries = entries_of(state)
-    if len(entries) != 8 or not any(entries):
-        raise ValueError("state must be 8 integer components, not all zero")
-    return entries
+    return Ray(state).entries
 
 
 def profile(state: str | Sequence[int]) -> ProbabilityProfile:

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import shlex
 import shutil
@@ -377,15 +378,27 @@ MALFORMED_ARTIFACTS = {
     "noise-not-an-object": ("[1, 2]", _SIMULATE_GHZ, "noise config"),
     "noise-nan-jitter": ('{"amplitude_jitter": NaN, "phase_jitter": 0.1, "background": 0.0, '
                          '"efficiency": 0.5}', _SIMULATE_GHZ, "amplitude_jitter must be finite"),
+    "noise-efficiency-a-bool": ('{"amplitude_jitter": 0.0, "phase_jitter": 0.1, "background": 0.0, '
+                                '"efficiency": true}', _SIMULATE_GHZ,
+                                "'efficiency': True is not a number"),
+    "noise-jitter-a-string": ('{"amplitude_jitter": "0.1", "phase_jitter": 0.1, "background": 0.0, '
+                              '"efficiency": 0.5}', _SIMULATE_GHZ,
+                              "'amplitude_jitter': '0.1' is not a number"),
     "eps-missing-field": ('{"eps": 0.1}', _ANALYZE_WITH_EPS, "'epsilon'"),
     "eps-not-a-number": ('{"epsilon": "x"}', _ANALYZE_WITH_EPS, "'epsilon'"),
+    "eps-a-string": ('{"epsilon": "0.02"}', _ANALYZE_WITH_EPS, "'epsilon': '0.02' is not a number"),
     "ray-file-without-rays": ('{"basis_groups": []}', ["verify", "--rays", "bad.json"], "'rays'"),
     "ray-file-not-json": ("{rays: 1", ["verify", "--rays", "bad.json"], "ray file bad.json is not JSON"),
     "ray-file-entry-not-an-integer": (_ray_file("rays", 8, 0, 1.5), ["verify", "--rays", "bad.json"],
-                                      "ray 9: entries must be integers"),
+                                      "ray 9: 1.5 is not an integer"),
+    "ray-file-entry-a-string": (_ray_file("rays", 8, 0, "1"), ["verify", "--rays", "bad.json"],
+                                "ray 9: '1' is not an integer"),
     "ray-file-group-index-not-an-integer": (_ray_file("basis_groups", 0, 0, 1.9),
                                             ["verify", "--rays", "bad.json"],
                                             "'basis_groups': 1.9 is not an integer"),
+    "ray-file-group-index-a-string": (_ray_file("basis_groups", 0, 0, "1"),
+                                      ["verify", "--rays", "bad.json"],
+                                      "'basis_groups': '1' is not an integer"),
     "record-is-a-directory": (None, ["analyze", "bad.json"], "bad.json"),
     "record-not-json": ("{counts: 1", ["analyze", "bad.json"], "record"),
     "record-pool-without-mermin-rays": (_RECORD_ON_RAYS_1_TO_8, ["analyze", "bad.json"],
@@ -397,6 +410,17 @@ MALFORMED_ARTIFACTS = {
         ["analyze", "bad.json"], "'flux_pulses': 1000.5 is not an integer"),
     "record-seed-not-an-integer": (_mermin16_ghz_record(seed=1.9), ["analyze", "bad.json"],
                                    "'seed': 1.9 is not an integer"),
+    "record-seed-a-string": (_mermin16_ghz_record(seed="7"), ["analyze", "bad.json"],
+                             "'seed': '7' is not an integer"),
+    "record-counts-strings": (_mermin16_ghz_record(counts={str(i): "300" for i in mermin_subset()}),
+                              ["analyze", "bad.json"], "'counts': '300' is not a number"),
+    "record-mu-a-bool": (_mermin16_ghz_record(mu=True), ["analyze", "bad.json"],
+                         "'mu': True is not a number"),
+    "record-state-bool-and-string": (_mermin16_ghz_record(state=[True, 0, 0, 0, 0, 0, 0, "1"]),
+                                     ["analyze", "bad.json"], "'state': True is not an integer"),
+    "record-pulses-infinite": (
+        _mermin16_ghz_record(pulses_per_projector={str(i): math.inf for i in mermin_subset()}),
+        ["analyze", "bad.json"], "'pulses_per_projector': inf is not a finite nonnegative number"),
     "record-count-beyond-a-float": (_mermin16_ghz_record(counts={str(i): 10**400 for i in mermin_subset()}),
                                     ["analyze", "bad.json"], "'counts': int too large to convert to float"),
     "record-state-not-an-integer": (_mermin16_ghz_record(state=[1, 0, 0, 0, 0, 0, 0, 1.5]),

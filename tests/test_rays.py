@@ -1,15 +1,17 @@
+import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kp40.ksset import load_ksset_file
 from kp40.rays import (
     Ray,
     canonical_form,
     dot,
     overlap_prob,
-    parse_ray_entries,
     rational_to_str,
     same_direction,
 )
@@ -24,7 +26,14 @@ def test_ray_validates_length_and_nonzero():
         Ray((1, 0, 0))
     with pytest.raises(ValueError):
         Ray((0,) * 8)
+    for bad in (1.5, float("nan"), float("inf"), True, "1"):
+        with pytest.raises(ValueError):
+            Ray((bad, 0, 0, 0, 0, 0, 0, 1))
+    with pytest.raises(ValueError):
+        dot([1.9] * 8, [1] * 8)
     assert norm_sq(Ray((0, 1, 0, 0, 0, 0, 0, 0))) == 1
+    whole = Ray((np.int64(1), 1.0, np.int8(-2), 0, 0, 0, 0, 0)).entries
+    assert whole == (1, 1, -2, 0, 0, 0, 0, 0) and all(type(e) is int for e in whole)
 
 
 def test_overlap_prob_is_exact():
@@ -89,10 +98,16 @@ def test_rational_round_trip():
     assert s == "1/4"
 
 
-def test_parse_ray_entries_names_the_row():
-    with pytest.raises(ValueError, match="ray 37"):
-        parse_ray_entries([1, -2, 1, 0, 0, 0, 0], index=37)
-    with pytest.raises(ValueError, match="integers"):
-        parse_ray_entries(["a"] * 8, index=3)
-    with pytest.raises(ValueError, match="zero"):
-        parse_ray_entries([0] * 8, index=1)
+def test_parse_ray_entries_names_the_row(tmp_path, kset):
+    # Ray rows are parsed by Ray inside load_ksset_file, which names the row.
+    p = tmp_path / "bad.json"
+    for row, bad, named in [
+        (37, lambda r: r[:7], "ray 37: expected 8 entries, got 7"),    # one entry dropped
+        (3, lambda r: ["a"] * 8, "ray 3: 'a' is not an integer"),
+        (1, lambda r: [0] * 8, "ray 1: zero ray"),
+    ]:
+        data = kset.to_json()
+        data["rays"][row - 1] = bad(data["rays"][row - 1])
+        p.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=named):
+            load_ksset_file(p)

@@ -236,6 +236,10 @@ def test_pulse_run_validation():
         PulseRun(seed=1, n_pulses=10, projector_pool=(1, 1, 2))
     with pytest.raises(ValueError):
         PulseRun(seed=1, n_pulses=10, projector_pool=(0, 1))
+    with pytest.raises(ValueError):
+        PulseRun(seed=1.9, n_pulses=10)
+    with pytest.raises(ValueError):
+        PulseRun(seed=1, n_pulses=2.5)
 
 
 NON_FINITE_FIELDS = {

@@ -79,6 +79,8 @@ def test_resolve_state_rejects_garbage():
         resolve_state([1, 2, 3])
     with pytest.raises(ValueError):
         resolve_state([0] * 8)
+    with pytest.raises(ValueError):
+        profile([1.5, 0, 0, 0, 0, 0, 0, 1])
 
 
 def test_profile_sums_match_value_functions():
