@@ -63,7 +63,22 @@ class CountRecord:
             return integer(v) if f.is_integer() else f
 
         def per_key(d) -> dict:
-            return {int(k): amount(v) for k, v in d.items()}
+            out = {}
+            for k, v in d.items():
+                try:
+                    i = int(k)
+                except ValueError:
+                    i = None
+                if str(i) != k:    # to_json writes str(i); "010" or "1_0" could shadow "10"
+                    raise ValueError(f"key {k!r} is not an index in decimal form")
+                out[i] = amount(v)
+            return out
+
+        def mu(v) -> float:
+            f = number(v)
+            if not 0 < f < math.inf:    # the rule PulseRun applies; false for NaN too
+                raise ValueError(f"{v!r} is not a finite positive number")
+            return f
 
         fields = read_fields(data, "record", {
             "state": resolve_state,
@@ -72,7 +87,7 @@ class CountRecord:
             "pulses_per_projector": per_key,
             "flux_calibration": lambda d: {b: float(c) for b, c in per_key(d).items()},
             "flux_pulses": lambda d: {b: integer(n) for b, n in per_key(d).items()},
-            "mu": number,
+            "mu": mu,
             "seed": integer,
         })
         pool, counts = fields["projector_pool"], fields["counts"]

@@ -14,7 +14,7 @@ import itertools
 import json
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import __version__
 from .bounds import (
@@ -120,8 +120,12 @@ def load_noise_config(path: str | Path | None) -> NoiseModel:
 
 
 def _resolve_state_arg(args) -> tuple[str, tuple[int, ...]]:
-    if getattr(args, "ray", None):
-        entries = resolve_state(_int_list("--ray", args.ray))
+    if args.ray:
+        values = _int_list("--ray", args.ray)
+        try:
+            entries = resolve_state(values)
+        except ValueError as e:
+            raise ValueError(f"--ray {args.ray!r}: {e}") from None
         return ",".join(str(e) for e in entries), entries
     return args.state, resolve_state(args.state)
 
@@ -521,93 +525,125 @@ def cmd_reproduce(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="kp40",
-        description="40-ray Kochen-Specker toolkit: exact bounds, quantum values, "
-        "and a pulse-level photon-counting simulator.",
-    )
-    p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    p.add_argument("--out", default=".", help="output directory (default current)")
-    p.add_argument("--format", choices=("json", "csv"), default=None)
+def _global_flags(p: argparse.ArgumentParser, after_command: bool) -> None:
+    """--seed, --out and --format. After the command they have no defaults, so that one
+    given there overrides the same flag given before it and one left out changes nothing."""
 
-    # same flags accepted after the subcommand; suppressed defaults keep the
-    # top-level values unless explicitly overridden
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--out", default=argparse.SUPPRESS)
-    common.add_argument("--format", choices=("json", "csv"), default=argparse.SUPPRESS)
+    def default(value):
+        return argparse.SUPPRESS if after_command else value
 
-    # the run flags of simulate, exclusivity and reproduce
-    pulse_run = argparse.ArgumentParser(add_help=False)
-    pulse_run.add_argument("--pulses", type=int, default=2_000_000)
-    pulse_run.add_argument("--mu", type=float, default=DEFAULT_MU)
-    pulse_run.add_argument("--noise", help="noise config (default: the packaged calibrated one)")
+    p.add_argument("--seed", type=int, default=default(0), help="master seed (default 0)")
+    p.add_argument("--out", default=default("."), help="output directory (default current)")
+    p.add_argument("--format", choices=("json", "csv"), default=default(None))
 
-    sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("verify", parents=[common], help="structural self-checks of the ray set")
-    sp.add_argument("--rays", help="optional ksset.json file to check instead of the built-in data")
-    sp.set_defaults(func=cmd_verify)
+def _run_flags(p: argparse.ArgumentParser) -> None:
+    """The run flags of simulate, exclusivity and reproduce."""
+    p.add_argument("--pulses", type=int, default=2_000_000)
+    p.add_argument("--mu", type=float, default=DEFAULT_MU)
+    p.add_argument("--noise", help="noise config (default: the packaged calibrated one)")
 
-    sp = sub.add_parser("octads", parents=[common], help="enumerate all complete orthogonal octads")
-    sp.set_defaults(func=cmd_octads)
 
-    sp = sub.add_parser("bounds", parents=[common], help="exact classical bounds and corrected limits")
-    sp.add_argument("verb", nargs="?", default="report", choices=("report",))
-    sp.add_argument("--epsilon", type=float, default=0.0)
-    sp.add_argument("--extrapolated-quantum", action="store_true", dest="extrapolated_quantum",
-                    help="also report the affine quantum extrapolation 5(1-eps)+40eps")
-    sp.set_defaults(func=cmd_bounds)
-
-    sp = sub.add_parser("predict", parents=[common],
-                        help="exact 40-entry probability profile of a state")
-    grp = sp.add_mutually_exclusive_group(required=True)
+def _state_flags(p: argparse.ArgumentParser) -> None:
+    grp = p.add_mutually_exclusive_group(required=True)
     grp.add_argument("--state", type=str.lower, choices=sorted(NAMED_STATES))
     grp.add_argument("--ray", help="8 comma-separated integer components")
-    sp.set_defaults(func=cmd_predict)
 
-    sp = sub.add_parser("simulate", parents=[common, pulse_run],
-                        help="one pulse-level run with a convergence trace")
-    grp = sp.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--state", type=str.lower, choices=sorted(NAMED_STATES))
-    grp.add_argument("--ray")
-    sp.add_argument("--pool", choices=("ks40", "mermin16"), default="ks40")
-    sp.add_argument("--checkpoints", help="comma-separated pulse counts for the trace")
-    sp.set_defaults(func=cmd_simulate)
 
-    sp = sub.add_parser("exclusivity", parents=[common, pulse_run],
-                        help="orthogonal-pair campaign estimating epsilon")
-    sp.add_argument("--initial", help="comma-separated initial ray indices (default 8 rays)")
-    sp.set_defaults(func=cmd_exclusivity)
+def _verify_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--rays", help="optional ksset.json file to check instead of the built-in data")
 
-    sp = sub.add_parser("calibrate", parents=[common],
-                        help="grid-search a noise config hitting the epsilon target")
-    sp.add_argument("--target", type=float, default=EPSILON_TARGET)
-    sp.add_argument("--pulses", type=int, default=400_000)
-    sp.add_argument("--mu", type=float, default=DEFAULT_MU)
-    sp.add_argument("--config-out", default="noise.json", dest="config_out")
-    sp.set_defaults(func=cmd_calibrate)
 
-    sp = sub.add_parser("analyze", parents=[common],
-                        help="estimate probabilities, similarity, and verdicts")
-    sp.add_argument("record", help="record.json from `simulate`")
-    sp.add_argument("--epsilon-file", dest="epsilon_file", help="eps.json from `exclusivity`")
-    sp.add_argument("--epsilon", type=float, help="literal epsilon instead of a file")
-    sp.add_argument("--global-F", action="store_true", dest="global_F",
-                    help="single global similarity coefficient instead of the per-basis mean")
-    sp.set_defaults(func=cmd_analyze)
+def _bounds_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("verb", nargs="?", default="report", choices=("report",))
+    p.add_argument("--epsilon", type=float, default=0.0)
+    p.add_argument("--extrapolated-quantum", action="store_true", dest="extrapolated_quantum",
+                   help="also report the affine quantum extrapolation 5(1-eps)+40eps")
 
-    sp = sub.add_parser("reproduce", parents=[common, pulse_run],
-                        help="full bundle: 5 sigma runs, 2 S runs, exclusivity")
-    sp.add_argument("--workers", type=int, default=1)
-    sp.set_defaults(func=cmd_reproduce)
 
-    return p
+def _simulate_flags(p: argparse.ArgumentParser) -> None:
+    _state_flags(p)
+    p.add_argument("--pool", choices=("ks40", "mermin16"), default="ks40")
+    p.add_argument("--checkpoints", help="comma-separated pulse counts for the trace")
+
+
+def _exclusivity_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--initial", help="comma-separated initial ray indices (default 8 rays)")
+
+
+def _calibrate_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--target", type=float, default=EPSILON_TARGET)
+    p.add_argument("--pulses", type=int, default=400_000)
+    p.add_argument("--mu", type=float, default=DEFAULT_MU)
+    p.add_argument("--config-out", default="noise.json", dest="config_out")
+
+
+def _analyze_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("record", help="record.json from `simulate`")
+    p.add_argument("--epsilon-file", dest="epsilon_file", help="eps.json from `exclusivity`")
+    p.add_argument("--epsilon", type=float, help="literal epsilon instead of a file")
+    p.add_argument("--global-F", action="store_true", dest="global_F",
+                   help="single global similarity coefficient instead of the per-basis mean")
+
+
+def _reproduce_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--workers", type=int, default=1)
+
+
+# name -> (help line, adds the command's own flags, takes the run flags, handler)
+COMMANDS: dict[str, tuple[str, Callable | None, bool, Callable]] = {
+    "verify": ("structural self-checks of the ray set", _verify_flags, False, cmd_verify),
+    "octads": ("enumerate all complete orthogonal octads", None, False, cmd_octads),
+    "bounds": ("exact classical bounds and corrected limits", _bounds_flags, False, cmd_bounds),
+    "predict": ("exact 40-entry probability profile of a state", _state_flags, False, cmd_predict),
+    "simulate": ("one pulse-level run with a convergence trace", _simulate_flags, True,
+                 cmd_simulate),
+    "exclusivity": ("orthogonal-pair campaign estimating epsilon", _exclusivity_flags, True,
+                    cmd_exclusivity),
+    "calibrate": ("grid-search a noise config hitting the epsilon target", _calibrate_flags,
+                  False, cmd_calibrate),
+    "analyze": ("estimate probabilities, similarity, and verdicts", _analyze_flags, False,
+                cmd_analyze),
+    "reproduce": ("full bundle: 5 sigma runs, 2 S runs, exclusivity", _reproduce_flags, True,
+                  cmd_reproduce),
+}
+
+
+def parse_args(argv: Sequence[str] | None = None) -> argparse.Namespace:
+    """Parse a command line in two stages, building only two parsers.
+
+    The first reads the global flags and the command name and keeps the rest;
+    the second is the command's own parser, and it parses the rest into the
+    same namespace.
+    """
+    top = argparse.ArgumentParser(
+        prog="kp40",
+        description="40-ray Kochen-Specker toolkit: exact bounds, quantum values,\n"
+        "and a pulse-level photon-counting simulator.",
+        epilog="commands:\n"
+        + "".join(f"  {name:<22}{line}\n" for name, (line, *_) in COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    _global_flags(top, after_command=False)
+    top.add_argument("command", choices=COMMANDS, help="the command to run, from the list below")
+    rest = top.add_argument("args", nargs=argparse.REMAINDER,
+                            help="its own flags and arguments, listed by `kp40 COMMAND --help`")
+    rest.required = False    # a missing command is reported alone
+    ns = top.parse_args(argv)
+
+    _, own_flags, run_flags, handler = COMMANDS[ns.command]
+    p = argparse.ArgumentParser(prog=f"kp40 {ns.command}")
+    _global_flags(p, after_command=True)
+    if run_flags:
+        _run_flags(p)
+    if own_flags:
+        own_flags(p)
+    p.set_defaults(func=handler)
+    return p.parse_args(ns.args, namespace=ns)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as e:

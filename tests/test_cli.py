@@ -1,7 +1,9 @@
+import argparse
 import csv
 import json
 import math
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -126,6 +128,97 @@ def test_global_flags_accepted_before_or_after_subcommand(capsys):
     _, before, _ = run_cli(["--format", "csv", "octads"], capsys)
     _, after, _ = run_cli(["octads", "--format", "csv"], capsys)
     assert before == after
+
+
+def test_a_global_flag_after_the_command_overrides_the_one_before():
+    assert cli.parse_args(["verify"]).seed == 0
+    assert cli.parse_args(["--seed", "1", "verify"]).seed == 1
+    assert cli.parse_args(["--seed", "1", "verify", "--seed", "2"]).seed == 2
+
+
+def test_the_first_word_after_a_global_flag_is_its_value():
+    args = cli.parse_args(["--out", "verify", "bounds"])
+    assert (args.command, args.out) == ("bounds", "verify")
+
+
+# command -> its help line in `kp40 --help`
+COMMAND_HELP = {
+    "verify": "structural self-checks of the ray set",
+    "octads": "enumerate all complete orthogonal octads",
+    "bounds": "exact classical bounds and corrected limits",
+    "predict": "exact 40-entry probability profile of a state",
+    "simulate": "one pulse-level run with a convergence trace",
+    "exclusivity": "orthogonal-pair campaign estimating epsilon",
+    "calibrate": "grid-search a noise config hitting the epsilon target",
+    "analyze": "estimate probabilities, similarity, and verdicts",
+    "reproduce": "full bundle: 5 sigma runs, 2 S runs, exclusivity",
+}
+
+_GLOBAL_FLAGS = {"--help", "--seed", "--out", "--format"}
+_RUN_FLAGS = {"--pulses", "--mu", "--noise"}
+# command -> the flags `kp40 COMMAND --help` lists
+COMMAND_FLAGS = {
+    "verify": _GLOBAL_FLAGS | {"--rays"},
+    "octads": _GLOBAL_FLAGS,
+    "bounds": _GLOBAL_FLAGS | {"--epsilon", "--extrapolated-quantum"},
+    "predict": _GLOBAL_FLAGS | {"--state", "--ray"},
+    "simulate": _GLOBAL_FLAGS | _RUN_FLAGS | {"--state", "--ray", "--pool", "--checkpoints"},
+    "exclusivity": _GLOBAL_FLAGS | _RUN_FLAGS | {"--initial"},
+    "calibrate": _GLOBAL_FLAGS | {"--target", "--pulses", "--mu", "--config-out"},
+    "analyze": _GLOBAL_FLAGS | {"--epsilon-file", "--epsilon", "--global-F"},
+    "reproduce": _GLOBAL_FLAGS | _RUN_FLAGS | {"--workers"},
+}
+
+
+def _help(argv, capsys) -> str:
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([*argv, "--help"])
+    assert exit_.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_help_lists_every_command_with_its_help_line(capsys):
+    out = _help([], capsys)
+    for name, line in COMMAND_HELP.items():
+        assert re.search(rf"^ +{name} +{re.escape(line)}$", out, re.MULTILINE), name
+
+
+@pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+def test_command_help_lists_its_flags(capsys, command):
+    out = _help([command], capsys)
+    assert out.startswith(f"usage: kp40 {command} ")
+    assert set(re.findall(r"--[A-Za-z][\w-]*", out)) == COMMAND_FLAGS[command]
+
+
+# command -> a command line that parses in full and then runs quickly
+CHEAP_RUNS = {
+    "verify": ["verify"],
+    "octads": ["octads"],
+    "bounds": ["bounds"],
+    "predict": ["predict", "--state", "ghz"],
+    "simulate": ["simulate", "--state", "ghz", "--noise", "missing.json"],
+    "exclusivity": ["exclusivity", "--noise", "missing.json"],
+    "calibrate": ["calibrate", "--mu", "nan"],
+    "analyze": ["analyze", "missing.json"],
+    "reproduce": ["reproduce", "--noise", "missing.json"],
+}
+
+
+@pytest.mark.parametrize("command", list(CHEAP_RUNS))
+def test_a_command_builds_at_most_two_parsers(tmp_path, monkeypatch, capsys, command):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    code = cli.main(CHEAP_RUNS[command])
+    capsys.readouterr()
+    assert code in (0, 2)
+    assert len(built) <= 2, built
 
 
 def test_bounds_report(capsys):
@@ -428,6 +521,26 @@ MALFORMED_ARTIFACTS = {
     "record-flux-above-its-pulses": (
         _mermin16_ghz_record(flux_pulses={str(b): 100 for b in range(2, 6)}),
         ["analyze", "bad.json"], "'flux_calibration': basis group 2 has 300.0 counts but 100 pulses"),
+    "record-counts-key-with-a-leading-zero": (
+        _mermin16_ghz_record(counts={**{str(i): 300 for i in mermin_subset()}, "010": 0}),
+        ["analyze", "bad.json"], "'counts': key '010' is not an index in decimal form"),
+    "record-flux-key-with-an-underscore": (
+        _mermin16_ghz_record(flux_pulses={"2": 2500, "3": 2500, "4": 2500, "5_": 2500}),
+        ["analyze", "bad.json"], "'flux_pulses': key '5_' is not an index in decimal form"),
+    "record-pulses-key-with-an-underscore": (
+        _mermin16_ghz_record(pulses_per_projector={**{str(i): 2500 for i in mermin_subset()},
+                                                   "1_0": 2500}),
+        ["analyze", "bad.json"], "'pulses_per_projector': key '1_0' is not an index in decimal form"),
+    "record-mu-nan": (_mermin16_ghz_record(mu=math.nan), ["analyze", "bad.json"],
+                      "'mu': nan is not a finite positive number"),
+    "record-mu-infinite": (_mermin16_ghz_record(mu=math.inf), ["analyze", "bad.json"],
+                           "'mu': inf is not a finite positive number"),
+    "record-mu-negative": (_mermin16_ghz_record(mu=-0.5), ["analyze", "bad.json"],
+                           "'mu': -0.5 is not a finite positive number"),
+    "ray-flag-too-short": ("{}", ["predict", "--ray", "1,2,3"],
+                           "--ray '1,2,3': expected 8 entries, got 3"),
+    "ray-flag-all-zero": ("{}", ["predict", "--ray", "0 0 0 0 0 0 0 0"],
+                          "--ray '0 0 0 0 0 0 0 0': zero ray"),
 }
 
 
@@ -565,7 +678,7 @@ def _readme_commands() -> list[list[str]]:
 @pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
 def test_readme_command_parses(argv):
     assert argv[0] == "kp40"
-    args = cli.build_parser().parse_args(argv[1:])    # parses only; runs nothing
+    args = cli.parse_args(argv[1:])    # parses only; runs nothing
     assert args.command == argv[1]
 
 def test_star_import_yields_every_public_name():
@@ -604,6 +717,25 @@ def test_exact_path_never_imports_numpy(case):
                          env=_src_env())
     assert res.returncode == 0, res.stderr
     assert res.stderr.splitlines()[-1] == "False", "numpy was imported"
+
+
+def test_python_m_kp40_runs_the_command_line():
+    res = subprocess.run([sys.executable, "-m", "kp40", "--help"], capture_output=True, text=True,
+                         env=_src_env())
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith("usage: kp40 ")
+    for name, line in COMMAND_HELP.items():
+        assert f"  {name} " in res.stdout and line in res.stdout, name
+
+    # every module the process imports is listed by -X importtime
+    res = subprocess.run([sys.executable, "-X", "importtime", "-m", "kp40", "verify"],
+                         capture_output=True, text=True, env=_src_env())
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["passed"] is True
+    imported = {line.rsplit("|", 1)[-1].strip() for line in res.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "kp40.cli" in imported
+    assert not any(m.split(".")[0] == "numpy" for m in imported), "numpy was imported"
 
 
 def test_console_script_is_installed(tmp_path):
