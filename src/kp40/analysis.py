@@ -11,7 +11,7 @@ from typing import Mapping, NamedTuple
 
 from .bounds import S_NCHV_BOUND, SIGMA_NCHV_BOUND, corrected_S_bound, corrected_sigma_bound
 from .ksset import KS40_POOL, N_RAYS, canonical_set, mermin_subset, ray_indices, read_fields
-from .rays import integer, number
+from .rays import integer, number, positive
 from .states import ProbabilityProfile, S_of_profile, profile, resolve_state, sigma_of_profile
 
 
@@ -69,16 +69,10 @@ class CountRecord:
                     i = int(k)
                 except ValueError:
                     i = None
-                if str(i) != k:    # to_json writes str(i); "010" or "1_0" could shadow "10"
+                if i is None or str(i) != k:    # to_json writes str(i); "010" could shadow "10"
                     raise ValueError(f"key {k!r} is not an index in decimal form")
                 out[i] = amount(v)
             return out
-
-        def mu(v) -> float:
-            f = number(v)
-            if not 0 < f < math.inf:    # the rule PulseRun applies; false for NaN too
-                raise ValueError(f"{v!r} is not a finite positive number")
-            return f
 
         fields = read_fields(data, "record", {
             "state": resolve_state,
@@ -87,7 +81,7 @@ class CountRecord:
             "pulses_per_projector": per_key,
             "flux_calibration": lambda d: {b: float(c) for b, c in per_key(d).items()},
             "flux_pulses": lambda d: {b: integer(n) for b, n in per_key(d).items()},
-            "mu": mu,
+            "mu": positive,
             "seed": integer,
         })
         pool, counts = fields["projector_pool"], fields["counts"]

@@ -562,12 +562,14 @@ def _bounds_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _simulate_flags(p: argparse.ArgumentParser) -> None:
+    _run_flags(p)
     _state_flags(p)
     p.add_argument("--pool", choices=("ks40", "mermin16"), default="ks40")
     p.add_argument("--checkpoints", help="comma-separated pulse counts for the trace")
 
 
 def _exclusivity_flags(p: argparse.ArgumentParser) -> None:
+    _run_flags(p)
     p.add_argument("--initial", help="comma-separated initial ray indices (default 8 rays)")
 
 
@@ -587,24 +589,23 @@ def _analyze_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _reproduce_flags(p: argparse.ArgumentParser) -> None:
+    _run_flags(p)
     p.add_argument("--workers", type=int, default=1)
 
 
-# name -> (help line, adds the command's own flags, takes the run flags, handler)
-COMMANDS: dict[str, tuple[str, Callable | None, bool, Callable]] = {
-    "verify": ("structural self-checks of the ray set", _verify_flags, False, cmd_verify),
-    "octads": ("enumerate all complete orthogonal octads", None, False, cmd_octads),
-    "bounds": ("exact classical bounds and corrected limits", _bounds_flags, False, cmd_bounds),
-    "predict": ("exact 40-entry probability profile of a state", _state_flags, False, cmd_predict),
-    "simulate": ("one pulse-level run with a convergence trace", _simulate_flags, True,
-                 cmd_simulate),
-    "exclusivity": ("orthogonal-pair campaign estimating epsilon", _exclusivity_flags, True,
+# name -> (help line, adds the command's own flags, handler)
+COMMANDS: dict[str, tuple[str, Callable | None, Callable]] = {
+    "verify": ("structural self-checks of the ray set", _verify_flags, cmd_verify),
+    "octads": ("enumerate all complete orthogonal octads", None, cmd_octads),
+    "bounds": ("exact classical bounds and corrected limits", _bounds_flags, cmd_bounds),
+    "predict": ("exact 40-entry probability profile of a state", _state_flags, cmd_predict),
+    "simulate": ("one pulse-level run with a convergence trace", _simulate_flags, cmd_simulate),
+    "exclusivity": ("orthogonal-pair campaign estimating epsilon", _exclusivity_flags,
                     cmd_exclusivity),
     "calibrate": ("grid-search a noise config hitting the epsilon target", _calibrate_flags,
-                  False, cmd_calibrate),
-    "analyze": ("estimate probabilities, similarity, and verdicts", _analyze_flags, False,
-                cmd_analyze),
-    "reproduce": ("full bundle: 5 sigma runs, 2 S runs, exclusivity", _reproduce_flags, True,
+                  cmd_calibrate),
+    "analyze": ("estimate probabilities, similarity, and verdicts", _analyze_flags, cmd_analyze),
+    "reproduce": ("full bundle: 5 sigma runs, 2 S runs, exclusivity", _reproduce_flags,
                   cmd_reproduce),
 }
 
@@ -631,11 +632,9 @@ def parse_args(argv: Sequence[str] | None = None) -> argparse.Namespace:
     rest.required = False    # a missing command is reported alone
     ns = top.parse_args(argv)
 
-    _, own_flags, run_flags, handler = COMMANDS[ns.command]
+    _, own_flags, handler = COMMANDS[ns.command]
     p = argparse.ArgumentParser(prog=f"kp40 {ns.command}")
     _global_flags(p, after_command=True)
-    if run_flags:
-        _run_flags(p)
     if own_flags:
         own_flags(p)
     p.set_defaults(func=handler)

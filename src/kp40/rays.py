@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 from numbers import Integral, Real
 from operator import mul
 from typing import Sequence, Union
@@ -101,3 +101,12 @@ def number(v) -> float:
     if isinstance(v, Real) and not isinstance(v, bool):
         return float(v)
     raise ValueError(f"{v!r} is not a number")
+
+
+def positive(v) -> float:
+    """A finite real above zero as a float; NaN, infinity, zero or less raise a ValueError
+    naming the value, and so does anything that is not a number."""
+    f = number(v)
+    if not 0 < f < inf:    # false for NaN too
+        raise ValueError(f"{v!r} is not a finite positive number")
+    return f

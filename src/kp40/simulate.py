@@ -31,7 +31,7 @@ import numpy as np
 
 from .analysis import CountRecord, estimate_probabilities
 from .ksset import KS40_POOL, build_graph, canonical_set, ray_indices, read_fields
-from .rays import Ray, canonical_form, integer, number
+from .rays import Ray, canonical_form, integer, number, positive
 from .states import resolve_state
 
 DIM = 8
@@ -177,14 +177,16 @@ class PulseRun:
     projector_pool: tuple[int, ...] = KS40_POOL
 
     def __post_init__(self):
-        for name, convert in (("seed", integer), ("n_pulses", integer), ("mu", number)):
-            object.__setattr__(self, name, convert(getattr(self, name)))
+        for name in ("seed", "n_pulses"):
+            object.__setattr__(self, name, integer(getattr(self, name)))
+        try:
+            object.__setattr__(self, "mu", positive(self.mu))
+        except ValueError:
+            raise ValueError(f"mu must be finite and positive, got {self.mu}") from None
         pool = ray_indices(self.projector_pool, "projector_pool index")
         object.__setattr__(self, "projector_pool", pool)
         if self.n_pulses <= 0:
             raise ValueError("n_pulses must be positive")
-        if not 0 < self.mu < math.inf:    # false for NaN too
-            raise ValueError(f"mu must be finite and positive, got {self.mu}")
         if not pool:
             raise ValueError("projector_pool must be nonempty")
 
