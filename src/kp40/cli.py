@@ -471,7 +471,7 @@ def _summary_row(kind: str, state: str, judged) -> dict:
 def cmd_reproduce(args) -> int:
     from concurrent.futures import ProcessPoolExecutor
 
-    from .analysis import CountRecord, EstimationError, judge
+    from .analysis import CountRecord, judge
 
     if args.workers < 1:
         raise ValueError(f"--workers must be at least 1, got {args.workers}")
@@ -479,20 +479,17 @@ def cmd_reproduce(args) -> int:
     seed, pulses, mu = args.seed, args.pulses, args.mu
 
     tasks = [(leg, seed, noise, pulses, mu) for leg in REPRODUCE_LEGS]
-    try:
-        if args.workers > 1:
-            with ProcessPoolExecutor(max_workers=args.workers) as ex:
-                results = dict(zip(REPRODUCE_LEGS, ex.map(_leg, tasks)))
-        else:
-            results = dict(zip(REPRODUCE_LEGS, map(_leg, tasks)))
-        eps = results.pop(("excl", None))
-        # judged from the records as written, so the summary is what analyze reads from them
-        judged = {
-            leg: judge(CountRecord.from_json(record_json), eps["epsilon"], per_basis=True)
-            for leg, record_json in results.items()
-        }
-    except EstimationError as e:
-        raise ValueError(f"--pulses {pulses} is too short for a flux calibration: {e}") from None
+    if args.workers > 1:
+        with ProcessPoolExecutor(max_workers=args.workers) as ex:
+            results = dict(zip(REPRODUCE_LEGS, ex.map(_leg, tasks)))
+    else:
+        results = dict(zip(REPRODUCE_LEGS, map(_leg, tasks)))
+    eps = results.pop(("excl", None))
+    # judged from the records as written, so the summary is what analyze reads from them
+    judged = {
+        leg: judge(CountRecord.from_json(record_json), eps["epsilon"], per_basis=True)
+        for leg, record_json in results.items()
+    }
 
     epsilon = eps["epsilon"]
     summary_rows = [_summary_row(kind, state, judged[kind, state]) for kind, state in results]
@@ -582,8 +579,9 @@ def _calibrate_flags(p: argparse.ArgumentParser) -> None:
 
 def _analyze_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("record", help="record.json from `simulate`")
-    p.add_argument("--epsilon-file", dest="epsilon_file", help="eps.json from `exclusivity`")
-    p.add_argument("--epsilon", type=float, help="literal epsilon instead of a file")
+    grp = p.add_mutually_exclusive_group()
+    grp.add_argument("--epsilon-file", dest="epsilon_file", help="eps.json from `exclusivity`")
+    grp.add_argument("--epsilon", type=float, help="literal epsilon instead of a file")
     p.add_argument("--global-F", action="store_true", dest="global_F",
                    help="single global similarity coefficient instead of the per-basis mean")
 
@@ -646,6 +644,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError) as e:
+        from .analysis import EstimationError
+
+        if isinstance(e, EstimationError) and "pulses" in args:
+            e = f"--pulses {args.pulses} is too short for a flux calibration: {e}"
         print(f"error: {e}", file=sys.stderr)
         return 2
 

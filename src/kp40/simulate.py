@@ -2,21 +2,20 @@
 
 A state is encoded as an 8-slit mask (transmissivity + binary phase per slit),
 each pulse is assigned a uniformly drawn projector from the run's pool, and a
-detection fires with probability (1 - e^-mu) * noisy_probability.  All
-randomness flows through named substreams of the run seed, ("pulse", k) for
-pulse chunk k and ("flux", b) for basis group b, so results are bit-identical
-however the chunks are scheduled.  A substream is np.random.PCG64(key), where
-key is the first 16 bytes of the sha256 of its path, read little-endian: NumPy's
-SeedSequence hash turns each key into the four 64-bit words that seed its PCG64,
-here as uint32 array operations over a whole block of keys at once.
+detection fires with probability (1 - e^-mu) * noisy_probability.
 
-Chunks are processed in blocks of up to BLOCK.  Each chunk's stream gives its
-mask drift first, one (1+P, 2, 8) standard-normal block for the state mask and
-the P pool masks (state row first, then pool order, each row's transmissivity
-errors before its phase errors), then its pulse allocation and detections.  The
-block's (K, 1+P, 2, 8) drift becomes a (K, P) probability matrix in one NumPy
-pass.  Every stream is consumed exactly as if the chunks ran one at a time, and
-memory depends on BLOCK, not on the run's length.
+All randomness of a run flows through four named streams of its seed: "drift",
+"alloc", "detect" and "flux", each a Philox generator keyed by
+derive_seed(seed, name) (Salmon et al., "Parallel random numbers: as easy as
+1, 2, 3", SC'11).  Pulses come in chunks of CHUNK, and chunks in blocks of up
+to BLOCK.  A block of K chunks is drawn with one call per stream, in chunk
+order: a (K, 1+P, 2, 8) standard-normal mask drift (per chunk the state mask
+first, then the P pool masks in order, each row's transmissivity errors before
+its phase errors), the K chunks' multinomial pulse allocations, and their
+binomial detections.  The flux pass is one binomial draw over the basis groups
+in ascending order.  Each stream is thus one sequence of draws in chunk order,
+so the bytes depend neither on BLOCK nor on how runs are spread over worker
+processes, while memory depends on BLOCK, not on the run's length.
 """
 
 from __future__ import annotations
@@ -36,71 +35,25 @@ from .states import resolve_state
 
 DIM = 8
 DEFAULT_MU = 0.14
-CHUNK = 32768    # pulses per RNG substream; results never depend on scheduling across chunks
-BLOCK = 64       # chunks whose probabilities are computed in one pass (a 2M-pulse run is one block)
+CHUNK = 32768    # pulses per mask drift, allocation and detection draw
+BLOCK = 64       # chunks drawn in one call per stream (a 2M-pulse run is one block)
 # four named in the reference data plus one ray per remaining basis group
 DEFAULT_INITIAL_RAYS: tuple[int, ...] = (1, 9, 17, 25, 27, 34, 36, 40)
 
 
-def _path_digest(seed: int, path: tuple) -> bytes:
-    """sha256 of the master seed followed by "/part" for each part of a named path."""
+def derive_seed(seed: int, *path) -> int:
+    """64-bit child seed for a named sub-run: the first 8 bytes, little-endian, of the
+    sha256 of the seed followed by "/part" for each part of the path."""
     h = hashlib.sha256(str(int(seed)).encode())
     for part in path:
         h.update(b"/")
         h.update(str(part).encode())
-    return h.digest()
+    return int.from_bytes(h.digest()[:8], "little")
 
 
-def _hash_keys(h: int, mult: int, n: int) -> np.ndarray:
-    """(2, n) uint32: the xors and multipliers SeedSequence's running hash constant steps through."""
-    return np.array([(h, h := h * mult & 0xFFFFFFFF) for _ in range(n)], dtype=np.uint32).T
-
-
-# NumPy's SeedSequence constants: 4 pool words then 12 cross mixes, and 8 output words
-_MIX_KEYS = _hash_keys(0x43B0D7E5, 0x931E8875, 16)
-_STATE_KEYS = _hash_keys(0x8B51F9DD, 0x58F38DED, 8).reshape(2, 2, 4)    # word 4j + i hashes pool[i]
-
-
-def _hashmix(v: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    v = (v ^ keys[0]) * keys[1]
-    return v ^ (v >> 16)
-
-
-@dataclass
-class _StateWords(np.random.bit_generator.ISeedSequence):
-    """Hands a bit generator the state words computed for it in advance."""
-
-    words: np.ndarray
-
-    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
-        return self.words
-
-
-def _seed_words(entropy: np.ndarray) -> np.ndarray:
-    """np.random.SeedSequence(key).generate_state(4, np.uint64) for each (K, 4) row of a
-    key's little-endian uint32 words, as uint32 array operations over the whole block."""
-    # an int key's missing top words hash as zero words, so every key takes all four
-    pool = _hashmix(entropy, _MIX_KEYS[:, :4])
-    for src in range(4):
-        # word src, hashed afresh for each other word in turn, is mixed into that word
-        dst = [d for d in range(4) if d != src]
-        hashed = _hashmix(pool[:, src, None], _MIX_KEYS[:, 4 + 3 * src:7 + 3 * src])
-        mixed = 0xCA01F9DD * pool[:, dst] - 0x4973F715 * hashed
-        pool[:, dst] = mixed ^ (mixed >> 16)
-    state = _hashmix(pool[:, None, :], _STATE_KEYS).reshape(-1, 8)
-    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
-
-
-def _substreams(seed: int, name: str, indices) -> list[np.random.Generator]:
-    """A generator on np.random.PCG64(int.from_bytes(digest[:16], "little")) per path (name, index)."""
-    digests = b"".join(_path_digest(seed, (name, k))[:16] for k in indices)
-    entropy = np.frombuffer(digests, dtype="<u4").reshape(-1, 4)
-    return [np.random.Generator(np.random.PCG64(_StateWords(w))) for w in _seed_words(entropy)]
-
-
-def derive_seed(seed: int, *path) -> int:
-    """64-bit child seed for a named sub-run."""
-    return int.from_bytes(_path_digest(seed, path)[:8], "little")
+def _stream(seed: int, name: str) -> np.random.Generator:
+    """The run's stream `name`: a Philox generator keyed by derive_seed(seed, name)."""
+    return np.random.Generator(np.random.Philox(key=derive_seed(seed, name)))
 
 
 @dataclass(frozen=True)
@@ -221,38 +174,34 @@ def _chunk_probs(
     return occupied * np.clip(noise.efficiency * overlaps + noise.background, 0.0, 1.0)
 
 
-def _chunks(entries: tuple[int, ...], noise: NoiseModel, run: PulseRun):
-    """Yield each chunk's (pulses, detection probabilities, generator) in chunk order.
+def _blocks(entries: tuple[int, ...], noise: NoiseModel, run: PulseRun):
+    """Yield each block's chunk sizes (K,) and (K, P) detection probabilities, in chunk order.
 
-    Chunk k's generator is its ("pulse", k) substream, left just after its drift.
-    Drift is drawn in full whatever the noise settings, so stream consumption
-    never depends on them.
+    A block's drift is one draw from the run's "drift" stream, made in full
+    whatever the noise settings, so stream consumption never depends on them.
     """
     masks = _mask_stack(entries, run.projector_pool)
-    shape = (len(masks[0]), 2, DIM)
-    sizes = [min(CHUNK, run.n_pulses - p) for p in range(0, run.n_pulses, CHUNK)]
+    drift = _stream(run.seed, "drift")
+    sizes = np.diff(np.append(np.arange(0, run.n_pulses, CHUNK), run.n_pulses))
     for start in range(0, len(sizes), BLOCK):
         block = sizes[start:start + BLOCK]
-        rngs = _substreams(run.seed, "pulse", range(start, start + len(block)))
-        drift = np.empty((len(block), *shape))
-        for rng, chunk_drift in zip(rngs, drift):
-            rng.standard_normal(out=chunk_drift)
-        yield from zip(block, _chunk_probs(masks, noise, run.mu, drift), rngs)
+        shape = (len(block), len(masks[0]), 2, DIM)
+        yield block, _chunk_probs(masks, noise, run.mu, drift.standard_normal(shape))
 
 
 def _running_counts(entries: tuple[int, ...], noise: NoiseModel, run: PulseRun):
-    """Yield (pulses so far, pulses per projector, detections per projector) after each chunk."""
+    """Yield, for each block, the pulses so far (K,) and the pulses and detections per
+    projector so far (K, P) after each of its chunks."""
     n = len(run.projector_pool)
     uniform = np.full(n, 1.0 / n)
-    alloc_total = np.zeros(n, dtype=np.int64)
-    det_total = np.zeros(n, dtype=np.int64)
-    done = 0
-    for size, probs, rng in _chunks(entries, noise, run):
-        alloc = rng.multinomial(size, uniform)
-        alloc_total += alloc
-        det_total += rng.binomial(alloc, probs)
-        done += size
-        yield done, alloc_total, det_total
+    alloc_rng, detect_rng = _stream(run.seed, "alloc"), _stream(run.seed, "detect")
+    last = (0, 0, 0)    # the totals after the previous block
+    for sizes, probs in _blocks(entries, noise, run):
+        alloc = alloc_rng.multinomial(sizes, uniform)
+        block = (sizes, alloc, detect_rng.binomial(alloc, probs))
+        running = [total + np.cumsum(x, axis=0) for total, x in zip(last, block)]
+        yield running
+        last = [r[-1] for r in running]
 
 
 def _flux_pass(run: PulseRun, noise: NoiseModel, expected: bool = False) -> tuple[dict, dict]:
@@ -264,8 +213,8 @@ def _flux_pass(run: PulseRun, noise: NoiseModel, expected: bool = False) -> tupl
     if expected:
         flux = {b: n_cal * p_cal for b in bases}
     else:
-        rngs = _substreams(run.seed, "flux", bases)
-        flux = {b: int(rng.binomial(n_cal, p_cal)) for b, rng in zip(bases, rngs)}
+        counts = _stream(run.seed, "flux").binomial(n_cal, p_cal, size=len(bases))
+        flux = dict(zip(bases, counts.tolist()))
     return flux, {b: n_cal for b in bases}
 
 
@@ -290,14 +239,17 @@ def _record(
     )
 
 
+def _pulse_weighted(entries: tuple[int, ...], noise: NoiseModel, run: PulseRun) -> np.ndarray:
+    """The sum over chunks of each chunk's pulses times its (P,) detection probabilities."""
+    return sum((sizes[:, None] * p).sum(axis=0) for sizes, p in _blocks(entries, noise, run))
+
+
 def ground_truth_probabilities(state, noise: NoiseModel, run: PulseRun) -> dict[int, float]:
     """What the flux-normalized estimator converges to for this run: the
     pulse-weighted mean over chunks of clamp(eff*o + bg) / eff."""
     occupied = 1.0 - math.exp(-run.mu)
-    total = np.zeros(len(run.projector_pool))
-    for size, p, _ in _chunks(resolve_state(state), noise, run):
-        total += size * (p / occupied / noise.efficiency)
-    mean = total / run.n_pulses
+    total = _pulse_weighted(resolve_state(state), noise, run)
+    mean = total / (occupied * noise.efficiency * run.n_pulses)
     return {i: float(v) for i, v in zip(run.projector_pool, mean)}
 
 
@@ -306,7 +258,7 @@ def run_ks_experiment(state, noise: NoiseModel, run: PulseRun) -> CountRecord:
     are Bernoulli at (1 - e^-mu) * noisy_probability, plus an independent flux pass."""
     entries = resolve_state(state)
     *_, (_, alloc, det) = _running_counts(entries, noise, run)
-    return _record(entries, run, det, alloc, _flux_pass(run, noise))
+    return _record(entries, run, det[-1], alloc[-1], _flux_pass(run, noise))
 
 
 def expected_record(state, noise: NoiseModel, run: PulseRun) -> CountRecord:
@@ -314,9 +266,7 @@ def expected_record(state, noise: NoiseModel, run: PulseRun) -> CountRecord:
     (floats) given this seed's drift sequence, with exact uniform pulse allocation."""
     entries = resolve_state(state)
     n = len(run.projector_pool)
-    expected = np.zeros(n)
-    for size, p, _ in _chunks(entries, noise, run):
-        expected += (size / n) * p
+    expected = _pulse_weighted(entries, noise, run) / n
     share = np.full(n, run.n_pulses / n)
     return _record(entries, run, expected, share, _flux_pass(run, noise, expected=True))
 
@@ -406,12 +356,12 @@ def convergence_trace(
     marks = snap_checkpoints(checkpoints, run.n_pulses)
     points: list[TracePoint] = []
     for done, alloc, det in _running_counts(entries, noise, run):
-        if done in marks:
-            record = _record(entries, run, det, alloc, flux)
+        for k in np.flatnonzero(np.isin(done, marks)):
+            record = _record(entries, run, det[k], alloc[k], flux)
             est = estimate_probabilities(record)
             points.append(
                 TracePoint(
-                    pulses=done,
+                    pulses=int(done[k]),
                     sigma_est=est.sigma_est,
                     sigma_err=est.sigma_err,
                     S_est=est.S_est,

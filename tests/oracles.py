@@ -10,15 +10,13 @@ import numpy as np
 from kp40.ksset import KSSet
 from kp40.pentagram import Context, PauliWord
 from kp40.rays import Ray
-from kp40.simulate import CHUNK, DIM, NoiseModel, PulseRun, SlitPreparation, _path_digest
+from kp40.simulate import CHUNK, DIM, NoiseModel, PulseRun, SlitPreparation, derive_seed
 from kp40.states import ProbabilityProfile
 
 
-def substream(seed: int, *path) -> np.random.Generator:
-    """A named substream of the master seed, built the plain way: one PCG64 keyed by the
-    integer of the path digest's first 16 bytes, with NumPy's own SeedSequence."""
-    digest = _path_digest(seed, path)
-    return np.random.Generator(np.random.PCG64(int.from_bytes(digest[:16], "little")))
+def stream(seed: int, name: str) -> np.random.Generator:
+    """A run's named stream, built the plain way: Philox keyed by derive_seed(seed, name)."""
+    return np.random.Generator(np.random.Philox(key=derive_seed(seed, name)))
 
 
 def estimate_basis_sums(est, s: KSSet) -> dict[int, tuple[float, float]]:
@@ -120,17 +118,31 @@ def chunk_probs_loop(
     return probs
 
 
-def chunks_loop(
+def chunk_at_a_time(
     state_mask: SlitPreparation,
     pool_masks: Sequence[SlitPreparation],
     noise: NoiseModel,
     run: PulseRun,
 ):
-    """Each chunk's (pulses, probabilities, generator) of a run, one chunk at a time."""
-    for k, start in enumerate(range(0, run.n_pulses, CHUNK)):
-        rng = substream(run.seed, "pulse", k)
-        probs = chunk_probs_loop(state_mask, pool_masks, noise, run.mu, rng)
-        yield min(CHUNK, run.n_pulses - start), probs, rng
+    """A run one chunk at a time, each chunk drawing its own rows of the drift, alloc and
+    detect streams.
+
+    Returns the running (pulses, allocation, detections) after each chunk and the
+    expected counts.
+    """
+    drift, alloc_rng, detect_rng = (stream(run.seed, name) for name in ("drift", "alloc", "detect"))
+    n = len(pool_masks)
+    uniform = np.full(n, 1.0 / n)
+    alloc, det, expected = np.zeros(n, np.int64), np.zeros(n, np.int64), np.zeros(n)
+    running = []
+    for start in range(0, run.n_pulses, CHUNK):
+        size = min(CHUNK, run.n_pulses - start)
+        probs = chunk_probs_loop(state_mask, pool_masks, noise, run.mu, drift)
+        a = alloc_rng.multinomial(size, uniform)
+        alloc, det = alloc + a, det + detect_rng.binomial(a, probs)
+        expected += (size / n) * probs
+        running.append((start + size, alloc, det))
+    return running, expected
 
 
 _PAULI_2 = {

@@ -563,6 +563,17 @@ def test_malformed_artifact_is_a_one_line_usage_error(tmp_path, monkeypatch, cap
     assert named in err
 
 
+def test_analyze_refuses_a_literal_epsilon_and_a_file_together(tmp_path, capsys):
+    # the pair is refused before the record or the file is opened; neither exists
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["--out", str(tmp_path), "analyze", str(tmp_path / "record.json"),
+                  "--epsilon", "0.1", "--epsilon-file", str(tmp_path / "eps.json")])
+    assert exit_.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert "--epsilon-file" in last and last.endswith("--epsilon")
+    assert not any(tmp_path.iterdir())
+
+
 # case -> (command line, what the one error line names)
 BAD_FLAG_VALUES = {
     "mu-nan": (["simulate", "--state", "ghz", "--pulses", "1000", "--mu", "nan"],
@@ -578,6 +589,14 @@ BAD_FLAG_VALUES = {
                      "--workers must be at least 1, got 0"),
     "workers-negative": (["reproduce", "--pulses", "1000", "--workers", "-2"],
                          "--workers must be at least 1, got -2"),
+    "exclusivity-too-short-to-calibrate": (
+        ["exclusivity", "--pulses", "1000", "--initial", "1,2", "--mu", "0.1"],
+        "--pulses 1000 is too short for a flux calibration"),
+    "calibrate-too-short-to-calibrate": (["calibrate", "--pulses", "1000"],
+                                         "--pulses 1000 is too short for a flux calibration"),
+    "simulate-too-short-to-calibrate": (
+        ["simulate", "--state", "ghz", "--pulses", "100", "--checkpoints", "50"],
+        "--pulses 100 is too short for a flux calibration"),
 }
 
 

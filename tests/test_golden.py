@@ -13,10 +13,10 @@ import pytest
 from kp40 import cli
 from kp40.simulate import BLOCK, CHUNK
 
-GOLDEN_REPRODUCE_DIGEST = "539f73a1eed3c76e4b8414797d443193614a2050c24c4aa9f092b6ada4a14cfe"
-# 2.2M pulses are 68 chunks, more than one block of the chunk engine; the
-# digest was taken from the one-chunk-at-a-time engine before blocks existed
-GOLDEN_MULTI_BLOCK_SIMULATE_DIGEST = "cc5af429bd49092bda858adb62e28d0a57c9315ad72197ade0da53117ba8b517"
+GOLDEN_REPRODUCE_DIGEST = "0b2a8c2adc0fae135a352e90a28bd1298d9c727cfc9d0e448223d0e97011f523"
+# 2.2M pulses are 68 chunks, more than one block of the chunk engine; a
+# one-chunk-at-a-time run of the same four streams gives the same bytes
+GOLDEN_MULTI_BLOCK_SIMULATE_DIGEST = "2dd0a38422aa68b476b1e8fd14aec05bbad210c70c0fd1e9658a4b4eb34864ef"
 
 
 def tree_digest(root: Path) -> str:
@@ -54,28 +54,26 @@ _SIMULATE_M16 = ["--seed", "3", "--out", "sim16", "simulate", "--state", "w", "-
 
 # name -> (commands run in order, bundle directory, tree digest).  The paths are
 # relative because analyze and calibrate write the paths they are given into
-# their manifests.  The digests were taken before the CLI wrote its bundles
-# through one writer; the mermin16 analyze digest was taken when that flow
-# first ran.  The three analyze digests were retaken when quantum_value came
-# to be read from the state's exact profile, written as a float.
+# their manifests.  Every digest here was retaken when the simulator moved to
+# four named Philox streams per run; the output formats are unchanged since.
 GOLDEN_BUNDLES = {
     "exclusivity": (
         [_EXCLUSIVITY], "excl",
-        "0f1c2de680865d06cfe372e63ed65c1888278b600dd069f5f1f88a11e7dacf22"),
+        "4bb5733b73f1f42c0c70322022a7d42a2517a04ac053c289a70b098aff92c216"),
     "analyze-epsilon-file": (
         [_EXCLUSIVITY, _SIMULATE,
          ["--out", "an", "analyze", "sim/record.json", "--epsilon-file", "excl/eps.json"]], "an",
-        "108b868d279396d9fe4f16a4cb591a81b6bb7f18e29410463f2d64d02304df29"),
+        "1c776456d84662a97dd752f827bf9c280ba34350731b6b40aa4c87a3667d14bd"),
     "analyze-global-F": (
         [_SIMULATE, ["--out", "an", "analyze", "sim/record.json", "--epsilon", "0.01", "--global-F"]],
-        "an", "f258f71fa9d16bad9a163161cb95db09e6a4bc99c1a621c29beca2385334a02a"),
+        "an", "9c9d71534a7f673da7332e334bd1472093bd5e44dea425a20381c113356ff30e"),
     "analyze-mermin16": (
         [_SIMULATE_M16, ["--out", "an", "analyze", "sim16/record.json", "--epsilon", "0.014"]],
-        "an", "4c2c86d392963d9c0a7b7c496222aeba3d13d55a0f6b79c9c848adf7d35a7df5"),
+        "an", "7e8ae7d207d02f845a3c44a65173948a9a743b19d6311512beb91b2c8f5ae9e0"),
     "calibrate": (
         [["--seed", "1", "--out", "cal", "calibrate", "--pulses", "60000",
           "--config-out", "cal/noise.json"]], "cal",
-        "b0ccee69bab669c26a476e78505b7e18f84ab2d764e7daa5d8666c0e0d54db2f"),
+        "e5009c2c680efe9a43547687c4a435208ff88787b28db0bf42183f386d1dbda1"),
 }
 
 # (command, --format) -> sha256 of stdout, taken with the same code as above

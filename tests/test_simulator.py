@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,78 +28,63 @@ from kp40.simulate import (
     run_exclusivity_campaign,
     run_ks_experiment,
     snap_checkpoints,
-    _chunks,
-    _seed_words,
-    _substreams,
+    _blocks,
+    _stream,
 )
 from kp40 import simulate
 from kp40.rays import same_direction
 from kp40.states import profile, resolve_state
 
-from oracles import chunk_probs_loop, chunks_loop, slit_amplitudes, substream
+from oracles import chunk_at_a_time, chunk_probs_loop, slit_amplitudes, stream
 
 
 # ------------------------------------------------------------- randomness plumbing
 
 def test_substream_is_deterministic_and_path_separated():
-    a = substream(7, "pulse", 0).random(4)
-    b = substream(7, "pulse", 0).random(4)
-    c = substream(7, "pulse", 1).random(4)
-    d = substream(8, "pulse", 0).random(4)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
-    assert not np.array_equal(a, d)
-
-
-SEEDER_SEEDS = [0, 1, 2**63, 2**64 - 1, *np.random.default_rng(10).integers(0, 2**62, 6).tolist()]
-
-
-@pytest.mark.parametrize("name", ["pulse", "flux"])
-def test_block_seeder_matches_the_plain_substream(name):
-    # 10 seeds x 2 names x 100 indices: 2000 (seed, name, index) triples across a block boundary
-    indices = range(BLOCK - 50, BLOCK + 50)
-    for seed in SEEDER_SEEDS:
-        for k, fast in zip(indices, _substreams(seed, name, indices), strict=True):
-            slow = substream(seed, name, k)
-            assert fast.bit_generator.state == slow.bit_generator.state, (seed, name, k)
-            assert fast.random(3).tolist() == slow.random(3).tolist(), (seed, name, k)
-
-
-def test_seed_words_match_seed_sequence_on_short_keys():
-    # an int key with zero top words has fewer than four words; the block hash takes all four
-    rng = np.random.default_rng(11)
-    entropy = rng.integers(0, 2**32, (400, 4), dtype=np.uint32)
-    for row, zeros in zip(entropy, itertools.cycle([0, 1, 2, 3])):
-        row[4 - zeros:] = 0
-    entropy[-1] = 0
-    for row, words in zip(entropy, _seed_words(entropy), strict=True):
-        key = int.from_bytes(row.astype("<u4").tobytes(), "little")
-        assert np.array_equal(words, np.random.SeedSequence(key).generate_state(4, np.uint64)), key
+    a = _stream(7, "drift").random(4)
+    assert np.array_equal(a, _stream(7, "drift").random(4))
+    assert np.array_equal(a, stream(7, "drift").random(4))
+    assert not np.array_equal(a, _stream(7, "alloc").random(4))
+    assert not np.array_equal(a, _stream(8, "drift").random(4))
 
 
 def test_block_drift_is_the_plain_normal_stack(monkeypatch):
-    # two blocks, the second short: each block's drift stack is the substreams' normal draws
+    # two blocks, the second short: together they are one normal stack from the drift stream
     seen = []
     chunk_probs = simulate._chunk_probs
     monkeypatch.setattr(simulate, "_chunk_probs", lambda *a: seen.append(a[3]) or chunk_probs(*a))
     run = PulseRun(seed=5, n_pulses=(BLOCK + 3) * CHUNK, projector_pool=mermin_subset())
-    shape = (1 + len(run.projector_pool), 2, DIM)
-    list(_chunks(resolve_state("w"), IDEAL_NOISE, run))
+    list(_blocks(resolve_state("w"), IDEAL_NOISE, run))
     assert [len(d) for d in seen] == [BLOCK, 3]
-    for start, drift in zip((0, BLOCK), seen):
-        plain = np.stack([substream(5, "pulse", start + k).normal(0.0, 1.0, shape)
-                          for k in range(len(drift))])
-        assert drift.tobytes() == plain.tobytes()
+    plain = stream(5, "drift").standard_normal((BLOCK + 3, 1 + len(run.projector_pool), 2, DIM))
+    assert np.concatenate(seen).tobytes() == plain.tobytes()
 
 
-@pytest.mark.parametrize("chunks,calls", [(BLOCK, 2), (BLOCK + 3, 3)])
-def test_a_run_seeds_each_block_once(monkeypatch, chunks, calls):
-    # one seeder call per block of chunks plus one for the flux pass, never one per chunk
-    seeder, count = simulate._substreams, []
-    monkeypatch.setattr(simulate, "_substreams", lambda *a: count.append(a) or seeder(*a))
-    run_ks_experiment("ghz", IDEAL_NOISE, PulseRun(seed=3, n_pulses=chunks * CHUNK))
-    assert len(count) == calls
-    assert [a[1] for a in count] == ["pulse"] * (calls - 1) + ["flux"]
+class _CountedStream:
+    """A generator that records (stream name, method) for every draw made from it."""
+
+    def __init__(self, rng, name, calls):
+        self._rng, self._name, self._calls = rng, name, calls
+
+    def __getattr__(self, method):
+        draw = getattr(self._rng, method)
+
+        def counted(*args, **kwargs):
+            self._calls.append((self._name, method))
+            return draw(*args, **kwargs)
+        return counted
+
+
+@pytest.mark.parametrize("pulses,blocks", [(2_000_000, 1), ((BLOCK + 3) * CHUNK, 2)],
+                         ids=["2M-pulses", "BLOCK+3-chunks"])
+def test_a_run_draws_once_per_stream_and_block(monkeypatch, pulses, blocks):
+    # one drift draw, one multinomial and one binomial per block, one flux draw per run
+    calls = []
+    make = simulate._stream
+    monkeypatch.setattr(simulate, "_stream", lambda seed, name: _CountedStream(make(seed, name), name, calls))
+    run_ks_experiment("ghz", IDEAL_NOISE, PulseRun(seed=3, n_pulses=pulses))
+    assert Counter(calls) == {("drift", "standard_normal"): blocks, ("alloc", "multinomial"): blocks,
+                              ("detect", "binomial"): blocks, ("flux", "binomial"): 1}
 
 
 def test_derive_seed_is_stable():
@@ -148,32 +134,13 @@ def test_chunk_kernel_matches_per_mask_loop(kset, noise, state, pool):
     entries = resolve_state(state)
     run = PulseRun(seed=17, n_pulses=6 * CHUNK, projector_pool=pool)
     state_mask, pool_masks = ray_to_mask(entries), [ray_to_mask(kset.ray(i)) for i in pool]
-    chunks = list(_chunks(entries, noise, run))
-    assert len(chunks) == 6
-    for k, (size, fast, fast_rng) in enumerate(chunks):
-        slow_rng = substream(17, "pulse", k)
-        slow = chunk_probs_loop(state_mask, pool_masks, noise, DEFAULT_MU, slow_rng)
-        assert size == CHUNK
-        assert fast.shape == slow.shape == (len(pool),)
-        assert np.max(np.abs(fast - slow)) <= KERNEL_RTOL * np.max(slow)
-        # each chunk's generator is left where the loop leaves it, so later draws agree
-        assert fast_rng.random() == slow_rng.random()
-
-
-def _chunk_at_a_time(entries, noise, run, kset):
-    """(running (pulses, allocation, detections) per chunk, expected counts) of the reference loop."""
-    pool = run.projector_pool
-    uniform = np.full(len(pool), 1.0 / len(pool))
-    alloc, det, expected = np.zeros(len(pool), np.int64), np.zeros(len(pool), np.int64), np.zeros(len(pool))
-    running, done = [], 0
-    state_mask, pool_masks = ray_to_mask(entries), [ray_to_mask(kset.ray(i)) for i in pool]
-    for size, probs, rng in chunks_loop(state_mask, pool_masks, noise, run):
-        a = rng.multinomial(size, uniform)
-        alloc, det = alloc + a, det + rng.binomial(a, probs)
-        expected += (size / len(pool)) * probs
-        done += size
-        running.append((done, alloc, det))
-    return running, expected
+    [(sizes, fast)] = list(_blocks(entries, noise, run))
+    assert sizes.tolist() == [CHUNK] * 6
+    drift = stream(17, "drift")
+    for chunk in fast:
+        slow = chunk_probs_loop(state_mask, pool_masks, noise, DEFAULT_MU, drift)
+        assert chunk.shape == slow.shape == (len(pool),)
+        assert np.max(np.abs(chunk - slow)) <= KERNEL_RTOL * np.max(slow)
 
 
 def test_run_across_a_block_boundary_matches_chunk_at_a_time(kset):
@@ -181,13 +148,19 @@ def test_run_across_a_block_boundary_matches_chunk_at_a_time(kset):
     pool = mermin_subset()
     run = PulseRun(seed=31, n_pulses=(BLOCK + 3) * CHUNK + 123, projector_pool=pool)
     entries = resolve_state("ghz")
-    running, expected = _chunk_at_a_time(entries, IDEAL_NOISE, run, kset)
+    masks = ray_to_mask(entries), [ray_to_mask(kset.ray(i)) for i in pool]
+    running, expected = chunk_at_a_time(*masks, IDEAL_NOISE, run)
     assert len(running) == BLOCK + 4 and running[-1][0] == run.n_pulses
 
     rec = run_ks_experiment(entries, IDEAL_NOISE, run)
     _, alloc, det = running[-1]
     assert rec.counts == dict(zip(pool, det.tolist()))
     assert rec.pulses_per_projector == dict(zip(pool, alloc.tolist()))
+    # the flux pass: one draw per basis group, in ascending order, from the flux stream
+    flux = stream(31, "flux")
+    p_cal = 1.0 - math.exp(-run.mu)
+    assert rec.flux_calibration == {
+        b: int(flux.binomial(run.n_pulses // len(pool), p_cal)) for b in sorted(rec.flux_pulses)}
 
     marks = [CHUNK, BLOCK * CHUNK, (BLOCK + 1) * CHUNK, run.n_pulses]
     trace = convergence_trace(entries, IDEAL_NOISE, run, marks)
@@ -204,10 +177,31 @@ def test_run_across_a_block_boundary_matches_chunk_at_a_time(kset):
             want.append((done, est.sigma_est, est.sigma_err, est.S_est, est.S_err))
     assert [(p.pulses, p.sigma_est, p.sigma_err, p.S_est, p.S_err) for p in trace.points] == want
 
-    assert expected_record(entries, IDEAL_NOISE, run).counts == dict(zip(pool, expected.tolist()))
-    _, expected = _chunk_at_a_time(entries, load_noise_config(None), run, kset)
-    fast = np.array(list(expected_record(entries, load_noise_config(None), run).counts.values()))
-    assert np.max(np.abs(fast - expected)) <= KERNEL_RTOL * np.max(expected)
+    # the block sums add the chunks in another order than the loop does
+    for noise in (IDEAL_NOISE, load_noise_config(None)):
+        _, expected = chunk_at_a_time(*masks, noise, run)
+        fast = np.array(list(expected_record(entries, noise, run).counts.values()))
+        assert np.max(np.abs(fast - expected)) <= KERNEL_RTOL * np.max(expected)
+
+
+def test_block_size_changes_no_byte(monkeypatch):
+    # 20 chunks: one block of 64, or blocks of 7, 7 and 6
+    run = PulseRun(seed=23, n_pulses=20 * CHUNK - 5)
+    noise = load_noise_config(None)
+    marks = [CHUNK, 7 * CHUNK, 8 * CHUNK, 15 * CHUNK]
+    whole = convergence_trace("ghz", noise, run, marks)
+    monkeypatch.setattr(simulate, "BLOCK", 7)
+    assert convergence_trace("ghz", noise, run, marks) == whole
+    assert run_ks_experiment("ghz", noise, run) == whole.record
+
+
+def test_noise_leaves_the_pulse_allocation_alone():
+    # the allocation stream is drawn apart from the drift and detection streams
+    run = PulseRun(seed=29, n_pulses=5 * CHUNK + 7)
+    ideal = run_ks_experiment("w", IDEAL_NOISE, run)
+    heavy = run_ks_experiment("w", HEAVY_NOISE, run)
+    assert ideal.pulses_per_projector == heavy.pulses_per_projector
+    assert ideal.counts != heavy.counts
 
 
 # ------------------------------------------------------------- config objects
