@@ -1,8 +1,10 @@
 """Command-line entry point: verification, exact reports, simulation, and reproduction bundles.
 
 The exact commands (verify, octads, bounds, predict) run on integers and
-fractions alone.  The simulator, the analysis and the process pool are
+fractions alone.  The simulator, the analysis and the thread pool are
 imported inside the commands that use them, looked up at call time.
+`reproduce --workers N` runs up to N legs at once on threads of this process;
+each leg draws from its own streams, so the bytes do not depend on N.
 """
 
 from __future__ import annotations
@@ -469,7 +471,7 @@ def _summary_row(kind: str, state: str, judged) -> dict:
 
 
 def cmd_reproduce(args) -> int:
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor
 
     from .analysis import CountRecord, judge
 
@@ -480,7 +482,8 @@ def cmd_reproduce(args) -> int:
 
     tasks = [(leg, seed, noise, pulses, mu) for leg in REPRODUCE_LEGS]
     if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as ex:
+        # NumPy's draws and ufuncs release the GIL, so legs overlap on threads
+        with ThreadPoolExecutor(max_workers=min(args.workers, len(tasks))) as ex:
             results = dict(zip(REPRODUCE_LEGS, ex.map(_leg, tasks)))
     else:
         results = dict(zip(REPRODUCE_LEGS, map(_leg, tasks)))

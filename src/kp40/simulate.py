@@ -15,7 +15,7 @@ its phase errors), the K chunks' multinomial pulse allocations, and their
 binomial detections.  The flux pass is one binomial draw over the basis groups
 in ascending order.  Each stream is thus one sequence of draws in chunk order,
 so the bytes depend neither on BLOCK nor on how runs are spread over worker
-processes, while memory depends on BLOCK, not on the run's length.
+threads, while memory depends on BLOCK, not on the run's length.
 """
 
 from __future__ import annotations
@@ -163,13 +163,22 @@ def _chunk_probs(
     """(K, P) per-pulse detection probabilities of K chunks from their (K, 1+P, 2, 8) mask drift.
 
     Masks drift once per chunk, modeling slow rendering miscalibration over a
-    long run rather than per-pulse noise.
+    long run rather than per-pulse noise.  A slit's amplitude is
+    sqrt(t) * e^(i theta); the overlap of pool mask v with the state mask psi is
+    |<v|psi>|^2 / (|v|^2 |psi|^2), with |v|^2 = sum(t), taken in real arithmetic:
+    with c = sqrt(t) cos(theta) and s = sqrt(t) sin(theta), <v|psi> has real
+    part c_v.c_psi + s_v.s_psi and imaginary part c_v.s_psi - s_v.c_psi.
     """
     t, phases = masks
     t = np.clip(t * (1.0 + drift[:, :, 0] * noise.amplitude_jitter), 0.0, None)
-    amps = np.sqrt(t) * np.exp(1j * (phases + drift[:, :, 1] * noise.phase_jitter))
-    amps /= np.linalg.norm(amps, axis=2, keepdims=True)
-    overlaps = np.abs(amps[:, 1:].conj() @ amps[:, 0, :, None])[..., 0] ** 2
+    theta = phases + drift[:, :, 1] * noise.phase_jitter
+    root = np.sqrt(t)
+    c, s = root * np.cos(theta), root * np.sin(theta)
+    c_psi, s_psi = c[:, 0, :, None], s[:, 0, :, None]
+    re = (c[:, 1:] @ c_psi + s[:, 1:] @ s_psi)[..., 0]
+    im = (c[:, 1:] @ s_psi - s[:, 1:] @ c_psi)[..., 0]
+    norms = t.sum(axis=2)
+    overlaps = (re * re + im * im) / (norms[:, 1:] * norms[:, :1])
     occupied = 1.0 - math.exp(-mu)
     return occupied * np.clip(noise.efficiency * overlaps + noise.background, 0.0, 1.0)
 

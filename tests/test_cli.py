@@ -594,6 +594,9 @@ BAD_FLAG_VALUES = {
         "--pulses 1000 is too short for a flux calibration"),
     "calibrate-too-short-to-calibrate": (["calibrate", "--pulses", "1000"],
                                          "--pulses 1000 is too short for a flux calibration"),
+    "reproduce-on-threads-too-short-to-calibrate": (
+        ["reproduce", "--pulses", "1000", "--workers", "2"],
+        "--pulses 1000 is too short for a flux calibration"),
     "simulate-too-short-to-calibrate": (
         ["simulate", "--state", "ghz", "--pulses", "100", "--checkpoints", "50"],
         "--pulses 100 is too short for a flux calibration"),
@@ -670,6 +673,48 @@ def test_reproduce_says_when_pulses_are_too_few_to_calibrate(tmp_path, capsys):
     assert err.count("\n") == 1
     assert "--pulses 10 is too short for a flux calibration" in err
     assert not (tmp_path / "summary.json").exists()
+
+
+def test_reproduce_runs_every_leg_in_this_process(tmp_path, monkeypatch, capsys):
+    from kp40 import simulate
+
+    pids = []
+    real = simulate.run_ks_experiment
+    monkeypatch.setattr(simulate, "run_ks_experiment",
+                        lambda *a: pids.append(os.getpid()) or real(*a))
+    code, _, err = run_cli(["--out", str(tmp_path), "reproduce", "--pulses", "40000",
+                            "--workers", "2"], capsys)
+    assert code == 0, err
+    # 7 records, and one leg per initial ray of the exclusivity campaign
+    assert pids == [os.getpid()] * (7 + len(simulate.DEFAULT_INITIAL_RAYS))
+
+
+def test_reproduce_starts_no_more_workers_than_legs(tmp_path, monkeypatch, capsys):
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialExecutor:
+        """Records its size and runs `map` in the caller's thread."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    # both pool kinds: a real pool must never start for this command line
+    for name in ("ThreadPoolExecutor", "ProcessPoolExecutor"):
+        monkeypatch.setattr(concurrent.futures, name, SerialExecutor)
+    code, _, err = run_cli(["--out", str(tmp_path), "reproduce", "--pulses", "40000",
+                            "--workers", "64"], capsys)
+    assert code == 0, err
+    assert sizes == [len(cli.REPRODUCE_LEGS)]
 
 
 def test_reproduce_without_config_names_calibrate(tmp_path, capsys):

@@ -6,6 +6,7 @@ them on purpose updates the digest and says so in CHANGES.md.
 
 import hashlib
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,20 @@ def tree_digest(root: Path) -> str:
 def test_reproduce_bundle_matches_golden_digest(tmp_path, capsys, workers):
     code = cli.main(["--seed", "42", "--out", str(tmp_path), "reproduce",
                      "--pulses", "200000", "--workers", str(workers)])
+    capsys.readouterr()
+    assert code == 0
+    assert tree_digest(tmp_path) == GOLDEN_REPRODUCE_DIGEST
+
+
+def test_reproduce_bundle_holds_on_threads_that_switch_often(tmp_path, capsys):
+    # a thread per leg, more threads than cores, and a thread switch every microsecond
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        code = cli.main(["--seed", "42", "--out", str(tmp_path), "reproduce",
+                         "--pulses", "200000", "--workers", str(len(cli.REPRODUCE_LEGS))])
+    finally:
+        sys.setswitchinterval(interval)
     capsys.readouterr()
     assert code == 0
     assert tree_digest(tmp_path) == GOLDEN_REPRODUCE_DIGEST

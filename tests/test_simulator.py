@@ -143,6 +143,21 @@ def test_chunk_kernel_matches_per_mask_loop(kset, noise, state, pool):
         assert np.max(np.abs(chunk - slow)) <= KERNEL_RTOL * np.max(slow)
 
 
+@pytest.mark.parametrize("state,pool", [
+    ("ghz", KS40_POOL),
+    (canonical_set().ray(1), build_graph(canonical_set()).neighbors(1)),    # all 23 exclusive
+], ids=["ks40", "exclusivity23"])
+def test_ideal_chunk_kernel_is_the_exact_profile(state, pool):
+    # without noise every chunk gives (1 - e^-mu) * efficiency * |<v|psi>|^2 / (|v|^2 |psi|^2);
+    # an exclusive pair's overlap cancels to rounding, far below any count's resolution
+    run = PulseRun(seed=19, n_pulses=3 * CHUNK, projector_pool=pool)
+    [(_, probs)] = list(_blocks(resolve_state(state), IDEAL_NOISE, run))
+    exact = profile(state).probs
+    want = (1.0 - math.exp(-run.mu)) * IDEAL_NOISE.efficiency * np.array([float(exact[i]) for i in pool])
+    for chunk in probs:
+        np.testing.assert_allclose(chunk, want, rtol=1e-14, atol=1e-28)
+
+
 def test_run_across_a_block_boundary_matches_chunk_at_a_time(kset):
     # BLOCK + 4 chunks, the last one partial: two blocks, the second short
     pool = mermin_subset()
