@@ -10,16 +10,16 @@ __version__ = "0.1.0"
 
 # submodule -> the public names it contributes
 _EXPORTS = {
-    "rays": "Ray canonical_form dot overlap_prob same_direction",
+    "rays": "Ray canonical_form dot overlap_prob",
     "pentagram": "Context PauliWord common_eigenrays pentagram_contexts pentagram_unsat "
                  "pentagram_words",
     "ksset": "EDGE_COUNT N_OCTADS N_RAYS RAY_DEGREE KSSet OrthoGraph build_graph canonical_set "
              "enumerate_octads mermin_subset",
     "bounds": "Assignment S_NCHV_BOUND SIGMA_NCHV_BOUND corrected_S_bound corrected_sigma_bound "
-              "ks_colorable max_ones mermin_kappa_to_S",
+              "ks_colorable max_ones",
     "states": "NAMED_STATES ProbabilityProfile S_of_profile profile sigma_of_profile",
     "simulate": "NoiseModel PulseRun SlitPreparation convergence_trace expected_record "
-                "mask_to_ray ray_to_mask run_exclusivity_campaign run_ks_experiment",
+                "ray_to_mask run_exclusivity_campaign run_ks_experiment",
     "analysis": "CountRecord EstimateSet SimilarityReport bhattacharyya estimate_probabilities judge verdict",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

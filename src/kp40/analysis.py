@@ -58,8 +58,8 @@ class CountRecord:
 
         def amount(v):
             f = number(v)
-            if not 0 <= f < math.inf:    # false for NaN too
-                raise ValueError(f"{v!r} is not a finite nonnegative number")
+            if not 0 <= v <= 2**53:    # false for NaN too; above 2**53 floats stop counting exactly
+                raise ValueError(f"{v!r} is not a finite nonnegative number up to 2**53")
             return integer(v) if f.is_integer() else f
 
         def per_key(d) -> dict:
@@ -144,10 +144,14 @@ def estimate_probabilities(r: CountRecord) -> EstimateSet:
             raise EstimationError(f"no pulses allocated to projector {i}")
         n_cal = r.flux_pulses[b]
         c = r.counts[i]
-        scale = n_cal / (n_i * flux)
-        p = c * scale
-        var = scale * scale * c + (c * n_cal / (n_i * flux * flux)) ** 2 * flux
-        probs[i] = (p, math.sqrt(var))
+        try:
+            scale = n_cal / (n_i * flux)
+            var = scale * scale * c + (c * n_cal / (n_i * flux * flux)) ** 2 * flux
+        except (ZeroDivisionError, OverflowError):    # a term left the float range
+            var = math.nan
+        if not math.isfinite(var):
+            raise EstimationError(f"projector {i}: {n_i} pulses and calibration flux {flux} give no estimate")
+        probs[i] = (c * scale, math.sqrt(var))
 
     sigma_est = sum(p for p, _ in probs.values())
     sigma_err = math.sqrt(sum(e * e for _, e in probs.values()))

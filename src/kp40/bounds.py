@@ -108,13 +108,6 @@ def ks_colorable(octads: Sequence[Octad], g: OrthoGraph) -> ColorabilityResult:
     return ColorabilityResult(colorable=True, witness=Assignment(bits=bits), nodes_explored=nodes)
 
 
-def mermin_kappa_to_S(kappa: float) -> float:
-    """Map the correlation form kappa in [-4, 4] to the probability form kappa/2 + 2."""
-    if not -4.0 <= kappa <= 4.0:
-        raise ValueError(f"kappa {kappa} outside [-4, 4]")
-    return kappa / 2.0 + 2.0
-
-
 def _check_epsilon(epsilon: float) -> float:
     eps = float(epsilon)
     if not 0.0 <= eps <= 1.0:

@@ -74,11 +74,6 @@ def canonical_form(v: RayLike) -> Ray:
     return Ray(tuple(x // g for x in e), label=label)
 
 
-def same_direction(a: RayLike, b: RayLike) -> bool:
-    """True iff a and b span the same line, that is, their canonical forms agree."""
-    return canonical_form(a).entries == canonical_form(b).entries
-
-
 def rational_to_str(q: Fraction) -> str:
     """Serialize a rational as "num/den" (always in lowest terms, positive denominator)."""
     return f"{q.numerator}/{q.denominator}"

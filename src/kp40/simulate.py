@@ -16,6 +16,8 @@ binomial detections.  The flux pass is one binomial draw over the basis groups
 in ascending order.  Each stream is thus one sequence of draws in chunk order,
 so the bytes depend neither on BLOCK nor on how runs are spread over worker
 threads, while memory depends on BLOCK, not on the run's length.
+A detection probability of exactly 0 draws nothing from the "detect" stream, so
+the exact zeros of the chunk kernel, _chunk_probs, are part of those bytes too.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 
 from .analysis import CountRecord, estimate_probabilities
 from .ksset import KS40_POOL, build_graph, canonical_set, ray_indices, read_fields
-from .rays import Ray, canonical_form, integer, number, positive
+from .rays import Ray, integer, number, positive
 from .states import resolve_state
 
 DIM = 8
@@ -74,17 +76,6 @@ def ray_to_mask(v: Ray | Sequence[int]) -> SlitPreparation:
     return SlitPreparation(
         transmissivities=t, phases=phases, normalization=1.0 / math.sqrt(sum(t))
     )
-
-
-def mask_to_ray(prep: SlitPreparation) -> Ray:
-    """Decode a noiseless mask back to the integer ray it encodes."""
-    mags = [math.sqrt(t) for t in prep.transmissivities]
-    signs = [-1 if math.cos(p) < 0 else 1 for p in prep.phases]
-    smallest = min(m for m in mags if m > 1e-12)
-    entries = tuple(
-        int(round(m / smallest)) * s if m > 1e-12 else 0 for m, s in zip(mags, signs)
-    )
-    return canonical_form(entries)
 
 
 @dataclass(frozen=True)
@@ -168,16 +159,33 @@ def _chunk_probs(
     |<v|psi>|^2 / (|v|^2 |psi|^2), with |v|^2 = sum(t), taken in real arithmetic:
     with c = sqrt(t) cos(theta) and s = sqrt(t) sin(theta), <v|psi> has real
     part c_v.c_psi + s_v.s_psi and imaginary part c_v.s_psi - s_v.c_psi.
+
+    cos and sin come from one half-angle tangent u = tan(theta / 2), as
+    (1 - u^2) / (1 + u^2) and 2u / (1 + u^2).  With no phase drift u is 0 or
+    tan(pi/2) = 1.6e16, where the ratios are exactly 1 and 0, or -1 and
+    sin(pi) = 1.2e-16: c and s, and so the exact zeros among the probabilities,
+    are bitwise those of a direct cos and sin.  Folding the binary phase into the
+    sign of sqrt(t) instead would turn 1e-34 overlaps of exclusive rays into zeros.
     """
     t, phases = masks
-    t = np.clip(t * (1.0 + drift[:, :, 0] * noise.amplitude_jitter), 0.0, None)
-    theta = phases + drift[:, :, 1] * noise.phase_jitter
-    root = np.sqrt(t)
-    c, s = root * np.cos(theta), root * np.sin(theta)
+    jitter = np.array([noise.amplitude_jitter, noise.phase_jitter / 2])[:, None, None, None]
+    root, u = np.multiply(drift.transpose(2, 0, 1, 3), jitter, order="C")    # contiguous planes
+    root += 1.0
+    root *= t
+    norms = np.maximum(root, 0.0, out=root) @ np.ones(DIM)    # of the drifted t
+    np.sqrt(root, out=root)
+    u += phases / 2
+    c = np.square(np.tan(u, out=u))
+    den = c + 1.0
+    np.subtract(1.0, c, out=c)
+    c /= den
+    c *= root
+    s = np.add(u, u, out=u)
+    s /= den
+    s *= root
     c_psi, s_psi = c[:, 0, :, None], s[:, 0, :, None]
     re = (c[:, 1:] @ c_psi + s[:, 1:] @ s_psi)[..., 0]
     im = (c[:, 1:] @ s_psi - s[:, 1:] @ c_psi)[..., 0]
-    norms = t.sum(axis=2)
     overlaps = (re * re + im * im) / (norms[:, 1:] * norms[:, :1])
     occupied = 1.0 - math.exp(-mu)
     return occupied * np.clip(noise.efficiency * overlaps + noise.background, 0.0, 1.0)

@@ -9,7 +9,7 @@ import numpy as np
 
 from kp40.ksset import KSSet
 from kp40.pentagram import Context, PauliWord
-from kp40.rays import Ray
+from kp40.rays import Ray, RayLike, canonical_form
 from kp40.simulate import CHUNK, DIM, NoiseModel, PulseRun, SlitPreparation, derive_seed
 from kp40.states import ProbabilityProfile
 
@@ -29,6 +29,18 @@ def estimate_basis_sums(est, s: KSSet) -> dict[int, tuple[float, float]]:
     return {b: (tot[0], math.sqrt(tot[1])) for b, tot in sorted(out.items())}
 
 
+def same_direction(a: RayLike, b: RayLike) -> bool:
+    """True iff a and b span the same line, that is, their canonical forms agree."""
+    return canonical_form(a).entries == canonical_form(b).entries
+
+
+def mermin_kappa_to_S(kappa: float) -> float:
+    """Map the correlation form kappa in [-4, 4] to the probability form kappa/2 + 2."""
+    if not -4.0 <= kappa <= 4.0:
+        raise ValueError(f"kappa {kappa} outside [-4, 4]")
+    return kappa / 2.0 + 2.0
+
+
 def norm_sq(ray: Ray) -> int:
     """Squared Euclidean norm of a ray's integer entries."""
     return sum(e * e for e in ray.entries)
@@ -46,6 +58,17 @@ def slit_amplitudes(prep: SlitPreparation) -> np.ndarray:
     """The complex slit amplitudes a mask encodes, scaled by its normalization constant."""
     t = np.asarray(prep.transmissivities)
     return prep.normalization * np.sqrt(t) * np.exp(1j * np.asarray(prep.phases))
+
+
+def mask_to_ray(prep: SlitPreparation) -> Ray:
+    """Decode a noiseless mask back to the integer ray it encodes."""
+    mags = [math.sqrt(t) for t in prep.transmissivities]
+    signs = [-1 if math.cos(p) < 0 else 1 for p in prep.phases]
+    smallest = min(m for m in mags if m > 1e-12)
+    entries = tuple(
+        int(round(m / smallest)) * s if m > 1e-12 else 0 for m, s in zip(mags, signs)
+    )
+    return canonical_form(entries)
 
 
 def count_independent_subsets(g, size: int) -> int:
@@ -116,6 +139,29 @@ def chunk_probs_loop(
         o = abs(np.vdot(b, a)) ** 2
         probs[idx] = occupied * min(1.0, max(0.0, noise.efficiency * o + noise.background))
     return probs
+
+
+def chunk_probs_cos_sin(
+    masks: tuple[np.ndarray, np.ndarray], noise: NoiseModel, mu: float, drift: np.ndarray
+) -> np.ndarray:
+    """The batched chunk kernel with a direct cos and sin of each drifted slit phase.
+
+    Same inputs and output as simulate._chunk_probs: (K, P) detection
+    probabilities from (1+P, 8) transmissivities and phases and a (K, 1+P, 2, 8)
+    drift.  Its exact zeros are the ones a seed's bytes were first drawn with.
+    """
+    t, phases = masks
+    t = np.clip(t * (1.0 + drift[:, :, 0] * noise.amplitude_jitter), 0.0, None)
+    theta = phases + drift[:, :, 1] * noise.phase_jitter
+    root = np.sqrt(t)
+    c, s = root * np.cos(theta), root * np.sin(theta)
+    c_psi, s_psi = c[:, 0, :, None], s[:, 0, :, None]
+    re = (c[:, 1:] @ c_psi + s[:, 1:] @ s_psi)[..., 0]
+    im = (c[:, 1:] @ s_psi - s[:, 1:] @ c_psi)[..., 0]
+    norms = t.sum(axis=2)
+    overlaps = (re * re + im * im) / (norms[:, 1:] * norms[:, :1])
+    occupied = 1.0 - math.exp(-mu)
+    return occupied * np.clip(noise.efficiency * overlaps + noise.background, 0.0, 1.0)
 
 
 def chunk_at_a_time(

@@ -14,12 +14,11 @@ from kp40.bounds import (
     full_report_json,
     ks_colorable,
     max_ones,
-    mermin_kappa_to_S,
 )
 from kp40.ksset import mermin_subset
 from kp40.states import NAMED_STATES, profile, sigma_of_profile
 
-from oracles import brute_mis_size
+from oracles import brute_mis_size, mermin_kappa_to_S
 
 
 def test_max_ones_full_graph(graph):

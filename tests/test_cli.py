@@ -516,6 +516,20 @@ MALFORMED_ARTIFACTS = {
         ["analyze", "bad.json"], "'pulses_per_projector': inf is not a finite nonnegative number"),
     "record-count-beyond-a-float": (_mermin16_ghz_record(counts={str(i): 10**400 for i in mermin_subset()}),
                                     ["analyze", "bad.json"], "'counts': int too large to convert to float"),
+    "record-count-above-2**53": (
+        _mermin16_ghz_record(counts={str(i): 1e308 for i in mermin_subset()},
+                             pulses_per_projector={str(i): 1e308 for i in mermin_subset()}),
+        ["analyze", "bad.json"], "'counts': 1e+308 is not a finite nonnegative number up to 2**53"),
+    "record-count-one-above-2**53": (
+        _mermin16_ghz_record(counts={str(i): 2**53 + 1 for i in mermin_subset()},
+                             pulses_per_projector={str(i): 2**54 for i in mermin_subset()}),
+        ["analyze", "bad.json"], "'counts': 9007199254740993 is not a finite nonnegative number up to 2**53"),
+    "record-flux-pulses-above-2**53": (
+        _mermin16_ghz_record(flux_pulses={"2": 1e308, "3": 2500, "4": 2500, "5": 2500}),
+        ["analyze", "bad.json"], "'flux_pulses': 1e+308 is not a finite nonnegative number up to 2**53"),
+    "record-flux-too-small-to-square": (
+        _mermin16_ghz_record(flux_calibration={"2": 1e-300, "3": 300, "4": 300, "5": 300}),
+        ["analyze", "bad.json"], "projector 10: 2500 pulses and calibration flux 1e-300 give no estimate"),
     "record-state-not-an-integer": (_mermin16_ghz_record(state=[1, 0, 0, 0, 0, 0, 0, 1.5]),
                                     ["analyze", "bad.json"], "'state': 1.5 is not an integer"),
     "record-flux-above-its-pulses": (

@@ -13,10 +13,9 @@ from kp40.rays import (
     dot,
     overlap_prob,
     rational_to_str,
-    same_direction,
 )
 
-from oracles import norm_sq
+from oracles import norm_sq, same_direction
 
 nonzero_entries = st.lists(st.integers(-9, 9), min_size=8, max_size=8).filter(any)
 

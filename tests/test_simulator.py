@@ -23,7 +23,6 @@ from kp40.simulate import (
     derive_seed,
     expected_record,
     ground_truth_probabilities,
-    mask_to_ray,
     ray_to_mask,
     run_exclusivity_campaign,
     run_ks_experiment,
@@ -32,10 +31,17 @@ from kp40.simulate import (
     _stream,
 )
 from kp40 import simulate
-from kp40.rays import same_direction
-from kp40.states import profile, resolve_state
+from kp40.states import NAMED_STATES, profile, resolve_state
 
-from oracles import chunk_at_a_time, chunk_probs_loop, slit_amplitudes, stream
+from oracles import (
+    chunk_at_a_time,
+    chunk_probs_cos_sin,
+    chunk_probs_loop,
+    mask_to_ray,
+    same_direction,
+    slit_amplitudes,
+    stream,
+)
 
 
 # ------------------------------------------------------------- randomness plumbing
@@ -156,6 +162,25 @@ def test_ideal_chunk_kernel_is_the_exact_profile(state, pool):
     want = (1.0 - math.exp(-run.mu)) * IDEAL_NOISE.efficiency * np.array([float(exact[i]) for i in pool])
     for chunk in probs:
         np.testing.assert_allclose(chunk, want, rtol=1e-14, atol=1e-28)
+
+
+@pytest.mark.parametrize("noise", [IDEAL_NOISE, NoiseModel(amplitude_jitter=0.06)],
+                         ids=["ideal", "amplitude-only"])
+def test_chunk_kernel_keeps_the_zeros_of_cos_and_sin(kset, graph, noise):
+    # a probability of exactly 0 draws nothing from the detect stream, so the zeros fix the bytes
+    drift = stream(29, "drift")
+    cases = [(kset.ray(i).entries, pool) for i in range(1, 41) for pool in (KS40_POOL, graph.neighbors(i))]
+    cases += [(resolve_state(name), KS40_POOL) for name in NAMED_STATES]
+    zeros = 0
+    for entries, pool in cases:
+        masks = simulate._mask_stack(entries, pool)
+        block = drift.standard_normal((3, 1 + len(pool), 2, DIM))
+        fast = simulate._chunk_probs(masks, noise, DEFAULT_MU, block)
+        slow = chunk_probs_cos_sin(masks, noise, DEFAULT_MU, block)
+        assert np.array_equal(fast == 0, slow == 0), (entries, pool)
+        np.testing.assert_allclose(fast, slow, rtol=1e-14, atol=0)
+        zeros += np.count_nonzero(slow == 0)
+    assert zeros > 0
 
 
 def test_run_across_a_block_boundary_matches_chunk_at_a_time(kset):
