@@ -35,16 +35,20 @@ class ColorabilityResult:
     nodes_explored: int    # size of the exhausted search tree; only rerunning the search checks it
 
 
-def _mis_size(adj: Sequence[int], cand: int, memo: dict[int, int]) -> int:
-    """Exact maximum independent set size over the candidate bitmask (branch on lowest vertex)."""
+def _mis(adj: Sequence[int], cand: int, memo: dict[int, int]) -> int:
+    """The lexicographically smallest maximum independent set within the candidate
+    bitmask, as a bitmask.  It branches on the lowest candidate and keeps it on a tie:
+    every set that holds the lowest index sorts before every set that does not."""
     if cand == 0:
         return 0
     hit = memo.get(cand)
     if hit is not None:
         return hit
-    v = (cand & -cand).bit_length() - 1
-    rest = cand & (cand - 1)
-    best = max(1 + _mis_size(adj, rest & ~adj[v], memo), _mis_size(adj, rest, memo))
+    low = cand & -cand
+    rest = cand ^ low
+    take = low | _mis(adj, rest & ~adj[low.bit_length() - 1], memo)
+    skip = _mis(adj, rest, memo)
+    best = take if take.bit_count() >= skip.bit_count() else skip
     memo[cand] = best
     return best
 
@@ -53,27 +57,8 @@ def max_ones(g: OrthoGraph, subset: Iterable[int] | None = None) -> tuple[int, A
     """Exact maximum number of 1s assignable on the induced subgraph, with the
     lexicographically smallest optimal witness."""
     indices = tuple(subset) if subset is not None else tuple(range(1, g.n + 1))
-    cand0 = induced_bitmask(indices)
-    memo: dict[int, int] = {}
-    best = _mis_size(g.adj, cand0, memo)
-
-    chosen: list[int] = []
-    cand = cand0
-    for i in sorted(indices):
-        v = i - 1
-        if not (cand >> v) & 1:
-            continue
-        trial = cand & ~(1 << v) & ~g.adj[v]
-        if _mis_size(g.adj, trial, memo) == best - len(chosen) - 1:
-            chosen.append(i)
-            cand = trial
-            if len(chosen) == best:
-                break
-        else:
-            cand &= ~(1 << v)
-
-    bits = {i: (1 if i in chosen else 0) for i in indices}
-    return best, Assignment(bits=bits)
+    best = _mis(g.adj, induced_bitmask(indices), {})
+    return best.bit_count(), Assignment(bits={i: best >> (i - 1) & 1 for i in indices})
 
 
 def ks_colorable(octads: Sequence[Octad], g: OrthoGraph) -> ColorabilityResult:
@@ -100,12 +85,10 @@ def ks_colorable(octads: Sequence[Octad], g: OrthoGraph) -> ColorabilityResult:
                 return hit
         return None
 
-    result = search(0, 0, 0)
-    all_indices = sorted({i for o in octads for i in o})
-    if result is None:
-        return ColorabilityResult(colorable=False, witness=None, nodes_explored=nodes)
-    bits = {i: (1 if result >> (i - 1) & 1 else 0) for i in all_indices}
-    return ColorabilityResult(colorable=True, witness=Assignment(bits=bits), nodes_explored=nodes)
+    found = search(0, 0, 0)
+    witness = None if found is None else Assignment(
+        bits={i: found >> (i - 1) & 1 for i in sorted({i for o in octads for i in o})})
+    return ColorabilityResult(colorable=found is not None, witness=witness, nodes_explored=nodes)
 
 
 def _check_epsilon(epsilon: float) -> float:

@@ -122,7 +122,7 @@ def load_noise_config(path: str | Path | None) -> NoiseModel:
 
 
 def _resolve_state_arg(args) -> tuple[str, tuple[int, ...]]:
-    if args.ray:
+    if args.ray is not None:
         values = _int_list("--ray", args.ray)
         try:
             entries = resolve_state(values)
@@ -133,11 +133,15 @@ def _resolve_state_arg(args) -> tuple[str, tuple[int, ...]]:
 
 
 def _int_list(flag: str, value: str) -> list[int]:
-    """Integers split on commas or spaces; a bad entry raises a ValueError naming flag and value."""
+    """Integers split on commas or spaces; a bad entry, or none at all, raises a ValueError
+    naming flag and value."""
     try:
-        return [int(p) for p in value.replace(",", " ").split()]
+        values = [int(p) for p in value.replace(",", " ").split()]
     except ValueError:
-        raise ValueError(f"{flag} takes comma-separated integers, got {value!r}") from None
+        values = []
+    if not values:
+        raise ValueError(f"{flag} takes comma-separated integers, got {value!r}")
+    return values
 
 
 def _run_arguments(args, noise: NoiseModel) -> dict:
@@ -269,7 +273,7 @@ def cmd_simulate(args) -> int:
     run = PulseRun(seed=args.seed, n_pulses=args.pulses, mu=args.mu, projector_pool=pool)
     label, entries = _resolve_state_arg(args)
     checkpoints = (
-        _int_list("--checkpoints", args.checkpoints) if args.checkpoints
+        _int_list("--checkpoints", args.checkpoints) if args.checkpoints is not None
         else _default_checkpoints(args.pulses)
     )
     trace = convergence_trace(entries, noise, run, checkpoints)
@@ -309,7 +313,8 @@ def cmd_exclusivity(args) -> int:
 
     noise = load_noise_config(args.noise)
     initial = (
-        tuple(_int_list("--initial", args.initial)) if args.initial else DEFAULT_INITIAL_RAYS
+        tuple(_int_list("--initial", args.initial)) if args.initial is not None
+        else DEFAULT_INITIAL_RAYS
     )
     eps = _eps_json(noise, initial, PulseRun(seed=args.seed, n_pulses=args.pulses, mu=args.mu))
 
@@ -341,6 +346,8 @@ def cmd_calibrate(args) -> int:
     )
 
     target = args.target
+    if not 0.0 <= target <= 1.0:    # also refuses nan
+        raise ValueError(f"--target must be a number in [0, 1], got {target}")
     run = PulseRun(seed=args.seed, n_pulses=args.pulses, mu=args.mu)
     ghz_run = PulseRun(seed=derive_seed(args.seed, "cal", "ghz"), n_pulses=args.pulses, mu=args.mu)
     trace = []
@@ -439,19 +446,6 @@ REPRODUCE_LEGS: tuple[tuple[str, str | None], ...] = (
 )
 
 
-def _leg(task):
-    """Run one reproduce leg: the campaign's eps.json content, or a record's JSON."""
-    from .simulate import DEFAULT_INITIAL_RAYS, PulseRun, derive_seed, run_ks_experiment
-
-    (kind, state), seed, noise, pulses, mu = task
-    if state is None:
-        run = PulseRun(seed=derive_seed(seed, kind), n_pulses=pulses, mu=mu)
-        return _eps_json(noise, DEFAULT_INITIAL_RAYS, run)
-    pool = mermin_subset() if kind == "s" else KS40_POOL
-    run = PulseRun(seed=derive_seed(seed, kind, state), n_pulses=pulses, mu=mu, projector_pool=pool)
-    return run_ks_experiment(state, noise, run).to_json()
-
-
 def _summary_row(kind: str, state: str, judged) -> dict:
     """One summary row: a leg's judged sum, with F for the sigma legs only."""
     sigma = kind == "sigma"
@@ -474,28 +468,35 @@ def cmd_reproduce(args) -> int:
     from concurrent.futures import ThreadPoolExecutor
 
     from .analysis import CountRecord, judge
+    from .simulate import DEFAULT_INITIAL_RAYS, PulseRun, derive_seed, run_ks_experiment
 
     if args.workers < 1:
         raise ValueError(f"--workers must be at least 1, got {args.workers}")
     noise = load_noise_config(args.noise)
-    seed, pulses, mu = args.seed, args.pulses, args.mu
 
-    tasks = [(leg, seed, noise, pulses, mu) for leg in REPRODUCE_LEGS]
+    def leg(kind: str, state: str | None):
+        """Run one leg: the campaign's eps.json content, or a record's JSON."""
+        if state is None:
+            run = PulseRun(seed=derive_seed(args.seed, kind), n_pulses=args.pulses, mu=args.mu)
+            return _eps_json(noise, DEFAULT_INITIAL_RAYS, run)
+        run = PulseRun(seed=derive_seed(args.seed, kind, state), n_pulses=args.pulses, mu=args.mu,
+                       projector_pool=mermin_subset() if kind == "s" else KS40_POOL)
+        return run_ks_experiment(state, noise, run).to_json()
+
     if args.workers > 1:
-        # NumPy's draws and ufuncs release the GIL, so legs overlap on threads
-        with ThreadPoolExecutor(max_workers=min(args.workers, len(tasks))) as ex:
-            results = dict(zip(REPRODUCE_LEGS, ex.map(_leg, tasks)))
+        # NumPy's draws and ufuncs release the GIL, so legs overlap on threads.  One worker
+        # stays on this thread: a one-thread pool made a 2M-pulse reproduce 2-4 ms slower.
+        with ThreadPoolExecutor(max_workers=min(args.workers, len(REPRODUCE_LEGS))) as ex:
+            eps, *records = ex.map(leg, *zip(*REPRODUCE_LEGS))
     else:
-        results = dict(zip(REPRODUCE_LEGS, map(_leg, tasks)))
-    eps = results.pop(("excl", None))
-    # judged from the records as written, so the summary is what analyze reads from them
-    judged = {
-        leg: judge(CountRecord.from_json(record_json), eps["epsilon"], per_basis=True)
-        for leg, record_json in results.items()
-    }
-
+        eps, *records = map(leg, *zip(*REPRODUCE_LEGS))
     epsilon = eps["epsilon"]
-    summary_rows = [_summary_row(kind, state, judged[kind, state]) for kind, state in results]
+    legs = REPRODUCE_LEGS[1:]
+    # judged from the records as written, so the summary is what analyze reads from them
+    summary_rows = [
+        _summary_row(kind, state, judge(CountRecord.from_json(record), epsilon, per_basis=True))
+        for (kind, state), record in zip(legs, records)
+    ]
     out = Path(args.out)
     _write_bundle(
         out,
@@ -503,7 +504,7 @@ def cmd_reproduce(args) -> int:
         {**_run_arguments(args, noise), "workers_invariant": True},
         {
             "eps.json": eps,
-            **{f"records/{kind}_{state}.json": record for (kind, state), record in results.items()},
+            **{f"records/{kind}_{state}.json": record for (kind, state), record in zip(legs, records)},
             "summary.json": {
                 "epsilon": epsilon,
                 "sigma_corrected_bound": corrected_sigma_bound(epsilon),

@@ -109,6 +109,17 @@ def brute_mis_size(g, subset) -> int:
     return best
 
 
+def brute_lex_min_mis(g, subset) -> tuple[int, ...]:
+    """The lexicographically smallest maximum independent set within a small vertex
+    subset: the first pairwise non-adjacent tuple that `combinations` yields, largest size first
+    (size 0 yields the empty tuple, so it always returns)."""
+    verts = sorted(subset)
+    for size in range(len(verts), -1, -1):
+        for combo in itertools.combinations(verts, size):
+            if all(not g.adjacent(i, j) for i, j in itertools.combinations(combo, 2)):
+                return combo
+
+
 def _jittered_amplitudes(prep: SlitPreparation, noise: NoiseModel, rng: np.random.Generator) -> np.ndarray:
     # both arrays are always drawn so stream consumption never depends on the noise settings
     t_err = rng.normal(0.0, 1.0, DIM) * noise.amplitude_jitter

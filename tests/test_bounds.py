@@ -18,7 +18,7 @@ from kp40.bounds import (
 from kp40.ksset import mermin_subset
 from kp40.states import NAMED_STATES, profile, sigma_of_profile
 
-from oracles import brute_mis_size, mermin_kappa_to_S
+from oracles import brute_lex_min_mis, brute_mis_size, mermin_kappa_to_S
 
 
 def test_max_ones_full_graph(graph):
@@ -55,6 +55,7 @@ def test_max_ones_matches_exhaustive_oracle_on_random_subsets(graph, subset):
     assert len(witness.ones()) == best
     assert set(witness.ones()) <= subset
     assert witness.is_admissible(graph)
+    assert witness.ones() == brute_lex_min_mis(graph, subset)
 
 
 def test_witness_is_lexicographically_smallest(graph):

@@ -614,6 +614,21 @@ BAD_FLAG_VALUES = {
     "simulate-too-short-to-calibrate": (
         ["simulate", "--state", "ghz", "--pulses", "100", "--checkpoints", "50"],
         "--pulses 100 is too short for a flux calibration"),
+    "predict-empty-ray": (["predict", "--ray", ""],
+                          "--ray takes comma-separated integers, got ''"),
+    "simulate-empty-ray": (["simulate", "--ray", "", "--pulses", "1000"],
+                           "--ray takes comma-separated integers, got ''"),
+    "initial-empty": (["exclusivity", "--pulses", "1000", "--initial", ""],
+                      "--initial takes comma-separated integers, got ''"),
+    "checkpoints-empty": (["simulate", "--state", "ghz", "--pulses", "1000", "--checkpoints", ""],
+                          "--checkpoints takes comma-separated integers, got ''"),
+    "checkpoints-only-separators": (
+        ["simulate", "--state", "ghz", "--pulses", "1000", "--checkpoints", " , "],
+        "--checkpoints takes comma-separated integers, got ' , '"),
+    "calibrate-target-nan": (["calibrate", "--pulses", "1000", "--target", "nan"], "--target"),
+    "calibrate-target-inf": (["calibrate", "--pulses", "1000", "--target", "inf"], "--target"),
+    "calibrate-target-negative": (["calibrate", "--pulses", "1000", "--target", "-3"],
+                                  "--target"),
 }
 
 
