@@ -276,6 +276,8 @@ def cmd_simulate(args) -> int:
         _int_list("--checkpoints", args.checkpoints) if args.checkpoints is not None
         else _default_checkpoints(args.pulses)
     )
+    if max(checkpoints) > args.pulses:    # a capped mark would name a count the run never reached
+        raise ValueError(f"--checkpoints mark {max(checkpoints)} is beyond --pulses {args.pulses}")
     trace = convergence_trace(entries, noise, run, checkpoints)
 
     out = Path(args.out)

@@ -194,26 +194,25 @@ def enumerate_octads(g: OrthoGraph) -> tuple[Octad, ...]:
 
     Ordered backtracking: members are chosen in increasing index order and each
     new member must be adjacent to all chosen ones, so every 8-clique is
-    produced exactly once.
+    produced exactly once, and in lexicographic order.  A member is tried only
+    while enough candidates remain after it, and recursed into only if enough
+    of them are its neighbours; the eighth member closes a clique without a call.
     """
     out: list[Octad] = []
     adj = g.adj
 
-    def extend(clique: list[int], cand: int) -> None:
-        if len(clique) == 8:
-            out.append(tuple(v + 1 for v in clique))
-            return
-        if len(clique) + cand.bit_count() < 8:
-            return
-        while cand:
-            v = (cand & -cand).bit_length() - 1
+    def extend(clique: Octad, cand: int) -> None:
+        need = 7 - len(clique)    # members still to come after the next one
+        while cand.bit_count() > need:
+            v = (cand & -cand).bit_length()    # the lowest candidate, as a 1-based index
             cand &= cand - 1
-            clique.append(v)
-            extend(clique, cand & adj[v])
-            clique.pop()
+            if not need:
+                out.append(clique + (v,))
+            elif (nxt := cand & adj[v - 1]).bit_count() >= need:
+                extend(clique + (v,), nxt)
 
-    extend([], (1 << g.n) - 1)
-    return tuple(sorted(out))
+    extend((), (1 << g.n) - 1)
+    return tuple(out)
 
 
 def mermin_subset() -> tuple[int, ...]:

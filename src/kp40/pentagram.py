@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 from math import prod
-from operator import mul
+from operator import and_, mul, xor
 
 from .rays import Ray, canonical_form
 
@@ -87,11 +88,11 @@ _LINES: tuple[tuple[str, str, str, str], ...] = (
 
 def _context_sign(words: tuple[PauliWord, ...]) -> int:
     """s with W1 W2 W3 W4 = s * identity, from where the product sends each basis column."""
+    masks = [_masks(w) for w in reversed(words)]    # the rightmost word acts first
     signs = set()
     for c in range(DIM):
         row, sign = c, 1
-        for w in reversed(words):    # the rightmost word acts first
-            x, z = _masks(w)
+        for x, z in masks:
             row, sign = row ^ x, sign * _SIGNS[z][row]
         signs.add(sign if row == c else 0)
     if len(signs) == 1 and 0 not in signs:
@@ -112,14 +113,15 @@ def pentagram_contexts() -> tuple[Context, ...]:
 
 
 def _eigenvector(masks: list[tuple[int, int]], pattern: tuple[int, ...]) -> Vector:
-    """First nonzero column of prod_k (I + s_k W_k), 16x the joint eigenprojector."""
-    for j in range(DIM):
-        v = tuple(int(r == j) for r in range(DIM))
-        for (x, z), s in zip(reversed(masks), reversed(pattern)):
-            signs = _SIGNS[z]    # v + s W v, entry by entry
-            v = tuple(v[r] + s * signs[r ^ x] * v[r ^ x] for r in range(DIM))
-        if any(v):
-            return v
+    """prod_k (I + s_k W_k), 16x the joint eigenprojector, applied to v0 = (1, 2, 4, ..., 128).
+    An eigenvector e with entries in {0, +/-c} gives 16 <e, v0> e / |e|^2, and <e, v0> is c
+    times a signed sum of distinct powers of two, so it is never zero."""
+    v = tuple(1 << r for r in range(DIM))
+    for (x, z), s in zip(reversed(masks), reversed(pattern)):
+        signs = _SIGNS[z]    # v + s W v, entry by entry
+        v = tuple(v[r] + s * signs[r ^ x] * v[r ^ x] for r in range(DIM))
+    if any(v):
+        return v
     raise ArithmeticError(f"sign pattern {pattern} has no common eigenvector")
 
 
@@ -129,7 +131,7 @@ def common_eigenrays(c: Context) -> list[tuple[Ray, tuple[int, int, int, int]]]:
     Patterns with s1*s2*s3*s4 != product_sign have no common eigenvector,
     because W1 W2 W3 W4 = product_sign * identity (checked by composing the
     words in pentagram_contexts).  For each of the 8 consistent patterns the
-    ray is the first nonzero column v of prod_k (I + s_k W_k), certified here:
+    ray is the vector v that _eigenvector projects out, certified here:
     W_k v = s_k v for all four words, and the 8 vectors are pairwise
     orthogonal.  Eight orthogonal nonzero joint eigenvectors in dimension 8
     make every joint eigenspace rank one.  A failed check raises ArithmeticError.
@@ -161,6 +163,20 @@ def pentagram_words() -> tuple[PauliWord, ...]:
     return tuple(seen.values())
 
 
+def _tally(lines: list[tuple[int, int]], n_words: int) -> tuple[int, int]:
+    """pentagram_unsat's pair for (word bitmask, 1 if the product is -1) lines, all 2^n_words
+    assignments at once: bit b of a set is assignment b, and word p is -1 on the column
+    whose bit b is bit p of b.  A line holds where the XOR of its columns is its parity."""
+    full = (1 << (1 << n_words)) - 1
+    # runs of 2^p zeros and 2^p ones: one 2^(p+1)-bit period times full // (2^(2^(p+1)) - 1)
+    cols = [((1 << (1 << p)) - 1 << (1 << p)) * full // ((1 << (2 << p)) - 1) for p in range(n_words)]
+    sats = [reduce(xor, (c for p, c in enumerate(cols) if mask >> p & 1), 0 if odd else full)
+            for mask, odd in lines]
+    return (reduce(and_, sats, full).bit_count(),
+            max(r for r in range(len(sats) + 1)
+                for sub in itertools.combinations(sats, r) if reduce(and_, sub, full)))
+
+
 def pentagram_unsat() -> tuple[int, int]:
     """Brute-force all 2^10 noncontextual +/-1 assignments against the five line constraints.
 
@@ -175,8 +191,4 @@ def pentagram_unsat() -> tuple[int, int]:
         (sum(1 << index[w.factors] for w in c.words), int(c.product_sign == -1))
         for c in pentagram_contexts()
     ]
-    sat = [0] * (1 << len(words))    # lines each assignment satisfies, tallied line by line
-    for mask, odd in lines:
-        for bits in range(len(sat)):
-            sat[bits] += (bits & mask).bit_count() & 1 == odd
-    return sat.count(len(lines)), max(sat)
+    return _tally(lines, len(words))

@@ -80,6 +80,31 @@ def count_independent_subsets(g, size: int) -> int:
     return found
 
 
+def brute_octads(g) -> tuple[tuple[int, ...], ...]:
+    """Every 8-clique of a small graph, from a literal scan over all C(n, 8) index tuples
+    in `combinations` order: a tuple counts when each member is adjacent to all before it."""
+    out = []
+    for combo in itertools.combinations(range(g.n), 8):
+        chosen = 0
+        for v in combo:
+            if chosen & ~g.adj[v]:
+                break
+            chosen |= 1 << v
+        else:
+            out.append(tuple(v + 1 for v in combo))
+    return tuple(out)
+
+
+def pentagram_tally_loop(lines, n_words: int) -> tuple[int, int]:
+    """(assignments satisfying every line, max lines satisfied at once) for lines given as
+    (word bitmask, 1 if the line product is -1), tallied one assignment at a time."""
+    sat = [0] * (1 << n_words)    # lines each assignment satisfies, tallied line by line
+    for mask, odd in lines:
+        for bits in range(len(sat)):
+            sat[bits] += (bits & mask).bit_count() & 1 == odd
+    return sat.count(len(lines)), max(sat)
+
+
 def brute_mis_size(g, subset) -> int:
     """Exhaustive 2^k scan for the maximum independent set within a small vertex subset."""
     verts = sorted(subset)

@@ -625,6 +625,9 @@ BAD_FLAG_VALUES = {
     "checkpoints-only-separators": (
         ["simulate", "--state", "ghz", "--pulses", "1000", "--checkpoints", " , "],
         "--checkpoints takes comma-separated integers, got ' , '"),
+    "checkpoints-beyond-pulses": (
+        ["simulate", "--state", "ghz", "--pulses", "40000", "--checkpoints", "50000"],
+        "--checkpoints mark 50000 is beyond --pulses 40000"),
     "calibrate-target-nan": (["calibrate", "--pulses", "1000", "--target", "nan"], "--target"),
     "calibrate-target-inf": (["calibrate", "--pulses", "1000", "--target", "inf"], "--target"),
     "calibrate-target-negative": (["calibrate", "--pulses", "1000", "--target", "-3"],

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 
 import networkx as nx
 import pytest
@@ -12,15 +13,18 @@ from kp40.ksset import (
     N_OCTADS,
     N_RAYS,
     KSSet,
+    OrthoGraph,
     _match_pentagram,
     build_graph,
     canonical_set,
+    enumerate_octads,
     induced_bitmask,
     load_ksset_file,
     mermin_subset,
     pentagram_match_map,
 )
 from kp40.rays import Ray, dot
+from oracles import brute_octads
 
 
 def test_forty_rays_in_five_groups(kset):
@@ -103,6 +107,37 @@ def test_octad_count_matches_naive_combinations_scan(graph, octads):
     assert count == len(octads) == 25
 
 
+def _random_graph(seed: int) -> OrthoGraph:
+    rng = random.Random(seed)
+    n, density = rng.randint(8, 16), rng.uniform(0.6, 0.9)
+    adj = [0] * n
+    for i, j in itertools.combinations(range(n), 2):
+        if rng.random() < density:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return OrthoGraph(n=n, adj=tuple(adj))
+
+
+def test_octad_search_matches_the_combinations_scan_on_random_graphs():
+    # dense graphs of 8-16 vertices, where the pruning decides most branches
+    graphs = [_random_graph(seed) for seed in range(100)]
+    found = [enumerate_octads(g) for g in graphs]
+    assert found == [brute_octads(g) for g in graphs]
+    assert sum(map(len, found)) > 1000
+
+
+@pytest.mark.parametrize("edge", [(1, 2), (1, 33), (13, 37), (26, 39)])
+def test_octad_search_drops_exactly_the_octads_through_a_cleared_edge(graph, octads, edge):
+    i, j = edge
+    assert graph.adjacent(i, j)
+    adj = list(graph.adj)
+    adj[i - 1] &= ~(1 << (j - 1))
+    adj[j - 1] &= ~(1 << (i - 1))
+    kept = tuple(o for o in octads if not {i, j} <= set(o))
+    assert len(kept) < len(octads)
+    assert enumerate_octads(OrthoGraph(n=graph.n, adj=tuple(adj))) == kept
+
+
 def test_basis_groups_appear_among_octads(kset, octads):
     found = {frozenset(o) for o in octads}
     for group in kset.basis_groups:
@@ -111,8 +146,6 @@ def test_basis_groups_appear_among_octads(kset, octads):
 
 def test_octads_sorted_and_deterministic(graph, octads):
     assert list(octads) == sorted(octads)
-    from kp40.ksset import enumerate_octads
-
     assert enumerate_octads(graph) == octads
 
 

@@ -5,6 +5,7 @@ The integer signed-permutation code in kp40.pentagram is checked against the
 """
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from kp40.pentagram import (
     Context,
     PauliWord,
+    _tally,
     commutes,
     common_eigenrays,
     pentagram_contexts,
@@ -19,7 +21,7 @@ from kp40.pentagram import (
     pentagram_words,
 )
 from kp40.rays import canonical_form
-from oracles import pauli_matrix, sign_pattern_projector
+from oracles import pauli_matrix, pentagram_tally_loop, sign_pattern_projector
 
 
 def test_ten_distinct_words():
@@ -137,3 +139,25 @@ def test_unsat_certificate():
     satisfying, best = pentagram_unsat()
     assert satisfying == 0
     assert best == 4
+
+
+def _line_masks() -> list[int]:
+    index = {w.factors: i for i, w in enumerate(pentagram_words())}
+    return [sum(1 << index[w.factors] for w in c.words) for c in pentagram_contexts()]
+
+
+@pytest.mark.parametrize("parities", list(itertools.product((0, 1), repeat=5)))
+def test_tally_matches_the_assignment_loop_for_every_line_parity(parities):
+    # each word lies on two lines, so the five parity constraints have rank 4:
+    # an even number of odd lines leaves 2^(10-4) solutions, an odd number none
+    lines = list(zip(_line_masks(), parities))
+    expected = (64, 5) if sum(parities) % 2 == 0 else (0, 4)
+    assert _tally(lines, 10) == pentagram_tally_loop(lines, 10) == expected
+
+
+def test_tally_matches_the_assignment_loop_on_random_lines():
+    rng = random.Random(18)
+    for _ in range(60):
+        n_words = rng.randint(1, 10)
+        lines = [(rng.randrange(1 << n_words), rng.randint(0, 1)) for _ in range(rng.randint(0, 6))]
+        assert _tally(lines, n_words) == pentagram_tally_loop(lines, n_words), (lines, n_words)
