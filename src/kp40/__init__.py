@@ -18,8 +18,8 @@ _EXPORTS = {
     "bounds": "Assignment S_NCHV_BOUND SIGMA_NCHV_BOUND corrected_S_bound corrected_sigma_bound "
               "ks_colorable max_ones",
     "states": "NAMED_STATES ProbabilityProfile S_of_profile profile sigma_of_profile",
-    "simulate": "NoiseModel PulseRun SlitPreparation convergence_trace expected_record "
-                "ray_to_mask run_exclusivity_campaign run_ks_experiment",
+    "simulate": "NoiseModel PulseRun convergence_trace expected_record ray_to_mask "
+                "run_exclusivity_campaign run_ks_experiment",
     "analysis": "CountRecord EstimateSet SimilarityReport bhattacharyya estimate_probabilities judge verdict",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -653,7 +653,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         from .analysis import EstimationError
 
         if isinstance(e, EstimationError) and "pulses" in args:
-            e = f"--pulses {args.pulses} is too short for a flux calibration: {e}"
+            e = f"--pulses {args.pulses} is too short for a flux calibration at --mu {args.mu}: {e}"
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -146,11 +146,14 @@ def _validate_groups(rays: tuple[Ray, ...], groups: tuple[tuple[int, ...], ...])
 def _match_pentagram(rays: tuple[Ray, ...], groups: tuple[tuple[int, ...], ...]) -> PentagramMap:
     """Map (context number 1..5, sign pattern) -> table index of the ray it generates.
 
-    Raises unless the rows of each basis group span distinct lines and each
-    generated ray, already canonical, is the canonical form of one unmatched row.
+    Raises unless there is one basis group per context, its rows span distinct lines,
+    and each generated ray, already canonical, is the canonical form of one unmatched row.
     """
+    contexts = pentagram.pentagram_contexts()
+    if len(groups) != len(contexts):
+        raise ValueError(f"expected {len(contexts)} basis groups, got {len(groups)}")
     mapping: PentagramMap = {}
-    for c_idx, (context, group) in enumerate(zip(pentagram.pentagram_contexts(), groups), start=1):
+    for c_idx, (context, group) in enumerate(zip(contexts, groups), start=1):
         remaining: dict[tuple[int, ...], int] = {}
         for i in group:
             j = remaining.setdefault(canonical_form(rays[i - 1]).entries, i)
@@ -163,15 +166,13 @@ def _match_pentagram(rays: tuple[Ray, ...], groups: tuple[tuple[int, ...], ...])
             mapping[(c_idx, pattern)] = remaining.pop(ray.entries)
         if remaining:
             raise ValueError(f"table rows {list(remaining.values())} not produced by their context")
-    if len(mapping) != N_RAYS:
-        raise ValueError(f"matched {len(mapping)} rays, expected {N_RAYS}")
     return mapping
 
 
 @lru_cache(maxsize=1)
 def canonical_set() -> KSSet:
     """The table data, validated at construction against orthogonality and the pentagram."""
-    rays = tuple(Ray(row, label=i) for i, row in enumerate(_TABLE, start=1))
+    rays = tuple(map(Ray, _TABLE))
     _validate_groups(rays, _BASIS_GROUPS)
     mapping = _match_pentagram(rays, _BASIS_GROUPS)
     return KSSet(rays=rays, basis_groups=_BASIS_GROUPS, _pentagram=mapping)
@@ -279,7 +280,7 @@ def load_ksset_file(path: str | Path) -> KSSet:
     rays = []
     for i, row in enumerate(rows, start=1):
         try:
-            rays.append(Ray(row, label=i))
+            rays.append(Ray(row))
         except (TypeError, ValueError) as e:
             raise ValueError(f"ray {i}: {e}") from None
     rays, groups = tuple(rays), _BASIS_GROUPS

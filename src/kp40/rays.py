@@ -20,11 +20,10 @@ DIM = 8
 class Ray:
     """Unnormalized 8-component integer vector representing a rank-1 yes-no test.
 
-    The entries may be any sequence of 8 whole numbers, or another Ray, not all zero.
+    Built from any 8 whole numbers, not all zero, or from another Ray; rays compare by entries.
     """
 
     entries: tuple[int, ...]
-    label: int | None = None
 
     def __post_init__(self) -> None:
         entries = entries_of(self.entries)
@@ -70,8 +69,7 @@ def canonical_form(v: RayLike) -> Ray:
         raise ValueError("zero ray has no canonical form")
     if next(x for x in e if x) < 0:
         g = -g
-    label = v.label if isinstance(v, Ray) else None
-    return Ray(tuple(x // g for x in e), label=label)
+    return Ray(tuple(x // g for x in e))
 
 
 def rational_to_str(q: Fraction) -> str:

@@ -58,24 +58,13 @@ def _stream(seed: int, name: str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=derive_seed(seed, name)))
 
 
-@dataclass(frozen=True)
-class SlitPreparation:
-    """8-slit mask: per-slit transmissivity, binary phase, and the normalization constant."""
-
-    transmissivities: tuple[float, ...]
-    phases: tuple[float, ...]
-    normalization: float
-
-
-def ray_to_mask(v: Ray | Sequence[int]) -> SlitPreparation:
-    """Encode an integer ray: t_l = (entry_l / max|entry|)^2, phase pi for negative entries."""
+def ray_to_mask(v: Ray | Sequence[int]) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Encode an integer ray as an 8-slit mask, the pair (transmissivities, phases):
+    t_l = (entry_l / max|entry|)^2, and phase pi for negative entries, else 0."""
     entries = Ray(v).entries
     peak = max(abs(e) for e in entries)
     t = tuple((e / peak) ** 2 for e in entries)
-    phases = tuple(math.pi if e < 0 else 0.0 for e in entries)
-    return SlitPreparation(
-        transmissivities=t, phases=phases, normalization=1.0 / math.sqrt(sum(t))
-    )
+    return t, tuple(math.pi if e < 0 else 0.0 for e in entries)
 
 
 @dataclass(frozen=True)
@@ -135,17 +124,15 @@ class PulseRun:
             raise ValueError("projector_pool must be nonempty")
 
 
-@lru_cache(maxsize=128)
-def _mask_of(entries: tuple[int, ...]) -> SlitPreparation:
-    """ray_to_mask, kept for rays seen before: every run re-stacks the same pool masks."""
-    return ray_to_mask(entries)
+# ray_to_mask, kept for rays seen before: every run re-stacks the same pool masks
+_mask_of = lru_cache(maxsize=128)(ray_to_mask)
 
 
 def _mask_stack(entries: tuple[int, ...], pool: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """(1+P, 8) transmissivities and phases: the state's mask, then the pool's in order."""
     s = canonical_set()
-    masks = [_mask_of(entries)] + [_mask_of(s.ray(i).entries) for i in pool]
-    return np.array([m.transmissivities for m in masks]), np.array([m.phases for m in masks])
+    t, phases = zip(_mask_of(entries), *(_mask_of(s.ray(i).entries) for i in pool))
+    return np.array(t), np.array(phases)
 
 
 def _chunk_probs(

@@ -22,9 +22,8 @@ NAMED_STATES: dict[str, tuple[int, ...]] = {
 
 @dataclass(frozen=True)
 class ProbabilityProfile:
-    """Exact outcome probabilities of one state against all 40 rays."""
+    """Exact outcome probabilities of one state against all 40 rays, by ray index."""
 
-    state: tuple[int, ...]
     probs: dict[int, Fraction]
 
 
@@ -46,7 +45,7 @@ def profile(state: str | Sequence[int]) -> ProbabilityProfile:
         i: Fraction(sum(map(mul, entries, v)) ** 2, norm * sum(map(mul, v, v)))
         for i, v in enumerate((r.entries for r in canonical_set().rays), start=1)
     }
-    return ProbabilityProfile(state=entries, probs=probs)
+    return ProbabilityProfile(probs=probs)
 
 
 def sigma_of_profile(probs: Mapping[int, Fraction | float]) -> Fraction | float:

@@ -10,8 +10,11 @@ import numpy as np
 from kp40.ksset import KSSet
 from kp40.pentagram import Context, PauliWord
 from kp40.rays import Ray, RayLike, canonical_form
-from kp40.simulate import CHUNK, DIM, NoiseModel, PulseRun, SlitPreparation, derive_seed
+from kp40.simulate import CHUNK, DIM, NoiseModel, PulseRun, derive_seed
 from kp40.states import ProbabilityProfile
+
+# an 8-slit mask as ray_to_mask returns it: (transmissivities, phases)
+Mask = tuple[Sequence[float], Sequence[float]]
 
 
 def stream(seed: int, name: str) -> np.random.Generator:
@@ -54,16 +57,17 @@ def basis_sums(p: ProbabilityProfile, s: KSSet) -> dict[int, Fraction]:
     }
 
 
-def slit_amplitudes(prep: SlitPreparation) -> np.ndarray:
-    """The complex slit amplitudes a mask encodes, scaled by its normalization constant."""
-    t = np.asarray(prep.transmissivities)
-    return prep.normalization * np.sqrt(t) * np.exp(1j * np.asarray(prep.phases))
+def slit_amplitudes(mask: Mask) -> np.ndarray:
+    """The complex slit amplitudes a mask encodes, scaled to unit norm by 1 / sqrt(sum(t))."""
+    t, phases = map(np.asarray, mask)
+    return np.sqrt(t / t.sum()) * np.exp(1j * phases)
 
 
-def mask_to_ray(prep: SlitPreparation) -> Ray:
+def mask_to_ray(mask: Mask) -> Ray:
     """Decode a noiseless mask back to the integer ray it encodes."""
-    mags = [math.sqrt(t) for t in prep.transmissivities]
-    signs = [-1 if math.cos(p) < 0 else 1 for p in prep.phases]
+    transmissivities, phases = mask
+    mags = [math.sqrt(t) for t in transmissivities]
+    signs = [-1 if math.cos(p) < 0 else 1 for p in phases]
     smallest = min(m for m in mags if m > 1e-12)
     entries = tuple(
         int(round(m / smallest)) * s if m > 1e-12 else 0 for m, s in zip(mags, signs)
@@ -145,17 +149,18 @@ def brute_lex_min_mis(g, subset) -> tuple[int, ...]:
                 return combo
 
 
-def _jittered_amplitudes(prep: SlitPreparation, noise: NoiseModel, rng: np.random.Generator) -> np.ndarray:
+def _jittered_amplitudes(mask: Mask, noise: NoiseModel, rng: np.random.Generator) -> np.ndarray:
     # both arrays are always drawn so stream consumption never depends on the noise settings
     t_err = rng.normal(0.0, 1.0, DIM) * noise.amplitude_jitter
     p_err = rng.normal(0.0, 1.0, DIM) * noise.phase_jitter
-    t = np.clip(np.asarray(prep.transmissivities) * (1.0 + t_err), 0.0, None)
-    return np.sqrt(t) * np.exp(1j * (np.asarray(prep.phases) + p_err))
+    t, phases = map(np.asarray, mask)
+    t = np.clip(t * (1.0 + t_err), 0.0, None)
+    return np.sqrt(t) * np.exp(1j * (phases + p_err))
 
 
 def chunk_probs_loop(
-    state_mask: SlitPreparation,
-    pool_masks: Sequence[SlitPreparation],
+    state_mask: Mask,
+    pool_masks: Sequence[Mask],
     noise: NoiseModel,
     mu: float,
     rng: np.random.Generator,
@@ -201,8 +206,8 @@ def chunk_probs_cos_sin(
 
 
 def chunk_at_a_time(
-    state_mask: SlitPreparation,
-    pool_masks: Sequence[SlitPreparation],
+    state_mask: Mask,
+    pool_masks: Sequence[Mask],
     noise: NoiseModel,
     run: PulseRun,
 ):

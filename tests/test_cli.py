@@ -51,21 +51,27 @@ def test_verify_names_malformed_ray(tmp_path, capsys):
     assert "ray 37" in err
 
 
-def _swap_first_two_groups(rays):
+def _swap_first_two_groups(data):
     # still orthogonal groups, but group 1 no longer holds the rays its
     # pentagram context generates
-    return rays[8:16] + rays[:8] + rays[16:]
+    rays = data["rays"]
+    data["rays"] = rays[8:16] + rays[:8] + rays[16:]
 
 
-@pytest.mark.parametrize("rows,code,report", [
-    (lambda rays: rays, 0, ["ok: ray regeneration: 40/40 rays matched"]),
+@pytest.mark.parametrize("edit,code,report", [
+    (lambda data: None, 0, ["ok: ray regeneration: 40/40 rays matched"]),
     (_swap_first_two_groups, 1, [
         "FAIL: ray regeneration: context 1 pattern (1, 1, 1, -1): generated ray "
         "(0, 1, 1, 0, 1, 0, 0, -1) matches no unmatched table row"]),
-], ids=["built-in-rows", "groups-swapped"])
-def test_verify_rays_regenerates_and_matches_the_file(tmp_path, capsys, rows, code, report):
+    # a copy of group 1 after the five, and a group short
+    (lambda data: data["basis_groups"].append(data["basis_groups"][0]), 1,
+     ["FAIL: ray regeneration: expected 5 basis groups, got 6"]),
+    (lambda data: data["basis_groups"].pop(), 1,
+     ["FAIL: ray regeneration: expected 5 basis groups, got 4"]),
+], ids=["built-in-rows", "groups-swapped", "six-groups", "four-groups"])
+def test_verify_rays_regenerates_and_matches_the_file(tmp_path, capsys, edit, code, report):
     data = canonical_set().to_json()
-    data["rays"] = rows(data["rays"])
+    edit(data)
     p = tmp_path / "rays.json"
     p.write_text(json.dumps(data))
     got, out, _ = run_cli(["verify", "--rays", str(p), "--format", "csv"], capsys)
@@ -614,6 +620,8 @@ BAD_FLAG_VALUES = {
     "simulate-too-short-to-calibrate": (
         ["simulate", "--state", "ghz", "--pulses", "100", "--checkpoints", "50"],
         "--pulses 100 is too short for a flux calibration"),
+    "simulate-mu-too-small-to-calibrate": (
+        ["simulate", "--state", "ghz", "--pulses", "40000", "--mu", "1e-300"], "at --mu 1e-300"),
     "predict-empty-ray": (["predict", "--ray", ""],
                           "--ray takes comma-separated integers, got ''"),
     "simulate-empty-ray": (["simulate", "--ray", "", "--pulses", "1000"],

@@ -85,6 +85,11 @@ GOLDEN_BUNDLES = {
     "analyze-mermin16": (
         [_SIMULATE_M16, ["--out", "an", "analyze", "sim16/record.json", "--epsilon", "0.014"]],
         "an", "7e8ae7d207d02f845a3c44a65173948a9a743b19d6311512beb91b2c8f5ae9e0"),
+    # the one bundle whose state has transmissivities strictly between 0 and 1
+    "simulate-general-ray": (
+        [["--seed", "3", "--out", "sim", "simulate", "--ray", "41,33,-7,0,5,-2,0,1",
+          "--pulses", "65536"]], "sim",
+        "ede4edbb98552c0c26710c40df1d59d9923a688c95ccf367cac5b26f44366fbe"),
     "calibrate": (
         [["--seed", "1", "--out", "cal", "calibrate", "--pulses", "60000",
           "--config-out", "cal/noise.json"]], "cal",

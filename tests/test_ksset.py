@@ -184,7 +184,7 @@ def test_build_graph_is_the_pairwise_dot_adjacency(rows):
 def _table_with(changes: dict[int, tuple[int, ...]]) -> tuple[Ray, ...]:
     """The canonical rays with the given 1-based rows replaced."""
     return tuple(
-        Ray(changes.get(r.label, r.entries), label=r.label) for r in canonical_set().rays
+        Ray(changes.get(i, r.entries)) for i, r in enumerate(canonical_set().rays, start=1)
     )
 
 

@@ -38,6 +38,7 @@ from oracles import (
     chunk_probs_cos_sin,
     chunk_probs_loop,
     mask_to_ray,
+    norm_sq,
     same_direction,
     slit_amplitudes,
     stream,
@@ -104,14 +105,23 @@ def test_derive_seed_is_stable():
 def test_mask_round_trip_over_all_forty_rays(kset):
     for i in range(1, 41):
         r = kset.ray(i)
-        back = mask_to_ray(ray_to_mask(r))
-        assert same_direction(back, r)
+        mask = ray_to_mask(r)
+        assert same_direction(mask_to_ray(mask), r)
+        unit = np.array(r.entries) / math.sqrt(norm_sq(r))
+        np.testing.assert_allclose(slit_amplitudes(mask), unit, rtol=0, atol=1e-15)
 
 
-def test_mask_amplitudes_are_normalized(kset):
-    for i in (1, 17, 40):
-        a = slit_amplitudes(ray_to_mask(kset.ray(i)))
-        assert np.vdot(a, a).real == pytest.approx(1.0)
+# entries other than 0 and +-1: transmissivities strictly between 0 and 1
+GENERAL_RAY = (41, 33, -7, 0, 5, -2, 0, 1)
+
+
+def test_mask_stack_keeps_the_python_square_of_each_entry():
+    # NumPy's square is one ulp off Python's ** at 33 / 41, enough to move a probability
+    t, phases = simulate._mask_stack(GENERAL_RAY, mermin_subset())
+    assert t[0].tolist() == [(e / 41) ** 2 for e in GENERAL_RAY]
+    assert t[0][1] != np.square(33 / 41)
+    assert phases[0].tolist() == [math.pi if e < 0 else 0.0 for e in GENERAL_RAY]
+    assert ray_to_mask(GENERAL_RAY) == (tuple(t[0]), tuple(phases[0]))
 
 
 def test_mask_rejects_zero_ray():
