@@ -14,7 +14,7 @@ _EXPORTS = {
     "pentagram": "Context PauliWord common_eigenrays pentagram_contexts pentagram_unsat "
                  "pentagram_words",
     "ksset": "EDGE_COUNT N_OCTADS N_RAYS RAY_DEGREE KSSet OrthoGraph build_graph canonical_set "
-             "enumerate_octads mermin_subset",
+             "enumerate_octads basis_of mermin_subset",
     "bounds": "Assignment S_NCHV_BOUND SIGMA_NCHV_BOUND corrected_S_bound corrected_sigma_bound "
               "ks_colorable max_ones",
     "states": "NAMED_STATES ProbabilityProfile S_of_profile profile sigma_of_profile",

@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple
 
 from .bounds import S_NCHV_BOUND, SIGMA_NCHV_BOUND, corrected_S_bound, corrected_sigma_bound
-from .ksset import KS40_POOL, N_RAYS, canonical_set, mermin_subset, ray_indices, read_fields
+from .ksset import KS40_POOL, N_RAYS, basis_of, mermin_subset, ray_indices, read_fields
 from .rays import integer, number, positive
 from .states import ProbabilityProfile, S_of_profile, profile, resolve_state, sigma_of_profile
 
@@ -79,7 +79,7 @@ class CountRecord:
             "projector_pool": lambda v: ray_indices(v, "index"),
             "counts": per_key,
             "pulses_per_projector": per_key,
-            "flux_calibration": lambda d: {b: float(c) for b, c in per_key(d).items()},
+            "flux_calibration": per_key,
             "flux_pulses": lambda d: {b: integer(n) for b, n in per_key(d).items()},
             "mu": positive,
             "seed": integer,
@@ -93,8 +93,7 @@ class CountRecord:
                 wild = [i for i in table if not 1 <= i <= N_RAYS]
                 problem = f"index {wild[0]} outside 1..{N_RAYS}" if wild else "keys do not match projector_pool"
                 raise ValueError(f"record field {key!r}: {problem}")
-        s = canonical_set()
-        missing = sorted({s.basis_of(i) for i in pool} - set(flux))
+        missing = sorted({basis_of(i) for i in pool} - set(flux))
         if missing:
             raise ValueError(f"record field 'flux_calibration': no entry for basis group {missing[0]}")
         if set(flux_pulses) != set(flux):
@@ -132,10 +131,9 @@ class EstimateSet:
 def estimate_probabilities(r: CountRecord) -> EstimateSet:
     """P_i = (counts_i / pulses_i) * (pulses_cal / flux_basis), errors by Poisson
     propagation (sigma_count = sqrt(count)), sums with errors in quadrature."""
-    s = canonical_set()
     probs: dict[int, tuple[float, float]] = {}
     for i in r.projector_pool:
-        b = s.basis_of(i)
+        b = basis_of(i)
         flux = r.flux_calibration[b]
         if flux <= 0:
             raise EstimationError(f"zero calibration flux for basis {b}")
@@ -208,11 +206,10 @@ def bhattacharyya(p: Mapping[int, float], q: Mapping[int, float],
     if any(v < 0 for v in pd.values()) or any(v < 0 for v in qd.values()):
         raise ValueError("probabilities must be nonnegative")
 
-    s = canonical_set()
     if per_basis:
         groups: dict[int, list[int]] = {}
         for i in pd:
-            groups.setdefault(s.basis_of(i), []).append(i)
+            groups.setdefault(basis_of(i), []).append(i)
         grouping = "per-basis"
     else:
         groups = {0: sorted(pd)}
@@ -291,18 +288,23 @@ class Judgment(NamedTuple):
 def judge(record: CountRecord, epsilon: float, per_basis: bool) -> Judgment:
     """Estimate a record, compare it with the exact profile of its state, and judge its sums.
 
-    F leaves out a pool group the state never reaches: it has no shape to compare.  A state
-    that reaches no pool group leaves no F, and raises a ValueError.
+    F leaves out a pool group the state never reaches, and per basis one with no detections:
+    neither has a shape to compare (the global F counts a dark group's zeros against it).
+    With no pool group left, F is undefined and a ValueError is raised.
     """
     est = estimate_probabilities(record)
     ideal = profile(record.state)
     v = verdict(est, epsilon, ideal)
-    s = canonical_set()
-    reached = {s.basis_of(i) for i in record.projector_pool if ideal.probs[i]}
+    reached = {basis_of(i) for i in record.projector_pool if ideal.probs[i]}
     if not reached:
         raise ValueError(f"record state {list(record.state)} has zero overlap with every pool ray; "
                          "F is undefined")
-    compared = [i for i in record.projector_pool if s.basis_of(i) in reached]
+    if per_basis:
+        reached &= {basis_of(i) for i in record.projector_pool if record.counts[i]}
+        if not reached:
+            raise ValueError("record has no detections in any pool group its state reaches; "
+                             "the per-basis F is undefined")
+    compared = [i for i in record.projector_pool if basis_of(i) in reached]
     sim = bhattacharyya({i: est.probabilities[i][0] for i in compared},
                         {i: ideal.probs[i] for i in compared}, per_basis=per_basis)
     return Judgment(estimates=est, ideal=ideal, similarity=sim, verdict=v)
@@ -310,14 +312,13 @@ def judge(record: CountRecord, epsilon: float, per_basis: bool) -> Judgment:
 
 def fig3_rows(e: EstimateSet, ideal: ProbabilityProfile) -> list[dict]:
     """Plot-ready per-ray table: estimate, error, and the exact value from the profile `ideal`."""
-    s = canonical_set()
     rows = []
     for i in sorted(e.probabilities):
         p, err = e.probabilities[i]
         exact: Fraction = ideal.probs[i]
         rows.append({
             "index": i,
-            "basis_group": s.basis_of(i),
+            "basis_group": basis_of(i),
             "estimate": p,
             "error": err,
             "ideal_num": exact.numerator,

@@ -34,6 +34,7 @@ from .ksset import (
     KSSet,
     OrthoGraph,
     _match_pentagram,
+    basis_of,
     build_graph,
     canonical_set,
     enumerate_octads,
@@ -237,11 +238,10 @@ def cmd_bounds(args) -> int:
 def cmd_predict(args) -> int:
     label, entries = _resolve_state_arg(args)
     prof = profile(entries)
-    s = canonical_set()
     rows = [
         {
             "index": i,
-            "basis_group": s.basis_of(i),
+            "basis_group": basis_of(i),
             "num": prof.probs[i].numerator,
             "den": prof.probs[i].denominator,
             "decimal": float(prof.probs[i]),
@@ -306,7 +306,7 @@ def _eps_json(noise: NoiseModel, initial: tuple[int, ...], run: PulseRun) -> dic
         "epsilon": epsilon,
         "n_pairs": len(pairs),
         "initial_rays": list(initial),
-        "pairs": [dict(vars(p)) for p in pairs],    # the fields, without asdict's deep copies
+        "pairs": pairs,
     }
 
 
@@ -469,7 +469,7 @@ def _summary_row(kind: str, state: str, judged) -> dict:
 def cmd_reproduce(args) -> int:
     from concurrent.futures import ThreadPoolExecutor
 
-    from .analysis import CountRecord, judge
+    from .analysis import judge
     from .simulate import DEFAULT_INITIAL_RAYS, PulseRun, derive_seed, run_ks_experiment
 
     if args.workers < 1:
@@ -477,13 +477,13 @@ def cmd_reproduce(args) -> int:
     noise = load_noise_config(args.noise)
 
     def leg(kind: str, state: str | None):
-        """Run one leg: the campaign's eps.json content, or a record's JSON."""
+        """Run one leg: the campaign's eps.json content, or a record."""
         if state is None:
             run = PulseRun(seed=derive_seed(args.seed, kind), n_pulses=args.pulses, mu=args.mu)
             return _eps_json(noise, DEFAULT_INITIAL_RAYS, run)
         run = PulseRun(seed=derive_seed(args.seed, kind, state), n_pulses=args.pulses, mu=args.mu,
                        projector_pool=mermin_subset() if kind == "s" else KS40_POOL)
-        return run_ks_experiment(state, noise, run).to_json()
+        return run_ks_experiment(state, noise, run)
 
     if args.workers > 1:
         # NumPy's draws and ufuncs release the GIL, so legs overlap on threads.  One worker
@@ -494,9 +494,8 @@ def cmd_reproduce(args) -> int:
         eps, *records = map(leg, *zip(*REPRODUCE_LEGS))
     epsilon = eps["epsilon"]
     legs = REPRODUCE_LEGS[1:]
-    # judged from the records as written, so the summary is what analyze reads from them
     summary_rows = [
-        _summary_row(kind, state, judge(CountRecord.from_json(record), epsilon, per_basis=True))
+        _summary_row(kind, state, judge(record, epsilon, per_basis=True))
         for (kind, state), record in zip(legs, records)
     ]
     out = Path(args.out)
@@ -506,7 +505,8 @@ def cmd_reproduce(args) -> int:
         {**_run_arguments(args, noise), "workers_invariant": True},
         {
             "eps.json": eps,
-            **{f"records/{kind}_{state}.json": record for (kind, state), record in zip(legs, records)},
+            **{f"records/{kind}_{state}.json": record.to_json()
+               for (kind, state), record in zip(legs, records)},
             "summary.json": {
                 "epsilon": epsilon,
                 "sigma_corrected_bound": corrected_sigma_bound(epsilon),

@@ -88,25 +88,11 @@ class KSSet:
     basis_groups: tuple[tuple[int, ...], ...]
     # the pentagram map canonical_set certified for this set; a loaded set has none
     _pentagram: PentagramMap | None = field(default=None, repr=False, compare=False)
-    _group_of: dict[int, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        group_of: dict[int, int] = {}
-        for g, group in enumerate(self.basis_groups, start=1):
-            for i in group:
-                group_of.setdefault(i, g)    # an index listed twice keeps its first group
-        object.__setattr__(self, "_group_of", group_of)
 
     def ray(self, index: int) -> Ray:
         if not 1 <= index <= len(self.rays):
             raise IndexError(f"ray index {index} out of range 1..{len(self.rays)}")
         return self.rays[index - 1]
-
-    def basis_of(self, index: int) -> int:
-        """1-based basis-group number containing the given ray index."""
-        if index not in self._group_of:
-            raise IndexError(f"ray index {index} in no basis group")
-        return self._group_of[index]
 
     def to_json(self) -> dict:
         return {
@@ -214,6 +200,13 @@ def enumerate_octads(g: OrthoGraph) -> tuple[Octad, ...]:
 
     extend((), (1 << g.n) - 1)
     return tuple(out)
+
+
+def basis_of(index: int) -> int:
+    """1-based basis-group number of a table index: rows 8g-7..8g form group g."""
+    if not 1 <= index <= N_RAYS:
+        raise IndexError(f"ray index {index} in no basis group")
+    return (index + 7) // 8
 
 
 def mermin_subset() -> tuple[int, ...]:

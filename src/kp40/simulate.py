@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .analysis import CountRecord, estimate_probabilities
-from .ksset import KS40_POOL, build_graph, canonical_set, ray_indices, read_fields
+from .ksset import KS40_POOL, basis_of, build_graph, canonical_set, ray_indices, read_fields
 from .rays import Ray, integer, number, positive
 from .states import resolve_state
 
@@ -173,7 +173,8 @@ def _chunk_probs(
     c_psi, s_psi = c[:, 0, :, None], s[:, 0, :, None]
     re = (c[:, 1:] @ c_psi + s[:, 1:] @ s_psi)[..., 0]
     im = (c[:, 1:] @ s_psi - s[:, 1:] @ c_psi)[..., 0]
-    overlaps = (re * re + im * im) / (norms[:, 1:] * norms[:, :1])
+    norm = norms[:, 1:] * norms[:, :1]    # 0 for a mask drifted dark: it passes no light
+    overlaps = np.divide(re * re + im * im, norm, out=np.zeros_like(norm), where=norm > 0)
     occupied = 1.0 - math.exp(-mu)
     return occupied * np.clip(noise.efficiency * overlaps + noise.background, 0.0, 1.0)
 
@@ -213,7 +214,7 @@ def _flux_pass(run: PulseRun, noise: NoiseModel, expected: bool = False) -> tupl
     detection probability eff*(1 - e^-mu).  `expected` gives the mean count, not a draw."""
     p_cal = noise.efficiency * (1.0 - math.exp(-run.mu))
     n_cal = max(1, run.n_pulses // len(run.projector_pool))
-    bases = sorted({canonical_set().basis_of(i) for i in run.projector_pool})
+    bases = sorted({basis_of(i) for i in run.projector_pool})
     if expected:
         flux = {b: n_cal * p_cal for b in bases}
     else:
@@ -275,28 +276,21 @@ def expected_record(state, noise: NoiseModel, run: PulseRun) -> CountRecord:
     return _record(entries, run, expected, share, _flux_pass(run, noise, expected=True))
 
 
-@dataclass(frozen=True)
-class PairEstimate:
-    initial: int
-    partner: int
-    probability: float
-    error: float
-
-
 def run_exclusivity_campaign(
     run: PulseRun,
     noise: NoiseModel = IDEAL_NOISE,
     initial_rays: Sequence[int] = DEFAULT_INITIAL_RAYS,
-) -> tuple[float, list[PairEstimate]]:
+) -> tuple[float, list[dict]]:
     """Prepare each initial ray as the state and measure its 23 orthogonal partners.
 
-    Returns (epsilon, per-pair table) with epsilon the mean of all should-be-zero
-    probability estimates.  Each leg is a full run with its own derived seed.
+    Returns (epsilon, pairs): one {"initial", "partner", "probability", "error"} row per
+    pair, and epsilon the mean of their should-be-zero probability estimates.  Each leg is
+    a full run with its own derived seed.
     """
     initial_rays = ray_indices(initial_rays, "initial ray")
     s = canonical_set()
     g = build_graph(s)
-    pairs: list[PairEstimate] = []
+    pairs: list[dict] = []
     for i in initial_rays:
         partners = g.neighbors(i)
         leg = PulseRun(
@@ -309,8 +303,8 @@ def run_exclusivity_campaign(
         est = estimate_probabilities(record)
         for j in partners:
             p, err = est.probabilities[j]
-            pairs.append(PairEstimate(initial=i, partner=j, probability=p, error=err))
-    epsilon = sum(p.probability for p in pairs) / len(pairs)
+            pairs.append({"initial": i, "partner": j, "probability": p, "error": err})
+    epsilon = sum(p["probability"] for p in pairs) / len(pairs)
     return epsilon, pairs
 
 

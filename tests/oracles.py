@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from kp40.ksset import KSSet
+from kp40.ksset import KSSet, basis_of
 from kp40.pentagram import Context, PauliWord
 from kp40.rays import Ray, RayLike, canonical_form
 from kp40.simulate import CHUNK, DIM, NoiseModel, PulseRun, derive_seed
@@ -22,11 +22,11 @@ def stream(seed: int, name: str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=derive_seed(seed, name)))
 
 
-def estimate_basis_sums(est, s: KSSet) -> dict[int, tuple[float, float]]:
+def estimate_basis_sums(est) -> dict[int, tuple[float, float]]:
     """Sum of an estimate set's probabilities over each basis group it covers, errors in quadrature."""
     out: dict[int, list[float]] = {}
     for i, (p, err) in est.probabilities.items():
-        tot = out.setdefault(s.basis_of(i), [0.0, 0.0])
+        tot = out.setdefault(basis_of(i), [0.0, 0.0])
         tot[0] += p
         tot[1] += err * err
     return {b: (tot[0], math.sqrt(tot[1])) for b, tot in sorted(out.items())}

@@ -11,7 +11,7 @@ from kp40.analysis import (
     fig4_rows,
     verdict,
 )
-from kp40.ksset import canonical_set, mermin_subset
+from kp40.ksset import mermin_subset
 from kp40.simulate import IDEAL_NOISE, CountRecord, PulseRun, run_ks_experiment
 from kp40.states import profile
 
@@ -69,7 +69,7 @@ def test_estimation_error_is_a_value_error():
 def test_basis_sums_near_one_on_a_real_run():
     run = PulseRun(seed=21, n_pulses=300_000)
     est = estimate_probabilities(run_ks_experiment("ghz", IDEAL_NOISE, run))
-    for b, (total, err) in estimate_basis_sums(est, canonical_set()).items():
+    for b, (total, err) in estimate_basis_sums(est).items():
         assert abs(total - 1.0) < 5 * err + 1e-9, f"basis {b}"
 
 

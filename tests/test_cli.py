@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import json
 import math
 import os
@@ -382,6 +383,38 @@ def test_analyze_a_mermin16_record(tmp_path, capsys, state, groups, S):
     assert [r["quantity"] for r in fig4] == ["S"]
 
 
+# all eight counts of group 2 are 0, though prod reaches it through ray 9
+DARK_GROUP_RUN = ["--seed", "0", "simulate", "--state", "prod", "--pulses", "600", "--mu", "0.5"]
+# report.json of `analyze --global-F` on that record: the global F keeps group 2's zeros as
+# a discrepancy, so leaving a dark group out of the per-basis F changes none of its bytes
+DARK_GROUP_GLOBAL_F_DIGEST = "ee19fe414740bb90933fcfd8cec14fd8fb0c338cca72e7117b10b87cfdbd6746"
+
+
+def test_analyze_leaves_a_group_with_no_detections_out_of_the_per_basis_F(tmp_path, capsys):
+    code, _, _ = run_cli(["--out", str(tmp_path), *DARK_GROUP_RUN], capsys)
+    assert code == 0
+    record = tmp_path / "record.json"
+    assert not any(json.loads(record.read_text())["counts"][str(i)] for i in range(9, 17))
+    code, _, err = run_cli(["--out", str(tmp_path / "a"), "analyze", str(record)], capsys)
+    assert code == 0, err
+    per_basis = json.loads((tmp_path / "a" / "report.json").read_text())["similarity"]["per_basis"]
+    assert list(per_basis) == ["1", "3", "4"]
+    code, _, err = run_cli(["--out", str(tmp_path / "g"), "analyze", "--global-F", str(record)], capsys)
+    assert code == 0, err
+    report = (tmp_path / "g" / "report.json").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == DARK_GROUP_GLOBAL_F_DIGEST
+
+
+def test_simulate_survives_a_mask_that_drifts_dark(tmp_path, capsys):
+    # at this amplitude jitter a one-slit mask (rays 9-16) drifts to t <= 0 within 2M pulses
+    noise = tmp_path / "noise.json"
+    noise.write_text(json.dumps({"amplitude_jitter": 0.5, "phase_jitter": 0.2, "background": 0.0,
+                                 "efficiency": 0.5}))
+    code, _, err = run_cli(["--seed", "0", "--out", str(tmp_path), "simulate", "--state", "ghz",
+                            "--pulses", "2000000", "--noise", str(noise)], capsys)
+    assert code == 0, err
+
+
 def test_analyze_missing_record_is_a_usage_error(tmp_path, capsys):
     code, _, err = run_cli(["analyze", str(tmp_path / "nope.json")], capsys)
     assert code == 2
@@ -540,7 +573,10 @@ MALFORMED_ARTIFACTS = {
                                     ["analyze", "bad.json"], "'state': 1.5 is not an integer"),
     "record-flux-above-its-pulses": (
         _mermin16_ghz_record(flux_pulses={str(b): 100 for b in range(2, 6)}),
-        ["analyze", "bad.json"], "'flux_calibration': basis group 2 has 300.0 counts but 100 pulses"),
+        ["analyze", "bad.json"], "'flux_calibration': basis group 2 has 300 counts but 100 pulses"),
+    "record-with-no-detections-where-its-state-reaches": (
+        _mermin16_ghz_record(counts={str(i): 0 for i in mermin_subset()}), ["analyze", "bad.json"],
+        "record has no detections in any pool group its state reaches; the per-basis F is undefined"),
     "record-counts-key-with-a-leading-zero": (
         _mermin16_ghz_record(counts={**{str(i): 300 for i in mermin_subset()}, "010": 0}),
         ["analyze", "bad.json"], "'counts': key '010' is not an index in decimal form"),
@@ -703,7 +739,7 @@ def test_calibrate_closed_loop(tmp_path, capsys):
     noise = NoiseModel.from_json(data["noise"])
     rerun = PulseRun(seed=2, n_pulses=data["calibration"]["pulses"])
     eps, pairs = run_exclusivity_campaign(noise=noise, run=rerun)
-    sd = math.sqrt(sum(p.error ** 2 for p in pairs)) / len(pairs)
+    sd = math.sqrt(sum(p["error"] ** 2 for p in pairs)) / len(pairs)
     assert abs(eps - data["calibration"]["epsilon_simulated"]) <= 2 * math.sqrt(2) * sd
 
 

@@ -15,6 +15,7 @@ from kp40.ksset import (
     KSSet,
     OrthoGraph,
     _match_pentagram,
+    basis_of,
     build_graph,
     canonical_set,
     enumerate_octads,
@@ -43,9 +44,10 @@ def test_basis_groups_are_orthogonal_octads(kset):
 def test_basis_of_round_trip(kset):
     for g, group in enumerate(kset.basis_groups, start=1):
         for i in group:
-            assert kset.basis_of(i) == g
-    with pytest.raises(IndexError):
-        kset.basis_of(N_RAYS + 1)
+            assert basis_of(i) == g
+    for wild in (0, N_RAYS + 1):
+        with pytest.raises(IndexError, match=f"ray index {wild} in no basis group"):
+            basis_of(wild)
 
 
 def test_every_degree_is_23(graph):
@@ -156,7 +158,7 @@ def test_mermin_subset_spreads_over_groups_2_to_5(kset):
     assert all(1 <= i <= N_RAYS for i in sub)
     per_group = {g: 0 for g in range(1, 6)}
     for i in sub:
-        per_group[kset.basis_of(i)] += 1
+        per_group[basis_of(i)] += 1
     assert per_group == {1: 0, 2: 4, 3: 4, 4: 4, 5: 4}
 
 
