@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
@@ -15,30 +15,31 @@ from .rays import integer, number, positive
 from .states import ProbabilityProfile, S_of_profile, profile, resolve_state, sigma_of_profile
 
 
-@dataclass(frozen=True)
-class CountRecord:
+class CountRecord(namedtuple("CountRecord", "state projector_pool counts pulses_per_projector "
+                                            "flux_calibration flux_pulses mu seed")):
     """Detected counts per projector plus the independent per-basis flux calibration.
 
     counts are integers for simulated or measured runs; the simulator's
     infinite-statistics limit (expected_record) stores exact expected values as floats.
     """
 
-    state: tuple[int, ...]
-    projector_pool: tuple[int, ...]
-    counts: dict[int, float]
-    pulses_per_projector: dict[int, float]    # ints for simulated runs, exact shares in the limit
-    flux_calibration: dict[int, float]        # basis group -> calibration count
-    flux_pulses: dict[int, int]               # basis group -> pulses in the calibration pass
-    mu: float
-    seed: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, state: tuple[int, ...], projector_pool: tuple[int, ...],
+                counts: dict[int, float],
+                pulses_per_projector: dict[int, float],    # ints for simulated runs, exact shares in the limit
+                flux_calibration: dict[int, float],        # basis group -> calibration count
+                flux_pulses: dict[int, int],               # basis group -> pulses in the calibration pass
+                mu: float, seed: int) -> CountRecord:
+        self = super().__new__(cls, state, projector_pool, counts, pulses_per_projector,
+                               flux_calibration, flux_pulses, mu, seed)
         for key, unit, counts, pulses in (
                 ("counts", "projector", self.counts, self.pulses_per_projector),
                 ("flux_calibration", "basis group", self.flux_calibration, self.flux_pulses)):
             for i, c in counts.items():
                 if c > pulses[i]:
                     raise ValueError(f"record field {key!r}: {unit} {i} has {c} counts but {pulses[i]} pulses")
+        return self
 
     def to_json(self) -> dict:
         return {
@@ -105,8 +106,7 @@ class EstimationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class EstimateSet:
+class EstimateSet(NamedTuple):
     """Flux-normalized probability estimates with standard errors, plus the two sums."""
 
     probabilities: dict[int, tuple[float, float]]    # index -> (estimate, error)
@@ -165,8 +165,7 @@ def estimate_probabilities(r: CountRecord) -> EstimateSet:
     )
 
 
-@dataclass(frozen=True)
-class SimilarityReport:
+class SimilarityReport(NamedTuple):
     F: float
     per_basis: dict[int, float]
     p_hash: str
@@ -218,7 +217,8 @@ def bhattacharyya(p: Mapping[int, float], q: Mapping[int, float],
     def normalize(d: dict[int, float], members: list[int], b: int) -> dict[int, float]:
         total = sum(d[i] for i in members)
         if total <= 0:
-            raise ValueError(f"group {b} has zero total probability")
+            name = f"group {b}" if per_basis else "the pooled table"
+            raise ValueError(f"{name} has zero total probability")
         return {i: d[i] / total for i in members}
 
     per: dict[int, float] = {}

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .ksset import (N_RAYS, Octad, OrthoGraph, build_graph, canonical_set, enumerate_octads,
                     induced_bitmask, mermin_subset)
@@ -13,8 +12,7 @@ SIGMA_NCHV_BOUND = 4
 S_NCHV_BOUND = 3
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(NamedTuple):
     """Noncontextual 0/1 assignment over ray indices."""
 
     bits: dict[int, int]
@@ -28,8 +26,7 @@ class Assignment:
         return all(not g.adjacent(a, b) for k, a in enumerate(ones) for b in ones[k + 1:])
 
 
-@dataclass(frozen=True)
-class ColorabilityResult:
+class ColorabilityResult(NamedTuple):
     colorable: bool
     witness: Assignment | None
     nodes_explored: int    # size of the exhausted search tree; only rerunning the search checks it

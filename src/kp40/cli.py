@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import itertools
 import json
 import sys
@@ -162,7 +161,8 @@ def verification_checks(
     try:
         s = s or canonical_set()
         # canonical_set certified its map when it built the set; any other set is matched here
-        mapping = pentagram_match_map() if s._pentagram else _match_pentagram(s.rays, s.basis_groups)
+        mapping = (pentagram_match_map() if s is canonical_set()
+                   else _match_pentagram(s.rays, s.basis_groups))
         checks.append(("ray regeneration", True, f"{len(mapping)}/40 rays matched"))
     except (ValueError, IndexError) as e:
         checks.append(("ray regeneration", False, str(e)))
@@ -288,7 +288,7 @@ def cmd_simulate(args) -> int:
          **_run_arguments(args, noise)},
         {
             "record.json": trace.record.to_json(),
-            "trace.csv": [dataclasses.asdict(p) for p in trace.points],
+            "trace.csv": [p._asdict() for p in trace.points],
         },
     )
     print(f"wrote {out / 'record.json'} and {out / 'trace.csv'}")

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from . import pentagram
 from .rays import Ray, canonical_form, integer
@@ -80,14 +79,11 @@ Octad = tuple[int, ...]
 PentagramMap = dict[tuple[int, tuple[int, int, int, int]], int]
 
 
-@dataclass(frozen=True)
-class KSSet:
+class KSSet(NamedTuple):
     """The 40 rays (1-based table order) plus the 5 basis groups of 8 indices."""
 
     rays: tuple[Ray, ...]
     basis_groups: tuple[tuple[int, ...], ...]
-    # the pentagram map canonical_set certified for this set; a loaded set has none
-    _pentagram: PentagramMap | None = field(default=None, repr=False, compare=False)
 
     def ray(self, index: int) -> Ray:
         if not 1 <= index <= len(self.rays):
@@ -101,8 +97,7 @@ class KSSet:
         }
 
 
-@dataclass(frozen=True)
-class OrthoGraph:
+class OrthoGraph(NamedTuple):
     """Orthogonality graph over ray indices 1..n; adjacency stored as bitmasks (bit i = index i+1)."""
 
     n: int
@@ -155,13 +150,18 @@ def _match_pentagram(rays: tuple[Ray, ...], groups: tuple[tuple[int, ...], ...])
     return mapping
 
 
+# the pentagram map that the cached canonical_set() certified when it was built
+_certified: PentagramMap = {}
+
+
 @lru_cache(maxsize=1)
 def canonical_set() -> KSSet:
     """The table data, validated at construction against orthogonality and the pentagram."""
+    global _certified
     rays = tuple(map(Ray, _TABLE))
     _validate_groups(rays, _BASIS_GROUPS)
-    mapping = _match_pentagram(rays, _BASIS_GROUPS)
-    return KSSet(rays=rays, basis_groups=_BASIS_GROUPS, _pentagram=mapping)
+    _certified = _match_pentagram(rays, _BASIS_GROUPS)
+    return KSSet(rays=rays, basis_groups=_BASIS_GROUPS)
 
 
 def build_graph(s: KSSet) -> OrthoGraph:
@@ -217,7 +217,8 @@ def mermin_subset() -> tuple[int, ...]:
 def pentagram_match_map() -> PentagramMap:
     """Map (context number 1..5, sign pattern) -> table index: a copy of the 40/40 bijection
     canonical_set certified, which goes with the set on `canonical_set.cache_clear()`."""
-    return dict(canonical_set()._pentagram)
+    canonical_set()
+    return dict(_certified)
 
 
 def ray_indices(values: Iterable, what: str) -> tuple[int, ...]:

@@ -12,10 +12,11 @@ on Python integers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from math import prod
 from operator import and_, mul, xor
+from typing import NamedTuple
 
 from .rays import Ray, canonical_form
 
@@ -25,22 +26,21 @@ DIM = 8
 Vector = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PauliWord:
+class PauliWord(namedtuple("PauliWord", "factors")):
     """Three-factor tensor word, e.g. "ZXX"; "ZII" is the single-qubit z on qubit 1."""
 
-    factors: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.factors) != 3 or any(f not in FACTORS for f in self.factors):
-            raise ValueError(f"invalid word {self.factors!r}: need 3 factors from {FACTORS}")
+    def __new__(cls, factors: str) -> PauliWord:
+        if len(factors) != 3 or any(f not in FACTORS for f in factors):
+            raise ValueError(f"invalid word {factors!r}: need 3 factors from {FACTORS}")
+        return super().__new__(cls, factors)
 
     def __str__(self) -> str:
         return self.factors
 
 
-@dataclass(frozen=True)
-class Context:
+class Context(NamedTuple):
     """Four pairwise-commuting words whose matrix product is product_sign * identity."""
 
     words: tuple[PauliWord, PauliWord, PauliWord, PauliWord]

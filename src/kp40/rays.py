@@ -6,7 +6,7 @@ into :func:`overlap_prob`, so every ideal quantity is an exact rational.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, inf
 from numbers import Integral, Real
@@ -16,20 +16,19 @@ from typing import Sequence, Union
 DIM = 8
 
 
-@dataclass(frozen=True)
-class Ray:
+class Ray(namedtuple("Ray", "entries")):
     """Unnormalized 8-component integer vector representing a rank-1 yes-no test.
 
     Built from any 8 whole numbers, not all zero, or from another Ray; rays compare by entries.
     """
 
-    entries: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        entries = entries_of(self.entries)
+    def __new__(cls, entries: RayLike) -> Ray:
+        entries = entries_of(entries)
         if not any(entries):
             raise ValueError("zero ray")
-        object.__setattr__(self, "entries", entries)
+        return super().__new__(cls, entries)
 
 
 RayLike = Union[Ray, Sequence[int]]
@@ -69,7 +68,7 @@ def canonical_form(v: RayLike) -> Ray:
         raise ValueError("zero ray has no canonical form")
     if next(x for x in e if x) < 0:
         g = -g
-    return Ray(tuple(x // g for x in e))
+    return Ray._make((tuple(x // g for x in e),))    # e is checked and nonzero: no second pass
 
 
 def rational_to_str(q: Fraction) -> str:

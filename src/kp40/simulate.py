@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,6 +39,7 @@ DIM = 8
 DEFAULT_MU = 0.14
 CHUNK = 32768    # pulses per mask drift, allocation and detection draw
 BLOCK = 64       # chunks drawn in one call per stream (a 2M-pulse run is one block)
+MAX_AMPLITUDE_JITTER = 1e6    # far beyond any physical mask; squared amplitudes stay finite
 # four named in the reference data plus one ray per remaining basis group
 DEFAULT_INITIAL_RAYS: tuple[int, ...] = (1, 9, 17, 25, 27, 34, 36, 40)
 
@@ -53,9 +54,25 @@ def derive_seed(seed: int, *path) -> int:
     return int.from_bytes(h.digest()[:8], "little")
 
 
+@lru_cache(maxsize=1)
+def _key_sequence() -> type:
+    """A seed sequence holding a 128-bit Philox key k: Philox asks it for two 64-bit words
+    and gets k's, low word first, as Philox(key=k) splits k, so no OS-entropy SeedSequence
+    is built.  Made on first use, so that importing this module loads no numpy.random."""
+
+    class KeySequence(np.random.bit_generator.ISeedSequence):
+        def __init__(self, key: int):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+            return np.array([self.key & (2**64 - 1), self.key >> 64], dtype=np.uint64)
+
+    return KeySequence
+
+
 def _stream(seed: int, name: str) -> np.random.Generator:
     """The run's stream `name`: a Philox generator keyed by derive_seed(seed, name)."""
-    return np.random.Generator(np.random.Philox(key=derive_seed(seed, name)))
+    return np.random.Generator(np.random.Philox(_key_sequence()(derive_seed(seed, name))))
 
 
 def ray_to_mask(v: Ray | Sequence[int]) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -67,61 +84,63 @@ def ray_to_mask(v: Ray | Sequence[int]) -> tuple[tuple[float, ...], tuple[float,
     return t, tuple(math.pi if e < 0 else 0.0 for e in entries)
 
 
-@dataclass(frozen=True)
-class NoiseModel:
+class NoiseModel(namedtuple("NoiseModel", "amplitude_jitter phase_jitter background efficiency")):
     """Mask imperfections and detection parameters.
 
     noisy probability = clamp(efficiency * |<v_noisy|psi_noisy>|^2 + background, 0, 1),
     then scaled by the pulse-occupancy factor (1 - e^-mu).
     """
 
-    amplitude_jitter: float = 0.0    # std-dev of multiplicative transmissivity error
-    phase_jitter: float = 0.0        # std-dev (radians) of per-slit phase error
-    background: float = 0.0          # per-projection false-count probability
-    efficiency: float = 1.0          # overall detection scale
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls,
+                amplitude_jitter: float = 0.0,    # std-dev of multiplicative transmissivity error
+                phase_jitter: float = 0.0,        # std-dev (radians) of per-slit phase error
+                background: float = 0.0,          # per-projection false-count probability
+                efficiency: float = 1.0,          # overall detection scale
+                ) -> NoiseModel:
+        self = super().__new__(cls, amplitude_jitter, phase_jitter, background, efficiency)
         for name in ("amplitude_jitter", "phase_jitter"):
             if not 0 <= getattr(self, name) < math.inf:    # false for NaN too
                 raise ValueError(f"{name} must be finite and nonnegative, got {getattr(self, name)}")
+        if self.amplitude_jitter > MAX_AMPLITUDE_JITTER:
+            raise ValueError(f"amplitude_jitter must be at most {MAX_AMPLITUDE_JITTER:g}, "
+                             f"got {self.amplitude_jitter}")
         if not 0.0 <= self.background < 1.0:
             raise ValueError("background must be in [0, 1)")
         if not 0.0 < self.efficiency <= 1.0:
             raise ValueError("efficiency must be in (0, 1]")
+        return self
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
     @classmethod
-    def from_json(cls, data: dict) -> "NoiseModel":
+    def from_json(cls, data: dict) -> NoiseModel:
         """Load the four fields; malformed input raises a ValueError that names the field."""
-        fields = read_fields(data, "noise config", dict.fromkeys(cls.__dataclass_fields__, number))
+        fields = read_fields(data, "noise config", dict.fromkeys(cls._fields, number))
         return cls(**fields)
 
 
 IDEAL_NOISE = NoiseModel()
 
 
-@dataclass(frozen=True)
-class PulseRun:
-    seed: int
-    n_pulses: int
-    mu: float = DEFAULT_MU
-    projector_pool: tuple[int, ...] = KS40_POOL
+class PulseRun(namedtuple("PulseRun", "seed n_pulses mu projector_pool")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("seed", "n_pulses"):
-            object.__setattr__(self, name, integer(getattr(self, name)))
+    def __new__(cls, seed: int, n_pulses: int, mu: float = DEFAULT_MU,
+                projector_pool: Sequence[int] = KS40_POOL) -> PulseRun:
+        seed, n_pulses = integer(seed), integer(n_pulses)
         try:
-            object.__setattr__(self, "mu", positive(self.mu))
+            mu = positive(mu)
         except ValueError:
-            raise ValueError(f"mu must be finite and positive, got {self.mu}") from None
-        pool = ray_indices(self.projector_pool, "projector_pool index")
-        object.__setattr__(self, "projector_pool", pool)
-        if self.n_pulses <= 0:
+            raise ValueError(f"mu must be finite and positive, got {mu}") from None
+        pool = ray_indices(projector_pool, "projector_pool index")
+        if n_pulses <= 0:
             raise ValueError("n_pulses must be positive")
         if not pool:
             raise ValueError("projector_pool must be nonempty")
+        return super().__new__(cls, seed, n_pulses, mu, pool)
 
 
 # ray_to_mask, kept for rays seen before: every run re-stacks the same pool masks
@@ -308,8 +327,7 @@ def run_exclusivity_campaign(
     return epsilon, pairs
 
 
-@dataclass(frozen=True)
-class TracePoint:
+class TracePoint(NamedTuple):
     pulses: int
     sigma_est: float
     sigma_err: float
@@ -317,8 +335,7 @@ class TracePoint:
     S_err: float
 
 
-@dataclass(frozen=True)
-class TraceResult:
+class TraceResult(NamedTuple):
     points: tuple[TracePoint, ...]
     record: CountRecord    # the full-run record; its estimates equal the last point
 

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .ksset import canonical_set, mermin_subset
 from .rays import Ray
@@ -20,8 +19,7 @@ NAMED_STATES: dict[str, tuple[int, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class ProbabilityProfile:
+class ProbabilityProfile(NamedTuple):
     """Exact outcome probabilities of one state against all 40 rays, by ray index."""
 
     probs: dict[int, Fraction]

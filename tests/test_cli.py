@@ -1,5 +1,6 @@
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -405,6 +406,14 @@ def test_analyze_leaves_a_group_with_no_detections_out_of_the_per_basis_F(tmp_pa
     assert hashlib.sha256(report).hexdigest() == DARK_GROUP_GLOBAL_F_DIGEST
 
 
+def test_global_F_names_the_pooled_table_when_it_sums_to_zero(tmp_path, capsys):
+    record = tmp_path / "record.json"
+    record.write_text(_mermin16_ghz_record(counts={str(i): 0 for i in mermin_subset()}))
+    code, _, err = run_cli(["--out", str(tmp_path), "analyze", "--global-F", str(record)], capsys)
+    assert code == 2
+    assert err == "error: the pooled table has zero total probability\n"
+
+
 def test_simulate_survives_a_mask_that_drifts_dark(tmp_path, capsys):
     # at this amplitude jitter a one-slit mask (rays 9-16) drifts to t <= 0 within 2M pulses
     noise = tmp_path / "noise.json"
@@ -467,6 +476,9 @@ def test_reproduce_summary_agrees_with_analyze_on_its_records(tmp_path, capsys):
 
 _SIMULATE_GHZ = ["simulate", "--state", "ghz", "--pulses", "1000", "--noise", "bad.json"]
 _ANALYZE_WITH_EPS = ["analyze", "record.json", "--epsilon-file", "bad.json"]
+# a noise config whose squared amplitudes would overflow to infinity
+_NOISE_WITH_JITTER = ('{{"amplitude_jitter": {}, "phase_jitter": 0.2, "background": 0.0, '
+                      '"efficiency": 0.5}}')
 # a well-formed record on rays 1-8 alone: neither all 40 rays nor the 16 Mermin rays
 _RECORD_ON_RAYS_1_TO_8 = json.dumps({
     "state": [0, 1, 1, 0, 1, 0, 0, -1], "projector_pool": list(range(1, 9)),
@@ -516,6 +528,10 @@ MALFORMED_ARTIFACTS = {
     "noise-jitter-a-string": ('{"amplitude_jitter": "0.1", "phase_jitter": 0.1, "background": 0.0, '
                               '"efficiency": 0.5}', _SIMULATE_GHZ,
                               "'amplitude_jitter': '0.1' is not a number"),
+    "noise-amplitude-jitter-1e154": (_NOISE_WITH_JITTER.format(1e154), _SIMULATE_GHZ,
+                                     "amplitude_jitter must be at most 1e+06, got 1e+154"),
+    "noise-amplitude-jitter-1e308": (_NOISE_WITH_JITTER.format(1e308), _SIMULATE_GHZ,
+                                     "amplitude_jitter must be at most 1e+06, got 1e+308"),
     "eps-missing-field": ('{"eps": 0.1}', _ANALYZE_WITH_EPS, "'epsilon'"),
     "eps-not-a-number": ('{"epsilon": "x"}', _ANALYZE_WITH_EPS, "'epsilon'"),
     "eps-a-string": ('{"epsilon": "0.02"}', _ANALYZE_WITH_EPS, "'epsilon': '0.02' is not a number"),
@@ -857,13 +873,41 @@ EXACT_RUNS = {
 }
 
 
-@pytest.mark.parametrize("case", list(EXACT_RUNS))
-def test_exact_path_never_imports_numpy(case):
-    code = f"import sys\n{EXACT_RUNS[case]}\nprint('numpy' in sys.modules, file=sys.stderr)"
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+# modules a fresh run is checked for: NumPy and its random package, and the stdlib
+# modules that declaring the value types with `dataclasses` used to load
+WATCHED_MODULES = ("numpy", "numpy.random", "dataclasses", "inspect")
+
+
+@functools.lru_cache(maxsize=None)
+def _modules_loaded_by(code: str) -> frozenset:
+    """The WATCHED_MODULES in sys.modules after running `code` in a fresh interpreter."""
+    probe = (f"import sys\n{code}\n"
+             f"print(*[m for m in {WATCHED_MODULES!r} if m in sys.modules], file=sys.stderr)")
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env=_src_env())
     assert res.returncode == 0, res.stderr
-    assert res.stderr.splitlines()[-1] == "False", "numpy was imported"
+    return frozenset(res.stderr.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize("case", list(EXACT_RUNS))
+def test_exact_path_never_imports_numpy(case):
+    assert "numpy" not in _modules_loaded_by(EXACT_RUNS[case]), "numpy was imported"
+
+
+@pytest.mark.parametrize("case", list(EXACT_RUNS))
+def test_exact_path_loads_neither_dataclasses_nor_inspect(case):
+    assert not _modules_loaded_by(EXACT_RUNS[case]) & {"dataclasses", "inspect"}
+
+
+def test_importing_the_simulator_loads_no_numpy_random():
+    # numpy.random is about 6 MB and 12 ms; only a run that draws needs it
+    assert "numpy.random" not in _modules_loaded_by("import kp40.cli, kp40.simulate")
+
+
+def test_a_short_simulate_loads_no_dataclasses(tmp_path):
+    code = (f"from kp40.cli import main\nassert main(['--out', {str(tmp_path)!r}, 'simulate', "
+            "'--state', 'ghz', '--pulses', '40000']) == 0")
+    assert "dataclasses" not in _modules_loaded_by(code)
 
 
 def test_console_script_is_installed(tmp_path):

@@ -35,6 +35,30 @@ def test_ray_validates_length_and_nonzero():
     assert whole == (1, 1, -2, 0, 0, 0, 0, 0) and all(type(e) is int for e in whole)
 
 
+@pytest.mark.parametrize("entries,ray_message,form_message", [
+    ((0,) * 8, "zero ray", "zero ray has no canonical form"),
+    ((1, 0, 0, 0, 0, 0, 0, 1.5), "1.5 is not an integer", "1.5 is not an integer"),
+    ((1, 0, 0, 0, 0, 0, 0, "1"), "'1' is not an integer", "'1' is not an integer"),
+    ((1, 0, 0), "expected 8 entries, got 3", "expected 8 entries, got 3"),
+    ((1,) * 9, "expected 8 entries, got 9", "expected 8 entries, got 9"),
+], ids=["zero", "non-integral", "string", "short", "long"])
+def test_ray_and_canonical_form_reject_bad_entries_with_their_messages(entries, ray_message,
+                                                                       form_message):
+    with pytest.raises(ValueError) as e:
+        Ray(entries)
+    assert str(e.value) == ray_message
+    with pytest.raises(ValueError) as e:
+        canonical_form(entries)
+    assert str(e.value) == form_message
+
+
+@given(nonzero_entries, st.integers(-5, 5).filter(bool))
+def test_canonical_form_is_the_ray_the_validating_constructor_builds(e, k):
+    form = canonical_form([k * x for x in e])
+    assert type(form) is Ray and form == Ray(form.entries)
+    assert all(type(x) is int for x in form.entries)
+
+
 def test_overlap_prob_is_exact():
     a = (1, 1, 1, 1, 1, 1, 1, 1)
     b = (1, -1, 0, 0, 0, 0, 0, 0)

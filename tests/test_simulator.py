@@ -18,6 +18,7 @@ from kp40.simulate import (
     DIM,
     IDEAL_NOISE,
     KS40_POOL,
+    MAX_AMPLITUDE_JITTER,
     CountRecord,
     NoiseModel,
     PulseRun,
@@ -55,6 +56,21 @@ def test_substream_is_deterministic_and_path_separated():
     assert np.array_equal(a, stream(7, "drift").random(4))
     assert not np.array_equal(a, _stream(7, "alloc").random(4))
     assert not np.array_equal(a, _stream(8, "drift").random(4))
+
+
+def test_keyed_stream_draws_as_philox_keyed_by_its_derived_seed():
+    # the keyed seed sequence must give the generator Philox(key=k) gives, for keys on both
+    # sides of 2**63 and for every stream a run draws from
+    keys = []
+    for seed in (0, 1, 5, 7, 2**31 - 1, 2**40 + 3):
+        for name in ("drift", "alloc", "detect", "flux"):
+            keys.append(derive_seed(seed, name))
+            ours, plain = _stream(seed, name), stream(seed, name)
+            assert ours.standard_normal() == plain.standard_normal()
+            assert ours.binomial(1000, 0.3) == plain.binomial(1000, 0.3)
+            assert np.array_equal(ours.multinomial(1000, [0.25] * 4),
+                                  plain.multinomial(1000, [0.25] * 4))
+    assert min(keys) < 2**63 <= max(keys)
 
 
 def test_block_drift_is_the_plain_normal_stack(monkeypatch):
@@ -284,6 +300,16 @@ def test_noise_model_validation_and_round_trip():
         NoiseModel(efficiency=0.0)
     with pytest.raises(ValueError):
         NoiseModel(efficiency=1.5)
+
+
+def test_amplitude_jitter_above_its_limit_is_refused_with_the_field_named():
+    for v in (MAX_AMPLITUDE_JITTER * (1 + 1e-9), 1e154, 1e308):
+        with pytest.raises(ValueError, match=r"^amplitude_jitter must be at most 1e\+06, got "):
+            NoiseModel(amplitude_jitter=v)
+    # at the limit a run still ends in finite probabilities, with no NumPy warning
+    noise = NoiseModel(amplitude_jitter=MAX_AMPLITUDE_JITTER, phase_jitter=0.2, efficiency=0.5)
+    record = run_ks_experiment("ghz", noise, PulseRun(seed=0, n_pulses=40_000))
+    assert all(0 <= c <= record.pulses_per_projector[i] for i, c in record.counts.items())
 
 
 def test_pulse_run_validation():
