@@ -25,25 +25,18 @@ from .bounds import (
     full_report_json,
 )
 from .ksset import (
-    EDGE_COUNT,
     KS40_POOL,
-    N_OCTADS,
     N_RAYS,
-    RAY_DEGREE,
-    KSSet,
-    OrthoGraph,
-    _match_pentagram,
     basis_of,
     build_graph,
     canonical_set,
     enumerate_octads,
     load_ksset_file,
     mermin_subset,
-    pentagram_match_map,
     read_fields,
     read_json,
+    verification_checks,
 )
-from .pentagram import pentagram_unsat
 from .rays import number, rational_to_str
 from .states import NAMED_STATES, S_of_profile, profile, resolve_state, sigma_of_profile
 
@@ -81,6 +74,7 @@ def _print(args, default: str, obj, rows: Sequence[dict]) -> None:
 
 
 def _write_manifest(out: Path, command: str, arguments: dict, outputs: list[str]) -> None:
+    out.mkdir(parents=True, exist_ok=True)
     _write_json(
         out / "manifest.json",
         {
@@ -150,47 +144,6 @@ def _run_arguments(args, noise: NoiseModel) -> dict:
 
 
 # ---------------------------------------------------------------- verify
-
-def verification_checks(
-    s: KSSet | None = None,
-    g: OrthoGraph | None = None,
-    octads: Sequence[tuple[int, ...]] | None = None,
-) -> list[tuple[str, bool, str]]:
-    """All structural checks as (name, ok, detail) rows; injectable for fault testing."""
-    checks: list[tuple[str, bool, str]] = []
-    try:
-        s = s or canonical_set()
-        # canonical_set certified its map when it built the set; any other set is matched here
-        mapping = (pentagram_match_map() if s is canonical_set()
-                   else _match_pentagram(s.rays, s.basis_groups))
-        checks.append(("ray regeneration", True, f"{len(mapping)}/40 rays matched"))
-    except (ValueError, IndexError) as e:
-        checks.append(("ray regeneration", False, str(e)))
-        return checks
-
-    g = g if g is not None else build_graph(s)
-    bad_deg = [i for i in range(1, g.n + 1) if g.degree(i) != RAY_DEGREE]
-    checks.append(
-        ("degree check", not bad_deg,
-         f"all degrees {RAY_DEGREE}" if not bad_deg else f"wrong degree at rays {bad_deg[:5]}")
-    )
-    edges = g.edge_count()
-    checks.append(("edge count", edges == EDGE_COUNT, f"{edges} edges"))
-
-    octads = octads if octads is not None else enumerate_octads(g)
-    groups_found = set(s.basis_groups) <= set(octads)
-    checks.append(
-        ("octad enumeration", len(octads) == N_OCTADS and groups_found,
-         f"{len(octads)} octads, basis groups {'included' if groups_found else 'MISSING'}")
-    )
-
-    sat, max_lines = pentagram_unsat()
-    checks.append(
-        ("pentagram contradiction", sat == 0 and max_lines == 4,
-         f"{sat} satisfying assignments, at most {max_lines} of 5 lines satisfiable")
-    )
-    return checks
-
 
 def cmd_verify(args) -> int:
     checks = verification_checks(load_ksset_file(args.rays)) if args.rays else verification_checks()
@@ -297,34 +250,21 @@ def cmd_simulate(args) -> int:
 
 # ---------------------------------------------------------------- exclusivity
 
-def _eps_json(noise: NoiseModel, initial: tuple[int, ...], run: PulseRun) -> dict:
-    """Run the exclusivity campaign and return the content of its eps.json."""
-    from .simulate import run_exclusivity_campaign
-
-    epsilon, pairs = run_exclusivity_campaign(noise=noise, initial_rays=initial, run=run)
-    return {
-        "epsilon": epsilon,
-        "n_pairs": len(pairs),
-        "initial_rays": list(initial),
-        "pairs": pairs,
-    }
-
-
 def cmd_exclusivity(args) -> int:
-    from .simulate import DEFAULT_INITIAL_RAYS, PulseRun
+    from .simulate import DEFAULT_INITIAL_RAYS, PulseRun, run_exclusivity_campaign
 
     noise = load_noise_config(args.noise)
     initial = (
-        tuple(_int_list("--initial", args.initial)) if args.initial is not None
-        else DEFAULT_INITIAL_RAYS
+        _int_list("--initial", args.initial) if args.initial is not None else DEFAULT_INITIAL_RAYS
     )
-    eps = _eps_json(noise, initial, PulseRun(seed=args.seed, n_pulses=args.pulses, mu=args.mu))
+    run = PulseRun(seed=args.seed, n_pulses=args.pulses, mu=args.mu)
+    eps = run_exclusivity_campaign(run, noise, initial)
 
     out = Path(args.out)
     _write_bundle(
         out,
         "exclusivity",
-        {**_run_arguments(args, noise), "initial_rays": list(initial)},
+        {**_run_arguments(args, noise), "initial_rays": eps["initial_rays"]},
         {"eps.json": eps},
     )
     print(f"epsilon = {eps['epsilon']:.5f} over {eps['n_pairs']} pairs; wrote {out / 'eps.json'}")
@@ -356,7 +296,7 @@ def cmd_calibrate(args) -> int:
     # in the grid's key order: phase jitter varies slowest, efficiency fastest
     for values in itertools.product(*CALIBRATION_GRID.values()):
         noise = NoiseModel(**dict(zip(CALIBRATION_GRID, values)))
-        epsilon, _ = run_exclusivity_campaign(noise=noise, run=run)
+        epsilon = run_exclusivity_campaign(run, noise)["epsilon"]
         F = judge(run_ks_experiment("ghz", noise, ghz_run), epsilon, per_basis=True).similarity.F
         trace.append({
             "noise": noise.to_json(),
@@ -470,17 +410,17 @@ def cmd_reproduce(args) -> int:
     from concurrent.futures import ThreadPoolExecutor
 
     from .analysis import judge
-    from .simulate import DEFAULT_INITIAL_RAYS, PulseRun, derive_seed, run_ks_experiment
+    from .simulate import PulseRun, derive_seed, run_exclusivity_campaign, run_ks_experiment
 
     if args.workers < 1:
         raise ValueError(f"--workers must be at least 1, got {args.workers}")
     noise = load_noise_config(args.noise)
 
     def leg(kind: str, state: str | None):
-        """Run one leg: the campaign's eps.json content, or a record."""
+        """Run one leg: the campaign's eps.json document, or a record."""
         if state is None:
             run = PulseRun(seed=derive_seed(args.seed, kind), n_pulses=args.pulses, mu=args.mu)
-            return _eps_json(noise, DEFAULT_INITIAL_RAYS, run)
+            return run_exclusivity_campaign(run, noise)
         run = PulseRun(seed=derive_seed(args.seed, kind, state), n_pulses=args.pulses, mu=args.mu,
                        projector_pool=mermin_subset() if kind == "s" else KS40_POOL)
         return run_ks_experiment(state, noise, run)

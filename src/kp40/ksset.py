@@ -1,4 +1,4 @@
-"""The canonical 40-ray Kernaghan-Peres set, its orthogonality graph, and octads."""
+"""The canonical 40-ray Kernaghan-Peres set, its orthogonality graph, octads and structural checks."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import json
 from functools import lru_cache
 from operator import mul
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import pentagram
 from .rays import Ray, canonical_form, integer
@@ -219,6 +219,47 @@ def pentagram_match_map() -> PentagramMap:
     canonical_set certified, which goes with the set on `canonical_set.cache_clear()`."""
     canonical_set()
     return dict(_certified)
+
+
+def verification_checks(
+    s: KSSet | None = None,
+    g: OrthoGraph | None = None,
+    octads: Sequence[Octad] | None = None,
+) -> list[tuple[str, bool, str]]:
+    """All structural checks as (name, ok, detail) rows; injectable for fault testing."""
+    checks: list[tuple[str, bool, str]] = []
+    try:
+        s = s or canonical_set()
+        # canonical_set certified its map when it built the set; any other set is matched here
+        mapping = (pentagram_match_map() if s is canonical_set()
+                   else _match_pentagram(s.rays, s.basis_groups))
+        checks.append(("ray regeneration", True, f"{len(mapping)}/40 rays matched"))
+    except (ValueError, IndexError) as e:
+        checks.append(("ray regeneration", False, str(e)))
+        return checks
+
+    g = g if g is not None else build_graph(s)
+    bad_deg = [i for i in range(1, g.n + 1) if g.degree(i) != RAY_DEGREE]
+    checks.append(
+        ("degree check", not bad_deg,
+         f"all degrees {RAY_DEGREE}" if not bad_deg else f"wrong degree at rays {bad_deg[:5]}")
+    )
+    edges = g.edge_count()
+    checks.append(("edge count", edges == EDGE_COUNT, f"{edges} edges"))
+
+    octads = octads if octads is not None else enumerate_octads(g)
+    groups_found = set(s.basis_groups) <= set(octads)
+    checks.append(
+        ("octad enumeration", len(octads) == N_OCTADS and groups_found,
+         f"{len(octads)} octads, basis groups {'included' if groups_found else 'MISSING'}")
+    )
+
+    sat, max_lines = pentagram.pentagram_unsat()
+    checks.append(
+        ("pentagram contradiction", sat == 0 and max_lines == 4,
+         f"{sat} satisfying assignments, at most {max_lines} of 5 lines satisfiable")
+    )
+    return checks
 
 
 def ray_indices(values: Iterable, what: str) -> tuple[int, ...]:

@@ -47,11 +47,9 @@ class Context(NamedTuple):
     product_sign: int
 
 
-def commutes(w1: PauliWord | str, w2: PauliWord | str) -> bool:
+def commutes(w1: PauliWord, w2: PauliWord) -> bool:
     """True iff the number of positions holding one X against one Z is even."""
-    f1 = w1.factors if isinstance(w1, PauliWord) else w1
-    f2 = w2.factors if isinstance(w2, PauliWord) else w2
-    anti = sum(1 for a, b in zip(f1, f2) if a != "I" and b != "I" and a != b)
+    anti = sum(1 for a, b in zip(w1.factors, w2.factors) if a != "I" and b != "I" and a != b)
     return anti % 2 == 0
 
 

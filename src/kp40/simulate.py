@@ -136,8 +136,8 @@ class PulseRun(namedtuple("PulseRun", "seed n_pulses mu projector_pool")):
         except ValueError:
             raise ValueError(f"mu must be finite and positive, got {mu}") from None
         pool = ray_indices(projector_pool, "projector_pool index")
-        if n_pulses <= 0:
-            raise ValueError("n_pulses must be positive")
+        if not 0 < n_pulses <= 2**53:    # above 2**53, a record's float counts stop being exact
+            raise ValueError(f"n_pulses must be in 1..2**53, got {n_pulses}")
         if not pool:
             raise ValueError("projector_pool must be nonempty")
         return super().__new__(cls, seed, n_pulses, mu, pool)
@@ -206,11 +206,11 @@ def _blocks(entries: tuple[int, ...], noise: NoiseModel, run: PulseRun):
     """
     masks = _mask_stack(entries, run.projector_pool)
     drift = _stream(run.seed, "drift")
-    sizes = np.diff(np.append(np.arange(0, run.n_pulses, CHUNK), run.n_pulses))
-    for start in range(0, len(sizes), BLOCK):
-        block = sizes[start:start + BLOCK]
-        shape = (len(block), len(masks[0]), 2, DIM)
-        yield block, _chunk_probs(masks, noise, run.mu, drift.standard_normal(shape))
+    for start in range(0, run.n_pulses, CHUNK * BLOCK):
+        stop = min(start + CHUNK * BLOCK, run.n_pulses)
+        sizes = np.diff(np.append(np.arange(start, stop, CHUNK), stop))
+        shape = (len(sizes), len(masks[0]), 2, DIM)
+        yield sizes, _chunk_probs(masks, noise, run.mu, drift.standard_normal(shape))
 
 
 def _running_counts(entries: tuple[int, ...], noise: NoiseModel, run: PulseRun):
@@ -299,12 +299,13 @@ def run_exclusivity_campaign(
     run: PulseRun,
     noise: NoiseModel = IDEAL_NOISE,
     initial_rays: Sequence[int] = DEFAULT_INITIAL_RAYS,
-) -> tuple[float, list[dict]]:
+) -> dict:
     """Prepare each initial ray as the state and measure its 23 orthogonal partners.
 
-    Returns (epsilon, pairs): one {"initial", "partner", "probability", "error"} row per
-    pair, and epsilon the mean of their should-be-zero probability estimates.  Each leg is
-    a full run with its own derived seed.
+    Returns the eps.json document {"epsilon", "n_pairs", "initial_rays", "pairs"}: one
+    {"initial", "partner", "probability", "error"} row per pair, and epsilon the mean of
+    their should-be-zero probability estimates.  Each leg is a full run with its own
+    derived seed.
     """
     initial_rays = ray_indices(initial_rays, "initial ray")
     s = canonical_set()
@@ -323,8 +324,12 @@ def run_exclusivity_campaign(
         for j in partners:
             p, err = est.probabilities[j]
             pairs.append({"initial": i, "partner": j, "probability": p, "error": err})
-    epsilon = sum(p["probability"] for p in pairs) / len(pairs)
-    return epsilon, pairs
+    return {
+        "epsilon": sum(p["probability"] for p in pairs) / len(pairs),
+        "n_pairs": len(pairs),
+        "initial_rays": list(initial_rays),
+        "pairs": pairs,
+    }
 
 
 class TracePoint(NamedTuple):

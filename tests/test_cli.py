@@ -1,4 +1,5 @@
 import argparse
+import ast
 import csv
 import functools
 import hashlib
@@ -692,6 +693,9 @@ BAD_FLAG_VALUES = {
     "calibrate-target-inf": (["calibrate", "--pulses", "1000", "--target", "inf"], "--target"),
     "calibrate-target-negative": (["calibrate", "--pulses", "1000", "--target", "-3"],
                                   "--target"),
+    # past 2**53 a record's counts stop being exact; the whole run's chunk sizes once filled TiBs
+    "pulses-above-2**53": (["simulate", "--state", "ghz", "--pulses", str(2**53 + 1)],
+                           f"n_pulses must be in 1..2**53, got {2**53 + 1}"),
 }
 
 
@@ -716,6 +720,17 @@ def test_exclusivity_bundle(tmp_path, capsys):
     assert eps["n_pairs"] == 184
     assert len(eps["pairs"]) == 184
     assert 0.0 <= eps["epsilon"] < 0.05
+
+
+def test_exclusivity_writes_the_campaign_document(tmp_path, capsys):
+    from kp40.simulate import PulseRun, run_exclusivity_campaign
+
+    code, _, _ = run_cli(["--seed", "6", "--out", str(tmp_path), "exclusivity", "--pulses", "30000",
+                          "--initial", "1,9,17"], capsys)
+    assert code == 0
+    run = PulseRun(seed=6, n_pulses=30_000)
+    doc = run_exclusivity_campaign(run, cli.load_noise_config(None), (1, 9, 17))
+    assert json.loads((tmp_path / "eps.json").read_text()) == doc
 
 
 def test_exclusivity_rejects_a_repeated_initial_ray(tmp_path, capsys):
@@ -754,9 +769,20 @@ def test_calibrate_closed_loop(tmp_path, capsys):
     # epsilon within twice the combined counting error
     noise = NoiseModel.from_json(data["noise"])
     rerun = PulseRun(seed=2, n_pulses=data["calibration"]["pulses"])
-    eps, pairs = run_exclusivity_campaign(noise=noise, run=rerun)
+    doc = run_exclusivity_campaign(noise=noise, run=rerun)
+    eps, pairs = doc["epsilon"], doc["pairs"]
     sd = math.sqrt(sum(p["error"] ** 2 for p in pairs)) / len(pairs)
     assert abs(eps - data["calibration"]["epsilon_simulated"]) <= 2 * math.sqrt(2) * sd
+
+
+def test_calibrate_creates_a_new_out_directory(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(["--out", "newdir/sub", "calibrate", "--pulses", "60000",
+                            "--config-out", "cfg.json"], capsys)
+    assert code == 0, err
+    assert (tmp_path / "cfg.json").exists()
+    manifest = json.loads((tmp_path / "newdir" / "sub" / "manifest.json").read_text())
+    assert manifest["command"] == "calibrate" and manifest["outputs"] == ["cfg.json"]
 
 
 def test_reproduce_says_when_pulses_are_too_few_to_calibrate(tmp_path, capsys):
@@ -908,6 +934,18 @@ def test_a_short_simulate_loads_no_dataclasses(tmp_path):
     code = (f"from kp40.cli import main\nassert main(['--out', {str(tmp_path)!r}, 'simulate', "
             "'--state', 'ghz', '--pulses', '40000']) == 0")
     assert "dataclasses" not in _modules_loaded_by(code)
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # an underscore name stays inside the kp40 module that defines it; dunders are public
+    private = []
+    for path in sorted(Path(kp40.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "kp40"):
+                private += [f"{path.name}: {a.name}" for a in node.names
+                            if a.name.startswith("_") and not re.fullmatch(r"__\w+__", a.name)]
+    assert not private
 
 
 def test_console_script_is_installed(tmp_path):

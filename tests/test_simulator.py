@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -83,6 +84,19 @@ def test_block_drift_is_the_plain_normal_stack(monkeypatch):
     assert [len(d) for d in seen] == [BLOCK, 3]
     plain = stream(5, "drift").standard_normal((BLOCK + 3, 1 + len(run.projector_pool), 2, DIM))
     assert np.concatenate(seen).tobytes() == plain.tobytes()
+
+
+def test_a_block_holds_memory_for_its_own_chunks_not_the_whole_run():
+    # a 2**36-pulse run has 2**21 chunks; the first block has BLOCK of them
+    blocks = _blocks(resolve_state("ghz"), IDEAL_NOISE, PulseRun(seed=1, n_pulses=2**36))
+    tracemalloc.start()
+    try:
+        sizes, _ = next(blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sizes.tolist() == [CHUNK] * BLOCK
+    assert peak < 8 * 2**20, f"{peak / 2**20:.1f} MB"
 
 
 class _CountedStream:
@@ -449,27 +463,26 @@ def test_estimator_converges_to_ground_truth_in_the_infinite_limit():
 
 def test_background_raises_epsilon():
     template = PulseRun(seed=4, n_pulses=60_000)
-    eps0, _ = run_exclusivity_campaign(run=template)
+    eps0 = run_exclusivity_campaign(run=template)["epsilon"]
     noisy = NoiseModel(background=0.01, efficiency=0.5)
-    eps1, _ = run_exclusivity_campaign(noise=noisy, run=template)
+    eps1 = run_exclusivity_campaign(noise=noisy, run=template)["epsilon"]
     assert eps0 == pytest.approx(0.0, abs=1e-6)    # exact orthogonality, no background
     assert eps1 > 0.01
 
 
 def test_phase_jitter_raises_epsilon():
     template = PulseRun(seed=4, n_pulses=60_000)
-    lo, _ = run_exclusivity_campaign(noise=NoiseModel(phase_jitter=0.05), run=template)
-    hi, _ = run_exclusivity_campaign(noise=NoiseModel(phase_jitter=0.4), run=template)
+    lo = run_exclusivity_campaign(noise=NoiseModel(phase_jitter=0.05), run=template)["epsilon"]
+    hi = run_exclusivity_campaign(noise=NoiseModel(phase_jitter=0.4), run=template)["epsilon"]
     assert hi > lo
 
 
 def _mean_epsilon(noise: NoiseModel, seeds) -> float:
     total = 0.0
     for seed in seeds:
-        eps, _ = run_exclusivity_campaign(
+        total += run_exclusivity_campaign(
             noise=noise, run=PulseRun(seed=seed, n_pulses=20_000)
-        )
-        total += eps
+        )["epsilon"]
     return total / len(seeds)
 
 
@@ -485,7 +498,8 @@ def test_epsilon_is_monotone_in_each_noise_knob(knob, levels):
 
 def test_campaign_covers_all_184_orthogonal_pairs(graph):
     template = PulseRun(seed=1, n_pulses=40_000)
-    eps, pairs = run_exclusivity_campaign(run=template)
+    doc = run_exclusivity_campaign(run=template)
+    eps, pairs = doc["epsilon"], doc["pairs"]
     assert len(pairs) == 8 * 23 == 184
     assert {p["initial"] for p in pairs} == set(DEFAULT_INITIAL_RAYS)
     for p in pairs:
