@@ -13,6 +13,7 @@ import argparse
 import csv
 import itertools
 import json
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -54,10 +55,6 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(_dump_json(obj))
-
-
 def _write_rows(f, rows: Sequence[dict]) -> None:
     """CSV with a header taken from the first row's keys."""
     w = csv.DictWriter(f, fieldnames=list(rows[0]), lineterminator="\n")
@@ -73,30 +70,24 @@ def _print(args, default: str, obj, rows: Sequence[dict]) -> None:
         print(_dump_json(obj), end="")
 
 
-def _write_manifest(out: Path, command: str, arguments: dict, outputs: list[str]) -> None:
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(
-        out / "manifest.json",
-        {
-            "command": command,
-            "arguments": arguments,
-            "outputs": sorted(outputs),
-            "version": __version__,
-        },
-    )
-
-
 def _write_bundle(out: Path, command: str, arguments: dict, files: dict) -> None:
-    """Write `files` under `out`, rows for a .csv name and JSON otherwise, then the manifest."""
+    """Write `files` under `out` (an absolute name lands as given), a list of rows as CSV
+    and anything else as JSON, then the manifest, which lists them relative to `out`."""
+    out.mkdir(parents=True, exist_ok=True)
     for name, content in files.items():
         path = out / name
         path.parent.mkdir(parents=True, exist_ok=True)
-        if name.endswith(".csv"):
-            with open(path, "w", newline="") as f:
+        with open(path, "w", newline="") as f:
+            if isinstance(content, list):
                 _write_rows(f, content)
-        else:
-            _write_json(path, content)
-    _write_manifest(out, command, arguments, list(files))
+            else:
+                f.write(_dump_json(content))
+    (out / "manifest.json").write_text(_dump_json({
+        "command": command,
+        "arguments": arguments,
+        "outputs": sorted(os.path.relpath(out / name, out) for name in files),
+        "version": __version__,
+    }))
 
 
 def load_noise_config(path: str | Path | None) -> NoiseModel:
@@ -231,7 +222,7 @@ def cmd_simulate(args) -> int:
     )
     if max(checkpoints) > args.pulses:    # a capped mark would name a count the run never reached
         raise ValueError(f"--checkpoints mark {max(checkpoints)} is beyond --pulses {args.pulses}")
-    trace = convergence_trace(entries, noise, run, checkpoints)
+    rows, record = convergence_trace(entries, noise, run, checkpoints)
 
     out = Path(args.out)
     _write_bundle(
@@ -239,10 +230,7 @@ def cmd_simulate(args) -> int:
         "simulate",
         {"state": label, "pool": args.pool, "checkpoints": checkpoints,
          **_run_arguments(args, noise)},
-        {
-            "record.json": trace.record.to_json(),
-            "trace.csv": [p._asdict() for p in trace.points],
-        },
+        {"record.json": record.to_json(), "trace.csv": rows},
     )
     print(f"wrote {out / 'record.json'} and {out / 'trace.csv'}")
     return 0
@@ -316,28 +304,26 @@ def cmd_calibrate(args) -> int:
         return 1
     best = min(accepted, key=lambda p: abs(p["epsilon"] - target))
 
-    out_path = Path(args.config_out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    _write_json(out_path, {
-        "noise": best["noise"],
-        "calibration": {
-            "epsilon_simulated": best["epsilon"],
-            "epsilon_target": target,
-            "F_GHZ_simulated": best["F_GHZ"],
-            "pulses": args.pulses,
-            "seed": args.seed,
-        },
-        "search": trace,
-    })
-    _write_manifest(
+    _write_bundle(
         Path(args.out),
         "calibrate",
         {"target": target, "pulses": args.pulses, "mu": args.mu, "seed": args.seed,
          "grid": {k: list(v) for k, v in CALIBRATION_GRID.items()}},
-        [str(out_path)],
+        {Path(args.config_out).absolute(): {
+            "noise": best["noise"],
+            "calibration": {
+                "epsilon_simulated": best["epsilon"],
+                "epsilon_target": target,
+                "F_GHZ_simulated": best["F_GHZ"],
+                "pulses": args.pulses,
+                "seed": args.seed,
+            },
+            "search": trace,
+        }},
     )
     print(
-        f"calibrated: epsilon={best['epsilon']:.5f} F_GHZ={best['F_GHZ']:.3f} -> {out_path}"
+        f"calibrated: epsilon={best['epsilon']:.5f} F_GHZ={best['F_GHZ']:.3f} "
+        f"-> {Path(args.config_out)}"
     )
     return 0
 
@@ -498,7 +484,6 @@ def _verify_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _bounds_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("verb", nargs="?", default="report", choices=("report",))
     p.add_argument("--epsilon", type=float, default=0.0)
     p.add_argument("--extrapolated-quantum", action="store_true", dest="extrapolated_quantum",
                    help="also report the affine quantum extrapolation 5(1-eps)+40eps")

@@ -26,7 +26,7 @@ import hashlib
 import math
 from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -332,19 +332,6 @@ def run_exclusivity_campaign(
     }
 
 
-class TracePoint(NamedTuple):
-    pulses: int
-    sigma_est: float
-    sigma_err: float
-    S_est: float
-    S_err: float
-
-
-class TraceResult(NamedTuple):
-    points: tuple[TracePoint, ...]
-    record: CountRecord    # the full-run record; its estimates equal the last point
-
-
 def snap_checkpoints(checkpoints: Sequence[int], n_pulses: int) -> tuple[int, ...]:
     """Round checkpoints up to chunk boundaries (capped at n_pulses), keeping them increasing."""
     snapped: list[int] = []
@@ -364,29 +351,23 @@ def convergence_trace(
     noise: NoiseModel,
     run: PulseRun,
     checkpoints: Sequence[int],
-) -> TraceResult:
-    """Running (pulses, sigma_est +- err, S_est +- err) at chunk-aligned checkpoints.
+) -> tuple[list[dict], CountRecord]:
+    """The trace.csv rows {pulses, sigma_est, sigma_err, S_est, S_err} at chunk-aligned
+    checkpoints, and the full-run record.
 
-    The final point always sits at n_pulses, so it matches estimating the full record.
+    The final row always sits at n_pulses, so it matches estimating the record.
     """
     if list(checkpoints) != sorted(checkpoints):
         raise ValueError("checkpoints must be increasing")
     entries = resolve_state(state)
     flux = _flux_pass(run, noise)
     marks = snap_checkpoints(checkpoints, run.n_pulses)
-    points: list[TracePoint] = []
+    rows: list[dict] = []
     for done, alloc, det in _running_counts(entries, noise, run):
         for k in np.flatnonzero(np.isin(done, marks)):
             record = _record(entries, run, det[k], alloc[k], flux)
             est = estimate_probabilities(record)
-            points.append(
-                TracePoint(
-                    pulses=int(done[k]),
-                    sigma_est=est.sigma_est,
-                    sigma_err=est.sigma_err,
-                    S_est=est.S_est,
-                    S_err=est.S_err,
-                )
-            )
+            rows.append({"pulses": int(done[k]), "sigma_est": est.sigma_est,
+                         "sigma_err": est.sigma_err, "S_est": est.S_est, "S_err": est.S_err})
     # the last chunk ends at n_pulses, always a mark, so record is the full run's
-    return TraceResult(points=tuple(points), record=record)
+    return rows, record

@@ -164,13 +164,14 @@ def test_ac8_statistical_soundness():
     ratios: list[float] = []
     for seed in range(20):
         run = PulseRun(seed=seed, n_pulses=2_097_152)
-        trace = convergence_trace("ghz", IDEAL_NOISE, run, marks)
-        for p in trace.points:
-            if p.pulses > 100_000 and (
-                abs(p.sigma_est - 5.0) > 3 * p.sigma_err or abs(p.S_est - 4.0) > 3 * p.S_err
+        rows, _ = convergence_trace("ghz", IDEAL_NOISE, run, marks)
+        for p in rows:
+            if p["pulses"] > 100_000 and (
+                abs(p["sigma_est"] - 5.0) > 3 * p["sigma_err"]
+                or abs(p["S_est"] - 4.0) > 3 * p["S_err"]
             ):
                 converged = False
-        errs = [p.sigma_err for p in trace.points]
+        errs = [p["sigma_err"] for p in rows]
         ratios.extend(b / a for a, b in zip(errs, errs[1:]))
     mean_ratio = sum(ratios) / len(ratios)
     ok = converged and 0.65 <= mean_ratio <= 0.75

@@ -244,7 +244,7 @@ def test_bounds_report(capsys):
 
 def test_bounds_with_epsilon_and_extrapolation(capsys):
     code, out, _ = run_cli(
-        ["bounds", "report", "--epsilon", "0.014", "--extrapolated-quantum"], capsys
+        ["bounds", "--epsilon", "0.014", "--extrapolated-quantum"], capsys
     )
     assert code == 0
     data = json.loads(out)
@@ -782,7 +782,48 @@ def test_calibrate_creates_a_new_out_directory(tmp_path, monkeypatch, capsys):
     assert code == 0, err
     assert (tmp_path / "cfg.json").exists()
     manifest = json.loads((tmp_path / "newdir" / "sub" / "manifest.json").read_text())
-    assert manifest["command"] == "calibrate" and manifest["outputs"] == ["cfg.json"]
+    assert manifest["command"] == "calibrate" and manifest["outputs"] == ["../../cfg.json"]
+
+
+def test_calibrate_writes_nothing_when_no_grid_point_is_accepted(tmp_path, monkeypatch, capsys):
+    # the grid's zero-noise point alone, whose epsilon is far below the target window
+    monkeypatch.setattr(cli, "CALIBRATION_GRID", {
+        "phase_jitter": (0.0,), "amplitude_jitter": (0.0,), "background": (0.0,),
+        "efficiency": (0.5,),
+    })
+    code, _, err = run_cli(["--out", str(tmp_path / "out"), "calibrate", "--pulses", "60000",
+                            "--config-out", str(tmp_path / "cfg.json")], capsys)
+    assert code == 1
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: no grid point meets the target window")
+    assert not any(tmp_path.iterdir())    # neither the config nor a manifest
+
+
+# command -> its argv after --out; analyze reads the record a short simulate wrote first
+MANIFEST_CASES = {
+    "simulate": ["simulate", "--state", "w", "--pulses", "40000"],
+    "exclusivity": ["exclusivity", "--pulses", "30000", "--initial", "1,9"],
+    "analyze": ["analyze", "sim/record.json", "--epsilon", "0.01"],
+    "reproduce": ["reproduce", "--pulses", "40000"],
+    "calibrate": ["calibrate", "--pulses", "60000", "--config-out", "cfg/noise.json"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(MANIFEST_CASES))
+def test_a_manifest_lists_exactly_what_its_command_wrote(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["--out", "sim", "simulate", "--state", "ghz", "--pulses", "40000"]) == 0
+
+    def files() -> set[Path]:
+        return {p.resolve() for p in tmp_path.rglob("*") if p.is_file()}
+
+    before = files()
+    code, _, err = run_cli(["--out", "bundle/sub", *MANIFEST_CASES[command]], capsys)
+    assert code == 0, err
+    manifest = (tmp_path / "bundle" / "sub" / "manifest.json").resolve()
+    listed = json.loads(manifest.read_text())["outputs"]
+    # each listed name resolves from the manifest's own directory
+    assert {(manifest.parent / name).resolve() for name in listed} == files() - before - {manifest}
 
 
 def test_reproduce_says_when_pulses_are_too_few_to_calibrate(tmp_path, capsys):

@@ -68,9 +68,10 @@ _SIMULATE_M16 = ["--seed", "3", "--out", "sim16", "simulate", "--state", "w", "-
                  "--pulses", "100000"]
 
 # name -> (commands run in order, bundle directory, tree digest).  The paths are
-# relative because analyze and calibrate write the paths they are given into
-# their manifests.  Every digest here was retaken when the simulator moved to
-# four named Philox streams per run; the output formats are unchanged since.
+# relative because analyze writes the record path it is given into its manifest.
+# Every digest here was retaken when the simulator moved to four named Philox
+# streams per run; the output formats are unchanged since, but for calibrate's
+# manifest, which now lists its config relative to the manifest.
 GOLDEN_BUNDLES = {
     "exclusivity": (
         [_EXCLUSIVITY], "excl",
@@ -93,7 +94,7 @@ GOLDEN_BUNDLES = {
     "calibrate": (
         [["--seed", "1", "--out", "cal", "calibrate", "--pulses", "60000",
           "--config-out", "cal/noise.json"]], "cal",
-        "e5009c2c680efe9a43547687c4a435208ff88787b28db0bf42183f386d1dbda1"),
+        "b5638d53259387c5686e30c83d958eb10c94f4b6d5044e19e010fba94dad8025"),
 }
 
 # (command, --format) -> sha256 of stdout, taken with the same code as above

@@ -260,8 +260,8 @@ def test_run_across_a_block_boundary_matches_chunk_at_a_time(kset):
         b: int(flux.binomial(run.n_pulses // len(pool), p_cal)) for b in sorted(rec.flux_pulses)}
 
     marks = [CHUNK, BLOCK * CHUNK, (BLOCK + 1) * CHUNK, run.n_pulses]
-    trace = convergence_trace(entries, IDEAL_NOISE, run, marks)
-    assert trace.record == rec
+    rows, record = convergence_trace(entries, IDEAL_NOISE, run, marks)
+    assert record == rec
     want = []
     for done, a, d in running:
         if done in marks:
@@ -272,7 +272,9 @@ def test_run_across_a_block_boundary_matches_chunk_at_a_time(kset):
                 mu=run.mu, seed=run.seed,
             ))
             want.append((done, est.sigma_est, est.sigma_err, est.S_est, est.S_err))
-    assert [(p.pulses, p.sigma_est, p.sigma_err, p.S_est, p.S_err) for p in trace.points] == want
+    assert [tuple(row.values()) for row in rows] == want
+    assert all(list(row) == ["pulses", "sigma_est", "sigma_err", "S_est", "S_err"]
+               and type(row["pulses"]) is int for row in rows)
 
     # the block sums add the chunks in another order than the loop does
     for noise in (IDEAL_NOISE, load_noise_config(None)):
@@ -289,7 +291,7 @@ def test_block_size_changes_no_byte(monkeypatch):
     whole = convergence_trace("ghz", noise, run, marks)
     monkeypatch.setattr(simulate, "BLOCK", 7)
     assert convergence_trace("ghz", noise, run, marks) == whole
-    assert run_ks_experiment("ghz", noise, run) == whole.record
+    assert run_ks_experiment("ghz", noise, run) == whole[1]
 
 
 def test_noise_leaves_the_pulse_allocation_alone():
@@ -523,14 +525,14 @@ def test_snap_checkpoints():
 
 def test_trace_final_point_matches_direct_run():
     run = PulseRun(seed=12, n_pulses=100_000)
-    trace = convergence_trace("ghz", IDEAL_NOISE, run, [20_000, 100_000])
+    rows, record = convergence_trace("ghz", IDEAL_NOISE, run, [20_000, 100_000])
     direct = run_ks_experiment("ghz", IDEAL_NOISE, run)
-    assert trace.record == direct
+    assert record == direct
     est = estimate_probabilities(direct)
-    last = trace.points[-1]
-    assert last.pulses == 100_000
-    assert last.sigma_est == est.sigma_est
-    assert last.S_est == est.S_est
+    last = rows[-1]
+    assert last["pulses"] == 100_000
+    assert last["sigma_est"] == est.sigma_est
+    assert last["S_est"] == est.S_est
 
 
 def test_trace_rejects_decreasing_checkpoints():
@@ -542,8 +544,8 @@ def test_trace_rejects_decreasing_checkpoints():
 def test_trace_error_shrinks_with_pulses():
     # Poisson scaling with 25% slack: err(t2) <= err(t1) * sqrt(t1/t2) * 1.25
     run = PulseRun(seed=13, n_pulses=524_288)
-    trace = convergence_trace("w", IDEAL_NOISE, run, [65_536, 131_072, 262_144, 524_288])
+    rows, _ = convergence_trace("w", IDEAL_NOISE, run, [65_536, 131_072, 262_144, 524_288])
     for which in ("sigma_err", "S_err"):
-        pts = [(p.pulses, getattr(p, which)) for p in trace.points]
+        pts = [(row["pulses"], row[which]) for row in rows]
         for (t1, e1), (t2, e2) in itertools.combinations(pts, 2):
             assert e2 <= e1 * math.sqrt(t1 / t2) * 1.25

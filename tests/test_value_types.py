@@ -9,7 +9,7 @@ from kp40.bounds import Assignment, ColorabilityResult, ks_colorable, max_ones
 from kp40.ksset import KSSet, OrthoGraph
 from kp40.pentagram import Context, PauliWord, pentagram_contexts
 from kp40.rays import Ray
-from kp40.simulate import NoiseModel, PulseRun, TracePoint, TraceResult, convergence_trace
+from kp40.simulate import NoiseModel, PulseRun, convergence_trace
 from kp40.states import ProbabilityProfile, profile
 
 # type -> whether its instances hash; a type with a dict field never did
@@ -17,7 +17,7 @@ HASHABLE = {
     Ray: True, PauliWord: True, Context: True, KSSet: True, OrthoGraph: True,
     Assignment: False, ColorabilityResult: True, ProbabilityProfile: False,
     CountRecord: False, EstimateSet: False, SimilarityReport: False,
-    NoiseModel: True, PulseRun: True, TracePoint: True, TraceResult: False,
+    NoiseModel: True, PulseRun: True,
 }
 
 
@@ -25,12 +25,12 @@ HASHABLE = {
 def instances(kset, graph, octads):
     noise = NoiseModel(phase_jitter=0.2, efficiency=0.5)
     run = PulseRun(seed=1, n_pulses=40_000, projector_pool=(9, 10, 11, 12))
-    trace = convergence_trace("ghz", noise, run, [40_000])
+    _, record = convergence_trace("ghz", noise, run, [40_000])
     values = [
         kset.ray(1), PauliWord("ZXX"), pentagram_contexts()[0], kset, graph, max_ones(graph)[1],
-        ks_colorable(octads, graph), profile("ghz"), trace.record,
-        estimate_probabilities(trace.record), bhattacharyya({1: 0.5, 2: 0.5}, {1: 0.25, 2: 0.75}),
-        noise, run, trace.points[0], trace,
+        ks_colorable(octads, graph), profile("ghz"), record,
+        estimate_probabilities(record), bhattacharyya({1: 0.5, 2: 0.5}, {1: 0.25, 2: 0.75}),
+        noise, run,
     ]
     return {type(v): v for v in values}
 
