@@ -1,17 +1,14 @@
 """Command-line entry point: verification, exact reports, simulation, and reproduction bundles.
 
-The exact commands (verify, octads, bounds, predict) run on integers and
-fractions alone.  The simulator, the analysis and the thread pool are
-imported inside the commands that use them, looked up at call time.
-`reproduce --workers N` runs up to N legs at once on threads of this process;
-each leg draws from its own streams, so the bytes do not depend on N.
+Each command imports what only it uses, when it runs: `verify`, `octads` and `bounds` load
+no `fractions`, and `csv` only for `--format csv`; only the commands that simulate or judge
+load the simulator and the analysis.  `reproduce` and `calibrate` are library
+functions of `simulate`; their commands check flags and write the documents returned.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import itertools
 import json
 import os
 import sys
@@ -19,36 +16,15 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import __version__
-from .bounds import (
-    corrected_S_bound,
-    corrected_sigma_bound,
-    extrapolated_quantum_sigma_bound,
-    full_report_json,
-)
-from .ksset import (
-    KS40_POOL,
-    N_RAYS,
-    basis_of,
-    build_graph,
-    canonical_set,
-    enumerate_octads,
-    load_ksset_file,
-    mermin_subset,
-    read_fields,
-    read_json,
-    verification_checks,
-)
+from .ksset import (KS40_POOL, N_RAYS, basis_of, build_graph, canonical_set, enumerate_octads,
+                    load_ksset_file, mermin_subset, read_fields, read_json, verification_checks)
 from .rays import number, rational_to_str
-from .states import NAMED_STATES, S_of_profile, profile, resolve_state, sigma_of_profile
 
 if TYPE_CHECKING:
-    from .simulate import NoiseModel, PulseRun
+    from .simulate import NoiseModel
 
 DEFAULT_MU = 0.14    # simulate.DEFAULT_MU, restated so that building the parser imports no NumPy
 EPSILON_TARGET = 0.0140
-F_TARGETS = {"ghz": 0.93, "w": 0.97, "beta": 0.92, "eta": 0.98, "prod": 0.95}
-SIGMA_STATES = ("ghz", "w", "beta", "eta", "prod")
-S_STATES = ("ghz", "w")
 
 
 def _dump_json(obj) -> str:
@@ -57,6 +33,8 @@ def _dump_json(obj) -> str:
 
 def _write_rows(f, rows: Sequence[dict]) -> None:
     """CSV with a header taken from the first row's keys."""
+    import csv
+
     w = csv.DictWriter(f, fieldnames=list(rows[0]), lineterminator="\n")
     w.writeheader()
     w.writerows(rows)
@@ -73,19 +51,26 @@ def _print(args, default: str, obj, rows: Sequence[dict]) -> None:
 def _write_bundle(out: Path, command: str, arguments: dict, files: dict) -> None:
     """Write `files` under `out` (an absolute name lands as given), a list of rows as CSV
     and anything else as JSON, then the manifest, which lists them relative to `out`."""
+    manifest = out / "manifest.json"
+    paths = {out / name: content for name, content in files.items()}
+    for path in paths:    # before anything is written; only a symlink or a path named
+        # like the manifest can resolve to it, so the others are not resolved
+        collides = path.name == manifest.name or path.is_symlink()
+        if collides and path.resolve() == manifest.resolve():
+            raise ValueError(f"output {path} would be overwritten by the bundle's {manifest.name}; "
+                             "name another file")
     out.mkdir(parents=True, exist_ok=True)
-    for name, content in files.items():
-        path = out / name
+    for path, content in paths.items():
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", newline="") as f:
             if isinstance(content, list):
                 _write_rows(f, content)
             else:
                 f.write(_dump_json(content))
-    (out / "manifest.json").write_text(_dump_json({
+    manifest.write_text(_dump_json({
         "command": command,
         "arguments": arguments,
-        "outputs": sorted(os.path.relpath(out / name, out) for name in files),
+        "outputs": sorted(os.path.relpath(path, out) for path in paths),
         "version": __version__,
     }))
 
@@ -107,6 +92,8 @@ def load_noise_config(path: str | Path | None) -> NoiseModel:
 
 
 def _resolve_state_arg(args) -> tuple[str, tuple[int, ...]]:
+    from .states import resolve_state
+
     if args.ray is not None:
         values = _int_list("--ray", args.ray)
         try:
@@ -170,6 +157,8 @@ def cmd_octads(args) -> int:
 # ---------------------------------------------------------------- bounds
 
 def cmd_bounds(args) -> int:
+    from .bounds import extrapolated_quantum_sigma_bound, full_report_json
+
     report = full_report_json(epsilon=args.epsilon)
     if args.extrapolated_quantum:
         report["sigma_quantum_extrapolated"] = extrapolated_quantum_sigma_bound(args.epsilon)
@@ -180,6 +169,8 @@ def cmd_bounds(args) -> int:
 # ---------------------------------------------------------------- predict
 
 def cmd_predict(args) -> int:
+    from .states import S_of_profile, profile, sigma_of_profile
+
     label, entries = _resolve_state_arg(args)
     prof = profile(entries)
     rows = [
@@ -261,48 +252,20 @@ def cmd_exclusivity(args) -> int:
 
 # ---------------------------------------------------------------- calibrate
 
-CALIBRATION_GRID = {
-    "phase_jitter": (0.0, 0.22, 0.25, 0.28),
-    "amplitude_jitter": (0.0, 0.06),
-    "background": (0.0, 0.001, 0.002),
-    "efficiency": (0.5,),
-}
-
-
 def cmd_calibrate(args) -> int:
-    from .analysis import judge
-    from .simulate import (
-        NoiseModel, PulseRun, derive_seed, run_exclusivity_campaign, run_ks_experiment,
-    )
+    from .simulate import CALIBRATION_GRID, calibrate
 
     target = args.target
     if not 0.0 <= target <= 1.0:    # also refuses nan
         raise ValueError(f"--target must be a number in [0, 1], got {target}")
-    run = PulseRun(seed=args.seed, n_pulses=args.pulses, mu=args.mu)
-    ghz_run = PulseRun(seed=derive_seed(args.seed, "cal", "ghz"), n_pulses=args.pulses, mu=args.mu)
-    trace = []
-    # in the grid's key order: phase jitter varies slowest, efficiency fastest
-    for values in itertools.product(*CALIBRATION_GRID.values()):
-        noise = NoiseModel(**dict(zip(CALIBRATION_GRID, values)))
-        epsilon = run_exclusivity_campaign(run, noise)["epsilon"]
-        F = judge(run_ks_experiment("ghz", noise, ghz_run), epsilon, per_basis=True).similarity.F
-        trace.append({
-            "noise": noise.to_json(),
-            "epsilon": epsilon,
-            "F_GHZ": F,
-            "accepted": 0.010 <= epsilon <= 0.018 and 0.90 <= F <= 0.99,
-        })
-
-    accepted = [p for p in trace if p["accepted"]]
-    if not accepted:
-        nearest = min(trace, key=lambda p: abs(p["epsilon"] - target))
+    search, best = calibrate(args.seed, args.pulses, args.mu, target)
+    if not best["accepted"]:
         print(
             "error: no grid point meets the target window; nearest achieved "
-            f"epsilon={nearest['epsilon']:.5f}, F_GHZ={nearest['F_GHZ']:.3f} at {nearest['noise']}",
+            f"epsilon={best['epsilon']:.5f}, F_GHZ={best['F_GHZ']:.3f} at {best['noise']}",
             file=sys.stderr,
         )
         return 1
-    best = min(accepted, key=lambda p: abs(p["epsilon"] - target))
 
     _write_bundle(
         Path(args.out),
@@ -318,7 +281,7 @@ def cmd_calibrate(args) -> int:
                 "pulses": args.pulses,
                 "seed": args.seed,
             },
-            "search": trace,
+            "search": search,
         }},
     )
     print(
@@ -364,91 +327,23 @@ def cmd_analyze(args) -> int:
 
 # ---------------------------------------------------------------- reproduce
 
-# The legs of a reproduce bundle as (kind, state): the exclusivity campaign,
-# the longest, first; then one record per sigma state (all 40 tests) and per
-# S state (the 16 Mermin tests).
-REPRODUCE_LEGS: tuple[tuple[str, str | None], ...] = (
-    ("excl", None),
-    *(("sigma", st) for st in SIGMA_STATES),
-    *(("s", st) for st in S_STATES),
-)
-
-
-def _summary_row(kind: str, state: str, judged) -> dict:
-    """One summary row: a leg's judged sum, with F for the sigma legs only."""
-    sigma = kind == "sigma"
-    quantity = "sigma" if sigma else "S"
-    v = judged.verdict[quantity]
-    return {
-        "state": state,
-        "quantity": quantity,
-        "estimate": v["value"],
-        "error": v["error"],
-        "corrected_bound": v["corrected_bound"],
-        "quantum_value": v["quantum_value"],
-        "violates": v["value"] > v["corrected_bound"],
-        "F": judged.similarity.F if sigma else "",
-        "F_target": F_TARGETS[state] if sigma else "",
-    }
-
-
 def cmd_reproduce(args) -> int:
-    from concurrent.futures import ThreadPoolExecutor
-
-    from .analysis import judge
-    from .simulate import PulseRun, derive_seed, run_exclusivity_campaign, run_ks_experiment
+    from .simulate import reproduce
 
     if args.workers < 1:
         raise ValueError(f"--workers must be at least 1, got {args.workers}")
     noise = load_noise_config(args.noise)
-
-    def leg(kind: str, state: str | None):
-        """Run one leg: the campaign's eps.json document, or a record."""
-        if state is None:
-            run = PulseRun(seed=derive_seed(args.seed, kind), n_pulses=args.pulses, mu=args.mu)
-            return run_exclusivity_campaign(run, noise)
-        run = PulseRun(seed=derive_seed(args.seed, kind, state), n_pulses=args.pulses, mu=args.mu,
-                       projector_pool=mermin_subset() if kind == "s" else KS40_POOL)
-        return run_ks_experiment(state, noise, run)
-
-    if args.workers > 1:
-        # NumPy's draws and ufuncs release the GIL, so legs overlap on threads.  One worker
-        # stays on this thread: a one-thread pool made a 2M-pulse reproduce 2-4 ms slower.
-        with ThreadPoolExecutor(max_workers=min(args.workers, len(REPRODUCE_LEGS))) as ex:
-            eps, *records = ex.map(leg, *zip(*REPRODUCE_LEGS))
-    else:
-        eps, *records = map(leg, *zip(*REPRODUCE_LEGS))
-    epsilon = eps["epsilon"]
-    legs = REPRODUCE_LEGS[1:]
-    summary_rows = [
-        _summary_row(kind, state, judge(record, epsilon, per_basis=True))
-        for (kind, state), record in zip(legs, records)
-    ]
+    files = reproduce(args.seed, args.pulses, args.mu, noise, args.workers)
     out = Path(args.out)
-    _write_bundle(
-        out,
-        "reproduce",
-        {**_run_arguments(args, noise), "workers_invariant": True},
-        {
-            "eps.json": eps,
-            **{f"records/{kind}_{state}.json": record.to_json()
-               for (kind, state), record in zip(legs, records)},
-            "summary.json": {
-                "epsilon": epsilon,
-                "sigma_corrected_bound": corrected_sigma_bound(epsilon),
-                "S_corrected_bound": corrected_S_bound(epsilon),
-                "rows": summary_rows,
-            },
-            "summary.csv": summary_rows,
-        },
-    )
-    for row in summary_rows:
+    _write_bundle(out, "reproduce", {**_run_arguments(args, noise), "workers_invariant": True},
+                  files)
+    for row in files["summary.csv"]:
         print(
             f"{row['state']:>5} {row['quantity']:>5}: {row['estimate']:.3f} +- {row['error']:.3f} "
             f"(corrected bound {row['corrected_bound']:.3f}, "
             f"{'violates' if row['violates'] else 'no violation'})"
         )
-    print(f"epsilon = {epsilon:.5f}; bundle in {out}")
+    print(f"epsilon = {files['eps.json']['epsilon']:.5f}; bundle in {out}")
     return 0
 
 
@@ -474,6 +369,8 @@ def _run_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _state_flags(p: argparse.ArgumentParser) -> None:
+    from .states import NAMED_STATES
+
     grp = p.add_mutually_exclusive_group(required=True)
     grp.add_argument("--state", type=str.lower, choices=sorted(NAMED_STATES))
     grp.add_argument("--ray", help="8 comma-separated integer components")

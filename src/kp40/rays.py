@@ -7,11 +7,13 @@ into :func:`overlap_prob`, so every ideal quantity is an exact rational.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from math import gcd, inf
 from numbers import Integral, Real
 from operator import mul
-from typing import Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 DIM = 8
 
@@ -55,6 +57,8 @@ def overlap_prob(state: RayLike, v: RayLike) -> Fraction:
     Returns dot(state, v)^2 / (dot(state, state) * dot(v, v)) in lowest terms.
     Raises ValueError for a zero argument.
     """
+    from fractions import Fraction    # here, so that importing rays loads no fractions
+
     es, ev = Ray(state).entries, Ray(v).entries
     d = sum(map(mul, es, ev))
     return Fraction(d * d, sum(map(mul, es, es)) * sum(map(mul, ev, ev)))

@@ -18,11 +18,14 @@ so the bytes depend neither on BLOCK nor on how runs are spread over worker
 threads, while memory depends on BLOCK, not on the run's length.
 A detection probability of exactly 0 draws nothing from the "detect" stream, so
 the exact zeros of the chunk kernel, _chunk_probs, are part of those bytes too.
+reproduce and calibrate run the legs of a reproduce bundle and of a noise grid
+search and return their documents, which the command line writes.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from collections import namedtuple
 from functools import lru_cache
@@ -30,8 +33,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import CountRecord, estimate_probabilities
-from .ksset import KS40_POOL, basis_of, build_graph, canonical_set, ray_indices, read_fields
+from .analysis import CountRecord, estimate_probabilities, judge
+from .bounds import corrected_S_bound, corrected_sigma_bound
+from .ksset import (KS40_POOL, basis_of, build_graph, canonical_set, mermin_subset, ray_indices,
+                    read_fields)
 from .rays import Ray, integer, number, positive
 from .states import resolve_state
 
@@ -371,3 +376,104 @@ def convergence_trace(
                          "sigma_err": est.sigma_err, "S_est": est.S_est, "S_err": est.S_err})
     # the last chunk ends at n_pulses, always a mark, so record is the full run's
     return rows, record
+
+
+F_TARGETS = {"ghz": 0.93, "w": 0.97, "beta": 0.92, "eta": 0.98, "prod": 0.95}
+SIGMA_STATES = ("ghz", "w", "beta", "eta", "prod")
+S_STATES = ("ghz", "w")
+# The legs of a reproduce bundle as (kind, state): the exclusivity campaign,
+# the longest, first; then one record per sigma state (all 40 tests) and per
+# S state (the 16 Mermin tests).
+REPRODUCE_LEGS: tuple[tuple[str, str | None], ...] = (
+    ("excl", None),
+    *(("sigma", st) for st in SIGMA_STATES),
+    *(("s", st) for st in S_STATES),
+)
+
+
+def _summary_row(kind: str, state: str, judged) -> dict:
+    """One summary row: a leg's judged sum, with F for the sigma legs only."""
+    sigma = kind == "sigma"
+    quantity = "sigma" if sigma else "S"
+    v = judged.verdict[quantity]
+    return {
+        "state": state,
+        "quantity": quantity,
+        "estimate": v["value"],
+        "error": v["error"],
+        "corrected_bound": v["corrected_bound"],
+        "quantum_value": v["quantum_value"],
+        "violates": v["value"] > v["corrected_bound"],
+        "F": judged.similarity.F if sigma else "",
+        "F_target": F_TARGETS[state] if sigma else "",
+    }
+
+
+def reproduce(seed: int, n_pulses: int, mu: float, noise: NoiseModel, workers: int = 1) -> dict:
+    """The files of a reproduce bundle by name: eps.json, a record per leg under records/,
+    and the judged summary as summary.json and as summary.csv rows.
+
+    Up to `workers` legs run at once on threads of this process; each leg draws from its
+    own streams, so the documents do not depend on `workers`.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    def leg(kind: str, state: str | None):
+        """Run one leg: the campaign's eps.json document, or a record."""
+        if state is None:
+            return run_exclusivity_campaign(
+                PulseRun(seed=derive_seed(seed, kind), n_pulses=n_pulses, mu=mu), noise)
+        run = PulseRun(seed=derive_seed(seed, kind, state), n_pulses=n_pulses, mu=mu,
+                       projector_pool=mermin_subset() if kind == "s" else KS40_POOL)
+        return run_ks_experiment(state, noise, run)
+
+    if workers > 1:
+        # NumPy's draws and ufuncs release the GIL, so legs overlap on threads.  One worker
+        # stays on this thread: a one-thread pool made a 2M-pulse reproduce 2-4 ms slower.
+        with ThreadPoolExecutor(max_workers=min(workers, len(REPRODUCE_LEGS))) as ex:
+            eps, *records = ex.map(leg, *zip(*REPRODUCE_LEGS))
+    else:
+        eps, *records = map(leg, *zip(*REPRODUCE_LEGS))
+    epsilon = eps["epsilon"]
+    legs = REPRODUCE_LEGS[1:]
+    rows = [_summary_row(kind, state, judge(record, epsilon, per_basis=True))
+            for (kind, state), record in zip(legs, records)]
+    return {
+        "eps.json": eps,
+        **{f"records/{kind}_{state}.json": record.to_json()
+           for (kind, state), record in zip(legs, records)},
+        "summary.json": {
+            "epsilon": epsilon,
+            "sigma_corrected_bound": corrected_sigma_bound(epsilon),
+            "S_corrected_bound": corrected_S_bound(epsilon),
+            "rows": rows,
+        },
+        "summary.csv": rows,
+    }
+
+
+CALIBRATION_GRID = {
+    "phase_jitter": (0.0, 0.22, 0.25, 0.28),
+    "amplitude_jitter": (0.0, 0.06),
+    "background": (0.0, 0.001, 0.002),
+    "efficiency": (0.5,),
+}
+
+
+def calibrate(seed: int, n_pulses: int, mu: float, target: float) -> tuple[list[dict], dict]:
+    """Search CALIBRATION_GRID for the noise whose campaign epsilon is nearest `target`.
+
+    Returns the search rows {noise, epsilon, F_GHZ, accepted}, in the grid's key order
+    (phase jitter varies slowest, efficiency fastest), and the chosen row: the accepted
+    row nearest the target or, when no row is accepted, the nearest row of all.
+    """
+    run = PulseRun(seed=seed, n_pulses=n_pulses, mu=mu)
+    ghz_run = PulseRun(seed=derive_seed(seed, "cal", "ghz"), n_pulses=n_pulses, mu=mu)
+    search = []
+    for values in itertools.product(*CALIBRATION_GRID.values()):
+        noise = NoiseModel(**dict(zip(CALIBRATION_GRID, values)))
+        epsilon = run_exclusivity_campaign(run, noise)["epsilon"]
+        F = judge(run_ks_experiment("ghz", noise, ghz_run), epsilon, per_basis=True).similarity.F
+        search.append({"noise": noise.to_json(), "epsilon": epsilon, "F_GHZ": F,
+                       "accepted": 0.010 <= epsilon <= 0.018 and 0.90 <= F <= 0.99})
+    return search, min(search, key=lambda p: (not p["accepted"], abs(p["epsilon"] - target)))

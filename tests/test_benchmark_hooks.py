@@ -9,6 +9,9 @@ which starts measuring when imported, is only parsed.
 import ast
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -99,3 +102,20 @@ def test_every_kp40_name_the_benchmark_reads_exists(name):
         except (ImportError, AttributeError):
             missing.append(dotted)
     assert not missing, f"perfbench/{name}.py reads names kp40 does not have: {missing}"
+
+
+def test_the_set_up_probe_runs_and_loads_no_numpy_rationals_or_csv():
+    tree = ast.parse((PERFBENCH / "run.py").read_text())
+    code, = [node.value.value for node in tree.body if isinstance(node, ast.Assign)
+             and [getattr(t, "id", None) for t in node.targets] == ["SETUP_CODE"]]
+    watched = ("numpy", "fractions", "decimal", "csv")
+    probe = (f"{code}\nimport sys\n"
+             f"print(*[m for m in {watched!r} if m in sys.modules], file=sys.stderr)")
+    src = str(PERFBENCH.parent / "src")    # where run.py imports kp40 from
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert len(lines) == 1 and "import_ms" in json.loads(lines[0])
+    assert res.stderr.splitlines()[-1].split() == []

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import kp40
-from kp40 import cli, pentagram
+from kp40 import cli, pentagram, simulate
 from kp40.ksset import canonical_set, mermin_subset
 from kp40.simulate import CountRecord
 
@@ -787,7 +787,7 @@ def test_calibrate_creates_a_new_out_directory(tmp_path, monkeypatch, capsys):
 
 def test_calibrate_writes_nothing_when_no_grid_point_is_accepted(tmp_path, monkeypatch, capsys):
     # the grid's zero-noise point alone, whose epsilon is far below the target window
-    monkeypatch.setattr(cli, "CALIBRATION_GRID", {
+    monkeypatch.setattr(simulate, "CALIBRATION_GRID", {
         "phase_jitter": (0.0,), "amplitude_jitter": (0.0,), "background": (0.0,),
         "efficiency": (0.5,),
     })
@@ -797,6 +797,23 @@ def test_calibrate_writes_nothing_when_no_grid_point_is_accepted(tmp_path, monke
     assert len(err.splitlines()) == 1
     assert err.startswith("error: no grid point meets the target window")
     assert not any(tmp_path.iterdir())    # neither the config nor a manifest
+
+
+@pytest.mark.parametrize("config_out", ["manifest.json", "link.json"])
+def test_calibrate_refuses_a_config_out_that_is_its_own_manifest(tmp_path, monkeypatch, capsys,
+                                                                 config_out):
+    # one grid point, the one a 60000-pulse search accepts
+    monkeypatch.setattr(simulate, "CALIBRATION_GRID", {
+        "phase_jitter": (0.28,), "amplitude_jitter": (0.0,), "background": (0.002,),
+        "efficiency": (0.5,),
+    })
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "link.json").symlink_to("manifest.json")    # dangling until a manifest exists
+    code, _, err = run_cli(["calibrate", "--pulses", "60000", "--config-out", config_out], capsys)
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: output ") and config_out in err
+    assert [p.name for p in tmp_path.iterdir()] == ["link.json"]    # nothing written
 
 
 # command -> its argv after --out; analyze reads the record a short simulate wrote first
@@ -873,7 +890,7 @@ def test_reproduce_starts_no_more_workers_than_legs(tmp_path, monkeypatch, capsy
     code, _, err = run_cli(["--out", str(tmp_path), "reproduce", "--pulses", "40000",
                             "--workers", "64"], capsys)
     assert code == 0, err
-    assert sizes == [len(cli.REPRODUCE_LEGS)]
+    assert sizes == [len(simulate.REPRODUCE_LEGS)]
 
 
 def test_reproduce_without_config_names_calibrate(tmp_path, capsys):
@@ -940,9 +957,12 @@ EXACT_RUNS = {
 }
 
 
-# modules a fresh run is checked for: NumPy and its random package, and the stdlib
-# modules that declaring the value types with `dataclasses` used to load
-WATCHED_MODULES = ("numpy", "numpy.random", "dataclasses", "inspect")
+# modules a fresh run is checked for: NumPy and its random package, the stdlib
+# modules that declaring the value types with `dataclasses` used to load, the
+# exact rationals (`fractions` pulls in `decimal`), `csv`, and the two exact
+# layers that not every exact command needs
+WATCHED_MODULES = ("numpy", "numpy.random", "dataclasses", "inspect", "fractions", "decimal",
+                   "csv", "kp40.bounds", "kp40.states")
 
 
 @functools.lru_cache(maxsize=None)
@@ -964,6 +984,23 @@ def test_exact_path_never_imports_numpy(case):
 @pytest.mark.parametrize("case", list(EXACT_RUNS))
 def test_exact_path_loads_neither_dataclasses_nor_inspect(case):
     assert not _modules_loaded_by(EXACT_RUNS[case]) & {"dataclasses", "inspect"}
+
+
+# the EXACT_RUNS that print JSON and build no rational
+JSON_EXACT_RUNS = ("verify", "bounds", "octads", "canonical_set", "python-m-kp40-verify")
+
+
+@pytest.mark.parametrize("case", JSON_EXACT_RUNS)
+def test_a_json_exact_path_loads_no_rationals_csv_or_states(case):
+    loaded = _modules_loaded_by(EXACT_RUNS[case])
+    assert not loaded & {"fractions", "decimal", "csv", "kp40.states"}
+    if case != "bounds":    # only bounds searches for the noncontextual maxima
+        assert "kp40.bounds" not in loaded
+
+
+def test_predict_loads_rationals_and_csv():
+    # the control for the test above: a watched module that is loaded is seen
+    assert {"fractions", "csv"} <= _modules_loaded_by(EXACT_RUNS["predict"])
 
 
 def test_importing_the_simulator_loads_no_numpy_random():

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from kp40 import cli
-from kp40.simulate import BLOCK, CHUNK
+from kp40.simulate import BLOCK, CHUNK, REPRODUCE_LEGS
 
 GOLDEN_REPRODUCE_DIGEST = "0b2a8c2adc0fae135a352e90a28bd1298d9c727cfc9d0e448223d0e97011f523"
 # 2.2M pulses are 68 chunks, more than one block of the chunk engine; a
@@ -44,7 +44,7 @@ def test_reproduce_bundle_holds_on_threads_that_switch_often(tmp_path, capsys):
     sys.setswitchinterval(1e-6)
     try:
         code = cli.main(["--seed", "42", "--out", str(tmp_path), "reproduce",
-                         "--pulses", "200000", "--workers", str(len(cli.REPRODUCE_LEGS))])
+                         "--pulses", "200000", "--workers", str(len(REPRODUCE_LEGS))])
     finally:
         sys.setswitchinterval(interval)
     capsys.readouterr()

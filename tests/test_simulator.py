@@ -514,6 +514,30 @@ def test_campaign_requires_a_run_template():
         run_exclusivity_campaign()
 
 
+# ------------------------------------------------------------- reproduce and calibrate
+
+def test_reproduce_documents_do_not_depend_on_workers():
+    noise = load_noise_config(None)
+    one = simulate.reproduce(5, 200_000, DEFAULT_MU, noise, workers=1)
+    assert list(one) == ["eps.json", *(f"records/{kind}_{state}.json"
+                                       for kind, state in simulate.REPRODUCE_LEGS[1:]),
+                         "summary.json", "summary.csv"]
+    assert simulate.reproduce(5, 200_000, DEFAULT_MU, noise, workers=2) == one
+
+
+def test_calibrate_chooses_an_accepted_row_over_a_nearer_rejected_one(monkeypatch):
+    # the zero-jitter point lands nearer a zero target but outside the epsilon window
+    monkeypatch.setattr(simulate, "CALIBRATION_GRID", {
+        "phase_jitter": (0.0, 0.28), "amplitude_jitter": (0.0,), "background": (0.002,),
+        "efficiency": (0.5,),
+    })
+    search, best = simulate.calibrate(0, 60_000, DEFAULT_MU, 0.0)
+    assert [row["noise"]["phase_jitter"] for row in search] == [0.0, 0.28]
+    assert [row["accepted"] for row in search] == [False, True]
+    assert search[0]["epsilon"] < search[1]["epsilon"]
+    assert best is search[1]
+
+
 # ------------------------------------------------------------- traces
 
 def test_snap_checkpoints():
