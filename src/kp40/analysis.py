@@ -19,8 +19,8 @@ class CountRecord(namedtuple("CountRecord", "state projector_pool counts pulses_
                                             "flux_calibration flux_pulses mu seed")):
     """Detected counts per projector plus the independent per-basis flux calibration.
 
-    counts are integers for simulated or measured runs; the simulator's
-    infinite-statistics limit (expected_record) stores exact expected values as floats.
+    counts are integers for simulated or measured runs and exact expected values (floats) in
+    expected_record's infinite-statistics limit.  Every rule relating the fields is checked here.
     """
 
     __slots__ = ()
@@ -31,15 +31,29 @@ class CountRecord(namedtuple("CountRecord", "state projector_pool counts pulses_
                 flux_calibration: dict[int, float],        # basis group -> calibration count
                 flux_pulses: dict[int, int],               # basis group -> pulses in the calibration pass
                 mu: float, seed: int) -> CountRecord:
-        self = super().__new__(cls, state, projector_pool, counts, pulses_per_projector,
-                               flux_calibration, flux_pulses, mu, seed)
-        for key, unit, counts, pulses in (
-                ("counts", "projector", self.counts, self.pulses_per_projector),
-                ("flux_calibration", "basis group", self.flux_calibration, self.flux_pulses)):
-            for i, c in counts.items():
+        members = set(projector_pool)
+        for key, table in (("counts", counts), ("pulses_per_projector", pulses_per_projector)):
+            wild = [i for i in table if not 1 <= i <= N_RAYS]
+            if wild or table.keys() != members:
+                problem = f"index {wild[0]} outside 1..{N_RAYS}" if wild else "keys do not match projector_pool"
+                raise ValueError(f"record field {key!r}: {problem}")
+        groups = basis_of(N_RAYS)
+        wild = [b for b in flux_calibration if not 1 <= b <= groups]
+        if wild:
+            raise ValueError(f"record field 'flux_calibration': basis group {wild[0]} outside 1..{groups}")
+        missing = sorted({basis_of(i) for i in projector_pool} - flux_calibration.keys())
+        if missing:
+            raise ValueError(f"record field 'flux_calibration': no entry for basis group {missing[0]}")
+        if flux_pulses.keys() != flux_calibration.keys():
+            raise ValueError("record field 'flux_pulses': keys do not match flux_calibration")
+        for key, unit, table, pulses in (
+                ("counts", "projector", counts, pulses_per_projector),
+                ("flux_calibration", "basis group", flux_calibration, flux_pulses)):
+            for i, c in table.items():
                 if c > pulses[i]:
                     raise ValueError(f"record field {key!r}: {unit} {i} has {c} counts but {pulses[i]} pulses")
-        return self
+        return super().__new__(cls, state, projector_pool, counts, pulses_per_projector,
+                               flux_calibration, flux_pulses, mu, seed)
 
     def to_json(self) -> dict:
         return {
@@ -85,20 +99,6 @@ class CountRecord(namedtuple("CountRecord", "state projector_pool counts pulses_
             "mu": positive,
             "seed": integer,
         })
-        pool, counts = fields["projector_pool"], fields["counts"]
-        pulses, flux = fields["pulses_per_projector"], fields["flux_calibration"]
-        flux_pulses = fields["flux_pulses"]
-        members = set(pool)
-        for key, table in (("counts", counts), ("pulses_per_projector", pulses)):
-            if table.keys() != members:
-                wild = [i for i in table if not 1 <= i <= N_RAYS]
-                problem = f"index {wild[0]} outside 1..{N_RAYS}" if wild else "keys do not match projector_pool"
-                raise ValueError(f"record field {key!r}: {problem}")
-        missing = sorted({basis_of(i) for i in pool} - set(flux))
-        if missing:
-            raise ValueError(f"record field 'flux_calibration': no entry for basis group {missing[0]}")
-        if set(flux_pulses) != set(flux):
-            raise ValueError("record field 'flux_pulses': keys do not match flux_calibration")
         return cls(**fields)
 
 

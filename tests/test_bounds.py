@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from kp40.bounds import (
     ks_colorable,
     max_ones,
 )
-from kp40.ksset import mermin_subset
+from kp40.ksset import N_OCTADS, N_RAYS, mermin_subset
 from kp40.states import NAMED_STATES, profile, sigma_of_profile
 
 from oracles import brute_lex_min_mis, brute_mis_size, mermin_kappa_to_S
@@ -80,6 +81,18 @@ def test_ks_colorable_full_octad_list_is_false(octads, graph):
     assert res.colorable is False
     assert res.witness is None
     assert res.nodes_explored > 0
+
+
+def test_no_ks_coloring_by_counting_octads(octads, graph):
+    # a KS coloring puts one 1 in each of the 25 octads; every ray lies in 5 of them and an
+    # admissible assignment has at most max_ones = 4 ones, so it meets at most 20 octads
+    incidence = Counter(i for o in octads for i in o)
+    assert len(octads) == N_OCTADS == 25
+    assert sorted(incidence) == list(range(1, N_RAYS + 1))
+    assert set(incidence.values()) == {5}
+    best, _ = max_ones(graph)
+    assert best * 5 < len(octads)
+    assert ks_colorable(octads, graph).colorable is False
 
 
 def test_ks_colorable_basis_groups_alone_already_fail(kset, graph):

@@ -591,6 +591,14 @@ MALFORMED_ARTIFACTS = {
     "record-flux-above-its-pulses": (
         _mermin16_ghz_record(flux_pulses={str(b): 100 for b in range(2, 6)}),
         ["analyze", "bad.json"], "'flux_calibration': basis group 2 has 300 counts but 100 pulses"),
+    "record-flux-group-0": (
+        _mermin16_ghz_record(flux_calibration={str(b): 300 for b in (0, 2, 3, 4, 5)},
+                             flux_pulses={str(b): 2500 for b in (0, 2, 3, 4, 5)}),
+        ["analyze", "bad.json"], "'flux_calibration': basis group 0 outside 1..5"),
+    "record-flux-group-99": (
+        _mermin16_ghz_record(flux_calibration={str(b): 300 for b in (2, 3, 4, 5, 99)},
+                             flux_pulses={str(b): 2500 for b in (2, 3, 4, 5, 99)}),
+        ["analyze", "bad.json"], "'flux_calibration': basis group 99 outside 1..5"),
     "record-with-no-detections-where-its-state-reaches": (
         _mermin16_ghz_record(counts={str(i): 0 for i in mermin_subset()}), ["analyze", "bad.json"],
         "record has no detections in any pool group its state reaches; the per-basis F is undefined"),

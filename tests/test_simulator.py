@@ -394,6 +394,39 @@ def test_count_record_loader_names_the_bad_field(field, corrupt):
         CountRecord.from_json(data)
 
 
+# a record built in the library on rays 9 and 10 (basis group 2), with the given fields replaced
+def _record_on_rays_9_and_10(**fields) -> CountRecord:
+    return CountRecord(**{
+        "state": (0, 1, 1, 0, 1, 0, 0, -1), "projector_pool": (9, 10),
+        "counts": {9: 5, 10: 5}, "pulses_per_projector": {9: 10, 10: 10},
+        "flux_calibration": {2: 5}, "flux_pulses": {2: 10}, "mu": 0.14, "seed": 0, **fields,
+    })
+
+
+@pytest.mark.parametrize("field,fields", [
+    ("counts", {"counts": {9: 5, 10: 5, 11: 5}}),
+    ("counts", {"counts": {9: 5}}),
+    ("pulses_per_projector", {"pulses_per_projector": {9: 10}}),
+    ("flux_calibration", {"flux_calibration": {}, "flux_pulses": {}}),
+    ("flux_calibration", {"flux_calibration": {0: 5, 2: 5}, "flux_pulses": {0: 10, 2: 10}}),
+    ("flux_calibration", {"flux_calibration": {2: 5, 99: 5}, "flux_pulses": {2: 10, 99: 10}}),
+    ("flux_pulses", {"flux_pulses": {2: 10, 3: 10}}),
+], ids=["counts-key-outside-the-pool", "pool-ray-without-counts", "counts-key-without-pulses",
+        "pool-group-without-flux", "flux-group-0", "flux-group-99", "flux-pulses-keys"])
+def test_count_record_built_in_the_library_names_the_bad_field(field, fields):
+    with pytest.raises(ValueError, match=f"^record field '{field}'"):
+        _record_on_rays_9_and_10(**fields)
+
+
+def test_count_record_keeps_flux_for_a_group_the_pool_does_not_touch():
+    rec = _record_on_rays_9_and_10(flux_calibration={1: 5, 2: 5}, flux_pulses={1: 10, 2: 10})
+    assert estimate_probabilities(rec).probabilities[9][0] == 1.0    # 5 counts / 10 pulses * 10 / 5
+    data = run_ks_experiment("ghz", IDEAL_NOISE, PulseRun(seed=11, n_pulses=40_000,
+                                                          projector_pool=mermin_subset())).to_json()
+    data["flux_calibration"]["1"], data["flux_pulses"]["1"] = 0, 1000
+    assert CountRecord.from_json(data).flux_calibration[1] == 0
+
+
 def test_count_record_loads_integral_floats_as_integers():
     data = run_ks_experiment("ghz", IDEAL_NOISE, PulseRun(seed=11, n_pulses=40_000)).to_json()
     data["flux_pulses"]["1"] = float(data["flux_pulses"]["1"])

@@ -1,8 +1,12 @@
 """The value types: immutable, equal to a copy rebuilt from their fields, and hashable
 exactly when no field holds a dict."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import kp40
 from kp40.analysis import (CountRecord, EstimateSet, SimilarityReport, bhattacharyya,
                            estimate_probabilities)
 from kp40.bounds import Assignment, ColorabilityResult, ks_colorable, max_ones
@@ -48,3 +52,19 @@ def test_value_type_is_frozen_and_compares_and_hashes_by_value(instances, kind):
     else:
         with pytest.raises(TypeError):
             hash(value)
+
+
+def test_only_canonical_form_builds_a_value_past_its_new():
+    # _replace and _make skip __new__, where CountRecord checks every record rule;
+    # canonical_form's _make builds a Ray it has already reduced
+    found = []
+    for path in sorted(Path(kp40.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for fn in ast.walk(tree):    # breadth first: an inner function overwrites its outer one
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update(dict.fromkeys(ast.walk(fn), fn.name))
+        found += [(path.name, owner.get(node), node.func.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in ("_replace", "_make")]
+    assert found == [("rays.py", "canonical_form", "_make")]
