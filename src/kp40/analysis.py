@@ -7,10 +7,11 @@ import json
 import math
 from collections import namedtuple
 from fractions import Fraction
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 from .bounds import S_NCHV_BOUND, SIGMA_NCHV_BOUND, corrected_S_bound, corrected_sigma_bound
-from .ksset import KS40_POOL, N_RAYS, basis_of, mermin_subset, ray_indices, read_fields
+from .ksset import (KS40_POOL, N_RAYS, basis_of, build_graph, canonical_set, mermin_subset,
+                    ray_indices, read_fields)
 from .rays import integer, number, positive
 from .states import ProbabilityProfile, S_of_profile, profile, resolve_state, sigma_of_profile
 
@@ -100,6 +101,45 @@ class CountRecord(namedtuple("CountRecord", "state projector_pool counts pulses_
             "seed": integer,
         })
         return cls(**fields)
+
+
+def exclusivity_document(initial_rays: Sequence[int], pairs: list[dict]) -> dict:
+    """The eps.json document of a campaign over `initial_rays` that measured `pairs`, one
+    {"initial", "partner", "probability", "error"} row each; epsilon is their mean."""
+    total = 0.0
+    for p in pairs:    # left to right, as sum() did before Python 3.12 compensated it
+        total += p["probability"]
+    if not pairs or not math.isfinite(total):
+        raise ValueError(f"the probabilities of {len(pairs)} pairs have no finite mean")
+    return {"epsilon": total / len(pairs), "n_pairs": len(pairs), "initial_rays": list(initial_rays),
+            "pairs": pairs}
+
+
+def exclusivity_epsilon(data) -> float:
+    """The epsilon of a loaded eps.json document.  One with `pairs` must be the document that
+    `exclusivity_document` rebuilds from its rows; a ValueError names the first field that is not."""
+    epsilon = read_fields(data, "eps file", {"epsilon": number})["epsilon"]
+    if "pairs" not in data:
+        return epsilon
+    initial = read_fields(data, "eps file", {"n_pairs": integer,
+                                             "initial_rays": lambda v: ray_indices(v, "initial ray")})
+    graph = build_graph(canonical_set())
+
+    def rebuild(v) -> dict:    # the campaign pairs each initial ray with its partners in order
+        rows = [read_fields(r, f"row {k}", {"initial": integer, "partner": integer, "probability": number,
+                                             "error": number}) for k, r in enumerate(v, start=1)]
+        want = [(i, j) for i in initial["initial_rays"] for j in graph.neighbors(i)] + ["no pair"]
+        for k, (a, b) in enumerate(zip([(r["initial"], r["partner"]) for r in rows] + ["no pair"], want), 1):
+            if a != b:    # "no pair" marks the end, so that a missing or an extra row is named too
+                raise ValueError(f"row {k} holds {a} where initial_rays' partners give {b}")
+        return exclusivity_document(initial["initial_rays"], rows)
+
+    doc = read_fields(data, "eps file", {"pairs": rebuild})["pairs"]
+    for key in [*doc, *data]:
+        if key not in doc or data[key] != doc[key]:
+            how = "is not in" if key not in doc else "differs from"
+            raise ValueError(f"eps file field {key!r} {how} the document its rows rebuild")
+    return epsilon
 
 
 class EstimationError(ValueError):

@@ -17,8 +17,8 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import __version__
 from .ksset import (KS40_POOL, N_RAYS, basis_of, build_graph, canonical_set, enumerate_octads,
-                    load_ksset_file, mermin_subset, read_fields, read_json, verification_checks)
-from .rays import number, rational_to_str
+                    load_ksset_file, mermin_subset, read_json, verification_checks)
+from .rays import rational_to_str
 
 if TYPE_CHECKING:
     from .simulate import NoiseModel
@@ -294,14 +294,13 @@ def cmd_calibrate(args) -> int:
 # ---------------------------------------------------------------- analyze
 
 def cmd_analyze(args) -> int:
-    from .analysis import CountRecord, fig3_rows, fig4_rows, judge
+    from .analysis import CountRecord, exclusivity_epsilon, fig3_rows, fig4_rows, judge
 
     record = CountRecord.from_json(read_json(args.record, "record"))
     if args.epsilon is not None:
         epsilon = args.epsilon
     elif args.epsilon_file:
-        eps = read_fields(read_json(args.epsilon_file, "eps file"), "eps file", {"epsilon": number})
-        epsilon = eps["epsilon"]
+        epsilon = exclusivity_epsilon(read_json(args.epsilon_file, "eps file"))
     else:
         epsilon = 0.0
 

@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import CountRecord, estimate_probabilities, judge
+from .analysis import CountRecord, estimate_probabilities, exclusivity_document, judge
 from .bounds import corrected_S_bound, corrected_sigma_bound
 from .ksset import (KS40_POOL, basis_of, build_graph, canonical_set, mermin_subset, ray_indices,
                     read_fields)
@@ -305,13 +305,8 @@ def run_exclusivity_campaign(
     noise: NoiseModel = IDEAL_NOISE,
     initial_rays: Sequence[int] = DEFAULT_INITIAL_RAYS,
 ) -> dict:
-    """Prepare each initial ray as the state and measure its 23 orthogonal partners.
-
-    Returns the eps.json document {"epsilon", "n_pairs", "initial_rays", "pairs"}: one
-    {"initial", "partner", "probability", "error"} row per pair, and epsilon the mean of
-    their should-be-zero probability estimates.  Each leg is a full run with its own
-    derived seed.
-    """
+    """Prepare each initial ray as the state and measure its 23 orthogonal partners, each leg
+    a full run with its own derived seed.  Returns the pairs' `exclusivity_document`."""
     initial_rays = ray_indices(initial_rays, "initial ray")
     s = canonical_set()
     g = build_graph(s)
@@ -329,12 +324,7 @@ def run_exclusivity_campaign(
         for j in partners:
             p, err = est.probabilities[j]
             pairs.append({"initial": i, "partner": j, "probability": p, "error": err})
-    return {
-        "epsilon": sum(p["probability"] for p in pairs) / len(pairs),
-        "n_pairs": len(pairs),
-        "initial_rays": list(initial_rays),
-        "pairs": pairs,
-    }
+    return exclusivity_document(initial_rays, pairs)
 
 
 def snap_checkpoints(checkpoints: Sequence[int], n_pulses: int) -> tuple[int, ...]:

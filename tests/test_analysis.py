@@ -1,17 +1,22 @@
+import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kp40.analysis import (
     EstimateSet,
     EstimationError,
     bhattacharyya,
     estimate_probabilities,
+    exclusivity_document,
+    exclusivity_epsilon,
     fig3_rows,
     fig4_rows,
     verdict,
 )
-from kp40.ksset import mermin_subset
+from kp40.ksset import build_graph, canonical_set, mermin_subset
 from kp40.simulate import IDEAL_NOISE, CountRecord, PulseRun, run_ks_experiment
 from kp40.states import profile
 
@@ -177,3 +182,44 @@ def test_fig4_rows_shapes():
     assert [r["quantity"] for r in fig4_rows(verdict(full, 0.014, profile("ghz")))] == ["sigma", "S"]
     partial = _flat_estimate(mermin_subset(), 0.24, 0.002)
     assert [r["quantity"] for r in fig4_rows(verdict(partial, 0.014, profile("ghz")))] == ["S"]
+
+
+# ------------------------------------------------------------- eps.json
+
+_GRAPH = build_graph(canonical_set())
+# finite, and small enough that the mean of a few hundred of them stays finite
+_NUMBERS = st.floats(min_value=-1e300, max_value=1e300)
+
+
+@st.composite
+def _campaigns(draw):
+    """A nonempty set of initial rays, in a drawn order, with made-up numbers for each pair."""
+    initial = draw(st.lists(st.integers(1, 40), min_size=1, max_size=4, unique=True))
+    pairs = [{"initial": i, "partner": j, "probability": draw(_NUMBERS), "error": draw(_NUMBERS)}
+             for i in initial for j in _GRAPH.neighbors(i)]
+    return initial, pairs
+
+
+def _error_of(data: dict) -> str:
+    with pytest.raises(ValueError) as e:
+        exclusivity_epsilon(data)
+    return str(e.value)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(_campaigns(), st.data())
+def test_eps_document_round_trips_and_refuses_each_edit(campaign, data):
+    doc = exclusivity_document(*campaign)
+    loaded = json.loads(json.dumps(doc))
+    assert loaded == doc
+    assert exclusivity_epsilon(loaded).hex() == doc["epsilon"].hex()    # bit for bit
+
+    epsilon = data.draw(_NUMBERS.filter(lambda x: x != doc["epsilon"]), label="epsilon")
+    assert "eps file field 'epsilon'" in _error_of({**loaded, "epsilon": epsilon})
+    n_pairs = data.draw(st.integers(0, 1000).filter(lambda n: n != doc["n_pairs"]), label="n_pairs")
+    assert "eps file field 'n_pairs'" in _error_of({**loaded, "n_pairs": n_pairs})
+    k = data.draw(st.integers(0, doc["n_pairs"] - 1), label="row")
+    rows = json.loads(json.dumps(doc["pairs"]))
+    rows[k]["partner"] = data.draw(st.integers(-5, 45).filter(lambda j: j != rows[k]["partner"]),
+                                   label="partner")
+    assert f"eps file field 'pairs': row {k + 1} holds" in _error_of({**loaded, "pairs": rows})

@@ -17,7 +17,7 @@ import pytest
 
 import kp40
 from kp40 import cli, pentagram, simulate
-from kp40.ksset import canonical_set, mermin_subset
+from kp40.ksset import build_graph, canonical_set, mermin_subset
 from kp40.simulate import CountRecord
 
 
@@ -515,6 +515,17 @@ def _ray_file(field: str, row: int, col: int, value) -> str:
     return json.dumps(data)
 
 
+# a valid eps.json of initial ray 1 and its 23 partners, with made-up numbers and no simulation,
+# after `edit` has changed it; the probabilities are dyadic, so they add exactly in any order
+def _ray_1_eps(edit=lambda doc: None) -> str:
+    pairs = [{"initial": 1, "partner": j, "probability": k / 1024, "error": 1 / 512}
+             for k, j in enumerate(build_graph(canonical_set()).neighbors(1))]
+    doc = {"epsilon": sum(p["probability"] for p in pairs) / len(pairs), "n_pairs": len(pairs),
+           "initial_rays": [1], "pairs": pairs}
+    edit(doc)
+    return json.dumps(doc)
+
+
 # case -> (content of bad.json, or None to make it a directory; command; what the error names)
 MALFORMED_ARTIFACTS = {
     "noise-missing-field": ('{"phase_jitter": 0.1, "background": 0.0, "efficiency": 0.5}',
@@ -536,6 +547,29 @@ MALFORMED_ARTIFACTS = {
     "eps-missing-field": ('{"eps": 0.1}', _ANALYZE_WITH_EPS, "'epsilon'"),
     "eps-not-a-number": ('{"epsilon": "x"}', _ANALYZE_WITH_EPS, "'epsilon'"),
     "eps-a-string": ('{"epsilon": "0.02"}', _ANALYZE_WITH_EPS, "'epsilon': '0.02' is not a number"),
+    "eps-epsilon-and-n_pairs-edited": (_ray_1_eps(lambda d: d.update(epsilon=0.02, n_pairs=7)),
+                                       _ANALYZE_WITH_EPS, "eps file field 'epsilon' differs"),
+    "eps-n_pairs-wrong": (_ray_1_eps(lambda d: d.update(n_pairs=24)), _ANALYZE_WITH_EPS,
+                          "eps file field 'n_pairs' differs"),
+    "eps-n_pairs-missing": (_ray_1_eps(lambda d: d.pop("n_pairs")), _ANALYZE_WITH_EPS,
+                            "missing field 'n_pairs'"),
+    "eps-partner-not-orthogonal": (_ray_1_eps(lambda d: d["pairs"][0].update(partner=10)),
+                                   _ANALYZE_WITH_EPS, "'pairs': row 1 holds (1, 10)"),
+    "eps-partner-41": (_ray_1_eps(lambda d: d["pairs"][22].update(partner=41)), _ANALYZE_WITH_EPS,
+                       "'pairs': row 23 holds (1, 41)"),
+    "eps-initial-not-an-initial-ray": (_ray_1_eps(lambda d: d["pairs"][5].update(initial=2)),
+                                       _ANALYZE_WITH_EPS, "'pairs': row 6 holds (2, "),
+    "eps-probability-a-string": (_ray_1_eps(lambda d: d["pairs"][3].update(probability="0.01")),
+                                 _ANALYZE_WITH_EPS,
+                                 "'pairs': row 4 field 'probability': '0.01' is not a number"),
+    "eps-probability-nan": (_ray_1_eps(lambda d: d["pairs"][3].update(probability=math.nan)),
+                            _ANALYZE_WITH_EPS, "'pairs': the probabilities of 23 pairs have no finite mean"),
+    "eps-pairs-one-row-not-in-a-list": (_ray_1_eps(lambda d: d.update(pairs=d["pairs"][0])),
+                                        _ANALYZE_WITH_EPS, "'pairs': row 1: expected a JSON object"),
+    "eps-pairs-a-number": (_ray_1_eps(lambda d: d.update(pairs=7)), _ANALYZE_WITH_EPS,
+                           "eps file field 'pairs': "),
+    "eps-without-pairs": ('{"epsilon": 0.01, "n_pairs": 0, "initial_rays": [], "pairs": []}',
+                          _ANALYZE_WITH_EPS, "'pairs': the probabilities of 0 pairs have no finite mean"),
     "ray-file-without-rays": ('{"basis_groups": []}', ["verify", "--rays", "bad.json"], "'rays'"),
     "ray-file-not-json": ("{rays: 1", ["verify", "--rays", "bad.json"], "ray file bad.json is not JSON"),
     "ray-file-entry-not-an-integer": (_ray_file("rays", 8, 0, 1.5), ["verify", "--rays", "bad.json"],
@@ -957,6 +991,13 @@ EXACT_RUNS = {
                "with tempfile.TemporaryDirectory() as d:\n"
                f"    pathlib.Path(d, 'record.json').write_text({_mermin16_ghz_record()!r})\n"
                "    assert main(['--out', d, 'analyze', str(pathlib.Path(d, 'record.json'))]) == 0",
+    # the same, judged against an eps.json with pairs, which builds the orthogonality graph
+    "analyze-epsilon-file": "import pathlib, tempfile\nfrom kp40.cli import main\n"
+                            "with tempfile.TemporaryDirectory() as d:\n"
+                            f"    pathlib.Path(d, 'record.json').write_text({_mermin16_ghz_record()!r})\n"
+                            f"    pathlib.Path(d, 'eps.json').write_text({_ray_1_eps()!r})\n"
+                            "    assert main(['--out', d, 'analyze', str(pathlib.Path(d, 'record.json')),\n"
+                            "                 '--epsilon-file', str(pathlib.Path(d, 'eps.json'))]) == 0",
     "CountRecord": "import kp40; kp40.CountRecord; kp40.judge",
     # the package's __main__ module, as `python -m kp40 verify` runs it
     "python-m-kp40-verify": "import runpy\nsys.argv = ['kp40', 'verify']\n"

@@ -542,6 +542,11 @@ def test_campaign_covers_all_184_orthogonal_pairs(graph):
     assert eps == pytest.approx(sum(p["probability"] for p in pairs) / 184)
 
 
+def test_campaign_over_no_initial_ray_is_refused_in_one_line():
+    with pytest.raises(ValueError, match="^the probabilities of 0 pairs have no finite mean$"):
+        run_exclusivity_campaign(PulseRun(seed=1, n_pulses=40_000), initial_rays=())
+
+
 def test_campaign_requires_a_run_template():
     with pytest.raises(TypeError):
         run_exclusivity_campaign()
