@@ -16,6 +16,15 @@ from .rays import integer, number, positive
 from .states import ProbabilityProfile, S_of_profile, profile, resolve_state, sigma_of_profile
 
 
+def _add(values) -> float:
+    """The sum of `values` added left to right, as sum() added floats before Python 3.12
+    compensated it, so that the written numbers do not depend on the Python version."""
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
 class CountRecord(namedtuple("CountRecord", "state projector_pool counts pulses_per_projector "
                                             "flux_calibration flux_pulses mu seed")):
     """Detected counts per projector plus the independent per-basis flux calibration.
@@ -106,9 +115,7 @@ class CountRecord(namedtuple("CountRecord", "state projector_pool counts pulses_
 def exclusivity_document(initial_rays: Sequence[int], pairs: list[dict]) -> dict:
     """The eps.json document of a campaign over `initial_rays` that measured `pairs`, one
     {"initial", "partner", "probability", "error"} row each; epsilon is their mean."""
-    total = 0.0
-    for p in pairs:    # left to right, as sum() did before Python 3.12 compensated it
-        total += p["probability"]
+    total = _add(p["probability"] for p in pairs)
     if not pairs or not math.isfinite(total):
         raise ValueError(f"the probabilities of {len(pairs)} pairs have no finite mean")
     return {"epsilon": total / len(pairs), "n_pairs": len(pairs), "initial_rays": list(initial_rays),
@@ -191,11 +198,11 @@ def estimate_probabilities(r: CountRecord) -> EstimateSet:
             raise EstimationError(f"projector {i}: {n_i} pulses and calibration flux {flux} give no estimate")
         probs[i] = (c * scale, math.sqrt(var))
 
-    sigma_est = sum(p for p, _ in probs.values())
-    sigma_err = math.sqrt(sum(e * e for _, e in probs.values()))
+    sigma_est = _add(p for p, _ in probs.values())
+    sigma_err = math.sqrt(_add(e * e for _, e in probs.values()))
     in_s = [i for i in mermin_subset() if i in probs]
-    S_est = sum(probs[i][0] for i in in_s)
-    S_err = math.sqrt(sum(probs[i][1] ** 2 for i in in_s))
+    S_est = _add(probs[i][0] for i in in_s)
+    S_err = math.sqrt(_add(probs[i][1] ** 2 for i in in_s))
     return EstimateSet(
         probabilities=probs,
         sigma_est=sigma_est,
@@ -255,7 +262,7 @@ def bhattacharyya(p: Mapping[int, float], q: Mapping[int, float],
         grouping = "global"
 
     def normalize(d: dict[int, float], members: list[int], b: int) -> dict[int, float]:
-        total = sum(d[i] for i in members)
+        total = _add(d[i] for i in members)
         if total <= 0:
             name = f"group {b}" if per_basis else "the pooled table"
             raise ValueError(f"{name} has zero total probability")
@@ -269,8 +276,8 @@ def bhattacharyya(p: Mapping[int, float], q: Mapping[int, float],
         qn = normalize(qd, members, b)
         p_norm[b] = pn
         q_norm[b] = qn
-        per[b] = min(1.0, sum(math.sqrt(pn[i] * qn[i]) for i in members))
-    F = sum(per.values()) / len(per)
+        per[b] = min(1.0, _add(math.sqrt(pn[i] * qn[i]) for i in members))
+    F = _add(per.values()) / len(per)
     return SimilarityReport(
         F=F,
         per_basis=per,

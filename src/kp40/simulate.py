@@ -29,6 +29,7 @@ import itertools
 import math
 from collections import namedtuple
 from functools import lru_cache
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -36,7 +37,7 @@ import numpy as np
 from .analysis import CountRecord, estimate_probabilities, exclusivity_document, judge
 from .bounds import corrected_S_bound, corrected_sigma_bound
 from .ksset import (KS40_POOL, basis_of, build_graph, canonical_set, mermin_subset, ray_indices,
-                    read_fields)
+                    read_fields, read_json)
 from .rays import Ray, integer, number, positive
 from .states import resolve_state
 
@@ -122,12 +123,26 @@ class NoiseModel(namedtuple("NoiseModel", "amplitude_jitter phase_jitter backgro
 
     @classmethod
     def from_json(cls, data: dict) -> NoiseModel:
-        """Load the four fields; malformed input raises a ValueError that names the field."""
+        """Load the four fields, bare or under the `noise` key of a calibrate output; malformed
+        input raises a ValueError that names the field."""
+        if isinstance(data, dict) and "noise" in data:
+            data = data["noise"]
         fields = read_fields(data, "noise config", dict.fromkeys(cls._fields, number))
         return cls(**fields)
 
 
 IDEAL_NOISE = NoiseModel()
+
+
+def load_noise_config(path: str | Path | None) -> NoiseModel:
+    """Read a noise config, by default the packaged calibrated one: either the four
+    bare NoiseModel fields or a calibrate output."""
+    p = Path(__file__).parent / "data" / "noise_calibrated.json" if path is None else Path(path)
+    if not p.exists():
+        raise FileNotFoundError(
+            f"noise config {p} not found; run `kp40 calibrate --config-out {p}` to create one"
+        )
+    return NoiseModel.from_json(read_json(p, "noise config"))
 
 
 class PulseRun(namedtuple("PulseRun", "seed n_pulses mu projector_pool")):
@@ -450,12 +465,13 @@ CALIBRATION_GRID = {
 }
 
 
-def calibrate(seed: int, n_pulses: int, mu: float, target: float) -> tuple[list[dict], dict]:
+def calibrate(seed: int, n_pulses: int, mu: float, target: float) -> tuple[dict, bool]:
     """Search CALIBRATION_GRID for the noise whose campaign epsilon is nearest `target`.
 
-    Returns the search rows {noise, epsilon, F_GHZ, accepted}, in the grid's key order
-    (phase jitter varies slowest, efficiency fastest), and the chosen row: the accepted
-    row nearest the target or, when no row is accepted, the nearest row of all.
+    Returns the noise config `kp40 calibrate` writes, {noise, calibration, search}, and whether
+    its chosen row was accepted.  The search rows {noise, epsilon, F_GHZ, accepted} follow the
+    grid's key order (phase jitter slowest); the chosen row, whose noise, epsilon and F_GHZ the
+    config holds, is the accepted row nearest the target, else the nearest row of all.
     """
     run = PulseRun(seed=seed, n_pulses=n_pulses, mu=mu)
     ghz_run = PulseRun(seed=derive_seed(seed, "cal", "ghz"), n_pulses=n_pulses, mu=mu)
@@ -466,4 +482,7 @@ def calibrate(seed: int, n_pulses: int, mu: float, target: float) -> tuple[list[
         F = judge(run_ks_experiment("ghz", noise, ghz_run), epsilon, per_basis=True).similarity.F
         search.append({"noise": noise.to_json(), "epsilon": epsilon, "F_GHZ": F,
                        "accepted": 0.010 <= epsilon <= 0.018 and 0.90 <= F <= 0.99})
-    return search, min(search, key=lambda p: (not p["accepted"], abs(p["epsilon"] - target)))
+    best = min(search, key=lambda p: (not p["accepted"], abs(p["epsilon"] - target)))
+    calibration = {"epsilon_simulated": best["epsilon"], "epsilon_target": target,
+                   "F_GHZ_simulated": best["F_GHZ"], "pulses": n_pulses, "seed": seed}
+    return {"noise": best["noise"], "calibration": calibration, "search": search}, best["accepted"]

@@ -771,7 +771,7 @@ def test_exclusivity_writes_the_campaign_document(tmp_path, capsys):
                           "--initial", "1,9,17"], capsys)
     assert code == 0
     run = PulseRun(seed=6, n_pulses=30_000)
-    doc = run_exclusivity_campaign(run, cli.load_noise_config(None), (1, 9, 17))
+    doc = run_exclusivity_campaign(run, simulate.load_noise_config(None), (1, 9, 17))
     assert json.loads((tmp_path / "eps.json").read_text()) == doc
 
 
@@ -942,6 +942,13 @@ def test_reproduce_without_config_names_calibrate(tmp_path, capsys):
     )
     assert code == 2
     assert "calibrate" in err
+
+
+def test_cli_only_re_exports_the_noise_config_loader_of_simulate():
+    assert "load_noise_config" not in vars(cli)
+    assert cli.load_noise_config is simulate.load_noise_config
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cli.no_such_name
 
 
 def test_cli_default_mu_is_the_simulator_default():

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from kp40 import cli
+from kp40 import analysis, cli
 from kp40.simulate import BLOCK, CHUNK, REPRODUCE_LEGS
 
 GOLDEN_REPRODUCE_DIGEST = "0b2a8c2adc0fae135a352e90a28bd1298d9c727cfc9d0e448223d0e97011f523"
@@ -33,6 +33,27 @@ def tree_digest(root: Path) -> str:
 def test_reproduce_bundle_matches_golden_digest(tmp_path, capsys, workers):
     code = cli.main(["--seed", "42", "--out", str(tmp_path), "reproduce",
                      "--pulses", "200000", "--workers", str(workers)])
+    capsys.readouterr()
+    assert code == 0
+    assert tree_digest(tmp_path) == GOLDEN_REPRODUCE_DIGEST
+
+
+def _compensated_sum(values, start=0):
+    """Builtin sum() as Python 3.12 and later add floats, with Neumaier's compensation."""
+    total, c = start, 0.0
+    for x in values:
+        t = total + x
+        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total
+
+
+def test_reproduce_bundle_does_not_depend_on_how_builtin_sum_adds_floats(tmp_path, capsys,
+                                                                         monkeypatch):
+    # Python 3.12 and later compensate sum() over floats; the bytes must not follow
+    assert _compensated_sum([1.0, 1e100, 1.0, -1e100]) == 2.0 != sum([1.0, 1e100, 1.0, -1e100])
+    monkeypatch.setattr(analysis, "sum", _compensated_sum, raising=False)
+    code = cli.main(["--seed", "42", "--out", str(tmp_path), "reproduce", "--pulses", "200000"])
     capsys.readouterr()
     assert code == 0
     assert tree_digest(tmp_path) == GOLDEN_REPRODUCE_DIGEST

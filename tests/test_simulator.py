@@ -7,9 +7,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kp40.analysis import estimate_probabilities
-from kp40.cli import load_noise_config
 from kp40.ksset import build_graph, canonical_set, mermin_subset
 from kp40.simulate import (
     BLOCK,
@@ -27,6 +28,7 @@ from kp40.simulate import (
     derive_seed,
     expected_record,
     ground_truth_probabilities,
+    load_noise_config,
     ray_to_mask,
     run_exclusivity_campaign,
     run_ks_experiment,
@@ -318,6 +320,47 @@ def test_noise_model_validation_and_round_trip():
         NoiseModel(efficiency=1.5)
 
 
+_NOISE_FIELDS = st.fixed_dictionaries({
+    "amplitude_jitter": st.floats(0.0, MAX_AMPLITUDE_JITTER),
+    "phase_jitter": st.floats(0.0, 1e300),
+    "background": st.floats(0.0, 1.0, exclude_max=True),
+    "efficiency": st.floats(0.0, 1.0, exclude_min=True),
+})
+# edits of a noise config's fields, each refused with the field named: (edit, fields it may hit)
+_NOISE_EDITS = {
+    "dropped": (None, NoiseModel._fields),
+    "a string": ("0.1", NoiseModel._fields),
+    "a bool": (True, NoiseModel._fields),
+    "NaN": (math.nan, NoiseModel._fields),
+    "a negative jitter": (-0.1, ("amplitude_jitter", "phase_jitter")),
+    "efficiency 0": (0.0, ("efficiency",)),
+    "amplitude_jitter above 1e6": (MAX_AMPLITUDE_JITTER * 2, ("amplitude_jitter",)),
+}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_NOISE_FIELDS, st.floats(0.0, 1.0), st.data())
+def test_noise_config_round_trips_bare_or_calibrated_and_refuses_each_edit(fields, epsilon, data):
+    calibrated = {"noise": fields,
+                  "calibration": {"epsilon_simulated": epsilon, "epsilon_target": 0.014,
+                                  "F_GHZ_simulated": 0.95, "pulses": 60_000, "seed": 0},
+                  "search": [{"noise": fields, "epsilon": epsilon, "F_GHZ": 0.95, "accepted": True}]}
+    noise = NoiseModel(**fields)
+    for doc in (fields, calibrated):
+        assert NoiseModel.from_json(json.loads(json.dumps(doc))) == noise
+
+    edit, targets = _NOISE_EDITS[data.draw(st.sampled_from(sorted(_NOISE_EDITS)), label="edit")]
+    field = data.draw(st.sampled_from(targets), label="field")
+    edited = dict(fields)
+    if edit is None:
+        del edited[field]
+    else:
+        edited[field] = edit
+    doc = data.draw(st.sampled_from([edited, {**calibrated, "noise": edited}]), label="document")
+    with pytest.raises(ValueError, match=field):
+        NoiseModel.from_json(json.loads(json.dumps(doc)))
+
+
 def test_amplitude_jitter_above_its_limit_is_refused_with_the_field_named():
     for v in (MAX_AMPLITUDE_JITTER * (1 + 1e-9), 1e154, 1e308):
         with pytest.raises(ValueError, match=r"^amplitude_jitter must be at most 1e\+06, got "):
@@ -569,11 +612,17 @@ def test_calibrate_chooses_an_accepted_row_over_a_nearer_rejected_one(monkeypatc
         "phase_jitter": (0.0, 0.28), "amplitude_jitter": (0.0,), "background": (0.002,),
         "efficiency": (0.5,),
     })
-    search, best = simulate.calibrate(0, 60_000, DEFAULT_MU, 0.0)
+    config, accepted = simulate.calibrate(0, 60_000, DEFAULT_MU, 0.0)
+    search = config["search"]
     assert [row["noise"]["phase_jitter"] for row in search] == [0.0, 0.28]
     assert [row["accepted"] for row in search] == [False, True]
     assert search[0]["epsilon"] < search[1]["epsilon"]
-    assert best is search[1]
+    # the config holds the chosen row, search[1]
+    assert accepted
+    assert config["noise"] is search[1]["noise"]
+    assert config["calibration"] == {"epsilon_simulated": search[1]["epsilon"],
+                                     "epsilon_target": 0.0, "F_GHZ_simulated": search[1]["F_GHZ"],
+                                     "pulses": 60_000, "seed": 0}
 
 
 # ------------------------------------------------------------- traces
