@@ -50,7 +50,11 @@ def _print(args, default: str, obj, rows: Sequence[dict]) -> None:
 
 def _write_bundle(out: Path, command: str, arguments: dict, files: dict) -> None:
     """Write `files` under `out` (an absolute name lands as given), a list of rows as CSV
-    and anything else as JSON, then the manifest, which lists them relative to `out`."""
+    and anything else as JSON, then the manifest, which lists them relative to `out`.
+
+    A file that exists is written in place and cut at its new end, not truncated to zero
+    first: it keeps its inode, so a symlink or a hard link is written through as before,
+    and ext4 neither frees its blocks nor forces the new ones out at close."""
     manifest = out / "manifest.json"
     paths = {out / name: content for name, content in files.items()}
     for path in paths:    # before anything is written; only a symlink or a path named
@@ -59,20 +63,21 @@ def _write_bundle(out: Path, command: str, arguments: dict, files: dict) -> None
         if collides and path.resolve() == manifest.resolve():
             raise ValueError(f"output {path} would be overwritten by the bundle's {manifest.name}; "
                              "name another file")
-    out.mkdir(parents=True, exist_ok=True)
-    for path, content in paths.items():
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", newline="") as f:
-            if isinstance(content, list):
-                _write_rows(f, content)
-            else:
-                f.write(_dump_json(content))
-    manifest.write_text(_dump_json({
+    for directory in dict.fromkeys([out, *(path.parent for path in paths)]):
+        directory.mkdir(parents=True, exist_ok=True)
+    listing = {
         "command": command,
         "arguments": arguments,
         "outputs": sorted(os.path.relpath(path, out) for path in paths),
         "version": __version__,
-    }))
+    }
+    for path, content in [*paths.items(), (manifest, listing)]:
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline="") as f:
+            if isinstance(content, list):
+                _write_rows(f, content)
+            else:
+                f.write(_dump_json(content))
+            f.truncate()
 
 
 def __getattr__(name: str):

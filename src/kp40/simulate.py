@@ -123,15 +123,56 @@ class NoiseModel(namedtuple("NoiseModel", "amplitude_jitter phase_jitter backgro
 
     @classmethod
     def from_json(cls, data: dict) -> NoiseModel:
-        """Load the four fields, bare or under the `noise` key of a calibrate output; malformed
-        input raises a ValueError that names the field."""
-        if isinstance(data, dict) and "noise" in data:
-            data = data["noise"]
-        fields = read_fields(data, "noise config", dict.fromkeys(cls._fields, number))
-        return cls(**fields)
+        """Load the four fields, bare or under the `noise` key of a calibrate output.  A calibrate
+        output that keeps its `search` must hold the row that `calibrate` chooses from it.
+        Malformed input raises a ValueError that names the field."""
+        config = data if isinstance(data, dict) and "noise" in data else {"noise": data}
+        fields = read_fields(config["noise"], "noise config", dict.fromkeys(cls._fields, number))
+        noise = cls(**fields)
+        if "search" in config:
+            _check_chosen_row(config, fields)
+        return noise
 
 
 IDEAL_NOISE = NoiseModel()
+
+
+def _chosen_row(search: list[dict], target: float) -> dict:
+    """The search row `calibrate` chooses: the accepted row nearest `target`, else the nearest
+    row of all."""
+    return min(search, key=lambda p: (not p["accepted"], abs(p["epsilon"] - target)))
+
+
+def _true_or_false(v) -> bool:
+    if isinstance(v, bool):
+        return v
+    raise ValueError(f"{v!r} is not true or false")
+
+
+def _check_chosen_row(config: dict, fields: dict) -> None:
+    """Refuse a calibrate output whose `noise` `fields`, `epsilon_simulated` or `F_GHZ_simulated`
+    are not those of the `search` row chosen for its `epsilon_target`; a ValueError names the
+    field."""
+    cal = read_fields(config.get("calibration"), "noise config field 'calibration'",
+                      {"epsilon_target": number, "epsilon_simulated": number,
+                       "F_GHZ_simulated": number})
+    bare = dict.fromkeys(NoiseModel._fields, number)
+    row_fields = {"noise": lambda v: read_fields(v, "noise", bare), "epsilon": number,
+                  "F_GHZ": number, "accepted": _true_or_false}
+
+    def rows(v) -> list[dict]:
+        if not isinstance(v, list) or not v:
+            raise ValueError("expected a non-empty list of grid rows")
+        return [read_fields(r, f"row {k}", row_fields) for k, r in enumerate(v, start=1)]
+
+    target = cal["epsilon_target"]
+    row = _chosen_row(read_fields(config, "noise config", {"search": rows})["search"], target)
+    for name, have, want in (("noise", fields, row["noise"]),
+                             ("calibration.epsilon_simulated", cal["epsilon_simulated"], row["epsilon"]),
+                             ("calibration.F_GHZ_simulated", cal["F_GHZ_simulated"], row["F_GHZ"])):
+        if have != want:
+            raise ValueError(f"noise config field {name!r} is {have!r}, but the search row "
+                             f"chosen for epsilon_target {target!r} holds {want!r}")
 
 
 def load_noise_config(path: str | Path | None) -> NoiseModel:
@@ -482,7 +523,7 @@ def calibrate(seed: int, n_pulses: int, mu: float, target: float) -> tuple[dict,
         F = judge(run_ks_experiment("ghz", noise, ghz_run), epsilon, per_basis=True).similarity.F
         search.append({"noise": noise.to_json(), "epsilon": epsilon, "F_GHZ": F,
                        "accepted": 0.010 <= epsilon <= 0.018 and 0.90 <= F <= 0.99})
-    best = min(search, key=lambda p: (not p["accepted"], abs(p["epsilon"] - target)))
+    best = _chosen_row(search, target)
     calibration = {"epsilon_simulated": best["epsilon"], "epsilon_target": target,
                    "F_GHZ_simulated": best["F_GHZ"], "pulses": n_pulses, "seed": seed}
     return {"noise": best["noise"], "calibration": calibration, "search": search}, best["accepted"]

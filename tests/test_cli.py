@@ -526,6 +526,28 @@ def _ray_1_eps(edit=lambda doc: None) -> str:
     return json.dumps(doc)
 
 
+# a calibrate output over three made-up search rows, after `edit` has changed it: the zero-noise
+# row is nearer a zero target but rejected, and the config holds row 2, the accepted row nearest
+# its target 0.014
+def _calibrated(edit=lambda doc: None) -> str:
+    def noise(phase_jitter: float) -> dict:
+        return {"amplitude_jitter": 0.0, "phase_jitter": phase_jitter, "background": 0.002,
+                "efficiency": 0.5}
+
+    search = [{"noise": noise(0.0), "epsilon": 0.001, "F_GHZ": 0.999, "accepted": False},
+              {"noise": noise(0.25), "epsilon": 0.0135, "F_GHZ": 0.97, "accepted": True},
+              {"noise": noise(0.28), "epsilon": 0.0152, "F_GHZ": 0.96, "accepted": True}]
+    doc = {"noise": noise(0.25), "search": search,
+           "calibration": {"epsilon_simulated": 0.0135, "epsilon_target": 0.014,
+                           "F_GHZ_simulated": 0.97, "pulses": 60000, "seed": 3}}
+    edit(doc)
+    return json.dumps(doc)
+
+
+def _edit_calibration(**fields):
+    return lambda doc: doc["calibration"].update(fields)
+
+
 # case -> (content of bad.json, or None to make it a directory; command; what the error names)
 MALFORMED_ARTIFACTS = {
     "noise-missing-field": ('{"phase_jitter": 0.1, "background": 0.0, "efficiency": 0.5}',
@@ -544,6 +566,43 @@ MALFORMED_ARTIFACTS = {
                                      "amplitude_jitter must be at most 1e+06, got 1e+154"),
     "noise-amplitude-jitter-1e308": (_NOISE_WITH_JITTER.format(1e308), _SIMULATE_GHZ,
                                      "amplitude_jitter must be at most 1e+06, got 1e+308"),
+    "noise-calibrated-search-empty": (_calibrated(lambda d: d.update(search=[])), _SIMULATE_GHZ,
+                                      "noise config field 'search': expected a non-empty list"),
+    "noise-calibrated-epsilon-search-and-jitter-edited": (
+        _calibrated(lambda d: (_edit_calibration(epsilon_simulated=0.5)(d), d.update(search=[]),
+                               d["noise"].update(phase_jitter=0.0))),
+        _SIMULATE_GHZ, "noise config field 'search'"),
+    "noise-calibrated-epsilon-simulated-edited": (
+        _calibrated(_edit_calibration(epsilon_simulated=0.5)), _SIMULATE_GHZ,
+        "noise config field 'calibration.epsilon_simulated' is 0.5, but the search row chosen "
+        "for epsilon_target 0.014 holds 0.0135"),
+    "noise-calibrated-F_GHZ-simulated-edited": (
+        _calibrated(_edit_calibration(F_GHZ_simulated=0.96)), _SIMULATE_GHZ,
+        "noise config field 'calibration.F_GHZ_simulated' is 0.96"),
+    "noise-calibrated-noise-of-a-row-not-chosen": (
+        _calibrated(lambda d: d["noise"].update(phase_jitter=0.28)), _SIMULATE_GHZ,
+        "noise config field 'noise'"),
+    "noise-calibrated-target-chooses-another-row": (
+        _calibrated(_edit_calibration(epsilon_target=0.016)), _SIMULATE_GHZ,
+        "noise config field 'noise'"),
+    "noise-calibrated-a-rejected-row-chosen": (
+        _calibrated(lambda d: d["search"][1].update(accepted=False)), _SIMULATE_GHZ,
+        "noise config field 'noise'"),
+    "noise-calibrated-accepted-a-string": (
+        _calibrated(lambda d: d["search"][2].update(accepted="yes")), _SIMULATE_GHZ,
+        "'search': row 3 field 'accepted': 'yes' is not true or false"),
+    "noise-calibrated-row-not-an-object": (
+        _calibrated(lambda d: d["search"].insert(1, 3)), _SIMULATE_GHZ,
+        "'search': row 2: expected a JSON object"),
+    "noise-calibrated-row-noise-missing-a-field": (
+        _calibrated(lambda d: d["search"][0]["noise"].pop("background")), _SIMULATE_GHZ,
+        "'search': row 1 field 'noise': noise: missing field 'background'"),
+    "noise-calibrated-calibration-missing": (
+        _calibrated(lambda d: d.pop("calibration")), _SIMULATE_GHZ,
+        "noise config field 'calibration': expected a JSON object"),
+    "noise-calibrated-target-a-string": (
+        _calibrated(_edit_calibration(epsilon_target="0.014")), _SIMULATE_GHZ,
+        "'epsilon_target': '0.014' is not a number"),
     "eps-missing-field": ('{"eps": 0.1}', _ANALYZE_WITH_EPS, "'epsilon'"),
     "eps-not-a-number": ('{"epsilon": "x"}', _ANALYZE_WITH_EPS, "'epsilon'"),
     "eps-a-string": ('{"epsilon": "0.02"}', _ANALYZE_WITH_EPS, "'epsilon': '0.02' is not a number"),
@@ -856,6 +915,43 @@ def test_calibrate_refuses_a_config_out_that_is_its_own_manifest(tmp_path, monke
     assert len(err.splitlines()) == 1
     assert err.startswith("error: output ") and config_out in err
     assert [p.name for p in tmp_path.iterdir()] == ["link.json"]    # nothing written
+
+
+# one grid point, the one a 60000-pulse search accepts
+_ONE_ACCEPTED_GRID_POINT = {"phase_jitter": (0.28,), "amplitude_jitter": (0.0,),
+                            "background": (0.002,), "efficiency": (0.5,)}
+
+
+def test_calibrate_writes_through_a_symlinked_config_out(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(simulate, "CALIBRATION_GRID", _ONE_ACCEPTED_GRID_POINT)
+    monkeypatch.chdir(tmp_path)
+    target = tmp_path / "elsewhere" / "noise.json"
+    target.parent.mkdir()
+    target.write_text("{}" * 10_000)    # longer than the config, so a kept tail would show
+    Path("out").mkdir()
+    Path("out/noise.json").symlink_to(target)
+    code, _, err = run_cli(["--out", "out", "calibrate", "--pulses", "60000",
+                            "--config-out", "out/noise.json"], capsys)
+    assert code == 0, err
+    assert Path("out/noise.json").is_symlink() and Path("out/noise.json").resolve() == target
+    config = json.loads(target.read_text())
+    assert set(config) == {"noise", "calibration", "search"}
+    assert json.loads(Path("out/manifest.json").read_text())["outputs"] == ["noise.json"]
+    # the written config, search and all, loads as the noise it chose
+    assert simulate.load_noise_config("out/noise.json") == simulate.NoiseModel(**config["noise"])
+
+
+def test_calibrate_into_a_config_out_that_is_a_directory_is_a_usage_error(tmp_path, monkeypatch,
+                                                                         capsys):
+    monkeypatch.setattr(simulate, "CALIBRATION_GRID", _ONE_ACCEPTED_GRID_POINT)
+    monkeypatch.chdir(tmp_path)
+    Path("cfg").mkdir()
+    code, _, err = run_cli(["--out", "out", "calibrate", "--pulses", "60000",
+                            "--config-out", "cfg"], capsys)
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "Is a directory" in err and str(tmp_path / "cfg") in err
+    assert not Path("out/manifest.json").exists()
 
 
 # command -> its argv after --out; analyze reads the record a short simulate wrote first

@@ -147,6 +147,34 @@ def test_bundle_matches_golden_digest(tmp_path, monkeypatch, capsys, name):
     assert tree_digest(Path(bundle)) == digest
 
 
+def test_a_shorter_rerun_into_a_bundle_leaves_no_old_bytes(tmp_path, monkeypatch, capsys):
+    # a command writes an existing file in place, so its new end must cut the old tail
+    monkeypatch.chdir(tmp_path)
+
+    def simulate(out: str, pulses: str) -> list[str]:
+        return ["--seed", "3", "--out", out, "simulate", "--state", "ghz", "--pulses", pulses]
+
+    def analyze(out: str, epsilon: str) -> list[str]:
+        return ["--out", out, "analyze", "sim/record.json", "--epsilon", epsilon]
+
+    def sizes(out: str) -> dict[str, int]:
+        return {p.name: p.stat().st_size for p in Path(out).iterdir()}
+
+    assert cli.main(simulate("sim", "40000")) == 0    # the record that analyze reads
+    for command, long, short in ((simulate, "100000", "40000"), (analyze, "0.0123456789", "0.01")):
+        again, fresh = f"{command.__name__}-again", f"{command.__name__}-fresh"
+        assert cli.main(command(again, long)) == 0
+        before = sizes(again)
+        assert cli.main(command(again, short)) == 0
+        assert cli.main(command(fresh, short)) == 0
+        after = sizes(again)
+        assert after.keys() == before.keys()
+        assert all(after[name] <= before[name] for name in after)
+        assert after["manifest.json"] < before["manifest.json"]
+        assert tree_digest(Path(again)) == tree_digest(Path(fresh))
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("command,fmt", sorted(GOLDEN_STDOUT), ids=" ".join)
 def test_report_matches_golden_digest(capsys, command, fmt):
     code = cli.main([*command.split(), "--format", fmt])
