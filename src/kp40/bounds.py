@@ -6,6 +6,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .ksset import (N_RAYS, Octad, OrthoGraph, build_graph, canonical_set, enumerate_octads,
                     induced_bitmask, mermin_subset)
+from .rays import number
 
 # The noncontextual bounds, max_ones on the full graph and on the Mermin subset
 SIGMA_NCHV_BOUND = 4
@@ -89,7 +90,7 @@ def ks_colorable(octads: Sequence[Octad], g: OrthoGraph) -> ColorabilityResult:
 
 
 def _check_epsilon(epsilon: float) -> float:
-    eps = float(epsilon)
+    eps = number(epsilon)
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"epsilon {epsilon} outside [0, 1]")
     return eps
@@ -119,15 +120,19 @@ def extrapolated_quantum_sigma_bound(epsilon: float) -> float:
 
 
 def full_report_json(epsilon: float = 0.0) -> dict:
-    """The combined bounds report: both inequalities plus the colorability verdict."""
+    """The combined bounds report: both inequalities plus the colorability verdict.  Each
+    search's witness is checked against the graph before its bound is reported."""
     g = build_graph(canonical_set())
     sigma_nchv, witness = max_ones(g)
-    S_nchv, _ = max_ones(g, subset=mermin_subset())
+    S_nchv, S_witness = max_ones(g, subset=mermin_subset())
+    for w in (witness, S_witness):
+        if not w.is_admissible(g):
+            raise ValueError(f"max_ones witness {list(w.ones())} assigns 1 to two orthogonal rays")
     return {
         "sigma_nchv": sigma_nchv,
         "S_nchv": S_nchv,
         "ks_colorable": ks_colorable(enumerate_octads(g), g).colorable,
-        "epsilon": float(epsilon),
+        "epsilon": _check_epsilon(epsilon),
         "sigma_corrected": corrected_sigma_bound(epsilon),
         "S_corrected": corrected_S_bound(epsilon),
         "witness": list(witness.ones()),

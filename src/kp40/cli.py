@@ -48,13 +48,16 @@ def _print(args, default: str, obj, rows: Sequence[dict]) -> None:
         print(_dump_json(obj), end="")
 
 
-def _write_bundle(out: Path, command: str, arguments: dict, files: dict) -> None:
-    """Write `files` under `out` (an absolute name lands as given), a list of rows as CSV
-    and anything else as JSON, then the manifest, which lists them relative to `out`.
+def _write_bundle(args, arguments: dict, files: dict) -> Path:
+    """Write `files` under `args.out` (an absolute name lands as given), a list of rows as CSV
+    and anything else as JSON, then the manifest of `args.command`, which lists them relative
+    to `args.out`; return that directory.  A failed write removes the manifest, which would
+    otherwise describe the previous run.
 
     A file that exists is written in place and cut at its new end, not truncated to zero
     first: it keeps its inode, so a symlink or a hard link is written through as before,
     and ext4 neither frees its blocks nor forces the new ones out at close."""
+    out = Path(args.out)
     manifest = out / "manifest.json"
     paths = {out / name: content for name, content in files.items()}
     for path in paths:    # before anything is written; only a symlink or a path named
@@ -66,18 +69,23 @@ def _write_bundle(out: Path, command: str, arguments: dict, files: dict) -> None
     for directory in dict.fromkeys([out, *(path.parent for path in paths)]):
         directory.mkdir(parents=True, exist_ok=True)
     listing = {
-        "command": command,
+        "command": args.command,
         "arguments": arguments,
         "outputs": sorted(os.path.relpath(path, out) for path in paths),
         "version": __version__,
     }
     for path, content in [*paths.items(), (manifest, listing)]:
-        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline="") as f:
-            if isinstance(content, list):
-                _write_rows(f, content)
-            else:
-                f.write(_dump_json(content))
-            f.truncate()
+        try:
+            with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline="") as f:
+                if isinstance(content, list):
+                    _write_rows(f, content)
+                else:
+                    f.write(_dump_json(content))
+                f.truncate()
+        except OSError:
+            manifest.unlink(missing_ok=True)
+            raise
+    return out
 
 
 def __getattr__(name: str):
@@ -212,14 +220,9 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"--checkpoints mark {max(checkpoints)} is beyond --pulses {args.pulses}")
     rows, record = convergence_trace(entries, noise, run, checkpoints)
 
-    out = Path(args.out)
-    _write_bundle(
-        out,
-        "simulate",
-        {"state": label, "pool": args.pool, "checkpoints": checkpoints,
-         **_run_arguments(args, noise)},
-        {"record.json": record.to_json(), "trace.csv": rows},
-    )
+    out = _write_bundle(args, {"state": label, "pool": args.pool, "checkpoints": checkpoints,
+                               **_run_arguments(args, noise)},
+                        {"record.json": record.to_json(), "trace.csv": rows})
     print(f"wrote {out / 'record.json'} and {out / 'trace.csv'}")
     return 0
 
@@ -236,13 +239,8 @@ def cmd_exclusivity(args) -> int:
     run = PulseRun(seed=args.seed, n_pulses=args.pulses, mu=args.mu)
     eps = run_exclusivity_campaign(run, noise, initial)
 
-    out = Path(args.out)
-    _write_bundle(
-        out,
-        "exclusivity",
-        {**_run_arguments(args, noise), "initial_rays": eps["initial_rays"]},
-        {"eps.json": eps},
-    )
+    out = _write_bundle(args, {**_run_arguments(args, noise), "initial_rays": eps["initial_rays"]},
+                        {"eps.json": eps})
     print(f"epsilon = {eps['epsilon']:.5f} over {eps['n_pairs']} pairs; wrote {out / 'eps.json'}")
     return 0
 
@@ -263,13 +261,9 @@ def cmd_calibrate(args) -> int:
               f"{eps}, {F} at {config['noise']}", file=sys.stderr)
         return 1
 
-    _write_bundle(
-        Path(args.out),
-        "calibrate",
-        {"target": target, "pulses": args.pulses, "mu": args.mu, "seed": args.seed,
-         "grid": {k: list(v) for k, v in CALIBRATION_GRID.items()}},
-        {Path(args.config_out).absolute(): config},
-    )
+    _write_bundle(args, {"target": target, "pulses": args.pulses, "mu": args.mu, "seed": args.seed,
+                         "grid": {k: list(v) for k, v in CALIBRATION_GRID.items()}},
+                  {Path(args.config_out).absolute(): config})
     print(f"calibrated: {eps} {F} -> {Path(args.config_out)}")
     return 0
 
@@ -295,14 +289,10 @@ def cmd_analyze(args) -> int:
         "epsilon": epsilon,
     }
 
-    out = Path(args.out)
-    _write_bundle(
-        out,
-        "analyze",
-        {"record": str(args.record), "epsilon": epsilon, "global_F": bool(args.global_F)},
-        {"report.json": report, "fig3.csv": fig3_rows(j.estimates, j.ideal),
-         "fig4.csv": fig4_rows(j.verdict)},
-    )
+    out = _write_bundle(args, {"record": str(args.record), "epsilon": epsilon,
+                               "global_F": bool(args.global_F)},
+                        {"report.json": report, "fig3.csv": fig3_rows(j.estimates, j.ideal),
+                         "fig4.csv": fig4_rows(j.verdict)})
     print(f"wrote {out / 'report.json'}, {out / 'fig3.csv'}, {out / 'fig4.csv'}")
     return 0
 
@@ -316,9 +306,7 @@ def cmd_reproduce(args) -> int:
         raise ValueError(f"--workers must be at least 1, got {args.workers}")
     noise = load_noise_config(args.noise)
     files = reproduce(args.seed, args.pulses, args.mu, noise, args.workers)
-    out = Path(args.out)
-    _write_bundle(out, "reproduce", {**_run_arguments(args, noise), "workers_invariant": True},
-                  files)
+    out = _write_bundle(args, {**_run_arguments(args, noise), "workers_invariant": True}, files)
     for row in files["summary.csv"]:
         print(
             f"{row['state']:>5} {row['quantity']:>5}: {row['estimate']:.3f} +- {row['error']:.3f} "

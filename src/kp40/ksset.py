@@ -6,7 +6,7 @@ import json
 from functools import lru_cache
 from operator import mul
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from . import pentagram
 from .rays import Ray, canonical_form, integer
@@ -221,11 +221,8 @@ def pentagram_match_map() -> PentagramMap:
     return dict(_certified)
 
 
-def verification_checks(
-    s: KSSet | None = None,
-    g: OrthoGraph | None = None,
-    octads: Sequence[Octad] | None = None,
-) -> list[tuple[str, bool, str]]:
+def verification_checks(s: KSSet | None = None,
+                        g: OrthoGraph | None = None) -> list[tuple[str, bool, str]]:
     """All structural checks as (name, ok, detail) rows; injectable for fault testing."""
     checks: list[tuple[str, bool, str]] = []
     try:
@@ -247,7 +244,7 @@ def verification_checks(
     edges = g.edge_count()
     checks.append(("edge count", edges == EDGE_COUNT, f"{edges} edges"))
 
-    octads = octads if octads is not None else enumerate_octads(g)
+    octads = enumerate_octads(g)
     groups_found = set(s.basis_groups) <= set(octads)
     checks.append(
         ("octad enumeration", len(octads) == N_OCTADS and groups_found,
@@ -283,17 +280,17 @@ def read_json(path: str | Path, what: str):
         raise ValueError(f"{what} {path} is not JSON: {e}") from None
 
 
-def read_fields(data, what: str, converters: Mapping[str, Callable]) -> dict:
+def read_fields(data, what: str, converters: Mapping[str, Callable], exact: bool = False) -> dict:
     """Convert the named fields of a loaded JSON object, one converter per field.
 
-    Input that is not an object, a missing field, or a failed conversion raises a
-    ValueError naming `what` and the field.
+    Input that is not an object, a missing field, a failed conversion, or with `exact` a
+    field that has no converter raises a ValueError naming `what` and the field.
     """
     if not isinstance(data, dict):
         raise ValueError(f"{what}: expected a JSON object")
-    for key in converters:
-        if key not in data:
-            raise ValueError(f"{what}: missing field {key!r}")
+    for key in [*converters, *data] if exact else converters:
+        if key not in data or key not in converters:
+            raise ValueError(f"{what}: {'missing' if key not in data else 'unexpected'} field {key!r}")
     out = {}
     for key, convert in converters.items():
         try:

@@ -124,23 +124,26 @@ class NoiseModel(namedtuple("NoiseModel", "amplitude_jitter phase_jitter backgro
     @classmethod
     def from_json(cls, data: dict) -> NoiseModel:
         """Load the four fields, bare or under the `noise` key of a calibrate output.  A calibrate
-        output that keeps its `search` must hold the row that `calibrate` chooses from it.
+        output that keeps its `search` must be the document `calibrate` writes from that search.
         Malformed input raises a ValueError that names the field."""
         config = data if isinstance(data, dict) and "noise" in data else {"noise": data}
-        fields = read_fields(config["noise"], "noise config", dict.fromkeys(cls._fields, number))
-        noise = cls(**fields)
+        noise = cls(**read_fields(config["noise"], "noise config", dict.fromkeys(cls._fields, number)))
         if "search" in config:
-            _check_chosen_row(config, fields)
+            _check_config(config)
         return noise
 
 
 IDEAL_NOISE = NoiseModel()
 
 
-def _chosen_row(search: list[dict], target: float) -> dict:
-    """The search row `calibrate` chooses: the accepted row nearest `target`, else the nearest
-    row of all."""
-    return min(search, key=lambda p: (not p["accepted"], abs(p["epsilon"] - target)))
+def _config(search: list[dict], target: float, n_pulses: int, seed: int) -> dict:
+    """The noise config `kp40 calibrate` writes, {noise, calibration, search}: the noise, epsilon
+    and F_GHZ of the chosen `search` row, the accepted row nearest `target`, else the nearest row
+    of all."""
+    best = min(search, key=lambda p: (not p["accepted"], abs(p["epsilon"] - target)))
+    calibration = {"epsilon_simulated": best["epsilon"], "epsilon_target": target,
+                   "F_GHZ_simulated": best["F_GHZ"], "pulses": n_pulses, "seed": seed}
+    return {"noise": best["noise"], "calibration": calibration, "search": search}
 
 
 def _true_or_false(v) -> bool:
@@ -149,30 +152,34 @@ def _true_or_false(v) -> bool:
     raise ValueError(f"{v!r} is not true or false")
 
 
-def _check_chosen_row(config: dict, fields: dict) -> None:
-    """Refuse a calibrate output whose `noise` `fields`, `epsilon_simulated` or `F_GHZ_simulated`
-    are not those of the `search` row chosen for its `epsilon_target`; a ValueError names the
-    field."""
+def _check_config(config: dict) -> None:
+    """Refuse a calibrate output that is not the document `_config` rebuilds from its `search`
+    rows and its `calibration`'s `epsilon_target`, `pulses` and `seed`; a ValueError names the
+    first field that differs, or that the rebuilt document does not have."""
+    # all five read as what they are, so that `true` is not taken for a matching 1.0
     cal = read_fields(config.get("calibration"), "noise config field 'calibration'",
-                      {"epsilon_target": number, "epsilon_simulated": number,
-                       "F_GHZ_simulated": number})
+                      {"epsilon_simulated": number, "epsilon_target": number,
+                       "F_GHZ_simulated": number, "pulses": integer, "seed": integer})
     bare = dict.fromkeys(NoiseModel._fields, number)
-    row_fields = {"noise": lambda v: read_fields(v, "noise", bare), "epsilon": number,
-                  "F_GHZ": number, "accepted": _true_or_false}
+    row_fields = {"noise": lambda v: NoiseModel(**read_fields(v, "noise", bare, exact=True)).to_json(),
+                  "epsilon": number, "F_GHZ": number, "accepted": _true_or_false}
 
     def rows(v) -> list[dict]:
         if not isinstance(v, list) or not v:
             raise ValueError("expected a non-empty list of grid rows")
-        return [read_fields(r, f"row {k}", row_fields) for k, r in enumerate(v, start=1)]
+        return [read_fields(r, f"row {k}", row_fields, exact=True) for k, r in enumerate(v, start=1)]
 
     target = cal["epsilon_target"]
-    row = _chosen_row(read_fields(config, "noise config", {"search": rows})["search"], target)
-    for name, have, want in (("noise", fields, row["noise"]),
-                             ("calibration.epsilon_simulated", cal["epsilon_simulated"], row["epsilon"]),
-                             ("calibration.F_GHZ_simulated", cal["F_GHZ_simulated"], row["F_GHZ"])):
-        if have != want:
-            raise ValueError(f"noise config field {name!r} is {have!r}, but the search row "
-                             f"chosen for epsilon_target {target!r} holds {want!r}")
+    have, want = dict(config), _config(read_fields(config, "noise config", {"search": rows})["search"],
+                                       target, cal["pulses"], cal["seed"])
+    for doc in (have, want):    # calibration's fields by dotted name
+        doc.update((f"calibration.{k}", v) for k, v in doc.pop("calibration").items())
+    for name in [*want, *have]:
+        if name not in want:
+            raise ValueError(f"noise config field {name!r} is not in the document its search rebuilds")
+        if have[name] != want[name]:
+            raise ValueError(f"noise config field {name!r} is {have[name]!r}, but the search row "
+                             f"chosen for epsilon_target {target!r} holds {want[name]!r}")
 
 
 def load_noise_config(path: str | Path | None) -> NoiseModel:
@@ -509,10 +516,9 @@ CALIBRATION_GRID = {
 def calibrate(seed: int, n_pulses: int, mu: float, target: float) -> tuple[dict, bool]:
     """Search CALIBRATION_GRID for the noise whose campaign epsilon is nearest `target`.
 
-    Returns the noise config `kp40 calibrate` writes, {noise, calibration, search}, and whether
-    its chosen row was accepted.  The search rows {noise, epsilon, F_GHZ, accepted} follow the
-    grid's key order (phase jitter slowest); the chosen row, whose noise, epsilon and F_GHZ the
-    config holds, is the accepted row nearest the target, else the nearest row of all.
+    Returns the noise config `kp40 calibrate` writes, `_config` of the search rows {noise,
+    epsilon, F_GHZ, accepted} in the grid's key order (phase jitter slowest), and whether a row,
+    and so the chosen one, was accepted.
     """
     run = PulseRun(seed=seed, n_pulses=n_pulses, mu=mu)
     ghz_run = PulseRun(seed=derive_seed(seed, "cal", "ghz"), n_pulses=n_pulses, mu=mu)
@@ -523,7 +529,4 @@ def calibrate(seed: int, n_pulses: int, mu: float, target: float) -> tuple[dict,
         F = judge(run_ks_experiment("ghz", noise, ghz_run), epsilon, per_basis=True).similarity.F
         search.append({"noise": noise.to_json(), "epsilon": epsilon, "F_GHZ": F,
                        "accepted": 0.010 <= epsilon <= 0.018 and 0.90 <= F <= 0.99})
-    best = _chosen_row(search, target)
-    calibration = {"epsilon_simulated": best["epsilon"], "epsilon_target": target,
-                   "F_GHZ_simulated": best["F_GHZ"], "pulses": n_pulses, "seed": seed}
-    return {"noise": best["noise"], "calibration": calibration, "search": search}, best["accepted"]
+    return _config(search, target, n_pulses, seed), any(row["accepted"] for row in search)

@@ -140,6 +140,14 @@ def test_corrected_bounds_reject_bad_epsilon():
             f(1.001)
 
 
+@pytest.mark.parametrize("epsilon", ["0.5", True, None])
+def test_an_epsilon_that_is_not_a_number_is_refused(epsilon):
+    for f in (corrected_sigma_bound, corrected_S_bound, extrapolated_quantum_sigma_bound,
+              full_report_json):
+        with pytest.raises(ValueError, match="is not a number"):
+            f(epsilon)
+
+
 def test_extrapolated_quantum_bound():
     assert extrapolated_quantum_sigma_bound(0.0) == 5.0
     assert extrapolated_quantum_sigma_bound(0.0140) == pytest.approx(5 * (1 - 0.0140) + 40 * 0.0140)

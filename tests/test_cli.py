@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import kp40
-from kp40 import cli, pentagram, simulate
+from kp40 import bounds, cli, pentagram, simulate
 from kp40.ksset import build_graph, canonical_set, mermin_subset
 from kp40.simulate import CountRecord
 
@@ -262,6 +262,15 @@ def test_bounds_rejects_bad_epsilon(capsys):
     code, _, err = run_cli(["bounds", "--epsilon", "1.5"], capsys)
     assert code == 2
     assert "epsilon" in err
+
+
+def test_bounds_refuses_a_witness_that_assigns_1_to_two_orthogonal_rays(monkeypatch, capsys):
+    # rays 1 and 2 share basis group 1, so they are orthogonal
+    monkeypatch.setattr(bounds, "max_ones",
+                        lambda g, subset=None: (2, bounds.Assignment(bits={1: 1, 2: 1, 3: 0})))
+    code, out, err = run_cli(["bounds"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: max_ones witness [1, 2] assigns 1 to two orthogonal rays\n"
 
 
 # ------------------------------------------------------------- predict
@@ -603,6 +612,21 @@ MALFORMED_ARTIFACTS = {
     "noise-calibrated-target-a-string": (
         _calibrated(_edit_calibration(epsilon_target="0.014")), _SIMULATE_GHZ,
         "'epsilon_target': '0.014' is not a number"),
+    "noise-calibrated-pulses-a-string": (
+        _calibrated(_edit_calibration(pulses="many")), _SIMULATE_GHZ,
+        "noise config field 'calibration' field 'pulses': 'many' is not an integer"),
+    "noise-calibrated-seed-not-an-integer": (
+        _calibrated(_edit_calibration(seed=1.5)), _SIMULATE_GHZ,
+        "noise config field 'calibration' field 'seed': 1.5 is not an integer"),
+    "noise-calibrated-an-extra-field": (
+        _calibrated(lambda d: d.update(note="by hand")), _SIMULATE_GHZ,
+        "noise config field 'note' is not in the document its search rebuilds"),
+    "noise-calibrated-an-extra-calibration-field": (
+        _calibrated(_edit_calibration(mu=0.14)), _SIMULATE_GHZ,
+        "noise config field 'calibration.mu' is not in the document its search rebuilds"),
+    "noise-calibrated-row-an-extra-field": (
+        _calibrated(lambda d: d["search"][2].update(note="by hand")), _SIMULATE_GHZ,
+        "'search': row 3: unexpected field 'note'"),
     "eps-missing-field": ('{"eps": 0.1}', _ANALYZE_WITH_EPS, "'epsilon'"),
     "eps-not-a-number": ('{"epsilon": "x"}', _ANALYZE_WITH_EPS, "'epsilon'"),
     "eps-a-string": ('{"epsilon": "0.02"}', _ANALYZE_WITH_EPS, "'epsilon': '0.02' is not a number"),
@@ -952,6 +976,17 @@ def test_calibrate_into_a_config_out_that_is_a_directory_is_a_usage_error(tmp_pa
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ") and "Is a directory" in err and str(tmp_path / "cfg") in err
     assert not Path("out/manifest.json").exists()
+
+
+def test_a_failed_write_leaves_no_manifest_of_the_previous_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["--out", "o", "simulate", "--state", "ghz", "--pulses", "100000"], capsys)[0] == 0
+    Path("o/trace.csv").unlink()
+    Path("o/trace.csv").mkdir()
+    code, _, err = run_cli(["--out", "o", "simulate", "--state", "ghz", "--pulses", "40000"], capsys)
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "o/trace.csv" in err
+    assert not Path("o/manifest.json").exists()
 
 
 # command -> its argv after --out; analyze reads the record a short simulate wrote first

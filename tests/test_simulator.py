@@ -338,9 +338,22 @@ _NOISE_EDITS = {
 }
 
 
+_CALIBRATION_FIELDS = ("epsilon_simulated", "epsilon_target", "F_GHZ_simulated", "pulses", "seed")
+_ROW_FIELDS = ("epsilon", "F_GHZ", "accepted")
+# edits of a calibrate output's `calibration` and search-row fields, each refused with the field
+# named: (edit, fields it may hit)
+_CALIBRATED_EDITS = {
+    "dropped": (None, _CALIBRATION_FIELDS + _ROW_FIELDS),
+    "a string": ("0.1", _CALIBRATION_FIELDS + _ROW_FIELDS),
+    "a bool": (True, _CALIBRATION_FIELDS + _ROW_FIELDS[:2]),    # `accepted` is true already
+    "NaN": (math.nan, _CALIBRATION_FIELDS + _ROW_FIELDS),
+    "a fraction": (1.5, ("pulses", "seed", "accepted")),
+}
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(_NOISE_FIELDS, st.floats(0.0, 1.0), st.data())
-def test_noise_config_round_trips_bare_or_calibrated_and_refuses_each_edit(fields, epsilon, data):
+@given(_NOISE_FIELDS, st.floats(0.0, 1.0))
+def test_noise_config_round_trips_bare_or_calibrated_and_refuses_each_edit(fields, epsilon):
     calibrated = {"noise": fields,
                   "calibration": {"epsilon_simulated": epsilon, "epsilon_target": 0.014,
                                   "F_GHZ_simulated": 0.95, "pulses": 60_000, "seed": 0},
@@ -349,16 +362,21 @@ def test_noise_config_round_trips_bare_or_calibrated_and_refuses_each_edit(field
     for doc in (fields, calibrated):
         assert NoiseModel.from_json(json.loads(json.dumps(doc))) == noise
 
-    edit, targets = _NOISE_EDITS[data.draw(st.sampled_from(sorted(_NOISE_EDITS)), label="edit")]
-    field = data.draw(st.sampled_from(targets), label="field")
-    edited = dict(fields)
-    if edit is None:
-        del edited[field]
-    else:
-        edited[field] = edit
-    doc = data.draw(st.sampled_from([edited, {**calibrated, "noise": edited}]), label="document")
-    with pytest.raises(ValueError, match=field):
-        NoiseModel.from_json(json.loads(json.dumps(doc)))
+    # every edit, where it lands: the bare fields, or one part of a calibrate output
+    for where, edits in (("bare", _NOISE_EDITS), ("noise", _NOISE_EDITS), ("row noise", _NOISE_EDITS),
+                         ("calibration", _CALIBRATED_EDITS), ("row", _CALIBRATED_EDITS)):
+        for edit, field in ((edit, f) for edit, targets in edits.values() for f in targets):
+            doc = json.loads(json.dumps(calibrated))
+            part = {"bare": doc["noise"], "noise": doc["noise"], "row noise": doc["search"][0]["noise"],
+                    "calibration": doc["calibration"], "row": doc["search"][0]}[where]
+            if field not in part:
+                continue
+            if edit is None:
+                del part[field]
+            else:
+                part[field] = edit
+            with pytest.raises(ValueError, match=field):
+                NoiseModel.from_json(doc["noise"] if where == "bare" else doc)
 
 
 def test_amplitude_jitter_above_its_limit_is_refused_with_the_field_named():
