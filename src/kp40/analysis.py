@@ -108,7 +108,7 @@ class CountRecord(namedtuple("CountRecord", "state projector_pool counts pulses_
             "flux_pulses": lambda d: {b: integer(n) for b, n in per_key(d).items()},
             "mu": positive,
             "seed": integer,
-        })
+        }, exact=True)
         return cls(**fields)
 
 
@@ -123,10 +123,11 @@ def exclusivity_document(initial_rays: Sequence[int], pairs: list[dict]) -> dict
 
 
 def exclusivity_epsilon(data) -> float:
-    """The epsilon of a loaded eps.json document.  One with `pairs` must be the document that
-    `exclusivity_document` rebuilds from its rows; a ValueError names the first field that is not."""
-    epsilon = read_fields(data, "eps file", {"epsilon": number})["epsilon"]
-    if "pairs" not in data:
+    """The epsilon of a loaded eps.json document, which holds `epsilon` alone or is the document
+    `exclusivity_document` rebuilds from its `pairs`; a ValueError names the first field that is not."""
+    bare = isinstance(data, dict) and "pairs" not in data
+    epsilon = read_fields(data, "eps file", {"epsilon": number}, exact=bare)["epsilon"]
+    if bare:
         return epsilon
     initial = read_fields(data, "eps file", {"n_pairs": integer,
                                              "initial_rays": lambda v: ray_indices(v, "initial ray")})

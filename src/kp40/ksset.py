@@ -301,11 +301,12 @@ def read_fields(data, what: str, converters: Mapping[str, Callable], exact: bool
 
 
 def load_ksset_file(path: str | Path) -> KSSet:
-    """Parse a ksset.json file: an object with `rays` and optional `basis_groups`, or a
-    bare list of rays.  Malformed input raises a ValueError naming the field or ray."""
+    """Parse a ksset.json file: an object with `rays`, optional `basis_groups` and no other field,
+    or a bare list of rays.  Malformed input raises a ValueError naming the field or ray."""
     data = read_json(path, "ray file")
-    if isinstance(data, dict) and "rays" not in data:
-        raise ValueError("ray file: missing field 'rays'")
+    for key in ["rays", *data] if isinstance(data, dict) else []:
+        if key not in data or key not in ("rays", "basis_groups"):
+            raise ValueError(f"ray file: {'missing' if key not in data else 'unexpected'} field {key!r}")
     rows = data["rays"] if isinstance(data, dict) else data
     if not isinstance(rows, list) or len(rows) != N_RAYS:
         raise ValueError(f"ray file field 'rays': expected a list of {N_RAYS} rays")

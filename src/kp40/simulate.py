@@ -123,12 +123,12 @@ class NoiseModel(namedtuple("NoiseModel", "amplitude_jitter phase_jitter backgro
 
     @classmethod
     def from_json(cls, data: dict) -> NoiseModel:
-        """Load the four fields, bare or under the `noise` key of a calibrate output.  A calibrate
-        output that keeps its `search` must be the document `calibrate` writes from that search.
-        Malformed input raises a ValueError that names the field."""
+        """Load exactly the four fields, bare or under `noise` in the document `calibrate` writes
+        from its `search`.  Malformed input raises a ValueError that names the field."""
         config = data if isinstance(data, dict) and "noise" in data else {"noise": data}
-        noise = cls(**read_fields(config["noise"], "noise config", dict.fromkeys(cls._fields, number)))
-        if "search" in config:
+        noise = cls(**read_fields(config["noise"], "noise config", dict.fromkeys(cls._fields, number),
+                                  exact=True))
+        if config is data:    # a calibrate output
             _check_config(config)
         return noise
 
@@ -391,17 +391,11 @@ def run_exclusivity_campaign(
 
 
 def snap_checkpoints(checkpoints: Sequence[int], n_pulses: int) -> tuple[int, ...]:
-    """Round checkpoints up to chunk boundaries (capped at n_pulses), keeping them increasing."""
-    snapped: list[int] = []
-    for cp in checkpoints:
-        if cp <= 0:
-            raise ValueError("checkpoints must be positive")
-        b = min(n_pulses, CHUNK * math.ceil(cp / CHUNK))
-        if not snapped or b > snapped[-1]:
-            snapped.append(b)
-    if not snapped or snapped[-1] != n_pulses:
-        snapped.append(n_pulses)
-    return tuple(snapped)
+    """Round checkpoints up to chunk boundaries (capped at n_pulses), sorted, each once, and
+    ending at n_pulses."""
+    if any(cp <= 0 for cp in checkpoints):
+        raise ValueError("checkpoints must be positive")
+    return tuple(sorted({min(n_pulses, CHUNK * math.ceil(cp / CHUNK)) for cp in checkpoints} | {n_pulses}))
 
 
 def convergence_trace(

@@ -627,6 +627,12 @@ MALFORMED_ARTIFACTS = {
     "noise-calibrated-row-an-extra-field": (
         _calibrated(lambda d: d["search"][2].update(note="by hand")), _SIMULATE_GHZ,
         "'search': row 3: unexpected field 'note'"),
+    "noise-calibration-without-search": (
+        _calibrated(lambda d: (d.pop("search"), d.update(calibration="made up", note="by hand"))),
+        _SIMULATE_GHZ, "noise config field 'calibration': expected a JSON object"),
+    "noise-bare-an-extra-field": (
+        '{"amplitude_jitter": 0.0, "phase_jitter": 0.1, "background": 0.0, "efficiency": 0.5, '
+        '"phase_jiter": 0.9}', _SIMULATE_GHZ, "noise config: unexpected field 'phase_jiter'"),
     "eps-missing-field": ('{"eps": 0.1}', _ANALYZE_WITH_EPS, "'epsilon'"),
     "eps-not-a-number": ('{"epsilon": "x"}', _ANALYZE_WITH_EPS, "'epsilon'"),
     "eps-a-string": ('{"epsilon": "0.02"}', _ANALYZE_WITH_EPS, "'epsilon': '0.02' is not a number"),
@@ -653,6 +659,11 @@ MALFORMED_ARTIFACTS = {
                            "eps file field 'pairs': "),
     "eps-without-pairs": ('{"epsilon": 0.01, "n_pairs": 0, "initial_rays": [], "pairs": []}',
                           _ANALYZE_WITH_EPS, "'pairs': the probabilities of 0 pairs have no finite mean"),
+    "eps-n_pairs-without-pairs": ('{"epsilon": 0.02, "n_pairs": 7}', _ANALYZE_WITH_EPS,
+                                  "eps file: unexpected field 'n_pairs'"),
+    "ray-file-basis_groups-misspelt": (
+        json.dumps(canonical_set().to_json()).replace('"basis_groups"', '"basis_group"'),
+        ["verify", "--rays", "bad.json"], "ray file: unexpected field 'basis_group'"),
     "ray-file-without-rays": ('{"basis_groups": []}', ["verify", "--rays", "bad.json"], "'rays'"),
     "ray-file-not-json": ("{rays: 1", ["verify", "--rays", "bad.json"], "ray file bad.json is not JSON"),
     "ray-file-entry-not-an-integer": (_ray_file("rays", 8, 0, 1.5), ["verify", "--rays", "bad.json"],
@@ -732,6 +743,8 @@ MALFORMED_ARTIFACTS = {
         _mermin16_ghz_record(pulses_per_projector={**{str(i): 2500 for i in mermin_subset()},
                                                    "1_0": 2500}),
         ["analyze", "bad.json"], "'pulses_per_projector': key '1_0' is not an index in decimal form"),
+    "record-an-extra-field": (_mermin16_ghz_record(note="lab run 3"), ["analyze", "bad.json"],
+                              "record: unexpected field 'note'"),
     "record-mu-nan": (_mermin16_ghz_record(mu=math.nan), ["analyze", "bad.json"],
                       "'mu': nan is not a finite positive number"),
     "record-mu-infinite": (_mermin16_ghz_record(mu=math.inf), ["analyze", "bad.json"],

@@ -235,6 +235,17 @@ def test_load_ksset_file_round_trip(tmp_path, kset):
     assert loaded.basis_groups == kset.basis_groups
 
 
+def test_load_ksset_file_takes_a_bare_list_and_refuses_an_unknown_field(tmp_path, kset):
+    p = tmp_path / "ksset.json"
+    p.write_text(json.dumps(kset.to_json()["rays"]))
+    assert load_ksset_file(p) == kset
+    data = kset.to_json()
+    data["basis_group"] = data.pop("basis_groups")    # misspelt, so the built-in groups would be checked
+    p.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="^ray file: unexpected field 'basis_group'$"):
+        load_ksset_file(p)
+
+
 def test_load_ksset_file_names_bad_row(tmp_path, kset):
     data = kset.to_json()
     data["rays"][36] = data["rays"][36][:7]    # drop one entry from ray 37

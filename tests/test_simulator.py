@@ -4,6 +4,7 @@ import math
 import tracemalloc
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -377,6 +378,17 @@ def test_noise_config_round_trips_bare_or_calibrated_and_refuses_each_edit(field
                 part[field] = edit
             with pytest.raises(ValueError, match=field):
                 NoiseModel.from_json(doc["noise"] if where == "bare" else doc)
+
+    # a fifth field, bare or under `noise`, is refused and named, not read past
+    for doc in ({**fields, "phase_jiter": 0.9}, {**calibrated, "noise": {**fields, "phase_jiter": 0.9}}):
+        with pytest.raises(ValueError, match="unexpected field 'phase_jiter'"):
+            NoiseModel.from_json(doc)
+
+
+def test_packaged_noise_config_is_the_four_bare_fields():
+    packaged = Path(simulate.__file__).parent / "data" / "noise_calibrated.json"
+    assert json.loads(packaged.read_text()) == NoiseModel(0.06, 0.25, 0.002, 0.5).to_json()
+    assert load_noise_config(None) == NoiseModel(0.06, 0.25, 0.002, 0.5)
 
 
 def test_amplitude_jitter_above_its_limit_is_refused_with_the_field_named():
