@@ -12,7 +12,7 @@ from typing import Mapping, NamedTuple, Sequence
 from .bounds import S_NCHV_BOUND, SIGMA_NCHV_BOUND, corrected_S_bound, corrected_sigma_bound
 from .ksset import (KS40_POOL, N_RAYS, basis_of, build_graph, canonical_set, mermin_subset,
                     ray_indices, read_fields)
-from .rays import integer, number, positive
+from .rays import integer, nonnegative, number, positive
 from .states import ProbabilityProfile, S_of_profile, profile, resolve_state, sigma_of_profile
 
 
@@ -134,8 +134,8 @@ def exclusivity_epsilon(data) -> float:
     graph = build_graph(canonical_set())
 
     def rebuild(v) -> dict:    # the campaign pairs each initial ray with its partners in order
-        rows = [read_fields(r, f"row {k}", {"initial": integer, "partner": integer, "probability": number,
-                                             "error": number}) for k, r in enumerate(v, start=1)]
+        fields = {"initial": integer, "partner": integer, "probability": nonnegative, "error": nonnegative}
+        rows = [read_fields(r, f"row {k}", fields) for k, r in enumerate(v, start=1)]
         want = [(i, j) for i in initial["initial_rays"] for j in graph.neighbors(i)] + ["no pair"]
         for k, (a, b) in enumerate(zip([(r["initial"], r["partner"]) for r in rows] + ["no pair"], want), 1):
             if a != b:    # "no pair" marks the end, so that a missing or an extra row is named too

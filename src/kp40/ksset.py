@@ -116,14 +116,6 @@ class OrthoGraph(NamedTuple):
         return tuple(j + 1 for j in range(self.n) if self.adj[i - 1] >> j & 1)
 
 
-def _validate_groups(rays: tuple[Ray, ...], groups: tuple[tuple[int, ...], ...]) -> None:
-    for group in groups:
-        for a_pos, a in enumerate(group):
-            for b in group[a_pos + 1:]:
-                if sum(map(mul, rays[a - 1].entries, rays[b - 1].entries)):
-                    raise ValueError(f"rays {a} and {b} in one basis group are not orthogonal")
-
-
 def _match_pentagram(rays: tuple[Ray, ...], groups: tuple[tuple[int, ...], ...]) -> PentagramMap:
     """Map (context number 1..5, sign pattern) -> table index of the ray it generates.
 
@@ -156,10 +148,9 @@ _certified: PentagramMap = {}
 
 @lru_cache(maxsize=1)
 def canonical_set() -> KSSet:
-    """The table data, validated at construction against orthogonality and the pentagram."""
+    """The table data, certified at construction to match the pentagram, whose bases are orthogonal."""
     global _certified
     rays = tuple(map(Ray, _TABLE))
-    _validate_groups(rays, _BASIS_GROUPS)
     _certified = _match_pentagram(rays, _BASIS_GROUPS)
     return KSSet(rays=rays, basis_groups=_BASIS_GROUPS)
 
@@ -300,30 +291,27 @@ def read_fields(data, what: str, converters: Mapping[str, Callable], exact: bool
     return out
 
 
-def load_ksset_file(path: str | Path) -> KSSet:
-    """Parse a ksset.json file: an object with `rays`, optional `basis_groups` and no other field,
-    or a bare list of rays.  Malformed input raises a ValueError naming the field or ray."""
-    data = read_json(path, "ray file")
-    for key in ["rays", *data] if isinstance(data, dict) else []:
-        if key not in data or key not in ("rays", "basis_groups"):
-            raise ValueError(f"ray file: {'missing' if key not in data else 'unexpected'} field {key!r}")
-    rows = data["rays"] if isinstance(data, dict) else data
+def _rays(rows) -> tuple[Ray, ...]:
     if not isinstance(rows, list) or len(rows) != N_RAYS:
-        raise ValueError(f"ray file field 'rays': expected a list of {N_RAYS} rays")
+        raise ValueError(f"expected a list of {N_RAYS} rays")
     rays = []
     for i, row in enumerate(rows, start=1):
         try:
             rays.append(Ray(row))
         except (TypeError, ValueError) as e:
             raise ValueError(f"ray {i}: {e}") from None
-    rays, groups = tuple(rays), _BASIS_GROUPS
-    if isinstance(data, dict) and "basis_groups" in data:
-        try:
-            groups = tuple(ray_indices(grp, "index") for grp in data["basis_groups"])
-        except (TypeError, ValueError) as e:
-            raise ValueError(f"ray file field 'basis_groups': {e}") from None
-    _validate_groups(rays, groups)
-    return KSSet(rays=rays, basis_groups=groups)
+    return tuple(rays)
+
+
+def load_ksset_file(path: str | Path) -> KSSet:
+    """Parse a ksset.json file: an object with `rays`, optional `basis_groups` and no other field,
+    or a bare list of rays.  Malformed input raises a ValueError naming the field or ray."""
+    data = read_json(path, "ray file")
+    data = data if isinstance(data, dict) else {"rays": data}
+    converters: dict[str, Callable] = {"rays": _rays}
+    if "basis_groups" in data:
+        converters["basis_groups"] = lambda v: tuple(ray_indices(grp, "index") for grp in v)
+    return KSSet(**{"basis_groups": _BASIS_GROUPS, **read_fields(data, "ray file", converters, exact=True)})
 
 
 def induced_bitmask(indices: Iterable[int]) -> int:

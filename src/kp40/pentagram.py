@@ -144,8 +144,6 @@ def common_eigenrays(c: Context) -> list[tuple[Ray, tuple[int, int, int, int]]]:
             if _apply(m, v) != tuple(s * a for a in v):
                 raise ArithmeticError(f"sign pattern {pattern}: column is not an eigenvector")
         found.append((v, pattern))
-    if len(found) != DIM:
-        raise ArithmeticError(f"context produced {len(found)} rays, expected {DIM}")
     for (u, p), (v, q) in itertools.combinations(found, 2):
         if sum(map(mul, u, v)):
             raise ArithmeticError(f"eigenvectors of patterns {p} and {q} are not orthogonal")

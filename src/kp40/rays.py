@@ -106,3 +106,12 @@ def positive(v) -> float:
     if not 0 < f < inf:    # false for NaN too
         raise ValueError(f"{v!r} is not a finite positive number")
     return f
+
+
+def nonnegative(v) -> float:
+    """A finite real of zero or more as a float; NaN, infinity, a negative number or anything
+    that is not a number raise a ValueError naming the value."""
+    f = number(v)
+    if not 0 <= f < inf:    # false for NaN too
+        raise ValueError(f"{v!r} is not a finite nonnegative number")
+    return f

@@ -189,13 +189,15 @@ def test_fig4_rows_shapes():
 _GRAPH = build_graph(canonical_set())
 # finite, and small enough that the mean of a few hundred of them stays finite
 _NUMBERS = st.floats(min_value=-1e300, max_value=1e300)
+# what a row's probability and error may hold: one of those numbers that is not negative
+_ROW_NUMBERS = st.floats(min_value=0, max_value=1e300)
 
 
 @st.composite
 def _campaigns(draw):
     """A nonempty set of initial rays, in a drawn order, with made-up numbers for each pair."""
     initial = draw(st.lists(st.integers(1, 40), min_size=1, max_size=4, unique=True))
-    pairs = [{"initial": i, "partner": j, "probability": draw(_NUMBERS), "error": draw(_NUMBERS)}
+    pairs = [{"initial": i, "partner": j, "probability": draw(_ROW_NUMBERS), "error": draw(_ROW_NUMBERS)}
              for i in initial for j in _GRAPH.neighbors(i)]
     return initial, pairs
 

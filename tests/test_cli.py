@@ -61,6 +61,18 @@ def _swap_first_two_groups(data):
     data["rays"] = rays[8:16] + rays[:8] + rays[16:]
 
 
+def _swap_rays_1_and_9(data):
+    rays = data["rays"]
+    rays[0], rays[8] = rays[8], rays[0]
+
+
+def _move_index_9_into_group_1(data):
+    groups = data["basis_groups"]
+    groups[1].remove(9)
+    groups[0].append(9)
+
+
+# a file whose groups are not the pentagram's bases loads, and the regeneration check names why
 @pytest.mark.parametrize("edit,code,report", [
     (lambda data: None, 0, ["ok: ray regeneration: 40/40 rays matched"]),
     (_swap_first_two_groups, 1, [
@@ -71,7 +83,18 @@ def _swap_first_two_groups(data):
      ["FAIL: ray regeneration: expected 5 basis groups, got 6"]),
     (lambda data: data["basis_groups"].pop(), 1,
      ["FAIL: ray regeneration: expected 5 basis groups, got 4"]),
-], ids=["built-in-rows", "groups-swapped", "six-groups", "four-groups"])
+    (_swap_rays_1_and_9, 1, [
+        "FAIL: ray regeneration: context 1 pattern (1, 1, 1, -1): generated ray "
+        "(0, 1, 1, 0, 1, 0, 0, -1) matches no unmatched table row"]),
+    (lambda data: data["basis_groups"][0].__setitem__(7, 10), 1, [    # ray 10 in place of ray 8
+        "FAIL: ray regeneration: context 1 pattern (-1, -1, -1, 1): generated ray "
+        "(1, 0, 0, -1, 0, -1, -1, 0) matches no unmatched table row"]),
+    (_move_index_9_into_group_1, 1,
+     ["FAIL: ray regeneration: table rows [9] not produced by their context"]),
+    (lambda data: data["rays"].__setitem__(17, [2 * x for x in data["rays"][16]]), 1,
+     ["FAIL: ray regeneration: table rows 17 and 18 of context 3 span one line"]),
+], ids=["built-in-rows", "groups-swapped", "six-groups", "four-groups", "rays-1-and-9-swapped",
+        "ray-10-in-group-1", "index-9-moved-into-group-1", "row-18-twice-row-17"])
 def test_verify_rays_regenerates_and_matches_the_file(tmp_path, capsys, edit, code, report):
     data = canonical_set().to_json()
     edit(data)
@@ -652,7 +675,19 @@ MALFORMED_ARTIFACTS = {
                                  _ANALYZE_WITH_EPS,
                                  "'pairs': row 4 field 'probability': '0.01' is not a number"),
     "eps-probability-nan": (_ray_1_eps(lambda d: d["pairs"][3].update(probability=math.nan)),
-                            _ANALYZE_WITH_EPS, "'pairs': the probabilities of 23 pairs have no finite mean"),
+                            _ANALYZE_WITH_EPS,
+                            "'pairs': row 4 field 'probability': nan is not a finite nonnegative number"),
+    # row 1 holds 0 and row 2 1/1024: moving 1/8 from one to the other leaves the mean exact
+    "eps-probability-negative": (
+        _ray_1_eps(lambda d: (d["pairs"][0].update(probability=-0.125),
+                              d["pairs"][1].update(probability=0.125 + 1 / 1024))),
+        _ANALYZE_WITH_EPS, "'pairs': row 1 field 'probability': -0.125 is not a finite nonnegative number"),
+    "eps-error-negative": (_ray_1_eps(lambda d: d["pairs"][3].update(error=-1)), _ANALYZE_WITH_EPS,
+                           "'pairs': row 4 field 'error': -1 is not a finite nonnegative number"),
+    "eps-error-infinite": (_ray_1_eps(lambda d: d["pairs"][3].update(error=math.inf)), _ANALYZE_WITH_EPS,
+                           "'pairs': row 4 field 'error': inf is not a finite nonnegative number"),
+    "eps-error-nan": (_ray_1_eps(lambda d: d["pairs"][3].update(error=math.nan)), _ANALYZE_WITH_EPS,
+                      "'pairs': row 4 field 'error': nan is not a finite nonnegative number"),
     "eps-pairs-one-row-not-in-a-list": (_ray_1_eps(lambda d: d.update(pairs=d["pairs"][0])),
                                         _ANALYZE_WITH_EPS, "'pairs': row 1: expected a JSON object"),
     "eps-pairs-a-number": (_ray_1_eps(lambda d: d.update(pairs=7)), _ANALYZE_WITH_EPS,

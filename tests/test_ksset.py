@@ -4,7 +4,7 @@ import random
 
 import networkx as nx
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kp40.ksset import (
@@ -213,15 +213,6 @@ def test_pentagram_match_map_is_a_fresh_copy():
     assert len(pentagram_match_map()) == N_RAYS
 
 
-def test_load_ksset_file_rejects_a_non_orthogonal_group(tmp_path, kset):
-    data = kset.to_json()
-    data["basis_groups"][0][7] = 10    # ray 10 is not orthogonal to ray 1
-    p = tmp_path / "groups.json"
-    p.write_text(json.dumps(data))
-    with pytest.raises(ValueError, match="not orthogonal"):
-        load_ksset_file(p)
-
-
 def test_induced_bitmask():
     assert induced_bitmask([1, 3]) == 0b101
     assert induced_bitmask([]) == 0
@@ -262,6 +253,53 @@ def test_load_ksset_file_rejects_wrong_count(tmp_path, kset):
     p.write_text(json.dumps(data))
     with pytest.raises(ValueError, match="40"):
         load_ksset_file(p)
+
+
+# the canonical set's ray file in each shape it may take
+_RAY_FILE_SHAPES = {
+    "bare list": lambda doc: doc["rays"],
+    "object": lambda doc: doc,
+    "object without basis_groups": lambda doc: {"rays": doc["rays"]},
+}
+
+
+def _ray_file_edits(row: int, col: int, group: int):
+    """(shapes it applies to, edit in place, what the ValueError names) for each format mutation
+    at ray `row`, entry or group position `col` and basis group `group`, all 0-based."""
+    objects, grouped = ("object", "object without basis_groups"), ("object",)
+
+    def rays(doc):
+        return doc if isinstance(doc, list) else doc["rays"]
+
+    yield objects, lambda doc: doc.pop("rays"), "missing field 'rays'"
+    yield objects, lambda doc: doc.update(ray=doc.pop("rays")), "missing field 'rays'"
+    yield grouped, lambda doc: doc.update(basis_group=doc.pop("basis_groups")), "unexpected field 'basis_group'"
+    yield objects, lambda doc: doc.update(note="by hand"), "unexpected field 'note'"
+    yield _RAY_FILE_SHAPES, lambda doc: rays(doc)[row].pop(), f"ray {row + 1}: expected 8 entries, got 7"
+    for v in (1.5, True, "1"):
+        yield _RAY_FILE_SHAPES, lambda doc, v=v: rays(doc)[row].__setitem__(col, v), \
+            f"ray {row + 1}: {v!r} is not an integer"
+    for i, why in ((0, "outside 1..40"), (41, "outside 1..40"), (_BASIS_GROUPS[group][col - 1], "is repeated")):
+        yield grouped, lambda doc, i=i: doc["basis_groups"][group].__setitem__(col, i), \
+            f"'basis_groups': index {i} {why}"
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(0, N_RAYS - 1), st.integers(0, 7), st.integers(0, 4))
+def test_ray_file_round_trips_in_each_shape_and_names_each_edit(tmp_path_factory, row, col, group):
+    p = tmp_path_factory.mktemp("rays") / "ksset.json"
+    for shape, build in _RAY_FILE_SHAPES.items():
+        p.write_text(json.dumps(build(canonical_set().to_json())))
+        assert load_ksset_file(p) == canonical_set()
+        for shapes, edit, named in _ray_file_edits(row, col, group):
+            if shape not in shapes:
+                continue
+            doc = build(canonical_set().to_json())
+            edit(doc)
+            p.write_text(json.dumps(doc))
+            with pytest.raises(ValueError) as e:
+                load_ksset_file(p)
+            assert named in str(e.value) and "\n" not in str(e.value), (shape, named)
 
 
 def test_canonical_set_is_cached():
