@@ -11,8 +11,7 @@ __version__ = "0.1.0"
 # submodule -> the public names it contributes
 _EXPORTS = {
     "rays": "Ray canonical_form dot overlap_prob",
-    "pentagram": "Context PauliWord common_eigenrays pentagram_contexts pentagram_unsat "
-                 "pentagram_words",
+    "pentagram": "Context PauliWord pentagram_contexts pentagram_unsat pentagram_words",
     "ksset": "EDGE_COUNT N_OCTADS N_RAYS RAY_DEGREE KSSet OrthoGraph build_graph canonical_set "
              "enumerate_octads basis_of mermin_subset",
     "bounds": "Assignment S_NCHV_BOUND SIGMA_NCHV_BOUND corrected_S_bound corrected_sigma_bound "

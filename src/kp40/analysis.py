@@ -114,7 +114,12 @@ class CountRecord(namedtuple("CountRecord", "state projector_pool counts pulses_
 
 def exclusivity_document(initial_rays: Sequence[int], pairs: list[dict]) -> dict:
     """The eps.json document of a campaign over `initial_rays` that measured `pairs`, one
-    {"initial", "partner", "probability", "error"} row each; epsilon is their mean."""
+    {"initial", "partner", "probability", "error"} row each; epsilon is their mean.  A row whose
+    probability or error is negative or not finite raises a ValueError naming the row and field."""
+    for k, p in enumerate(pairs, start=1):
+        for key in ("probability", "error"):
+            if not 0 <= p[key] < math.inf:    # false for NaN too
+                raise ValueError(f"row {k} field {key!r}: {p[key]!r} is not a finite nonnegative number")
     total = _add(p["probability"] for p in pairs)
     if not pairs or not math.isfinite(total):
         raise ValueError(f"the probabilities of {len(pairs)} pairs have no finite mean")

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
+from itertools import combinations
 from operator import mul
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from . import pentagram
-from .rays import Ray, canonical_form, integer
+from .rays import Ray, integer
 
 N_RAYS = 40
 RAY_DEGREE = 23
@@ -117,28 +118,35 @@ class OrthoGraph(NamedTuple):
 
 
 def _match_pentagram(rays: tuple[Ray, ...], groups: tuple[tuple[int, ...], ...]) -> PentagramMap:
-    """Map (context number 1..5, sign pattern) -> table index of the ray it generates.
+    """Map (context number 1..5, sign pattern) -> table index of the row that is the context's
+    joint eigenvector for that pattern, patterns in itertools.product((1, -1), repeat=4) order.
 
-    Raises unless there is one basis group per context, its rows span distinct lines,
-    and each generated ray, already canonical, is the canonical form of one unmatched row.
+    Raises unless there is one basis group per context and each group holds 8 rows, each a
+    joint eigenvector of its context's four words, with 8 distinct sign patterns and pairwise
+    orthogonal.  Eight such nonzero rows in dimension 8 fill the context's 8 joint eigenspaces,
+    so each is one line: they are its 8 eigenrays, and two rows with one pattern span one line.
     """
     contexts = pentagram.pentagram_contexts()
     if len(groups) != len(contexts):
         raise ValueError(f"expected {len(contexts)} basis groups, got {len(groups)}")
     mapping: PentagramMap = {}
     for c_idx, (context, group) in enumerate(zip(contexts, groups), start=1):
-        remaining: dict[tuple[int, ...], int] = {}
+        found: dict[tuple[int, ...], int] = {}
         for i in group:
-            j = remaining.setdefault(canonical_form(rays[i - 1]).entries, i)
+            try:
+                pattern = pentagram.eigen_pattern(context, rays[i - 1].entries)
+            except ValueError as e:
+                raise ValueError(f"table row {i} of context {c_idx} is {e}") from None
+            j = found.setdefault(pattern, i)
             if j != i:
                 raise ValueError(f"table rows {j} and {i} of context {c_idx} span one line")
-        for ray, pattern in pentagram.common_eigenrays(context):
-            if ray.entries not in remaining:
-                raise ValueError(f"context {c_idx} pattern {pattern}: generated ray "
-                                 f"{ray.entries} matches no unmatched table row")
-            mapping[(c_idx, pattern)] = remaining.pop(ray.entries)
-        if remaining:
-            raise ValueError(f"table rows {list(remaining.values())} not produced by their context")
+        if len(found) != pentagram.DIM:
+            raise ValueError(f"context {c_idx} has {len(found)} table rows, not {pentagram.DIM}")
+        for i, j in combinations(group, 2):
+            if sum(map(mul, rays[i - 1].entries, rays[j - 1].entries)):
+                raise ValueError(f"table rows {i} and {j} of context {c_idx} are not orthogonal")
+        for pattern in sorted(found, reverse=True):    # +1 sorts before -1, as in product order
+            mapping[(c_idx, pattern)] = found[pattern]
     return mapping
 
 
@@ -236,7 +244,7 @@ def verification_checks(s: KSSet | None = None,
     checks.append(("edge count", edges == EDGE_COUNT, f"{edges} edges"))
 
     octads = enumerate_octads(g)
-    groups_found = set(s.basis_groups) <= set(octads)
+    groups_found = {tuple(sorted(grp)) for grp in s.basis_groups} <= set(octads)
     checks.append(
         ("octad enumeration", len(octads) == N_OCTADS and groups_found,
          f"{len(octads)} octads, basis groups {'included' if groups_found else 'MISSING'}")

@@ -14,11 +14,8 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from functools import reduce
-from math import prod
-from operator import and_, mul, xor
+from operator import and_, xor
 from typing import NamedTuple
-
-from .rays import Ray, canonical_form
 
 FACTORS = ("I", "X", "Z")
 DIM = 8
@@ -110,44 +107,17 @@ def pentagram_contexts() -> tuple[Context, ...]:
     return tuple(out)
 
 
-def _eigenvector(masks: list[tuple[int, int]], pattern: tuple[int, ...]) -> Vector:
-    """prod_k (I + s_k W_k), 16x the joint eigenprojector, applied to v0 = (1, 2, 4, ..., 128).
-    An eigenvector e with entries in {0, +/-c} gives 16 <e, v0> e / |e|^2, and <e, v0> is c
-    times a signed sum of distinct powers of two, so it is never zero."""
-    v = tuple(1 << r for r in range(DIM))
-    for (x, z), s in zip(reversed(masks), reversed(pattern)):
-        signs = _SIGNS[z]    # v + s W v, entry by entry
-        v = tuple(v[r] + s * signs[r ^ x] * v[r ^ x] for r in range(DIM))
-    if any(v):
-        return v
-    raise ArithmeticError(f"sign pattern {pattern} has no common eigenvector")
-
-
-def common_eigenrays(c: Context) -> list[tuple[Ray, tuple[int, int, int, int]]]:
-    """The 8 common eigenrays of a context, one per sign pattern consistent with its product sign.
-
-    Patterns with s1*s2*s3*s4 != product_sign have no common eigenvector,
-    because W1 W2 W3 W4 = product_sign * identity (checked by composing the
-    words in pentagram_contexts).  For each of the 8 consistent patterns the
-    ray is the vector v that _eigenvector projects out, certified here:
-    W_k v = s_k v for all four words, and the 8 vectors are pairwise
-    orthogonal.  Eight orthogonal nonzero joint eigenvectors in dimension 8
-    make every joint eigenspace rank one.  A failed check raises ArithmeticError.
-    """
-    masks = [_masks(w) for w in c.words]
-    found = []
-    for pattern in itertools.product((1, -1), repeat=4):
-        if prod(pattern) != c.product_sign:
-            continue
-        v = _eigenvector(masks, pattern)
-        for m, s in zip(masks, pattern):
-            if _apply(m, v) != tuple(s * a for a in v):
-                raise ArithmeticError(f"sign pattern {pattern}: column is not an eigenvector")
-        found.append((v, pattern))
-    for (u, p), (v, q) in itertools.combinations(found, 2):
-        if sum(map(mul, u, v)):
-            raise ArithmeticError(f"eigenvectors of patterns {p} and {q} are not orthogonal")
-    return [(canonical_form(v), pattern) for v, pattern in found]
+def eigen_pattern(c: Context, v: Vector) -> tuple[int, int, int, int]:
+    """The signs s_k with W_k v = s_k v for the context's four words, v nonzero.  A word
+    that v is not an eigenvector of raises a ValueError naming the word."""
+    neg = tuple(-a for a in v)
+    pattern = []
+    for w in c.words:
+        wv = _apply(_masks(w), v)
+        if wv != v and wv != neg:
+            raise ValueError(f"not an eigenvector of {w}")
+        pattern.append(1 if wv == v else -1)
+    return tuple(pattern)
 
 
 def pentagram_words() -> tuple[PauliWord, ...]:

@@ -3,12 +3,14 @@
 import itertools
 import math
 from fractions import Fraction
+from math import prod
+from operator import mul
 from typing import Sequence
 
 import numpy as np
 
-from kp40.ksset import KSSet, basis_of
-from kp40.pentagram import Context, PauliWord
+from kp40.ksset import KSSet, PentagramMap, basis_of
+from kp40.pentagram import _SIGNS, Context, PauliWord, Vector, _apply, _masks, pentagram_contexts
 from kp40.rays import Ray, RayLike, canonical_form
 from kp40.simulate import CHUNK, DIM, NoiseModel, PulseRun, derive_seed
 from kp40.states import ProbabilityProfile
@@ -252,3 +254,69 @@ def sign_pattern_projector(c: Context, pattern: tuple[int, int, int, int]) -> np
     for s, w in zip(pattern, c.words):
         p = p @ (np.eye(8, dtype=np.int64) + s * pauli_matrix(w))
     return p
+
+
+def _eigenvector(masks: list[tuple[int, int]], pattern: tuple[int, ...]) -> Vector:
+    """prod_k (I + s_k W_k), 16x the joint eigenprojector, applied to v0 = (1, 2, 4, ..., 128).
+    An eigenvector e with entries in {0, +/-c} gives 16 <e, v0> e / |e|^2, and <e, v0> is c
+    times a signed sum of distinct powers of two, so it is never zero."""
+    v = tuple(1 << r for r in range(DIM))
+    for (x, z), s in zip(reversed(masks), reversed(pattern)):
+        signs = _SIGNS[z]    # v + s W v, entry by entry
+        v = tuple(v[r] + s * signs[r ^ x] * v[r ^ x] for r in range(DIM))
+    if any(v):
+        return v
+    raise ArithmeticError(f"sign pattern {pattern} has no common eigenvector")
+
+
+def common_eigenrays(c: Context) -> list[tuple[Ray, tuple[int, int, int, int]]]:
+    """The 8 common eigenrays of a context, one per sign pattern consistent with its product sign.
+
+    Patterns with s1*s2*s3*s4 != product_sign have no common eigenvector,
+    because W1 W2 W3 W4 = product_sign * identity (checked by composing the
+    words in pentagram_contexts).  For each of the 8 consistent patterns the
+    ray is the vector v that _eigenvector projects out, certified here:
+    W_k v = s_k v for all four words, and the 8 vectors are pairwise
+    orthogonal.  Eight orthogonal nonzero joint eigenvectors in dimension 8
+    make every joint eigenspace rank one.  A failed check raises ArithmeticError.
+    """
+    masks = [_masks(w) for w in c.words]
+    found = []
+    for pattern in itertools.product((1, -1), repeat=4):
+        if prod(pattern) != c.product_sign:
+            continue
+        v = _eigenvector(masks, pattern)
+        for m, s in zip(masks, pattern):
+            if _apply(m, v) != tuple(s * a for a in v):
+                raise ArithmeticError(f"sign pattern {pattern}: column is not an eigenvector")
+        found.append((v, pattern))
+    for (u, p), (v, q) in itertools.combinations(found, 2):
+        if sum(map(mul, u, v)):
+            raise ArithmeticError(f"eigenvectors of patterns {p} and {q} are not orthogonal")
+    return [(canonical_form(v), pattern) for v, pattern in found]
+
+
+def regenerating_match(rays: tuple[Ray, ...], groups: tuple[tuple[int, ...], ...]) -> PentagramMap:
+    """Map (context number 1..5, sign pattern) -> table index of the ray it generates.
+
+    Raises unless there is one basis group per context, its rows span distinct lines,
+    and each generated ray, already canonical, is the canonical form of one unmatched row.
+    """
+    contexts = pentagram_contexts()
+    if len(groups) != len(contexts):
+        raise ValueError(f"expected {len(contexts)} basis groups, got {len(groups)}")
+    mapping: PentagramMap = {}
+    for c_idx, (context, group) in enumerate(zip(contexts, groups), start=1):
+        remaining: dict[tuple[int, ...], int] = {}
+        for i in group:
+            j = remaining.setdefault(canonical_form(rays[i - 1]).entries, i)
+            if j != i:
+                raise ValueError(f"table rows {j} and {i} of context {c_idx} span one line")
+        for ray, pattern in common_eigenrays(context):
+            if ray.entries not in remaining:
+                raise ValueError(f"context {c_idx} pattern {pattern}: generated ray "
+                                 f"{ray.entries} matches no unmatched table row")
+            mapping[(c_idx, pattern)] = remaining.pop(ray.entries)
+        if remaining:
+            raise ValueError(f"table rows {list(remaining.values())} not produced by their context")
+    return mapping

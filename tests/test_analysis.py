@@ -202,6 +202,15 @@ def _campaigns(draw):
     return initial, pairs
 
 
+@pytest.mark.parametrize("field", ["probability", "error"])
+@pytest.mark.parametrize("value", [-0.125, math.inf, math.nan])
+def test_eps_document_refuses_a_row_its_loader_refuses(field, value):
+    pairs = [{"initial": 1, "partner": j, "probability": 0.01, "error": 0.001} for j in _GRAPH.neighbors(1)]
+    pairs[1][field] = value
+    with pytest.raises(ValueError, match=f"^row 2 field '{field}': {value!r} is not a finite nonnegative number$"):
+        exclusivity_document([1], pairs)
+
+
 def _error_of(data: dict) -> str:
     with pytest.raises(ValueError) as e:
         exclusivity_epsilon(data)

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import kp40
-from kp40 import bounds, cli, pentagram, simulate
+from kp40 import bounds, cli, ksset, simulate
 from kp40.ksset import build_graph, canonical_set, mermin_subset
 from kp40.simulate import CountRecord
 
@@ -72,29 +72,30 @@ def _move_index_9_into_group_1(data):
     groups[0].append(9)
 
 
-# a file whose groups are not the pentagram's bases loads, and the regeneration check names why
+# a file whose groups are not the pentagram's bases loads, and the ray regeneration check, which
+# reads each row's eigenvalues under its context's words, names why
 @pytest.mark.parametrize("edit,code,report", [
     (lambda data: None, 0, ["ok: ray regeneration: 40/40 rays matched"]),
-    (_swap_first_two_groups, 1, [
-        "FAIL: ray regeneration: context 1 pattern (1, 1, 1, -1): generated ray "
-        "(0, 1, 1, 0, 1, 0, 0, -1) matches no unmatched table row"]),
+    (lambda data: data["basis_groups"][0].insert(0, data["basis_groups"][0].pop(1)), 0,    # [2, 1, 3, ..., 8]
+     ["ok: ray regeneration: 40/40 rays matched"]),
+    (_swap_first_two_groups, 1,
+     ["FAIL: ray regeneration: table row 1 of context 1 is not an eigenvector of ZXX"]),
     # a copy of group 1 after the five, and a group short
     (lambda data: data["basis_groups"].append(data["basis_groups"][0]), 1,
      ["FAIL: ray regeneration: expected 5 basis groups, got 6"]),
     (lambda data: data["basis_groups"].pop(), 1,
      ["FAIL: ray regeneration: expected 5 basis groups, got 4"]),
-    (_swap_rays_1_and_9, 1, [
-        "FAIL: ray regeneration: context 1 pattern (1, 1, 1, -1): generated ray "
-        "(0, 1, 1, 0, 1, 0, 0, -1) matches no unmatched table row"]),
-    (lambda data: data["basis_groups"][0].__setitem__(7, 10), 1, [    # ray 10 in place of ray 8
-        "FAIL: ray regeneration: context 1 pattern (-1, -1, -1, 1): generated ray "
-        "(1, 0, 0, -1, 0, -1, -1, 0) matches no unmatched table row"]),
+    (_swap_rays_1_and_9, 1,
+     ["FAIL: ray regeneration: table row 1 of context 1 is not an eigenvector of ZXX"]),
+    (lambda data: data["basis_groups"][0].__setitem__(7, 10), 1,    # ray 10 in place of ray 8
+     ["FAIL: ray regeneration: table row 10 of context 1 is not an eigenvector of ZXX"]),
     (_move_index_9_into_group_1, 1,
-     ["FAIL: ray regeneration: table rows [9] not produced by their context"]),
+     ["FAIL: ray regeneration: table row 9 of context 1 is not an eigenvector of ZXX"]),
     (lambda data: data["rays"].__setitem__(17, [2 * x for x in data["rays"][16]]), 1,
      ["FAIL: ray regeneration: table rows 17 and 18 of context 3 span one line"]),
-], ids=["built-in-rows", "groups-swapped", "six-groups", "four-groups", "rays-1-and-9-swapped",
-        "ray-10-in-group-1", "index-9-moved-into-group-1", "row-18-twice-row-17"])
+], ids=["built-in-rows", "group-1-reordered", "groups-swapped", "six-groups", "four-groups",
+        "rays-1-and-9-swapped", "ray-10-in-group-1", "index-9-moved-into-group-1",
+        "row-18-twice-row-17"])
 def test_verify_rays_regenerates_and_matches_the_file(tmp_path, capsys, edit, code, report):
     data = canonical_set().to_json()
     edit(data)
@@ -115,19 +116,21 @@ def test_verify_reports_first_failing_check(monkeypatch, capsys):
 
 
 def test_a_cold_set_and_verify_certify_the_pentagram_once(monkeypatch, capsys):
-    # canonical_set certifies the bijection; verify reads it back, not regenerates it
+    # canonical_set certifies the bijection; verify reads it back, not certifies it again
     calls = []
-    real = pentagram.common_eigenrays
-    monkeypatch.setattr(pentagram, "common_eigenrays", lambda c: calls.append(c) or real(c))
+    real = ksset._match_pentagram
+    monkeypatch.setattr(ksset, "_match_pentagram", lambda *a: calls.append(a) or real(*a))
     canonical_set.cache_clear()
     canonical_set()
     assert all(ok for _, ok, _ in cli.verification_checks())
-    assert len(calls) == 5
-    calls.clear()
+    assert len(calls) == 1
+    code, _, _ = run_cli(["verify"], capsys)
+    assert code == 0
+    assert len(calls) == 1
     canonical_set.cache_clear()
     code, _, _ = run_cli(["verify"], capsys)
     assert code == 0
-    assert len(calls) == 5
+    assert len(calls) == 2
 
 
 def test_verification_checks_fail_on_a_graph_with_a_missing_edge():

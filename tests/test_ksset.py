@@ -25,7 +25,7 @@ from kp40.ksset import (
     pentagram_match_map,
 )
 from kp40.rays import Ray, dot
-from oracles import brute_octads
+from oracles import brute_octads, regenerating_match
 
 
 def test_forty_rays_in_five_groups(kset):
@@ -205,6 +205,62 @@ def test_match_pentagram_rejects_a_row_swapped_into_another_group(kset):
     swapped = {1: kset.ray(9).entries, 9: kset.ray(1).entries}    # groups 1 and 2
     with pytest.raises(ValueError, match="context 1"):
         _match_pentagram(_table_with(swapped), _BASIS_GROUPS)
+
+
+def test_match_pentagram_rejects_a_group_short_of_a_row(kset):
+    groups = (_BASIS_GROUPS[0][:7], _BASIS_GROUPS[1] + (8,), *_BASIS_GROUPS[2:])
+    with pytest.raises(ValueError, match="^context 1 has 7 table rows, not 8$"):
+        _match_pentagram(kset.rays, groups)
+
+
+def test_the_regenerated_eigenrays_match_the_table_as_the_row_check_does(kset):
+    mapping = regenerating_match(kset.rays, kset.basis_groups)
+    assert list(mapping.items()) == list(pentagram_match_map().items())
+
+
+@st.composite
+def edited_tables(draw):
+    """The canonical rays and basis groups after one to three edits, each one of: a row scaled
+    by a nonzero integer in -5..5, two rows swapped, an index moved to another group, a group
+    permuted, a row set to twice another of its group, a row replaced by a small-integer ray."""
+    rays = list(canonical_set().rays)
+    groups = [list(grp) for grp in _BASIS_GROUPS]
+    row = st.integers(1, N_RAYS)
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(("scale", "swap", "move", "permute", "double", "replace")))
+        if edit == "scale":
+            i, k = draw(row), draw(st.integers(-5, 5).filter(bool))
+            rays[i - 1] = Ray([k * e for e in rays[i - 1].entries])
+        elif edit == "swap":
+            i, j = draw(row), draw(row)
+            rays[i - 1], rays[j - 1] = rays[j - 1], rays[i - 1]
+        elif edit == "move":
+            src = draw(st.sampled_from([grp for grp in groups if grp]))
+            dst = draw(st.sampled_from([grp for grp in groups if grp is not src]))
+            dst.insert(draw(st.integers(0, len(dst))), src.pop(draw(st.integers(0, len(src) - 1))))
+        elif edit == "permute":
+            grp = draw(st.sampled_from(groups))
+            grp[:] = draw(st.permutations(grp))
+        elif edit == "double":
+            grp = draw(st.sampled_from([grp for grp in groups if len(grp) > 1]))
+            i, j = draw(st.lists(st.sampled_from(grp), min_size=2, max_size=2, unique=True))
+            rays[i - 1] = Ray([2 * e for e in rays[j - 1].entries])
+        else:
+            rays[draw(row) - 1] = Ray(draw(st.lists(st.integers(-2, 2), min_size=8, max_size=8).filter(any)))
+    return tuple(rays), tuple(map(tuple, groups))
+
+
+def _outcome(match, rays, groups):
+    try:
+        return list(match(rays, groups).items())
+    except ValueError:
+        return ValueError
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(edited_tables())
+def test_match_pentagram_agrees_with_the_regenerating_match_on_an_edited_table(table):
+    assert _outcome(_match_pentagram, *table) == _outcome(regenerating_match, *table)
 
 
 def test_pentagram_match_map_is_a_fresh_copy():

@@ -1,4 +1,5 @@
-"""Operator-level checks of the five-context pentagram and its eigenray extraction.
+"""Operator-level checks of the five-context pentagram, its eigenvalue reading and the
+reference eigenray extraction of tests/oracles.py.
 
 The integer signed-permutation code in kp40.pentagram is checked against the
 8x8 NumPy matrices of tests/oracles.py.
@@ -15,13 +16,13 @@ from kp40.pentagram import (
     PauliWord,
     _tally,
     commutes,
-    common_eigenrays,
+    eigen_pattern,
     pentagram_contexts,
     pentagram_unsat,
     pentagram_words,
 )
 from kp40.rays import canonical_form
-from oracles import pauli_matrix, pentagram_tally_loop, sign_pattern_projector
+from oracles import common_eigenrays, pauli_matrix, pentagram_tally_loop, sign_pattern_projector
 
 
 def test_ten_distinct_words():
@@ -105,6 +106,27 @@ def test_eigenrays_match_the_matrix_oracle():
             assert int(np.trace(p16)) == 16
             col = next(p16[:, j] for j in range(8) if np.any(p16[:, j]))
             assert canonical_form(tuple(int(x) for x in col)) == rays[pattern]
+
+
+def test_eigen_pattern_reads_each_eigenray_pattern_at_any_scale():
+    for c in pentagram_contexts():
+        for ray, pattern in common_eigenrays(c):
+            for k in (1, -1, 3):
+                assert eigen_pattern(c, tuple(k * e for e in ray.entries)) == pattern
+
+
+@pytest.mark.parametrize("context_no,v,word", [
+    (0, (1, 0, 0, 0, 0, 0, 0, 0), "ZXX"),     # ZXX flips bits 2 and 3 of every basis state
+    (1, (1, 1, 0, 0, 0, 0, 0, 0), "IIZ"),     # ZII and IZI fix it; IIZ signs its second entry
+    (2, (1, 0, 1, 0, 1, 0, 1, 0), None),      # row 17, an eigenvector of all four words
+])
+def test_eigen_pattern_names_the_first_word_it_fails(context_no, v, word):
+    c = pentagram_contexts()[context_no]
+    if word is None:
+        assert eigen_pattern(c, v) == (1, 1, 1, 1)
+        return
+    with pytest.raises(ValueError, match=f"^not an eigenvector of {word}$"):
+        eigen_pattern(c, v)
 
 
 def _corrupted(context_no: int, position: int | None, word: str | None) -> Context:
