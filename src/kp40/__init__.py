@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 # submodule -> the public names it contributes
 _EXPORTS = {
-    "rays": "Ray canonical_form dot overlap_prob",
+    "rays": "Ray dot overlap_prob",
     "pentagram": "Context PauliWord pentagram_contexts pentagram_unsat pentagram_words",
     "ksset": "EDGE_COUNT N_OCTADS N_RAYS RAY_DEGREE KSSet OrthoGraph build_graph canonical_set "
              "enumerate_octads basis_of mermin_subset",

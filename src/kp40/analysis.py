@@ -12,8 +12,8 @@ from typing import Mapping, NamedTuple, Sequence
 from .bounds import S_NCHV_BOUND, SIGMA_NCHV_BOUND, corrected_S_bound, corrected_sigma_bound
 from .ksset import (KS40_POOL, N_RAYS, basis_of, build_graph, canonical_set, mermin_subset,
                     ray_indices, read_fields)
-from .rays import integer, nonnegative, number, positive
-from .states import ProbabilityProfile, S_of_profile, profile, resolve_state, sigma_of_profile
+from .rays import Ray, integer, nonnegative, number, positive
+from .states import ProbabilityProfile, S_of_profile, profile, sigma_of_profile
 
 
 def _add(values) -> float:
@@ -100,7 +100,7 @@ class CountRecord(namedtuple("CountRecord", "state projector_pool counts pulses_
             return out
 
         fields = read_fields(data, "record", {
-            "state": resolve_state,
+            "state": lambda v: Ray(v).entries,
             "projector_pool": lambda v: ray_indices(v, "index"),
             "counts": per_key,
             "pulses_per_projector": per_key,

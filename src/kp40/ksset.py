@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from itertools import combinations
 from operator import mul
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from . import pentagram
-from .rays import Ray, integer
+from .rays import DIM, Ray, integer, listed
 
 N_RAYS = 40
 RAY_DEGREE = 23
@@ -122,9 +121,12 @@ def _match_pentagram(rays: tuple[Ray, ...], groups: tuple[tuple[int, ...], ...])
     joint eigenvector for that pattern, patterns in itertools.product((1, -1), repeat=4) order.
 
     Raises unless there is one basis group per context and each group holds 8 rows, each a
-    joint eigenvector of its context's four words, with 8 distinct sign patterns and pairwise
-    orthogonal.  Eight such nonzero rows in dimension 8 fill the context's 8 joint eigenspaces,
-    so each is one line: they are its 8 eigenrays, and two rows with one pattern span one line.
+    joint eigenvector of its context's four words, with 8 distinct sign patterns.  Such rows
+    are pairwise orthogonal without a check: each word W is a real symmetric signed
+    permutation, so W u = s u and W v = t v with s != t give s<u,v> = <u,Wv> = <Wu,v> = t<u,v>,
+    that is <u,v> = 0, and two distinct patterns differ in some word's sign.  Eight orthogonal
+    nonzero rows in dimension 8 fill the context's 8 joint eigenspaces, so each is one line:
+    they are its 8 eigenrays, and two rows with one pattern span one line.
     """
     contexts = pentagram.pentagram_contexts()
     if len(groups) != len(contexts):
@@ -140,11 +142,8 @@ def _match_pentagram(rays: tuple[Ray, ...], groups: tuple[tuple[int, ...], ...])
             j = found.setdefault(pattern, i)
             if j != i:
                 raise ValueError(f"table rows {j} and {i} of context {c_idx} span one line")
-        if len(found) != pentagram.DIM:
-            raise ValueError(f"context {c_idx} has {len(found)} table rows, not {pentagram.DIM}")
-        for i, j in combinations(group, 2):
-            if sum(map(mul, rays[i - 1].entries, rays[j - 1].entries)):
-                raise ValueError(f"table rows {i} and {j} of context {c_idx} are not orthogonal")
+        if len(found) != DIM:
+            raise ValueError(f"context {c_idx} has {len(found)} table rows, not {DIM}")
         for pattern in sorted(found, reverse=True):    # +1 sorts before -1, as in product order
             mapping[(c_idx, pattern)] = found[pattern]
     return mapping
@@ -260,9 +259,9 @@ def verification_checks(s: KSSet | None = None,
 
 def ray_indices(values: Iterable, what: str) -> tuple[int, ...]:
     """Whole numbers in 1..40, none repeated, as ints.  An index out of range or repeated
-    raises a ValueError naming `what` and the index; a value that is not a whole number
-    raises `integer`'s, which names the value."""
-    indices = tuple(map(integer, values))
+    raises a ValueError naming `what` and the index; values that are not a list, or a value
+    that is not a whole number, raise `listed`'s or `integer`'s, which names the value."""
+    indices = tuple(map(integer, listed(values)))
     for k, i in enumerate(indices):
         if not 1 <= i <= N_RAYS:
             raise ValueError(f"{what} {i} outside 1..{N_RAYS}")
@@ -318,7 +317,7 @@ def load_ksset_file(path: str | Path) -> KSSet:
     data = data if isinstance(data, dict) else {"rays": data}
     converters: dict[str, Callable] = {"rays": _rays}
     if "basis_groups" in data:
-        converters["basis_groups"] = lambda v: tuple(ray_indices(grp, "index") for grp in v)
+        converters["basis_groups"] = lambda v: tuple(ray_indices(grp, "index") for grp in listed(v))
     return KSSet(**{"basis_groups": _BASIS_GROUPS, **read_fields(data, "ray file", converters, exact=True)})
 
 

@@ -17,8 +17,9 @@ from functools import reduce
 from operator import and_, xor
 from typing import NamedTuple
 
+from .rays import DIM
+
 FACTORS = ("I", "X", "Z")
-DIM = 8
 
 Vector = tuple[int, ...]
 

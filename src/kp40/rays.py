@@ -7,7 +7,8 @@ into :func:`overlap_prob`, so every ideal quantity is an exact rational.
 from __future__ import annotations
 
 from collections import namedtuple
-from math import gcd, inf
+from collections.abc import Iterable, Mapping
+from math import inf
 from numbers import Integral, Real
 from operator import mul
 from typing import TYPE_CHECKING, Sequence, Union
@@ -40,7 +41,7 @@ def entries_of(v: RayLike) -> tuple[int, ...]:
     """A Ray's entries, or a plain sequence's 8 whole numbers as ints (zero allowed)."""
     if isinstance(v, Ray):
         return v.entries
-    t = tuple(map(integer, v))
+    t = tuple(map(integer, listed(v)))
     if len(t) != DIM:
         raise ValueError(f"expected {DIM} entries, got {len(t)}")
     return t
@@ -64,17 +65,6 @@ def overlap_prob(state: RayLike, v: RayLike) -> Fraction:
     return Fraction(d * d, sum(map(mul, es, es)) * sum(map(mul, ev, ev)))
 
 
-def canonical_form(v: RayLike) -> Ray:
-    """Divide by the gcd of the entries and fix sign so the first nonzero entry is positive."""
-    e = entries_of(v)
-    g = gcd(*e)
-    if not g:
-        raise ValueError("zero ray has no canonical form")
-    if next(x for x in e if x) < 0:
-        g = -g
-    return Ray._make((tuple(x // g for x in e),))    # e is checked and nonzero: no second pass
-
-
 def rational_to_str(q: Fraction) -> str:
     """Serialize a rational as "num/den" (always in lowest terms, positive denominator)."""
     return f"{q.numerator}/{q.denominator}"
@@ -90,6 +80,16 @@ def integer(v) -> int:
     if isinstance(v, Integral) and not isinstance(v, bool):
         return int(v)
     raise ValueError(f"{v!r} is not an integer")
+
+
+def listed(v):
+    """v itself if it holds values one by one: a list, tuple, range or NumPy array passes; a
+    string, bytes, a mapping or a value that is not iterable raises a ValueError."""
+    if type(v) in (list, tuple):    # the common case, checked first
+        return v
+    if isinstance(v, (str, bytes, Mapping)) or not isinstance(v, Iterable):
+        raise ValueError(f"expected a list, got {v!r}")
+    return v
 
 
 def number(v) -> float:

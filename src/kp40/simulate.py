@@ -38,10 +38,9 @@ from .analysis import CountRecord, estimate_probabilities, exclusivity_document,
 from .bounds import corrected_S_bound, corrected_sigma_bound
 from .ksset import (KS40_POOL, basis_of, build_graph, canonical_set, mermin_subset, ray_indices,
                     read_fields, read_json)
-from .rays import Ray, integer, number, positive
+from .rays import DIM, Ray, integer, number, positive
 from .states import resolve_state
 
-DIM = 8
 DEFAULT_MU = 0.14
 CHUNK = 32768    # pulses per mask drift, allocation and detection draw
 BLOCK = 64       # chunks drawn in one call per stream (a 2M-pulse run is one block)

@@ -3,7 +3,7 @@
 import itertools
 import math
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 from operator import mul
 from typing import Sequence
 
@@ -11,7 +11,7 @@ import numpy as np
 
 from kp40.ksset import KSSet, PentagramMap, basis_of
 from kp40.pentagram import _SIGNS, Context, PauliWord, Vector, _apply, _masks, pentagram_contexts
-from kp40.rays import Ray, RayLike, canonical_form
+from kp40.rays import Ray, RayLike, entries_of
 from kp40.simulate import CHUNK, DIM, NoiseModel, PulseRun, derive_seed
 from kp40.states import ProbabilityProfile
 
@@ -32,6 +32,17 @@ def estimate_basis_sums(est) -> dict[int, tuple[float, float]]:
         tot[0] += p
         tot[1] += err * err
     return {b: (tot[0], math.sqrt(tot[1])) for b, tot in sorted(out.items())}
+
+
+def canonical_form(v: RayLike) -> Ray:
+    """Divide by the gcd of the entries and fix sign so the first nonzero entry is positive."""
+    e = entries_of(v)
+    g = gcd(*e)
+    if not g:
+        raise ValueError("zero ray has no canonical form")
+    if next(x for x in e if x) < 0:
+        g = -g
+    return Ray._make((tuple(x // g for x in e),))    # e is checked and nonzero: no second pass
 
 
 def same_direction(a: RayLike, b: RayLike) -> bool:

@@ -695,6 +695,8 @@ MALFORMED_ARTIFACTS = {
                                         _ANALYZE_WITH_EPS, "'pairs': row 1: expected a JSON object"),
     "eps-pairs-a-number": (_ray_1_eps(lambda d: d.update(pairs=7)), _ANALYZE_WITH_EPS,
                            "eps file field 'pairs': "),
+    "eps-initial_rays-a-number": (_ray_1_eps(lambda d: d.update(initial_rays=1)), _ANALYZE_WITH_EPS,
+                                  "eps file field 'initial_rays': expected a list, got 1"),
     "eps-without-pairs": ('{"epsilon": 0.01, "n_pairs": 0, "initial_rays": [], "pairs": []}',
                           _ANALYZE_WITH_EPS, "'pairs': the probabilities of 0 pairs have no finite mean"),
     "eps-n_pairs-without-pairs": ('{"epsilon": 0.02, "n_pairs": 7}', _ANALYZE_WITH_EPS,
@@ -754,6 +756,10 @@ MALFORMED_ARTIFACTS = {
         ["analyze", "bad.json"], "projector 10: 2500 pulses and calibration flux 1e-300 give no estimate"),
     "record-state-not-an-integer": (_mermin16_ghz_record(state=[1, 0, 0, 0, 0, 0, 0, 1.5]),
                                     ["analyze", "bad.json"], "'state': 1.5 is not an integer"),
+    "record-state-a-name": (_mermin16_ghz_record(state="ghz"), ["analyze", "bad.json"],
+                            "record field 'state': expected a list, got 'ghz'"),
+    "record-pool-a-number": (_mermin16_ghz_record(projector_pool=5), ["analyze", "bad.json"],
+                             "record field 'projector_pool': expected a list, got 5"),
     "record-flux-above-its-pulses": (
         _mermin16_ghz_record(flux_pulses={str(b): 100 for b in range(2, 6)}),
         ["analyze", "bad.json"], "'flux_calibration': basis group 2 has 300 counts but 100 pulses"),

@@ -260,7 +260,13 @@ def _outcome(match, rays, groups):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(edited_tables())
 def test_match_pentagram_agrees_with_the_regenerating_match_on_an_edited_table(table):
-    assert _outcome(_match_pentagram, *table) == _outcome(regenerating_match, *table)
+    outcome = _outcome(_match_pentagram, *table)
+    assert outcome == _outcome(regenerating_match, *table)
+    rays, groups = table
+    if outcome is not ValueError:    # an accepted table's bases are orthogonal, unchecked
+        for grp in groups:
+            for i, j in itertools.combinations(grp, 2):
+                assert dot(rays[i - 1], rays[j - 1]) == 0, (i, j)
 
 
 def test_pentagram_match_map_is_a_fresh_copy():
@@ -338,6 +344,13 @@ def _ray_file_edits(row: int, col: int, group: int):
     for i, why in ((0, "outside 1..40"), (41, "outside 1..40"), (_BASIS_GROUPS[group][col - 1], "is repeated")):
         yield grouped, lambda doc, i=i: doc["basis_groups"][group].__setitem__(col, i), \
             f"'basis_groups': index {i} {why}"
+    for v in (5, "abc", None):
+        yield grouped, lambda doc, v=v: doc.update(basis_groups=v), f"'basis_groups': expected a list, got {v!r}"
+    yield grouped, lambda doc: doc["basis_groups"].__setitem__(group, "12345678"), \
+        "'basis_groups': expected a list, got '12345678'"
+    for v in ("12345678", 5):
+        yield _RAY_FILE_SHAPES, lambda doc, v=v: rays(doc).__setitem__(row, v), \
+            f"ray {row + 1}: expected a list, got {v!r}"
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

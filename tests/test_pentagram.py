@@ -14,6 +14,8 @@ import pytest
 from kp40.pentagram import (
     Context,
     PauliWord,
+    _apply,
+    _masks,
     _tally,
     commutes,
     eigen_pattern,
@@ -21,8 +23,8 @@ from kp40.pentagram import (
     pentagram_unsat,
     pentagram_words,
 )
-from kp40.rays import canonical_form
-from oracles import common_eigenrays, pauli_matrix, pentagram_tally_loop, sign_pattern_projector
+from oracles import (canonical_form, common_eigenrays, pauli_matrix, pentagram_tally_loop,
+                     sign_pattern_projector)
 
 
 def test_ten_distinct_words():
@@ -62,6 +64,19 @@ def test_pauli_matrix_squares_to_identity():
     for w in pentagram_words():
         m = pauli_matrix(w)
         assert np.array_equal(m @ m, np.eye(8))
+
+
+def test_pentagram_words_are_real_symmetric():
+    # what lets _match_pentagram skip the orthogonality pass: rows whose eigenvalues
+    # differ under one real symmetric word are orthogonal; and the integer action
+    # eigen_pattern applies is that matrix, column by column
+    words = pentagram_words()
+    assert len(words) == 10
+    for w in words:
+        m = pauli_matrix(w)
+        assert np.isrealobj(m) and np.array_equal(m, m.T), w
+        for c, column in enumerate(np.eye(8, dtype=int).tolist()):
+            assert _apply(_masks(w), tuple(column)) == tuple(m[:, c]), (w, c)
 
 
 def test_bad_word_rejected():

@@ -6,16 +6,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kp40.ksset import load_ksset_file
+from kp40.ksset import load_ksset_file, ray_indices
 from kp40.rays import (
     Ray,
-    canonical_form,
     dot,
     overlap_prob,
     rational_to_str,
 )
 
-from oracles import norm_sq, same_direction
+from oracles import canonical_form, norm_sq, same_direction
 
 nonzero_entries = st.lists(st.integers(-9, 9), min_size=8, max_size=8).filter(any)
 
@@ -41,7 +40,11 @@ def test_ray_validates_length_and_nonzero():
     ((1, 0, 0, 0, 0, 0, 0, "1"), "'1' is not an integer", "'1' is not an integer"),
     ((1, 0, 0), "expected 8 entries, got 3", "expected 8 entries, got 3"),
     ((1,) * 9, "expected 8 entries, got 9", "expected 8 entries, got 9"),
-], ids=["zero", "non-integral", "string", "short", "long"])
+    ("12345678", "expected a list, got '12345678'", "expected a list, got '12345678'"),
+    (b"12345678", "expected a list, got b'12345678'", "expected a list, got b'12345678'"),
+    ({"x": 1}, "expected a list, got {'x': 1}", "expected a list, got {'x': 1}"),
+    (5, "expected a list, got 5", "expected a list, got 5"),
+], ids=["zero", "non-integral", "string", "short", "long", "a-string", "bytes", "a-mapping", "a-number"])
 def test_ray_and_canonical_form_reject_bad_entries_with_their_messages(entries, ray_message,
                                                                        form_message):
     with pytest.raises(ValueError) as e:
@@ -50,6 +53,12 @@ def test_ray_and_canonical_form_reject_bad_entries_with_their_messages(entries, 
     with pytest.raises(ValueError) as e:
         canonical_form(entries)
     assert str(e.value) == form_message
+
+
+@pytest.mark.parametrize("values", [tuple(range(1, 9)), list(range(1, 9)), np.arange(1, 9), range(1, 9)],
+                         ids=["tuple", "list", "array", "range"])
+def test_ray_and_ray_indices_take_a_tuple_list_array_or_range(values):
+    assert Ray(values).entries == ray_indices(values, "index") == tuple(range(1, 9))
 
 
 @given(nonzero_entries, st.integers(-5, 5).filter(bool))
