@@ -12,7 +12,7 @@ from typing import Mapping, NamedTuple, Sequence
 from .bounds import S_NCHV_BOUND, SIGMA_NCHV_BOUND, corrected_S_bound, corrected_sigma_bound
 from .ksset import (KS40_POOL, N_RAYS, basis_of, build_graph, canonical_set, mermin_subset,
                     ray_indices, read_fields)
-from .rays import Ray, integer, nonnegative, number, positive
+from .rays import Ray, integer, listed, nonnegative, number, positive
 from .states import ProbabilityProfile, S_of_profile, profile, sigma_of_profile
 
 
@@ -108,7 +108,7 @@ class CountRecord(namedtuple("CountRecord", "state projector_pool counts pulses_
             "flux_pulses": lambda d: {b: integer(n) for b, n in per_key(d).items()},
             "mu": positive,
             "seed": integer,
-        }, exact=True)
+        })
         return cls(**fields)
 
 
@@ -130,29 +130,27 @@ def exclusivity_document(initial_rays: Sequence[int], pairs: list[dict]) -> dict
 def exclusivity_epsilon(data) -> float:
     """The epsilon of a loaded eps.json document, which holds `epsilon` alone or is the document
     `exclusivity_document` rebuilds from its `pairs`; a ValueError names the first field that is not."""
-    bare = isinstance(data, dict) and "pairs" not in data
-    epsilon = read_fields(data, "eps file", {"epsilon": number}, exact=bare)["epsilon"]
-    if bare:
-        return epsilon
-    initial = read_fields(data, "eps file", {"n_pairs": integer,
-                                             "initial_rays": lambda v: ray_indices(v, "initial ray")})
+    if not (isinstance(data, dict) and "pairs" in data):
+        return read_fields(data, "eps file", {"epsilon": number})["epsilon"]
     graph = build_graph(canonical_set())
+    row_fields = {"initial": integer, "partner": integer, "probability": nonnegative, "error": nonnegative}
 
     def rebuild(v) -> dict:    # the campaign pairs each initial ray with its partners in order
-        fields = {"initial": integer, "partner": integer, "probability": nonnegative, "error": nonnegative}
-        rows = [read_fields(r, f"row {k}", fields) for k, r in enumerate(v, start=1)]
-        want = [(i, j) for i in initial["initial_rays"] for j in graph.neighbors(i)] + ["no pair"]
+        initial = ray_indices(data["initial_rays"], "initial ray")    # read already, so it passes
+        rows = [read_fields(r, f"row {k}", row_fields) for k, r in enumerate(listed(v), start=1)]
+        want = [(i, j) for i in initial for j in graph.neighbors(i)] + ["no pair"]
         for k, (a, b) in enumerate(zip([(r["initial"], r["partner"]) for r in rows] + ["no pair"], want), 1):
             if a != b:    # "no pair" marks the end, so that a missing or an extra row is named too
                 raise ValueError(f"row {k} holds {a} where initial_rays' partners give {b}")
-        return exclusivity_document(initial["initial_rays"], rows)
+        return exclusivity_document(initial, rows)
 
-    doc = read_fields(data, "eps file", {"pairs": rebuild})["pairs"]
-    for key in [*doc, *data]:
-        if key not in doc or data[key] != doc[key]:
-            how = "is not in" if key not in doc else "differs from"
-            raise ValueError(f"eps file field {key!r} {how} the document its rows rebuild")
-    return epsilon
+    fields = read_fields(data, "eps file", {"epsilon": number, "n_pairs": integer,
+                                            "initial_rays": lambda v: ray_indices(v, "initial ray"),
+                                            "pairs": rebuild})
+    for key, value in fields["pairs"].items():
+        if data[key] != value:
+            raise ValueError(f"eps file field {key!r} differs from the document its rows rebuild")
+    return fields["epsilon"]
 
 
 class EstimationError(ValueError):

@@ -278,15 +278,15 @@ def read_json(path: str | Path, what: str):
         raise ValueError(f"{what} {path} is not JSON: {e}") from None
 
 
-def read_fields(data, what: str, converters: Mapping[str, Callable], exact: bool = False) -> dict:
-    """Convert the named fields of a loaded JSON object, one converter per field.
+def read_fields(data, what: str, converters: Mapping[str, Callable]) -> dict:
+    """Convert a loaded JSON object that holds exactly the converters' fields, one per field.
 
-    Input that is not an object, a missing field, a failed conversion, or with `exact` a
-    field that has no converter raises a ValueError naming `what` and the field.
+    Input that is not an object, a missing field, a field that has no converter, or a failed
+    conversion raises a ValueError naming `what` and the field.
     """
     if not isinstance(data, dict):
         raise ValueError(f"{what}: expected a JSON object")
-    for key in [*converters, *data] if exact else converters:
+    for key in [*converters, *data]:
         if key not in data or key not in converters:
             raise ValueError(f"{what}: {'missing' if key not in data else 'unexpected'} field {key!r}")
     out = {}
@@ -299,7 +299,7 @@ def read_fields(data, what: str, converters: Mapping[str, Callable], exact: bool
 
 
 def _rays(rows) -> tuple[Ray, ...]:
-    if not isinstance(rows, list) or len(rows) != N_RAYS:
+    if len(listed(rows)) != N_RAYS:
         raise ValueError(f"expected a list of {N_RAYS} rays")
     rays = []
     for i, row in enumerate(rows, start=1):
@@ -318,7 +318,7 @@ def load_ksset_file(path: str | Path) -> KSSet:
     converters: dict[str, Callable] = {"rays": _rays}
     if "basis_groups" in data:
         converters["basis_groups"] = lambda v: tuple(ray_indices(grp, "index") for grp in listed(v))
-    return KSSet(**{"basis_groups": _BASIS_GROUPS, **read_fields(data, "ray file", converters, exact=True)})
+    return KSSet(**{"basis_groups": _BASIS_GROUPS, **read_fields(data, "ray file", converters)})
 
 
 def induced_bitmask(indices: Iterable[int]) -> int:

@@ -38,7 +38,7 @@ from .analysis import CountRecord, estimate_probabilities, exclusivity_document,
 from .bounds import corrected_S_bound, corrected_sigma_bound
 from .ksset import (KS40_POOL, basis_of, build_graph, canonical_set, mermin_subset, ray_indices,
                     read_fields, read_json)
-from .rays import DIM, Ray, integer, number, positive
+from .rays import DIM, Ray, integer, listed, number, positive
 from .states import resolve_state
 
 DEFAULT_MU = 0.14
@@ -125,14 +125,14 @@ class NoiseModel(namedtuple("NoiseModel", "amplitude_jitter phase_jitter backgro
         """Load exactly the four fields, bare or under `noise` in the document `calibrate` writes
         from its `search`.  Malformed input raises a ValueError that names the field."""
         config = data if isinstance(data, dict) and "noise" in data else {"noise": data}
-        noise = cls(**read_fields(config["noise"], "noise config", dict.fromkeys(cls._fields, number),
-                                  exact=True))
+        noise = cls(**read_fields(config["noise"], "noise config", _NOISE_FIELDS))
         if config is data:    # a calibrate output
             _check_config(config)
         return noise
 
 
 IDEAL_NOISE = NoiseModel()
+_NOISE_FIELDS = dict.fromkeys(NoiseModel._fields, number)    # the converters of its four bare fields
 
 
 def _config(search: list[dict], target: float, n_pulses: int, seed: int) -> dict:
@@ -154,28 +154,26 @@ def _true_or_false(v) -> bool:
 def _check_config(config: dict) -> None:
     """Refuse a calibrate output that is not the document `_config` rebuilds from its `search`
     rows and its `calibration`'s `epsilon_target`, `pulses` and `seed`; a ValueError names the
-    first field that differs, or that the rebuilt document does not have."""
+    first field that is missing, unexpected or different."""
     # all five read as what they are, so that `true` is not taken for a matching 1.0
     cal = read_fields(config.get("calibration"), "noise config field 'calibration'",
                       {"epsilon_simulated": number, "epsilon_target": number,
                        "F_GHZ_simulated": number, "pulses": integer, "seed": integer})
-    bare = dict.fromkeys(NoiseModel._fields, number)
-    row_fields = {"noise": lambda v: NoiseModel(**read_fields(v, "noise", bare, exact=True)).to_json(),
+    row_fields = {"noise": lambda v: NoiseModel(**read_fields(v, "noise", _NOISE_FIELDS)).to_json(),
                   "epsilon": number, "F_GHZ": number, "accepted": _true_or_false}
 
     def rows(v) -> list[dict]:
-        if not isinstance(v, list) or not v:
+        if not listed(v):
             raise ValueError("expected a non-empty list of grid rows")
-        return [read_fields(r, f"row {k}", row_fields, exact=True) for k, r in enumerate(v, start=1)]
+        return [read_fields(r, f"row {k}", row_fields) for k, r in enumerate(v, start=1)]
 
+    # `noise` and `calibration` are read already
+    search = read_fields(config, "noise config", {"noise": dict, "calibration": dict, "search": rows})["search"]
     target = cal["epsilon_target"]
-    have, want = dict(config), _config(read_fields(config, "noise config", {"search": rows})["search"],
-                                       target, cal["pulses"], cal["seed"])
+    have, want = dict(config), _config(search, target, cal["pulses"], cal["seed"])
     for doc in (have, want):    # calibration's fields by dotted name
         doc.update((f"calibration.{k}", v) for k, v in doc.pop("calibration").items())
-    for name in [*want, *have]:
-        if name not in want:
-            raise ValueError(f"noise config field {name!r} is not in the document its search rebuilds")
+    for name in want:
         if have[name] != want[name]:
             raise ValueError(f"noise config field {name!r} is {have[name]!r}, but the search row "
                              f"chosen for epsilon_target {target!r} holds {want[name]!r}")

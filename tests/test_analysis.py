@@ -234,3 +234,15 @@ def test_eps_document_round_trips_and_refuses_each_edit(campaign, data):
     rows[k]["partner"] = data.draw(st.integers(-5, 45).filter(lambda j: j != rows[k]["partner"]),
                                    label="partner")
     assert f"eps file field 'pairs': row {k + 1} holds" in _error_of({**loaded, "pairs": rows})
+
+    # a field no eps file has, at the top or in a row, and a list field that is not a list
+    name = data.draw(st.text(min_size=1).filter(lambda s: s not in doc and s not in doc["pairs"][0]),
+                     label="name")
+    assert _error_of({**loaded, name: 0}) == f"eps file: unexpected field {name!r}"
+    rows = json.loads(json.dumps(doc["pairs"]))
+    rows[k][name] = 0
+    assert _error_of({**loaded, "pairs": rows}) == \
+        f"eps file field 'pairs': row {k + 1}: unexpected field {name!r}"
+    for key in ("pairs", "initial_rays"):
+        for v in (5, "abc", {}):
+            assert _error_of({**loaded, key: v}) == f"eps file field {key!r}: expected a list, got {v!r}"

@@ -646,10 +646,10 @@ MALFORMED_ARTIFACTS = {
         "noise config field 'calibration' field 'seed': 1.5 is not an integer"),
     "noise-calibrated-an-extra-field": (
         _calibrated(lambda d: d.update(note="by hand")), _SIMULATE_GHZ,
-        "noise config field 'note' is not in the document its search rebuilds"),
+        "noise config: unexpected field 'note'"),
     "noise-calibrated-an-extra-calibration-field": (
         _calibrated(_edit_calibration(mu=0.14)), _SIMULATE_GHZ,
-        "noise config field 'calibration.mu' is not in the document its search rebuilds"),
+        "noise config field 'calibration': unexpected field 'mu'"),
     "noise-calibrated-row-an-extra-field": (
         _calibrated(lambda d: d["search"][2].update(note="by hand")), _SIMULATE_GHZ,
         "'search': row 3: unexpected field 'note'"),
@@ -691,8 +691,8 @@ MALFORMED_ARTIFACTS = {
                            "'pairs': row 4 field 'error': inf is not a finite nonnegative number"),
     "eps-error-nan": (_ray_1_eps(lambda d: d["pairs"][3].update(error=math.nan)), _ANALYZE_WITH_EPS,
                       "'pairs': row 4 field 'error': nan is not a finite nonnegative number"),
-    "eps-pairs-one-row-not-in-a-list": (_ray_1_eps(lambda d: d.update(pairs=d["pairs"][0])),
-                                        _ANALYZE_WITH_EPS, "'pairs': row 1: expected a JSON object"),
+    "eps-pairs-one-row-not-in-a-list": (_ray_1_eps(lambda d: d.update(pairs=d["pairs"][0])), _ANALYZE_WITH_EPS,
+                                        "eps file field 'pairs': expected a list, got {'initial': 1"),
     "eps-pairs-a-number": (_ray_1_eps(lambda d: d.update(pairs=7)), _ANALYZE_WITH_EPS,
                            "eps file field 'pairs': "),
     "eps-initial_rays-a-number": (_ray_1_eps(lambda d: d.update(initial_rays=1)), _ANALYZE_WITH_EPS,

@@ -353,8 +353,10 @@ _CALIBRATED_EDITS = {
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(_NOISE_FIELDS, st.floats(0.0, 1.0))
-def test_noise_config_round_trips_bare_or_calibrated_and_refuses_each_edit(fields, epsilon):
+@given(_NOISE_FIELDS, st.floats(0.0, 1.0),
+       st.text(min_size=1).filter(lambda s: s not in {*NoiseModel._fields, *_CALIBRATION_FIELDS,
+                                                      *_ROW_FIELDS, "noise", "calibration", "search"}))
+def test_noise_config_round_trips_bare_or_calibrated_and_refuses_each_edit(fields, epsilon, name):
     calibrated = {"noise": fields,
                   "calibration": {"epsilon_simulated": epsilon, "epsilon_target": 0.014,
                                   "F_GHZ_simulated": 0.95, "pulses": 60_000, "seed": 0},
@@ -383,6 +385,21 @@ def test_noise_config_round_trips_bare_or_calibrated_and_refuses_each_edit(field
     for doc in ({**fields, "phase_jiter": 0.9}, {**calibrated, "noise": {**fields, "phase_jiter": 0.9}}):
         with pytest.raises(ValueError, match="unexpected field 'phase_jiter'"):
             NoiseModel.from_json(doc)
+
+    # a field no noise config has, at each level of a calibrate output, and a search that is not a list
+    for where, what in (("top", "noise config"), ("calibration", "noise config field 'calibration'"),
+                        ("row", "noise config field 'search': row 1"),
+                        ("row noise", "noise config field 'search': row 1 field 'noise': noise")):
+        doc = json.loads(json.dumps(calibrated))
+        {"top": doc, "calibration": doc["calibration"], "row": doc["search"][0],
+         "row noise": doc["search"][0]["noise"]}[where][name] = 0
+        with pytest.raises(ValueError) as e:
+            NoiseModel.from_json(doc)
+        assert str(e.value) == f"{what}: unexpected field {name!r}"
+    for v in (5, "abc", {}):
+        with pytest.raises(ValueError) as e:
+            NoiseModel.from_json({**calibrated, "search": v})
+        assert str(e.value) == f"noise config field 'search': expected a list, got {v!r}"
 
 
 def test_packaged_noise_config_is_the_four_bare_fields():
@@ -465,6 +482,42 @@ def test_count_record_loader_names_the_bad_field(field, corrupt):
     corrupt(data)
     with pytest.raises(ValueError, match=f"'{field}'"):
         CountRecord.from_json(data)
+
+
+# a simulated record on each pool, as to_json writes it
+_SIMULATED_RECORDS = {}
+
+
+def _simulated_record(pool) -> dict:
+    if pool not in _SIMULATED_RECORDS:
+        run = PulseRun(seed=11, n_pulses=40_000, projector_pool=pool)
+        _SIMULATED_RECORDS[pool] = json.dumps(run_ks_experiment("ghz", IDEAL_NOISE, run).to_json())
+    return json.loads(_SIMULATED_RECORDS[pool])
+
+
+_TABLES = ("counts", "pulses_per_projector", "flux_calibration", "flux_pulses")
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from([mermin_subset(), KS40_POOL]), st.sampled_from(CountRecord._fields),
+       st.text(min_size=1).filter(lambda s: s not in CountRecord._fields), st.sampled_from(_TABLES))
+def test_count_record_round_trips_and_names_each_edit(pool, field, name, table):
+    data = _simulated_record(pool)
+    assert json.dumps(CountRecord.from_json(data).to_json()) == json.dumps(data)
+
+    # (edit in place, the field the error names)
+    edits = [(lambda d: d.pop(field), field),
+             (lambda d: d.update({name: d.pop(field)}), field),
+             (lambda d: d.update({name: 0}), name),
+             (lambda d: d[table].update({"010": 0}), table)]
+    edits += [(lambda d, k=k, v=v: d.update({k: v}), k) for k in ("state", "projector_pool")
+              for v in (5, "abc", {})]
+    for edit, named in edits:
+        bad = _simulated_record(pool)
+        edit(bad)
+        with pytest.raises(ValueError) as e:
+            CountRecord.from_json(bad)
+        assert repr(named) in str(e.value) and "\n" not in str(e.value), (named, str(e.value))
 
 
 # a record built in the library on rays 9 and 10 (basis group 2), with the given fields replaced
