@@ -4,6 +4,7 @@ import math
 import tracemalloc
 import warnings
 from collections import Counter
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -484,15 +485,11 @@ def test_count_record_loader_names_the_bad_field(field, corrupt):
         CountRecord.from_json(data)
 
 
-# a simulated record on each pool, as to_json writes it
-_SIMULATED_RECORDS = {}
-
-
-def _simulated_record(pool) -> dict:
-    if pool not in _SIMULATED_RECORDS:
-        run = PulseRun(seed=11, n_pulses=40_000, projector_pool=pool)
-        _SIMULATED_RECORDS[pool] = json.dumps(run_ks_experiment("ghz", IDEAL_NOISE, run).to_json())
-    return json.loads(_SIMULATED_RECORDS[pool])
+@lru_cache(maxsize=None)
+def _simulated_record(pool) -> str:
+    """A simulated record on `pool`, as to_json writes it."""
+    run = PulseRun(seed=11, n_pulses=40_000, projector_pool=pool)
+    return json.dumps(run_ks_experiment("ghz", IDEAL_NOISE, run).to_json())
 
 
 _TABLES = ("counts", "pulses_per_projector", "flux_calibration", "flux_pulses")
@@ -502,8 +499,8 @@ _TABLES = ("counts", "pulses_per_projector", "flux_calibration", "flux_pulses")
 @given(st.sampled_from([mermin_subset(), KS40_POOL]), st.sampled_from(CountRecord._fields),
        st.text(min_size=1).filter(lambda s: s not in CountRecord._fields), st.sampled_from(_TABLES))
 def test_count_record_round_trips_and_names_each_edit(pool, field, name, table):
-    data = _simulated_record(pool)
-    assert json.dumps(CountRecord.from_json(data).to_json()) == json.dumps(data)
+    text = _simulated_record(pool)
+    assert json.dumps(CountRecord.from_json(json.loads(text)).to_json()) == text
 
     # (edit in place, the field the error names)
     edits = [(lambda d: d.pop(field), field),
@@ -513,7 +510,7 @@ def test_count_record_round_trips_and_names_each_edit(pool, field, name, table):
     edits += [(lambda d, k=k, v=v: d.update({k: v}), k) for k in ("state", "projector_pool")
               for v in (5, "abc", {})]
     for edit, named in edits:
-        bad = _simulated_record(pool)
+        bad = json.loads(_simulated_record(pool))
         edit(bad)
         with pytest.raises(ValueError) as e:
             CountRecord.from_json(bad)
