@@ -88,6 +88,8 @@ class CountRecord(namedtuple("CountRecord", "state projector_pool counts pulses_
             return integer(v) if f.is_integer() else f
 
         def per_key(d) -> dict:
+            if not isinstance(d, dict):
+                raise ValueError("expected a JSON object")
             out = {}
             for k, v in d.items():
                 try:

@@ -28,16 +28,39 @@ EPSILON_TARGET = 0.0140
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """`json.dumps(obj, indent=2, sort_keys=True) + "\n"`, byte for byte.  Before Python 3.13
+    json.dumps indents in pure Python, a token at a time; here each dict or list that holds no
+    container is encoded in C in one call, with its indent in the item separator."""
+    from json.encoder import c_make_encoder, encode_basestring_ascii as string
+
+    default, encoders = json.JSONEncoder().default, {}    # one encoder per depth, none kept
+
+    def dump(o, depth: int) -> str:
+        inner = "\n" + "  " * (depth + 1)
+        values = o.values() if isinstance(o, dict) else o if isinstance(o, (list, tuple)) else ()
+        if not any(isinstance(v, (dict, list, tuple)) for v in values):
+            encode = encoders.get(depth) or encoders.setdefault(depth, c_make_encoder(
+                None, default, string, None, ": ", "," + inner, True, False, True))
+            s = "".join(encode(o, 0))
+        elif isinstance(o, dict):    # a key that is not a str takes json's text, or its refusal
+            s = "{%s}" % ("," + inner).join(
+                f"{string(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4]}: {dump(v, depth + 1)}"
+                for k, v in sorted(o.items()))
+        else:
+            s = "[%s]" % ("," + inner).join(dump(v, depth + 1) for v in o)
+        return f"{s[0]}{inner}{s[1:-1]}{inner[:-2]}{s[-1]}" if values else s
+
+    return dump(obj, 0) + "\n"
 
 
 def _write_rows(f, rows: Sequence[dict]) -> None:
-    """CSV with a header taken from the first row's keys."""
+    """CSV with a header taken from the first row's keys, then each row's values in that order,
+    each row a list for csv.writer, where DictWriter would rebuild it from the dict."""
     import csv
 
-    w = csv.DictWriter(f, fieldnames=list(rows[0]), lineterminator="\n")
-    w.writeheader()
-    w.writerows(rows)
+    w = csv.writer(f, lineterminator="\n")
+    w.writerow(header := list(rows[0]))
+    w.writerows([row[k] for k in header] for row in rows)
 
 
 def _print(args, default: str, obj, rows: Sequence[dict]) -> None:

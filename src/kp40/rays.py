@@ -94,7 +94,7 @@ def listed(v):
 
 def number(v) -> float:
     """A real number as a float; a bool, a string or anything else raises a ValueError."""
-    if isinstance(v, Real) and not isinstance(v, bool):
+    if type(v) in (int, float) or isinstance(v, Real) and not isinstance(v, bool):    # common case first
         return float(v)
     raise ValueError(f"{v!r} is not a number")
 

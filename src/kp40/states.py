@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import mul
 from typing import Mapping, NamedTuple, Sequence
 
@@ -46,9 +47,12 @@ def profile(state: str | Sequence[int]) -> ProbabilityProfile:
     return ProbabilityProfile(probs=probs)
 
 
-def sigma_of_profile(probs: Mapping[int, Fraction | float]) -> Fraction | float:
-    return sum(probs.values())
+def sigma_of_profile(probs: Mapping[int, Fraction]) -> Fraction:
+    """The sum as one Fraction over the lcm of the denominators: the same value as adding the
+    Fractions one at a time, which reduces every partial sum by a gcd."""
+    den = lcm(*(q.denominator for q in probs.values()))
+    return Fraction(sum(q.numerator * (den // q.denominator) for q in probs.values()), den)
 
 
-def S_of_profile(probs: Mapping[int, Fraction | float]) -> Fraction | float:
-    return sum(probs[i] for i in mermin_subset())
+def S_of_profile(probs: Mapping[int, Fraction]) -> Fraction:
+    return sigma_of_profile({i: probs[i] for i in mermin_subset()})

@@ -3,6 +3,7 @@ import ast
 import csv
 import functools
 import hashlib
+import io
 import json
 import math
 import os
@@ -14,6 +15,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kp40
 from kp40 import bounds, cli, ksset, simulate
@@ -157,6 +160,53 @@ def test_octads_json_and_csv(capsys):
     assert code == 0
     rows = list(csv.DictReader(out.splitlines()))
     assert len(rows) == 25
+
+
+# keys and strings with quotes, backslashes, control and non-ASCII characters; every JSON
+# scalar, big ints and the float edge cases; empty containers at every depth
+_TEXT = st.text(st.sampled_from('a"\\/\x00\x1f\x7f\u00e9\u2028\U0001f600') | st.characters(), max_size=5)
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(2**64, 2**80) | _TEXT
+            | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308])
+            | st.sampled_from([[], {}, ()]))
+_DOCS = st.recursive(_SCALARS, lambda inner: (
+    st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=4) | st.dictionaries(st.integers(), inner, max_size=3)),
+    max_leaves=24)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_DOCS)
+def test_dump_json_writes_the_bytes_of_json_dumps(doc):
+    assert cli._dump_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("doc", [{(1, 2): [1]}, {"a": [{1, 2}]}, {"a": 1, 2: [3]}],
+                         ids=["tuple-key", "a-set", "str-and-int-keys"])
+def test_dump_json_refuses_what_json_dumps_refuses(doc):
+    with pytest.raises(TypeError) as want:
+        json.dumps(doc, indent=2, sort_keys=True)
+    with pytest.raises(TypeError, match=f"^{re.escape(str(want.value))}$"):
+        cli._dump_json(doc)
+
+
+def test_write_rows_writes_the_bytes_of_dictwriter_for_every_table(tmp_path, monkeypatch, capsys):
+    tables, write_rows = {}, cli._write_rows
+    monkeypatch.setattr(cli, "_write_rows",
+                        lambda f, rows: write_rows(f, tables.setdefault(tuple(rows[0]), rows)))
+    sim = tmp_path / "sim"
+    for argv in (["octads", "--format", "csv"], ["bounds", "--format", "csv"], ["predict", "--state", "w"],
+                 ["--out", str(sim), "simulate", "--state", "ghz", "--pulses", "40000"],
+                 ["--out", str(tmp_path / "an"), "analyze", str(sim / "record.json")],
+                 ["--out", str(tmp_path / "rep"), "reproduce", "--pulses", "200000"]):
+        assert run_cli(argv, capsys)[0] == 0
+    assert len(tables) == 7    # octads, bounds, predict, trace, fig3, fig4 and summary rows
+    for rows in tables.values():
+        want, got = io.StringIO(), io.StringIO()
+        w = csv.DictWriter(want, fieldnames=list(rows[0]), lineterminator="\n")
+        w.writeheader()
+        w.writerows(rows)
+        write_rows(got, rows)
+        assert got.getvalue() == want.getvalue()
 
 
 def test_global_flags_accepted_before_or_after_subcommand(capsys):
@@ -787,6 +837,8 @@ MALFORMED_ARTIFACTS = {
         _mermin16_ghz_record(pulses_per_projector={**{str(i): 2500 for i in mermin_subset()},
                                                    "1_0": 2500}),
         ["analyze", "bad.json"], "'pulses_per_projector': key '1_0' is not an index in decimal form"),
+    "record-counts-a-list": (_mermin16_ghz_record(counts=[1, 2]), ["analyze", "bad.json"],
+                             "error: record field 'counts': expected a JSON object\n"),
     "record-an-extra-field": (_mermin16_ghz_record(note="lab run 3"), ["analyze", "bad.json"],
                               "record: unexpected field 'note'"),
     "record-mu-nan": (_mermin16_ghz_record(mu=math.nan), ["analyze", "bad.json"],

@@ -1,4 +1,6 @@
 import json
+import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +12,7 @@ from kp40.ksset import load_ksset_file, ray_indices
 from kp40.rays import (
     Ray,
     dot,
+    number,
     overlap_prob,
     rational_to_str,
 )
@@ -143,3 +146,20 @@ def test_parse_ray_entries_names_the_row(tmp_path, kset):
         p.write_text(json.dumps(data))
         with pytest.raises(ValueError, match=named):
             load_ksset_file(p)
+
+
+@pytest.mark.parametrize("value,want", [
+    (3, 3.0), (2**70, float(2**70)), (-0.5, -0.5), (math.inf, math.inf), (np.int64(7), 7.0),
+    (np.float32(0.5), 0.5), (Fraction(1, 4), 0.25),
+], ids=["int", "big-int", "float", "inf", "numpy-int", "numpy-float", "fraction"])
+def test_number_takes_a_real_as_a_float(value, want):
+    got = number(value)
+    assert type(got) is float and got == want
+    assert math.isnan(number(math.nan))
+
+
+@pytest.mark.parametrize("value", [True, np.True_, "1.5", None, 1j, [1.5]],
+                         ids=["bool", "numpy-bool", "string", "none", "complex", "list"])
+def test_number_refuses_a_bool_a_string_or_anything_else_by_name(value):
+    with pytest.raises(ValueError, match=f"^{re.escape(repr(value))} is not a number$"):
+        number(value)

@@ -516,6 +516,14 @@ def test_count_record_round_trips_and_names_each_edit(pool, field, name, table):
             CountRecord.from_json(bad)
         assert repr(named) in str(e.value) and "\n" not in str(e.value), (named, str(e.value))
 
+    for key in _TABLES:    # a count table that is not an object is refused as one
+        for v in ([1, 2], 5, "abc", None):
+            bad = json.loads(text)
+            bad[key] = v
+            with pytest.raises(ValueError) as e:
+                CountRecord.from_json(bad)
+            assert str(e.value) == f"record field {key!r}: expected a JSON object"
+
 
 # a record built in the library on rays 9 and 10 (basis group 2), with the given fields replaced
 def _record_on_rays_9_and_10(**fields) -> CountRecord:

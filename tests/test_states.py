@@ -87,3 +87,13 @@ def test_profile_sums_match_value_functions():
     p = profile("eta")
     assert sigma_of_profile(p.probs) == sum(p.probs.values()) == 5
     assert S_of_profile(p.probs) == sum(p.probs[i] for i in mermin_subset()) == Fraction(8, 3)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.integers(-10**6, 10**6), min_size=8, max_size=8).filter(any))
+def test_profile_sums_over_one_denominator_equal_the_term_by_term_sums(entries):
+    probs = profile(entries).probs
+    sigma, S = sigma_of_profile(probs), S_of_profile(probs)
+    assert type(sigma) is type(S) is Fraction
+    assert sigma == sum(probs.values()) == 5
+    assert S == sum(probs[i] for i in mermin_subset())
