@@ -383,7 +383,9 @@ def _simulate_flags(p: argparse.ArgumentParser) -> None:
     _run_flags(p)
     _state_flags(p)
     p.add_argument("--pool", choices=("ks40", "mermin16"), default="ks40")
-    p.add_argument("--checkpoints", help="comma-separated pulse counts for the trace")
+    p.add_argument("--checkpoints", help="comma-separated pulse counts for the trace, each "
+                   "rounded up to a 32768-pulse chunk and capped at --pulses; manifest.json "
+                   "keeps them as given")
 
 
 def _exclusivity_flags(p: argparse.ArgumentParser) -> None:

@@ -151,6 +151,31 @@ def brute_mis_size(g, subset) -> int:
     return best
 
 
+def gf2_kernel(rows: Sequence[int], n_cols: int) -> tuple[int, list[int]]:
+    """(rank, every kernel vector) of a GF(2) matrix given as row bitmasks over n_cols columns.
+
+    Gauss-Jordan elimination keeps each pivot row reduced against every other pivot column; a
+    free column f then gives the basis vector with bit f set and, for each pivot column, the
+    pivot row's bit f.  The 2^(n_cols - rank) kernel vectors are the XORs of basis subsets."""
+    pivots: dict[int, int] = {}    # pivot column -> its fully reduced row
+    for r in rows:
+        for col, p in pivots.items():
+            if r >> col & 1:
+                r ^= p
+        if r:
+            col = (r & -r).bit_length() - 1
+            for c in pivots:
+                if pivots[c] >> col & 1:
+                    pivots[c] ^= r
+            pivots[col] = r
+    basis = [(1 << f) | sum(1 << col for col, p in pivots.items() if p >> f & 1)
+             for f in range(n_cols) if f not in pivots]
+    kernel = [0]
+    for b in basis:
+        kernel += [v ^ b for v in kernel]
+    return len(pivots), kernel
+
+
 def brute_lex_min_mis(g, subset) -> tuple[int, ...]:
     """The lexicographically smallest maximum independent set within a small vertex
     subset: the first pairwise non-adjacent tuple that `combinations` yields, largest size first

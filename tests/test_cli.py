@@ -12,6 +12,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -342,11 +343,10 @@ def test_bounds_rejects_bad_epsilon(capsys):
 
 def test_bounds_refuses_a_witness_that_assigns_1_to_two_orthogonal_rays(monkeypatch, capsys):
     # rays 1 and 2 share basis group 1, so they are orthogonal
-    monkeypatch.setattr(bounds, "max_ones",
-                        lambda g, subset=None: (2, bounds.Assignment(bits={1: 1, 2: 1, 3: 0})))
+    monkeypatch.setattr(bounds, "SIGMA_WITNESS", (1, 2))
     code, out, err = run_cli(["bounds"], capsys)
     assert code == 2 and out == ""
-    assert err == "error: max_ones witness [1, 2] assigns 1 to two orthogonal rays\n"
+    assert err == "error: sigma >= 2 witness [1, 2] assigns 1 to orthogonal rays 1 and 2\n"
 
 
 # ------------------------------------------------------------- predict
@@ -401,6 +401,18 @@ def test_simulate_writes_bundle(tmp_path, capsys):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["command"] == "simulate"
     assert sorted(manifest["outputs"]) == manifest["outputs"]
+
+
+def test_simulate_rounds_its_checkpoints_up_to_chunks_and_its_manifest_keeps_them(tmp_path, capsys):
+    code, _, _ = run_cli(["--out", str(tmp_path), "simulate", "--state", "ghz", "--pulses", "40000"],
+                         capsys)
+    assert code == 0
+    trace = list(csv.DictReader((tmp_path / "trace.csv").read_text().splitlines()))
+    assert [int(row["pulses"]) for row in trace] == [simulate.CHUNK, 40000] == [32768, 40000]
+    marks = json.loads((tmp_path / "manifest.json").read_text())["arguments"]["checkpoints"]
+    assert marks == cli._default_checkpoints(40000)
+    assert (len(marks), marks[0], marks[-1]) == (10, 400, 40000)
+    assert "rounded up to a 32768-pulse chunk" in " ".join(_help(["simulate"], capsys).split())
 
 
 def test_simulate_is_deterministic_at_the_byte_level(tmp_path, capsys):
@@ -1290,7 +1302,7 @@ JSON_EXACT_RUNS = ("verify", "bounds", "octads", "canonical_set", "python-m-kp40
 def test_a_json_exact_path_loads_no_rationals_csv_or_states(case):
     loaded = _modules_loaded_by(EXACT_RUNS[case])
     assert not loaded & {"fractions", "decimal", "csv", "kp40.states"}
-    if case != "bounds":    # only bounds searches for the noncontextual maxima
+    if case != "bounds":    # only bounds checks the noncontextual bounds' certificates
         assert "kp40.bounds" not in loaded
 
 
@@ -1326,11 +1338,6 @@ def test_console_script_is_installed(tmp_path):
     # The suite runs from a checkout with no install, so build the launcher
     # that pip would write for [project.scripts] and run it from a PATH
     # whose first entry is its directory. Any other kp40 on PATH is ignored.
-    try:
-        import tomllib
-    except ModuleNotFoundError:    # Python 3.10
-        tomllib = pytest.importorskip("tomli")
-
     root = Path(__file__).resolve().parents[1]
     with open(root / "pyproject.toml", "rb") as f:
         entry = tomllib.load(f)["project"]["scripts"]["kp40"]
