@@ -10,8 +10,8 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
 from .bounds import S_NCHV_BOUND, SIGMA_NCHV_BOUND, corrected_S_bound, corrected_sigma_bound
-from .ksset import (KS40_POOL, N_RAYS, basis_of, build_graph, canonical_set, mermin_subset,
-                    ray_indices, read_fields)
+from .ksset import (KS40_POOL, N_RAYS, basis_of, canonical_graph, mermin_subset, ray_indices,
+                    read_fields)
 from .rays import Ray, integer, listed, nonnegative, number, positive
 from .states import ProbabilityProfile, S_of_profile, profile, sigma_of_profile
 
@@ -134,7 +134,7 @@ def exclusivity_epsilon(data) -> float:
     `exclusivity_document` rebuilds from its `pairs`; a ValueError names the first field that is not."""
     if not (isinstance(data, dict) and "pairs" in data):
         return read_fields(data, "eps file", {"epsilon": number})["epsilon"]
-    graph = build_graph(canonical_set())
+    graph = canonical_graph()
     row_fields = {"initial": integer, "partner": integer, "probability": nonnegative, "error": nonnegative}
 
     def rebuild(v) -> dict:    # the campaign pairs each initial ray with its partners in order

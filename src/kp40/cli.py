@@ -16,8 +16,9 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import __version__
-from .ksset import (KS40_POOL, N_RAYS, basis_of, build_graph, canonical_set, enumerate_octads,
-                    load_ksset_file, mermin_subset, read_json, verification_checks)
+# canonical_set has no caller here: the benchmark's set-up probe reads it through cli
+from .ksset import (KS40_POOL, N_RAYS, basis_of, canonical_octads, canonical_set, load_ksset_file,
+                    mermin_subset, read_json, verification_checks)
 from .rays import rational_to_str
 
 if TYPE_CHECKING:
@@ -173,7 +174,7 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------- octads
 
 def cmd_octads(args) -> int:
-    octads = enumerate_octads(build_graph(canonical_set()))
+    octads = canonical_octads()
     rows = [
         {"octad": k, **{f"ray{j + 1}": o[j] for j in range(8)}}
         for k, o in enumerate(octads, start=1)

@@ -149,8 +149,10 @@ def _match_pentagram(rays: tuple[Ray, ...], groups: tuple[tuple[int, ...], ...])
     return mapping
 
 
-# the pentagram map that the cached canonical_set() certified when it was built
+# the pentagram map that the cached canonical_set() certified when it was built, and the graph
+# and octads derived from that set on first use; each construction starts them afresh
 _certified: PentagramMap = {}
+_derived: dict[str, object] = {}
 
 
 @lru_cache(maxsize=1)
@@ -159,6 +161,7 @@ def canonical_set() -> KSSet:
     global _certified
     rays = tuple(map(Ray, _TABLE))
     _certified = _match_pentagram(rays, _BASIS_GROUPS)
+    _derived.clear()
     return KSSet(rays=rays, basis_groups=_BASIS_GROUPS)
 
 
@@ -200,6 +203,23 @@ def enumerate_octads(g: OrthoGraph) -> tuple[Octad, ...]:
     return tuple(out)
 
 
+def canonical_graph() -> OrthoGraph:
+    """build_graph(canonical_set()), built at most once per construction of the set, on first
+    use, and gone with the set on `canonical_set.cache_clear()`."""
+    s = canonical_set()
+    if "graph" not in _derived:
+        _derived["graph"] = build_graph(s)
+    return _derived["graph"]
+
+
+def canonical_octads() -> tuple[Octad, ...]:
+    """enumerate_octads(canonical_graph()), kept the way canonical_graph() is."""
+    g = canonical_graph()
+    if "octads" not in _derived:
+        _derived["octads"] = enumerate_octads(g)
+    return _derived["octads"]
+
+
 def basis_of(index: int) -> int:
     """1-based basis-group number of a table index: rows 8g-7..8g form group g."""
     if not 1 <= index <= N_RAYS:
@@ -214,26 +234,31 @@ def mermin_subset() -> tuple[int, ...]:
 
 def pentagram_match_map() -> PentagramMap:
     """Map (context number 1..5, sign pattern) -> table index: a copy of the 40/40 bijection
-    canonical_set certified, which goes with the set on `canonical_set.cache_clear()`."""
+    canonical_set certified once per construction, which goes with the set on
+    `canonical_set.cache_clear()`."""
     canonical_set()
     return dict(_certified)
 
 
 def verification_checks(s: KSSet | None = None,
                         g: OrthoGraph | None = None) -> list[tuple[str, bool, str]]:
-    """All structural checks as (name, ok, detail) rows; injectable for fault testing."""
+    """All structural checks as (name, ok, detail) rows; injectable for fault testing.
+
+    On the canonical set they read the pentagram map, graph and octads kept with it, each
+    derived at most once per construction (see canonical_graph); any other set, or an
+    injected `g`, is matched, built and enumerated afresh."""
     checks: list[tuple[str, bool, str]] = []
     try:
         s = s or canonical_set()
-        # canonical_set certified its map when it built the set; any other set is matched here
-        mapping = (pentagram_match_map() if s is canonical_set()
-                   else _match_pentagram(s.rays, s.basis_groups))
+        canonical = s is canonical_set()
+        mapping = pentagram_match_map() if canonical else _match_pentagram(s.rays, s.basis_groups)
         checks.append(("ray regeneration", True, f"{len(mapping)}/40 rays matched"))
     except (ValueError, IndexError) as e:
         checks.append(("ray regeneration", False, str(e)))
         return checks
 
-    g = g if g is not None else build_graph(s)
+    kept = canonical and g is None
+    g = canonical_graph() if kept else g if g is not None else build_graph(s)
     bad_deg = [i for i in range(1, g.n + 1) if g.degree(i) != RAY_DEGREE]
     checks.append(
         ("degree check", not bad_deg,
@@ -242,7 +267,7 @@ def verification_checks(s: KSSet | None = None,
     edges = g.edge_count()
     checks.append(("edge count", edges == EDGE_COUNT, f"{edges} edges"))
 
-    octads = enumerate_octads(g)
+    octads = canonical_octads() if kept else enumerate_octads(g)
     groups_found = {tuple(sorted(grp)) for grp in s.basis_groups} <= set(octads)
     checks.append(
         ("octad enumeration", len(octads) == N_OCTADS and groups_found,

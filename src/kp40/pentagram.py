@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import and_, xor
 from typing import NamedTuple
 
@@ -96,8 +96,10 @@ def _context_sign(words: tuple[PauliWord, ...]) -> int:
     raise ValueError(f"words {[w.factors for w in words]} do not multiply to +/-identity")
 
 
+@lru_cache(maxsize=1)
 def pentagram_contexts() -> tuple[Context, ...]:
-    """The five contexts of the pentagram, signs derived from the operator product."""
+    """The five contexts of the pentagram, signs derived from the operator product once per
+    process (its input is the constant _LINES, and the contexts are immutable)."""
     out = []
     for line in _LINES:
         words = tuple(PauliWord(f) for f in line)

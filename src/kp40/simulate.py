@@ -36,7 +36,7 @@ import numpy as np
 
 from .analysis import CountRecord, estimate_probabilities, exclusivity_document, judge
 from .bounds import corrected_S_bound, corrected_sigma_bound
-from .ksset import (KS40_POOL, basis_of, build_graph, canonical_set, mermin_subset, ray_indices,
+from .ksset import (KS40_POOL, basis_of, canonical_graph, canonical_set, mermin_subset, ray_indices,
                     read_fields, read_json)
 from .rays import DIM, Ray, integer, listed, number, positive
 from .states import resolve_state
@@ -369,7 +369,7 @@ def run_exclusivity_campaign(
     a full run with its own derived seed.  Returns the pairs' `exclusivity_document`."""
     initial_rays = ray_indices(initial_rays, "initial ray")
     s = canonical_set()
-    g = build_graph(s)
+    g = canonical_graph()
     pairs: list[dict] = []
     for i in initial_rays:
         partners = g.neighbors(i)

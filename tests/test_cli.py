@@ -137,6 +137,57 @@ def test_a_cold_set_and_verify_certify_the_pentagram_once(monkeypatch, capsys):
     assert len(calls) == 2
 
 
+@pytest.fixture
+def derivations(monkeypatch):
+    """Counts of ksset.build_graph and ksset.enumerate_octads calls, from a cleared set on."""
+    counts = {"build_graph": 0, "enumerate_octads": 0}
+    for name in counts:
+        real = getattr(ksset, name)
+
+        def counted(*a, _real=real, _name=name):
+            counts[_name] += 1
+            return _real(*a)
+
+        monkeypatch.setattr(ksset, name, counted)
+    canonical_set.cache_clear()
+    return counts
+
+
+def test_every_reader_of_the_canonical_graph_and_octads_shares_one_build(derivations, capsys):
+    from kp40.analysis import exclusivity_epsilon
+    from kp40.simulate import PulseRun, run_exclusivity_campaign
+
+    canonical_set()
+    assert derivations == {"build_graph": 0, "enumerate_octads": 0}    # derived on first use
+    assert all(ok for _, ok, _ in cli.verification_checks())
+    assert run_cli(["verify"], capsys)[0] == 0
+    code, out, _ = run_cli(["octads"], capsys)
+    assert code == 0 and json.loads(out)["count"] == 25
+    doc = json.loads(json.dumps(run_exclusivity_campaign(PulseRun(seed=3, n_pulses=40000))))
+    assert exclusivity_epsilon(doc) == doc["epsilon"]
+    assert derivations == {"build_graph": 1, "enumerate_octads": 1}
+    g, octads = ksset.canonical_graph(), ksset.canonical_octads()
+    assert type(g.adj) is tuple and type(octads) is tuple
+    assert all(type(o) is tuple for o in octads)
+    assert derivations == {"build_graph": 1, "enumerate_octads": 1}
+
+    canonical_set.cache_clear()    # the graph and octads go with the set
+    assert run_cli(["verify"], capsys)[0] == 0
+    assert derivations == {"build_graph": 2, "enumerate_octads": 2}
+    assert ksset.canonical_graph() == g and ksset.canonical_octads() == octads
+
+
+def test_verify_rays_builds_its_own_graph_from_the_canonical_table(derivations, tmp_path, capsys):
+    assert run_cli(["verify"], capsys)[0] == 0
+    assert derivations == {"build_graph": 1, "enumerate_octads": 1}
+    p = tmp_path / "canonical.json"
+    p.write_text(json.dumps(canonical_set().to_json()))
+    assert run_cli(["verify", "--rays", str(p)], capsys)[0] == 0
+    assert derivations == {"build_graph": 2, "enumerate_octads": 2}
+    assert run_cli(["verify"], capsys)[0] == 0
+    assert derivations == {"build_graph": 2, "enumerate_octads": 2}
+
+
 def test_verification_checks_fail_on_a_graph_with_a_missing_edge():
     from kp40.ksset import OrthoGraph, build_graph
 
