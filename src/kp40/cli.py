@@ -9,6 +9,7 @@ the noise config, and `load_noise_config`; commands check flags and write what t
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -432,13 +433,9 @@ COMMANDS: dict[str, tuple[str, Callable | None, Callable]] = {
 }
 
 
-def parse_args(argv: Sequence[str] | None = None) -> argparse.Namespace:
-    """Parse a command line in two stages, building only two parsers.
-
-    The first reads the global flags and the command name and keeps the rest;
-    the second is the command's own parser, and it parses the rest into the
-    same namespace.
-    """
+@functools.lru_cache(maxsize=None)
+def _top_parser() -> argparse.ArgumentParser:
+    """The first stage: the global flags and the command name, with the rest kept."""
     top = argparse.ArgumentParser(
         prog="kp40",
         description="40-ray Kochen-Specker toolkit: exact bounds, quantum values,\n"
@@ -452,15 +449,32 @@ def parse_args(argv: Sequence[str] | None = None) -> argparse.Namespace:
     rest = top.add_argument("args", nargs=argparse.REMAINDER,
                             help="its own flags and arguments, listed by `kp40 COMMAND --help`")
     rest.required = False    # a missing command is reported alone
-    ns = top.parse_args(argv)
+    return top
 
-    _, own_flags, handler = COMMANDS[ns.command]
-    p = argparse.ArgumentParser(prog=f"kp40 {ns.command}")
+
+@functools.lru_cache(maxsize=None)
+def _command_parser(command: str) -> argparse.ArgumentParser:
+    """The second stage: the command's own parser, with its handler as `func`."""
+    _, own_flags, handler = COMMANDS[command]
+    p = argparse.ArgumentParser(prog=f"kp40 {command}")
     _global_flags(p, after_command=True)
     if own_flags:
         own_flags(p)
     p.set_defaults(func=handler)
-    return p.parse_args(ns.args, namespace=ns)
+    return p
+
+
+def parse_args(argv: Sequence[str] | None = None) -> argparse.Namespace:
+    """Parse a command line in two stages.
+
+    The first reads the global flags and the command name and keeps the rest;
+    the second is the command's own parser, and it parses the rest into the
+    same namespace.  Each parser is built on its first use in a process and
+    then reused, since parsing changes no parser: `main` can be called many
+    times in one process, and a fresh `kp40` process builds just these two.
+    """
+    ns = _top_parser().parse_args(argv)
+    return _command_parser(ns.command).parse_args(ns.args, namespace=ns)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

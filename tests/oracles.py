@@ -1,5 +1,6 @@
 """Slow independent reference implementations the fast code is checked against."""
 
+import argparse
 import itertools
 import math
 from fractions import Fraction
@@ -9,6 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
+from kp40 import cli
 from kp40.ksset import KSSet, PentagramMap, basis_of
 from kp40.pentagram import _SIGNS, Context, PauliWord, Vector, _apply, _masks, pentagram_contexts
 from kp40.rays import Ray, RayLike, entries_of
@@ -356,3 +358,31 @@ def regenerating_match(rays: tuple[Ray, ...], groups: tuple[tuple[int, ...], ...
         if remaining:
             raise ValueError(f"table rows {list(remaining.values())} not produced by their context")
     return mapping
+
+
+def fresh_parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """cli.parse_args with both stages' parsers built anew on every call, so that no call
+    can see what an earlier one left behind."""
+    top = argparse.ArgumentParser(
+        prog="kp40",
+        description="40-ray Kochen-Specker toolkit: exact bounds, quantum values,\n"
+        "and a pulse-level photon-counting simulator.",
+        epilog="commands:\n"
+        + "".join(f"  {name:<22}{line}\n" for name, (line, *_) in cli.COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    cli._global_flags(top, after_command=False)
+    top.add_argument("command", choices=cli.COMMANDS,
+                     help="the command to run, from the list below")
+    rest = top.add_argument("args", nargs=argparse.REMAINDER,
+                            help="its own flags and arguments, listed by `kp40 COMMAND --help`")
+    rest.required = False
+    ns = top.parse_args(argv)
+
+    _, own_flags, handler = cli.COMMANDS[ns.command]
+    p = argparse.ArgumentParser(prog=f"kp40 {ns.command}")
+    cli._global_flags(p, after_command=True)
+    if own_flags:
+        own_flags(p)
+    p.set_defaults(func=handler)
+    return p.parse_args(ns.args, namespace=ns)

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import contextlib
 import csv
 import functools
 import hashlib
@@ -12,7 +13,9 @@ import shlex
 import shutil
 import subprocess
 import sys
+import threading
 import tomllib
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -23,6 +26,7 @@ import kp40
 from kp40 import bounds, cli, ksset, simulate
 from kp40.ksset import build_graph, canonical_set, mermin_subset
 from kp40.simulate import CountRecord
+from oracles import fresh_parse_args
 
 
 def run_cli(argv, capsys):
@@ -341,8 +345,21 @@ CHEAP_RUNS = {
 }
 
 
-@pytest.mark.parametrize("command", list(CHEAP_RUNS))
-def test_a_command_builds_at_most_two_parsers(tmp_path, monkeypatch, capsys, command):
+def _readme_commands() -> list[list[str]]:
+    """Every `kp40 ...` line in the README's code blocks, split as a shell would, comments off."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = readme.split("```")[1::2]
+    return [shlex.split(line, comments=True) for block in blocks for line in block.splitlines()
+            if line.startswith("kp40 ")]
+
+
+def _clear_parsers() -> None:
+    cli._top_parser.cache_clear()
+    cli._command_parser.cache_clear()
+
+
+def _count_parser_builds(monkeypatch) -> list:
+    """The prog of every ArgumentParser built from now on, in the order they are built."""
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -350,12 +367,123 @@ def test_a_command_builds_at_most_two_parsers(tmp_path, monkeypatch, capsys, com
         built.append(kwargs.get("prog"))
         init(self, *args, **kwargs)
 
-    monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return built
+
+
+@pytest.mark.parametrize("command", list(CHEAP_RUNS))
+def test_a_command_builds_at_most_two_parsers(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    _clear_parsers()
+    built = _count_parser_builds(monkeypatch)
     code = cli.main(CHEAP_RUNS[command])
     capsys.readouterr()
     assert code in (0, 2)
-    assert len(built) <= 2, built
+    assert built == ["kp40", f"kp40 {command}"]
+
+
+def test_each_parser_is_built_once_per_process_on_its_first_use(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _clear_parsers()
+    built = _count_parser_builds(monkeypatch)
+    for _ in range(3):
+        for argv in CHEAP_RUNS.values():
+            assert cli.main(argv) in (0, 2)
+            cli.parse_args(argv)
+    capsys.readouterr()
+    assert built == ["kp40", *(f"kp40 {command}" for command in CHEAP_RUNS)]
+
+
+def test_a_fresh_process_builds_two_parsers():
+    code = ("import argparse, sys\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting_init(self, *args, **kwargs):\n"
+            "    built.append(kwargs.get('prog'))\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting_init\n"
+            "from kp40.cli import main\n"
+            "at_import = len(built)\n"
+            "assert main(['verify']) == 0\n"
+            "print(at_import, *built, sep='|', file=sys.stderr)")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=_src_env())
+    assert res.returncode == 0, res.stderr
+    assert res.stderr.splitlines()[-1] == "0|kp40|kp40 verify"    # none at import
+
+
+def _parsed(parse, argv) -> tuple:
+    """(the namespace's repr or the exit code, stdout, stderr) of parse(argv); a repr, as
+    `--mu nan` parses to a float unequal to itself."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = repr(parse(argv))
+        except SystemExit as e:
+            result = e.code
+    return result, out.getvalue(), err.getvalue()
+
+
+# global flag -> values to place before or after the command, one of them refused
+_GLOBAL_VALUES = {"--seed": ["0", "2", "-1", "x"], "--out": ["runs/a", "verify"],
+                  "--format": ["json", "csv", "xml"]}
+
+
+@st.composite
+def _command_lines(draw) -> list[str]:
+    """A README or CHEAP_RUNS command line with global flags before, after or on both sides."""
+    line = draw(st.sampled_from([argv[1:] for argv in _readme_commands()]
+                                + list(CHEAP_RUNS.values())))
+    before, after = [], []
+    for flag in draw(st.permutations(list(_GLOBAL_VALUES))):
+        for side in draw(st.sampled_from([(), (before,), (after,), (before, after)])):
+            side += [flag, draw(st.sampled_from(_GLOBAL_VALUES[flag]))]
+    return [*before, *line, *after]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(_command_lines(), min_size=1, max_size=6))
+def test_no_parse_leaves_anything_for_the_next(lines):
+    _clear_parsers()
+    for argv in lines:
+        got, want = _parsed(cli.parse_args, argv), _parsed(fresh_parse_args, argv)
+        assert got == want, argv
+        assert isinstance(got[0], str) or got[0] == 2, argv
+
+
+@pytest.mark.parametrize("argv", [["--help"], *([command, "--help"] for command in cli.COMMANDS),
+                                  ["simulate", "--pool", "nope"], ["nope"], []],
+                         ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_help_and_usage_errors_print_the_same_bytes_on_every_call(argv):
+    _clear_parsers()
+    first = _parsed(cli.parse_args, argv)
+    assert first[0] in (0, 2)
+    for other in CHEAP_RUNS.values():
+        cli.parse_args(other)
+    assert _parsed(cli.parse_args, argv) == _parsed(cli.parse_args, argv) == first
+    assert _parsed(fresh_parse_args, argv) == first
+
+
+def test_threads_parsing_right_after_a_clear_get_the_oracles_namespaces():
+    lines = [*CHEAP_RUNS.values(), ["--seed", "3", "bounds", "--seed", "4"],
+             ["--format", "csv", "octads", "--out", "runs"]]
+    turns = [lines[k:] + lines[:k] for k in range(0, 4 * 3, 3)]    # each starts elsewhere
+    start = threading.Barrier(len(turns))
+
+    def parse_all(argvs):
+        start.wait(timeout=30)
+        return [repr(cli.parse_args(argv)) for argv in argvs]
+
+    _clear_parsers()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)    # threads switch inside a parser's build
+    try:
+        with ThreadPoolExecutor(len(turns)) as pool:
+            results = list(pool.map(parse_all, turns, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for argvs, got in zip(turns, results):
+        assert got == [repr(fresh_parse_args(argv)) for argv in argvs]
 
 
 def test_bounds_report(capsys):
@@ -1261,14 +1389,6 @@ def test_cli_default_mu_is_the_simulator_default():
 
 
 # ------------------------------------------------------------- package and imports
-
-def _readme_commands() -> list[list[str]]:
-    """Every `kp40 ...` line in the README's code blocks, split as a shell would, comments off."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    blocks = readme.split("```")[1::2]
-    return [shlex.split(line, comments=True) for block in blocks for line in block.splitlines()
-            if line.startswith("kp40 ")]
-
 
 @pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
 def test_readme_command_parses(argv):
