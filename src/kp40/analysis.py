@@ -221,9 +221,18 @@ def estimate_probabilities(r: CountRecord) -> EstimateSet:
 class SimilarityReport(NamedTuple):
     F: float
     per_basis: dict[int, float]
-    p_hash: str
-    q_hash: str
+    p_norm: dict[int, dict[int, float]]    # group -> index -> p normalized within the group
+    q_norm: dict[int, dict[int, float]]
     grouping: str    # "per-basis" or "global"
+
+    # hashed when read, as for report.json: most judgments never write them
+    @property
+    def p_hash(self) -> str:
+        return _dist_hash(self.p_norm)
+
+    @property
+    def q_hash(self) -> str:
+        return _dist_hash(self.q_norm)
 
     def to_json(self) -> dict:
         return {
@@ -287,8 +296,8 @@ def bhattacharyya(p: Mapping[int, float], q: Mapping[int, float],
     return SimilarityReport(
         F=F,
         per_basis=per,
-        p_hash=_dist_hash(p_norm),
-        q_hash=_dist_hash(q_norm),
+        p_norm=p_norm,
+        q_norm=q_norm,
         grouping=grouping,
     )
 

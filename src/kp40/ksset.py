@@ -287,11 +287,13 @@ def ray_indices(values: Iterable, what: str) -> tuple[int, ...]:
     raises a ValueError naming `what` and the index; values that are not a list, or a value
     that is not a whole number, raise `listed`'s or `integer`'s, which names the value."""
     indices = tuple(map(integer, listed(values)))
-    for k, i in enumerate(indices):
+    seen = set()
+    for i in indices:
         if not 1 <= i <= N_RAYS:
             raise ValueError(f"{what} {i} outside 1..{N_RAYS}")
-        if i in indices[:k]:
+        if i in seen:
             raise ValueError(f"{what} {i} is repeated")
+        seen.add(i)
     return indices
 
 

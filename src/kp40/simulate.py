@@ -15,7 +15,11 @@ its phase errors), the K chunks' multinomial pulse allocations, and their
 binomial detections.  The flux pass is one binomial draw over the basis groups
 in ascending order.  Each stream is thus one sequence of draws in chunk order,
 so the bytes depend neither on BLOCK nor on how runs are spread over worker
-threads, while memory depends on BLOCK, not on the run's length.
+threads, while memory depends on BLOCK, not on the run's length.  Each thread
+that runs a leg keeps one drift array of its last block's shape for the life
+of the thread, at most BLOCK x 41 x 2 x 8 float64 (336 KB), and draws each
+block of that shape into it; the draws, and so the bytes, are those of a
+fresh array.
 A detection probability of exactly 0 draws nothing from the "detect" stream, so
 the exact zeros of the chunk kernel, _chunk_probs, are part of those bytes too.
 reproduce and calibrate run the legs of a reproduce bundle and of a noise grid
@@ -27,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import threading
 from collections import namedtuple
 from functools import lru_cache
 from pathlib import Path
@@ -208,15 +213,24 @@ class PulseRun(namedtuple("PulseRun", "seed n_pulses mu projector_pool")):
         return super().__new__(cls, seed, n_pulses, mu, pool)
 
 
-# ray_to_mask, kept for rays seen before: every run re-stacks the same pool masks
+# ray_to_mask, kept for rays seen before: states and pool rays recur from run to run
 _mask_of = lru_cache(maxsize=128)(ray_to_mask)
+
+
+@lru_cache(maxsize=128)
+def _pool_masks(pool: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(P, 8) transmissivities and phases of the pool's rays in order, read-only, built once
+    per pool."""
+    s = canonical_set()
+    stacked = tuple(map(np.array, zip(*(_mask_of(s.ray(i).entries) for i in pool))))
+    for a in stacked:
+        a.flags.writeable = False
+    return stacked
 
 
 def _mask_stack(entries: tuple[int, ...], pool: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """(1+P, 8) transmissivities and phases: the state's mask, then the pool's in order."""
-    s = canonical_set()
-    t, phases = zip(_mask_of(entries), *(_mask_of(s.ray(i).entries) for i in pool))
-    return np.array(t), np.array(phases)
+    return tuple(np.vstack(rows) for rows in zip(_mask_of(entries), _pool_masks(tuple(pool))))
 
 
 def _chunk_probs(
@@ -263,11 +277,17 @@ def _chunk_probs(
     return occupied * np.clip(noise.efficiency * overlaps + noise.background, 0.0, 1.0)
 
 
+# per thread, the drift array of the last block it drew, reused while blocks keep its shape
+_scratch = threading.local()
+
+
 def _blocks(entries: tuple[int, ...], noise: NoiseModel, run: PulseRun):
     """Yield each block's chunk sizes (K,) and (K, P) detection probabilities, in chunk order.
 
     A block's drift is one draw from the run's "drift" stream, made in full
     whatever the noise settings, so stream consumption never depends on them.
+    It is drawn into this thread's scratch array, which _chunk_probs reads before
+    the block is yielded and never returns, so nothing yielded aliases it.
     """
     masks = _mask_stack(entries, run.projector_pool)
     drift = _stream(run.seed, "drift")
@@ -275,22 +295,21 @@ def _blocks(entries: tuple[int, ...], noise: NoiseModel, run: PulseRun):
         stop = min(start + CHUNK * BLOCK, run.n_pulses)
         sizes = np.diff(np.append(np.arange(start, stop, CHUNK), stop))
         shape = (len(sizes), len(masks[0]), 2, DIM)
-        yield sizes, _chunk_probs(masks, noise, run.mu, drift.standard_normal(shape))
+        scratch = getattr(_scratch, "drift", None)
+        if scratch is None or scratch.shape != shape:
+            scratch = _scratch.drift = np.empty(shape)
+        yield sizes, _chunk_probs(masks, noise, run.mu, drift.standard_normal(out=scratch))
 
 
-def _running_counts(entries: tuple[int, ...], noise: NoiseModel, run: PulseRun):
-    """Yield, for each block, the pulses so far (K,) and the pulses and detections per
-    projector so far (K, P) after each of its chunks."""
+def _block_counts(entries: tuple[int, ...], noise: NoiseModel, run: PulseRun):
+    """Yield, for each block, its chunk sizes (K,) and each chunk's pulses and detections per
+    projector (K, P)."""
     n = len(run.projector_pool)
     uniform = np.full(n, 1.0 / n)
     alloc_rng, detect_rng = _stream(run.seed, "alloc"), _stream(run.seed, "detect")
-    last = (0, 0, 0)    # the totals after the previous block
     for sizes, probs in _blocks(entries, noise, run):
         alloc = alloc_rng.multinomial(sizes, uniform)
-        block = (sizes, alloc, detect_rng.binomial(alloc, probs))
-        running = [total + np.cumsum(x, axis=0) for total, x in zip(last, block)]
-        yield running
-        last = [r[-1] for r in running]
+        yield sizes, alloc, detect_rng.binomial(alloc, probs)
 
 
 def _flux_pass(run: PulseRun, noise: NoiseModel, expected: bool = False) -> tuple[dict, dict]:
@@ -346,8 +365,10 @@ def run_ks_experiment(state, noise: NoiseModel, run: PulseRun) -> CountRecord:
     """Simulate one run: every pulse gets a uniformly drawn pool projector, detections
     are Bernoulli at (1 - e^-mu) * noisy_probability, plus an independent flux pass."""
     entries = resolve_state(state)
-    *_, (_, alloc, det) = _running_counts(entries, noise, run)
-    return _record(entries, run, det[-1], alloc[-1], _flux_pass(run, noise))
+    alloc = det = 0
+    for _, a, d in _block_counts(entries, noise, run):
+        alloc, det = alloc + a.sum(axis=0), det + d.sum(axis=0)
+    return _record(entries, run, det, alloc, _flux_pass(run, noise))
 
 
 def expected_record(state, noise: NoiseModel, run: PulseRun) -> CountRecord:
@@ -412,7 +433,10 @@ def convergence_trace(
     flux = _flux_pass(run, noise)
     marks = snap_checkpoints(checkpoints, run.n_pulses)
     rows: list[dict] = []
-    for done, alloc, det in _running_counts(entries, noise, run):
+    last = (0, 0, 0)    # the pulses, and the pulses and detections per projector, so far
+    for block in _block_counts(entries, noise, run):
+        done, alloc, det = (total + np.cumsum(x, axis=0) for total, x in zip(last, block))
+        last = done[-1], alloc[-1], det[-1]
         for k in np.flatnonzero(np.isin(done, marks)):
             record = _record(entries, run, det[k], alloc[k], flux)
             est = estimate_probabilities(record)

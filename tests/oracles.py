@@ -1,7 +1,9 @@
 """Slow independent reference implementations the fast code is checked against."""
 
 import argparse
+import hashlib
 import itertools
+import json
 import math
 from fractions import Fraction
 from math import gcd, prod
@@ -10,11 +12,11 @@ from typing import Sequence
 
 import numpy as np
 
-from kp40 import cli
-from kp40.ksset import KSSet, PentagramMap, basis_of
+from kp40 import cli, simulate
+from kp40.ksset import N_RAYS, KSSet, PentagramMap, basis_of, canonical_set
 from kp40.pentagram import _SIGNS, Context, PauliWord, Vector, _apply, _masks, pentagram_contexts
-from kp40.rays import Ray, RayLike, entries_of
-from kp40.simulate import CHUNK, DIM, NoiseModel, PulseRun, derive_seed
+from kp40.rays import Ray, RayLike, entries_of, integer, listed
+from kp40.simulate import BLOCK, CHUNK, DIM, NoiseModel, PulseRun, derive_seed, ray_to_mask
 from kp40.states import ProbabilityProfile
 
 # an 8-slit mask as ray_to_mask returns it: (transmissivities, phases)
@@ -245,6 +247,20 @@ def chunk_probs_cos_sin(
     return occupied * np.clip(noise.efficiency * overlaps + noise.background, 0.0, 1.0)
 
 
+def fresh_blocks(entries: tuple[int, ...], noise: NoiseModel, run: PulseRun):
+    """simulate._blocks with the masks stacked from ray_to_mask on every call and each block's
+    drift drawn into a new array, so that no block can read what an earlier one left behind."""
+    s = canonical_set()
+    t, phases = zip(ray_to_mask(entries), *(ray_to_mask(s.ray(i).entries) for i in run.projector_pool))
+    masks = np.array(t), np.array(phases)
+    drift = stream(run.seed, "drift")
+    for start in range(0, run.n_pulses, CHUNK * BLOCK):
+        stop = min(start + CHUNK * BLOCK, run.n_pulses)
+        sizes = np.diff(np.append(np.arange(start, stop, CHUNK), stop))
+        shape = (len(sizes), len(masks[0]), 2, DIM)
+        yield sizes, simulate._chunk_probs(masks, noise, run.mu, drift.standard_normal(shape))
+
+
 def chunk_at_a_time(
     state_mask: Mask,
     pool_masks: Sequence[Mask],
@@ -270,6 +286,38 @@ def chunk_at_a_time(
         expected += (size / n) * probs
         running.append((start + size, alloc, det))
     return running, expected
+
+
+def sliced_ray_indices(values, what: str) -> tuple[int, ...]:
+    """ksset.ray_indices checking each index against a slice of the ones before it."""
+    indices = tuple(map(integer, listed(values)))
+    for k, i in enumerate(indices):
+        if not 1 <= i <= N_RAYS:
+            raise ValueError(f"{what} {i} outside 1..{N_RAYS}")
+        if i in indices[:k]:
+            raise ValueError(f"{what} {i} is repeated")
+    return indices
+
+
+def similarity_hashes(p, q, per_basis: bool) -> tuple[str, str]:
+    """The p and q hashes analysis.bhattacharyya reports, computed eagerly: sha256 of the sorted
+    JSON of each table normalized within its groups (basis groups, or one group 0), values
+    rounded to 12 places, cut to 12 hex digits."""
+    groups: dict[int, list[int]] = {}
+    for i in p if per_basis else sorted(p):    # the order bhattacharyya adds each group in
+        groups.setdefault(basis_of(i) if per_basis else 0, []).append(i)
+
+    def digest(d) -> str:
+        normalized = {}
+        for b, members in groups.items():
+            total = 0
+            for i in members:    # left to right, as bhattacharyya adds
+                total += float(d[i])
+            normalized[str(b)] = {str(i): round(float(d[i]) / total, 12) for i in members}
+        payload = json.dumps(normalized, sort_keys=True)
+        return hashlib.sha256(payload.encode()).hexdigest()[:12]
+
+    return digest(p), digest(q)
 
 
 _PAULI_2 = {

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kp40 import analysis, cli, simulate
 from kp40.analysis import (
     EstimateSet,
     EstimationError,
@@ -16,11 +17,11 @@ from kp40.analysis import (
     fig4_rows,
     verdict,
 )
-from kp40.ksset import build_graph, canonical_set, mermin_subset
+from kp40.ksset import basis_of, build_graph, canonical_set, mermin_subset
 from kp40.simulate import IDEAL_NOISE, CountRecord, PulseRun, run_ks_experiment
 from kp40.states import profile
 
-from oracles import estimate_basis_sums
+from oracles import estimate_basis_sums, similarity_hashes
 
 
 def _record(pool, counts, pulses, flux, flux_pulses):
@@ -135,6 +136,50 @@ def test_bhattacharyya_input_validation():
         bhattacharyya(p, {**p, 3: -0.1})
     with pytest.raises(ValueError, match="zero total"):
         bhattacharyya(p, {i: 0.0 for i in range(1, 9)})
+
+
+@st.composite
+def _table_pairs(draw):
+    """Two tables over the same indices, each group's total positive in both; values are floats,
+    zeros among them, or fractions, as an exact profile holds."""
+    indices = draw(st.lists(st.integers(1, 40), min_size=1, max_size=40, unique=True))
+    value = st.one_of(st.floats(0, 10), st.just(0.0), st.fractions(0, 1))
+    p, q = ({i: draw(value) for i in indices} for _ in "pq")
+    for d in (p, q):
+        for i in indices:    # one positive value per group keeps both groupings' totals positive
+            if not any(float(d[j]) > 0 for j in indices if basis_of(j) == basis_of(i)):
+                d[i] = draw(st.floats(1e-3, 10))
+    return p, q
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_table_pairs(), st.booleans())
+def test_similarity_hashes_read_are_the_eager_hashes_of_the_normalized_tables(tables, per_basis):
+    rep = bhattacharyya(*tables, per_basis=per_basis)
+    want = similarity_hashes(*tables, per_basis=per_basis)
+    assert (rep.p_hash, rep.q_hash) == want
+    assert (analysis._dist_hash(rep.p_norm), analysis._dist_hash(rep.q_norm)) == want
+    assert (rep.to_json()["p_hash"], rep.to_json()["q_hash"]) == want
+
+
+def test_a_reproduce_hashes_nothing_and_analyze_hashes_each_table_once(tmp_path, capsys, monkeypatch):
+    hash_calls = []
+    dist_hash = analysis._dist_hash
+    monkeypatch.setattr(analysis, "_dist_hash", lambda groups: hash_calls.append(groups) or dist_hash(groups))
+    files = simulate.reproduce(7, 40_000, simulate.DEFAULT_MU, IDEAL_NOISE)
+    assert len(files["summary.json"]["rows"]) == 7 and hash_calls == []
+
+    record = run_ks_experiment("ghz", IDEAL_NOISE, PulseRun(seed=3, n_pulses=150_000))
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(record.to_json()))
+    assert cli.main(["--out", str(tmp_path), "analyze", str(path), "--epsilon", "0.014"]) == 0
+    capsys.readouterr()
+    assert len(hash_calls) == 2
+    similarity = json.loads((tmp_path / "report.json").read_text())["similarity"]
+    est, exact = estimate_probabilities(record), profile("ghz").probs
+    want = similarity_hashes({i: est.probabilities[i][0] for i in record.projector_pool},
+                             {i: exact[i] for i in record.projector_pool}, per_basis=True)
+    assert (similarity["p_hash"], similarity["q_hash"]) == want
 
 
 # ------------------------------------------------------------- verdicts and tables

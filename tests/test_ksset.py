@@ -23,9 +23,10 @@ from kp40.ksset import (
     load_ksset_file,
     mermin_subset,
     pentagram_match_map,
+    ray_indices,
 )
 from kp40.rays import Ray, dot
-from oracles import brute_octads, regenerating_match
+from oracles import brute_octads, regenerating_match, sliced_ray_indices
 
 
 def test_forty_rays_in_five_groups(kset):
@@ -373,3 +374,29 @@ def test_ray_file_round_trips_in_each_shape_and_names_each_edit(tmp_path_factory
 
 def test_canonical_set_is_cached():
     assert canonical_set() is canonical_set()
+
+
+def _indices_outcome(check, values):
+    try:
+        return check(values, "pool index")
+    except ValueError as e:
+        return str(e)
+
+
+# mostly indices in range, so that repeats are common, with a few out of range and a few
+# that are not whole numbers
+_INDEX_VALUES = st.one_of(st.integers(1, 12), st.integers(1, N_RAYS), st.integers(-2, N_RAYS + 3),
+                          st.sampled_from([3.0, 2.5, True, "7", None, float("nan")]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(_INDEX_VALUES, max_size=45))
+def test_ray_indices_names_what_the_slicing_check_names(values):
+    assert _indices_outcome(ray_indices, values) == _indices_outcome(sliced_ray_indices, values)
+
+
+def test_ray_indices_names_the_first_fault_in_order():
+    assert _indices_outcome(ray_indices, [1, 2, 2, 50]) == "pool index 2 is repeated"
+    assert _indices_outcome(ray_indices, [1, 50, 2, 2]) == "pool index 50 outside 1..40"
+    assert _indices_outcome(ray_indices, [3, 3, 0]) == "pool index 3 is repeated"
+    assert _indices_outcome(ray_indices, [1, 2, 1.5]) == "1.5 is not an integer"

@@ -1,9 +1,13 @@
 import itertools
 import json
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
+import weakref
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 from pathlib import Path
 
@@ -45,6 +49,7 @@ from oracles import (
     chunk_at_a_time,
     chunk_probs_cos_sin,
     chunk_probs_loop,
+    fresh_blocks,
     mask_to_ray,
     norm_sq,
     same_direction,
@@ -158,6 +163,19 @@ def test_mask_stack_keeps_the_python_square_of_each_entry():
     assert t[0][1] != np.square(33 / 41)
     assert phases[0].tolist() == [math.pi if e < 0 else 0.0 for e in GENERAL_RAY]
     assert ray_to_mask(GENERAL_RAY) == (tuple(t[0]), tuple(phases[0]))
+
+
+def test_each_pools_masks_are_stacked_once_and_read_only(kset):
+    pool = mermin_subset()
+    kept = simulate._pool_masks(pool)
+    assert simulate._pool_masks(tuple(list(pool))) is kept
+    for array in kept:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1.0
+    t, phases = simulate._mask_stack(GENERAL_RAY, list(pool))    # a fresh stack on each call
+    assert t.flags.writeable and phases.flags.writeable
+    assert t[1:].tolist() == kept[0].tolist() == [list(ray_to_mask(kset.ray(i))[0]) for i in pool]
+    assert phases[1:].tolist() == kept[1].tolist()
 
 
 def test_mask_rejects_zero_ray():
@@ -305,6 +323,94 @@ def test_noise_leaves_the_pulse_allocation_alone():
     heavy = run_ks_experiment("w", HEAVY_NOISE, run)
     assert ideal.pulses_per_projector == heavy.pulses_per_projector
     assert ideal.counts != heavy.counts
+
+
+# ------------------------------------------------------------- drift scratch
+
+# one pool of each leg's width: all 40 tests, the 16 Mermin tests, an exclusivity leg's 23
+LEG_POOLS = (KS40_POOL, mermin_subset(), build_graph(canonical_set()).neighbors(1))
+TWO_BLOCKS = (2 * BLOCK + 3) * CHUNK + 5    # two full blocks and a short third
+
+
+def _blocks_bytes(blocks) -> list[tuple[bytes, bytes]]:
+    return [(sizes.tobytes(), probs.tobytes()) for sizes, probs in blocks]
+
+
+def _mixed_legs() -> list[tuple]:
+    """(entries, noise, run) of legs that alternate the three pool widths, short and long."""
+    noise = load_noise_config(None)
+    states = ["ghz", "w", canonical_set().ray(1), "beta", "eta", "prod"]
+    legs = []
+    for k, pulses in enumerate([3 * CHUNK, TWO_BLOCKS, 5 * CHUNK + 1, BLOCK * CHUNK, 7 * CHUNK, 2 * CHUNK]):
+        pool = LEG_POOLS[k % 3]
+        legs.append((resolve_state(states[k]), HEAVY_NOISE if k % 2 else noise,
+                     PulseRun(seed=50 + k, n_pulses=pulses, projector_pool=pool)))
+    return legs
+
+
+def test_interleaved_block_generators_read_no_stale_drift():
+    # two pools of one shape share the thread's scratch, and a third pool replaces it each turn
+    noise = load_noise_config(None)
+    legs = [(resolve_state("ghz"), noise, PulseRun(seed=41, n_pulses=TWO_BLOCKS)),
+            (resolve_state("w"), noise, PulseRun(seed=42, n_pulses=TWO_BLOCKS, projector_pool=mermin_subset())),
+            (resolve_state("eta"), HEAVY_NOISE, PulseRun(seed=43, n_pulses=TWO_BLOCKS))]
+    got = [[] for _ in legs]
+    for turn in itertools.zip_longest(*(_blocks(*leg) for leg in legs)):
+        for out, block in zip(got, turn):
+            out.append(block)
+    assert [len(out) for out in got] == [3, 3, 3]
+    for out, leg in zip(got, legs):
+        assert _blocks_bytes(out) == _blocks_bytes(fresh_blocks(*leg))
+
+
+def test_legs_alternating_pool_widths_on_one_thread_match_fresh_draws():
+    legs = _mixed_legs()
+    assert len(list(fresh_blocks(*legs[1]))) == 3    # a leg longer than one block
+    for leg in legs + legs[::-1]:
+        assert _blocks_bytes(_blocks(*leg)) == _blocks_bytes(fresh_blocks(*leg))
+
+
+def test_threads_running_mixed_legs_match_fresh_draws():
+    # threads 0 and 2, and 1 and 3, run the same legs in step, so that legs of one shape overlap
+    legs = _mixed_legs()
+    want = [_blocks_bytes(fresh_blocks(*leg)) for leg in legs]
+
+    def in_order(items: list, k: int) -> list:
+        order = items[k % 2:] + items[:k % 2]
+        return 3 * (order + order[::-1])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as ex:
+            results = list(ex.map(lambda k: [_blocks_bytes(_blocks(*leg)) for leg in in_order(legs, k)],
+                                  range(4)))
+    finally:
+        sys.setswitchinterval(interval)
+    for k, got in enumerate(results):
+        assert got == in_order(want, k)
+
+
+def test_a_thread_keeps_one_drift_array_of_its_last_blocks_shape():
+    kept, refs = [], []
+
+    def legs():
+        for pool in (KS40_POOL, KS40_POOL, mermin_subset()):
+            list(_blocks(resolve_state("ghz"), IDEAL_NOISE,
+                         PulseRun(seed=5, n_pulses=3 * CHUNK, projector_pool=pool)))
+            kept.append(simulate._scratch.drift)
+        refs.append(weakref.ref(simulate._scratch.drift))
+
+    thread = threading.Thread(target=legs)
+    thread.start()
+    thread.join()
+    first, second, third = kept
+    assert second is first and first.shape == (3, 1 + len(KS40_POOL), 2, DIM)
+    assert third is not first and third.shape == (3, 1 + len(mermin_subset()), 2, DIM)
+    assert getattr(simulate._scratch, "drift", None) is not third    # not this thread's
+    del first, second, third
+    kept.clear()
+    assert refs[0]() is None    # it went with its thread
 
 
 # ------------------------------------------------------------- config objects
