@@ -155,19 +155,11 @@ def _run_arguments(args, noise: NoiseModel) -> dict:
 
 def cmd_verify(args) -> int:
     checks = verification_checks(load_ksset_file(args.rays)) if args.rays else verification_checks()
-
-    passed = all(ok for _, ok, _ in checks)
-    if (args.format or "json") == "json":
-        print(_dump_json({
-            "checks": [{"name": n, "ok": ok, "detail": d} for n, ok, d in checks],
-            "passed": passed,
-        }), end="")
-    else:
-        for name, ok, detail in checks:
-            print(f"{'ok' if ok else 'FAIL'}: {name}: {detail}")
-    if not passed:
-        first = next(name for name, ok, _ in checks if not ok)
-        print(f"verification failed at: {first}", file=sys.stderr)
+    rows = [{"name": n, "ok": ok, "detail": d} for n, ok, d in checks]
+    failed = [n for n, ok, _ in checks if not ok]
+    _print(args, "json", {"checks": rows, "passed": not failed}, rows)
+    if failed:
+        print(f"verification failed at: {failed[0]}", file=sys.stderr)
         return 1
     return 0
 

@@ -151,17 +151,15 @@ def _match_pentagram(rays: tuple[Ray, ...], groups: tuple[tuple[int, ...], ...])
 
 # the pentagram map that the cached canonical_set() certified when it was built, and the graph
 # and octads derived from that set on first use; each construction starts them afresh
-_certified: PentagramMap = {}
 _derived: dict[str, object] = {}
 
 
 @lru_cache(maxsize=1)
 def canonical_set() -> KSSet:
     """The table data, certified at construction to match the pentagram, whose bases are orthogonal."""
-    global _certified
     rays = tuple(map(Ray, _TABLE))
-    _certified = _match_pentagram(rays, _BASIS_GROUPS)
     _derived.clear()
+    _derived["map"] = _match_pentagram(rays, _BASIS_GROUPS)
     return KSSet(rays=rays, basis_groups=_BASIS_GROUPS)
 
 
@@ -237,7 +235,7 @@ def pentagram_match_map() -> PentagramMap:
     canonical_set certified once per construction, which goes with the set on
     `canonical_set.cache_clear()`."""
     canonical_set()
-    return dict(_certified)
+    return dict(_derived["map"])
 
 
 def verification_checks(s: KSSet | None = None,
@@ -298,10 +296,11 @@ def ray_indices(values: Iterable, what: str) -> tuple[int, ...]:
 
 
 def read_json(path: str | Path, what: str):
-    """Parse a JSON file; text that is not JSON raises a ValueError naming `what` and the path."""
+    """Parse a JSON file as UTF-8 whatever the locale (RFC 8259); bytes that are not UTF-8, text
+    that is not JSON, or nesting past the parser's depth raise a ValueError naming `what` and the path."""
     try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
         raise ValueError(f"{what} {path} is not JSON: {e}") from None
 
 

@@ -124,12 +124,8 @@ def eigen_pattern(c: Context, v: Vector) -> tuple[int, int, int, int]:
 
 
 def pentagram_words() -> tuple[PauliWord, ...]:
-    """The ten distinct observables, in first-appearance order over the five lines."""
-    seen: dict[str, PauliWord] = {}
-    for line in _LINES:
-        for f in line:
-            seen.setdefault(f, PauliWord(f))
-    return tuple(seen.values())
+    """The ten distinct observables of the cached contexts, in first-appearance order."""
+    return tuple(dict.fromkeys(w for c in pentagram_contexts() for w in c.words))
 
 
 def _tally(lines: list[tuple[int, int]], n_words: int) -> tuple[int, int]:
@@ -155,9 +151,9 @@ def pentagram_unsat() -> tuple[int, int]:
     lines simultaneously satisfiable).
     """
     words = pentagram_words()
-    index = {w.factors: i for i, w in enumerate(words)}
+    index = {w: i for i, w in enumerate(words)}
     lines = [
-        (sum(1 << index[w.factors] for w in c.words), int(c.product_sign == -1))
+        (sum(1 << index[w] for w in c.words), int(c.product_sign == -1))
         for c in pentagram_contexts()
     ]
     return _tally(lines, len(words))

@@ -213,16 +213,12 @@ class PulseRun(namedtuple("PulseRun", "seed n_pulses mu projector_pool")):
         return super().__new__(cls, seed, n_pulses, mu, pool)
 
 
-# ray_to_mask, kept for rays seen before: states and pool rays recur from run to run
-_mask_of = lru_cache(maxsize=128)(ray_to_mask)
-
-
 @lru_cache(maxsize=128)
 def _pool_masks(pool: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """(P, 8) transmissivities and phases of the pool's rays in order, read-only, built once
     per pool."""
     s = canonical_set()
-    stacked = tuple(map(np.array, zip(*(_mask_of(s.ray(i).entries) for i in pool))))
+    stacked = tuple(map(np.array, zip(*(ray_to_mask(s.ray(i).entries) for i in pool))))
     for a in stacked:
         a.flags.writeable = False
     return stacked
@@ -230,7 +226,7 @@ def _pool_masks(pool: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
 
 def _mask_stack(entries: tuple[int, ...], pool: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """(1+P, 8) transmissivities and phases: the state's mask, then the pool's in order."""
-    return tuple(np.vstack(rows) for rows in zip(_mask_of(entries), _pool_masks(tuple(pool))))
+    return tuple(np.vstack(rows) for rows in zip(ray_to_mask(entries), _pool_masks(tuple(pool))))
 
 
 def _chunk_probs(

@@ -14,7 +14,8 @@ import numpy as np
 
 from kp40 import cli, simulate
 from kp40.ksset import N_RAYS, KSSet, PentagramMap, basis_of, canonical_set
-from kp40.pentagram import _SIGNS, Context, PauliWord, Vector, _apply, _masks, pentagram_contexts
+from kp40.pentagram import (_LINES, _SIGNS, Context, PauliWord, Vector, _apply, _masks,
+                            pentagram_contexts)
 from kp40.rays import Ray, RayLike, entries_of, integer, listed
 from kp40.simulate import BLOCK, CHUNK, DIM, NoiseModel, PulseRun, derive_seed, ray_to_mask
 from kp40.states import ProbabilityProfile
@@ -114,6 +115,16 @@ def brute_octads(g) -> tuple[tuple[int, ...], ...]:
         else:
             out.append(tuple(v + 1 for v in combo))
     return tuple(out)
+
+
+def pentagram_words_from_lines() -> tuple[PauliWord, ...]:
+    """The ten distinct words in first-appearance order over the five lines, each built afresh
+    from the line strings in _LINES rather than read from the cached contexts."""
+    seen: dict[str, PauliWord] = {}
+    for line in _LINES:
+        for f in line:
+            seen.setdefault(f, PauliWord(f))
+    return tuple(seen.values())
 
 
 def pentagram_tally_loop(lines, n_words: int) -> tuple[int, int]:

@@ -46,10 +46,22 @@ def test_verify_passes(capsys):
     assert all(c["ok"] for c in data["checks"])
 
 
-def test_verify_text_format(capsys):
-    code, out, _ = run_cli(["verify", "--format", "csv"], capsys)
+def _verify_csv(argv, capsys):
+    """verify's exit code and CSV rows under `argv`, checked against the same run's JSON: the
+    same exit code, a name,ok,detail header, and the JSON checks as rows, ok as True or False."""
+    code, out, _ = run_cli([*argv, "--format", "csv"], capsys)
+    json_code, report, _ = run_cli([*argv, "--format", "json"], capsys)
+    reader = csv.DictReader(io.StringIO(out))
+    rows = list(reader)
+    assert (json_code, reader.fieldnames) == (code, ["name", "ok", "detail"])
+    assert rows == [{**c, "ok": str(c["ok"])} for c in json.loads(report)["checks"]]
+    return code, rows
+
+
+def test_verify_csv_format(capsys):
+    code, rows = _verify_csv(["verify"], capsys)
     assert code == 0
-    assert out.count("ok:") == 5
+    assert len(rows) == 5 and all(row["ok"] == "True" for row in rows)
 
 
 def test_verify_names_malformed_ray(tmp_path, capsys):
@@ -83,24 +95,24 @@ def _move_index_9_into_group_1(data):
 # a file whose groups are not the pentagram's bases loads, and the ray regeneration check, which
 # reads each row's eigenvalues under its context's words, names why
 @pytest.mark.parametrize("edit,code,report", [
-    (lambda data: None, 0, ["ok: ray regeneration: 40/40 rays matched"]),
+    (lambda data: None, 0, "ray regeneration: 40/40 rays matched"),
     (lambda data: data["basis_groups"][0].insert(0, data["basis_groups"][0].pop(1)), 0,    # [2, 1, 3, ..., 8]
-     ["ok: ray regeneration: 40/40 rays matched"]),
+     "ray regeneration: 40/40 rays matched"),
     (_swap_first_two_groups, 1,
-     ["FAIL: ray regeneration: table row 1 of context 1 is not an eigenvector of ZXX"]),
+     "ray regeneration: table row 1 of context 1 is not an eigenvector of ZXX"),
     # a copy of group 1 after the five, and a group short
     (lambda data: data["basis_groups"].append(data["basis_groups"][0]), 1,
-     ["FAIL: ray regeneration: expected 5 basis groups, got 6"]),
+     "ray regeneration: expected 5 basis groups, got 6"),
     (lambda data: data["basis_groups"].pop(), 1,
-     ["FAIL: ray regeneration: expected 5 basis groups, got 4"]),
+     "ray regeneration: expected 5 basis groups, got 4"),
     (_swap_rays_1_and_9, 1,
-     ["FAIL: ray regeneration: table row 1 of context 1 is not an eigenvector of ZXX"]),
+     "ray regeneration: table row 1 of context 1 is not an eigenvector of ZXX"),
     (lambda data: data["basis_groups"][0].__setitem__(7, 10), 1,    # ray 10 in place of ray 8
-     ["FAIL: ray regeneration: table row 10 of context 1 is not an eigenvector of ZXX"]),
+     "ray regeneration: table row 10 of context 1 is not an eigenvector of ZXX"),
     (_move_index_9_into_group_1, 1,
-     ["FAIL: ray regeneration: table row 9 of context 1 is not an eigenvector of ZXX"]),
+     "ray regeneration: table row 9 of context 1 is not an eigenvector of ZXX"),
     (lambda data: data["rays"].__setitem__(17, [2 * x for x in data["rays"][16]]), 1,
-     ["FAIL: ray regeneration: table rows 17 and 18 of context 3 span one line"]),
+     "ray regeneration: table rows 17 and 18 of context 3 span one line"),
 ], ids=["built-in-rows", "group-1-reordered", "groups-swapped", "six-groups", "four-groups",
         "rays-1-and-9-swapped", "ray-10-in-group-1", "index-9-moved-into-group-1",
         "row-18-twice-row-17"])
@@ -109,10 +121,10 @@ def test_verify_rays_regenerates_and_matches_the_file(tmp_path, capsys, edit, co
     edit(data)
     p = tmp_path / "rays.json"
     p.write_text(json.dumps(data))
-    got, out, _ = run_cli(["verify", "--rays", str(p), "--format", "csv"], capsys)
+    got, rows = _verify_csv(["verify", "--rays", str(p)], capsys)
     assert got == code
-    assert out.splitlines()[:1] == report
-    assert out.count("ok:") == (5 if code == 0 else 0)
+    assert (rows[0]["ok"], f"{rows[0]['name']}: {rows[0]['detail']}") == (str(code == 0), report)
+    assert sum(row["ok"] == "True" for row in rows) == (5 if code == 0 else 0)
 
 
 def test_verify_reports_first_failing_check(monkeypatch, capsys):
@@ -250,12 +262,13 @@ def test_write_rows_writes_the_bytes_of_dictwriter_for_every_table(tmp_path, mon
     monkeypatch.setattr(cli, "_write_rows",
                         lambda f, rows: write_rows(f, tables.setdefault(tuple(rows[0]), rows)))
     sim = tmp_path / "sim"
-    for argv in (["octads", "--format", "csv"], ["bounds", "--format", "csv"], ["predict", "--state", "w"],
+    for argv in (["verify", "--format", "csv"], ["octads", "--format", "csv"], ["bounds", "--format", "csv"],
+                 ["predict", "--state", "w"],
                  ["--out", str(sim), "simulate", "--state", "ghz", "--pulses", "40000"],
                  ["--out", str(tmp_path / "an"), "analyze", str(sim / "record.json")],
                  ["--out", str(tmp_path / "rep"), "reproduce", "--pulses", "200000"]):
         assert run_cli(argv, capsys)[0] == 0
-    assert len(tables) == 7    # octads, bounds, predict, trace, fig3, fig4 and summary rows
+    assert len(tables) == 8    # verify, octads, bounds, predict, trace, fig3, fig4 and summary rows
     for rows in tables.values():
         want, got = io.StringIO(), io.StringIO()
         w = csv.DictWriter(want, fieldnames=list(rows[0]), lineterminator="\n")
@@ -824,7 +837,13 @@ def _edit_calibration(**fields):
     return lambda doc: doc["calibration"].update(fields)
 
 
-# case -> (content of bad.json, or None to make it a directory; command; what the error names)
+# the four loaders of a file: case prefix, a command that reads bad.json with it, its artifact's name
+_FILE_ARTIFACTS = (("noise", _SIMULATE_GHZ, "noise config"), ("eps", _ANALYZE_WITH_EPS, "eps file"),
+                   ("record", ["analyze", "bad.json"], "record"),
+                   ("ray-file", ["verify", "--rays", "bad.json"], "ray file"))
+
+# case -> (content of bad.json, text or bytes, or None to make it a directory; command; what the
+# error names)
 MALFORMED_ARTIFACTS = {
     "noise-missing-field": ('{"phase_jitter": 0.1, "background": 0.0, "efficiency": 0.5}',
                             _SIMULATE_GHZ, "'amplitude_jitter'"),
@@ -1038,6 +1057,13 @@ MALFORMED_ARTIFACTS = {
                            "'mu': inf is not a finite positive number"),
     "record-mu-negative": (_mermin16_ghz_record(mu=-0.5), ["analyze", "bad.json"],
                            "'mu': -0.5 is not a finite positive number"),
+    # nesting past the parser's depth, or a byte that is not UTF-8, is named as the file is
+    **{f"{name}-nested-100000-deep": ("[" * 100000 + "]" * 100000, argv,
+                                      f"{what} bad.json is not JSON: maximum recursion depth exceeded")
+       for name, argv, what in _FILE_ARTIFACTS},
+    **{f"{name}-leading-0xff": (b"\xff{}", argv, f"{what} bad.json is not JSON: 'utf-8' codec can't "
+                                "decode byte 0xff in position 0")
+       for name, argv, what in _FILE_ARTIFACTS},
     "ray-flag-too-short": ("{}", ["predict", "--ray", "1,2,3"],
                            "--ray '1,2,3': expected 8 entries, got 3"),
     "ray-flag-all-zero": ("{}", ["predict", "--ray", "0 0 0 0 0 0 0 0"],
@@ -1053,6 +1079,8 @@ def test_malformed_artifact_is_a_one_line_usage_error(tmp_path, monkeypatch, cap
         run_cli(["--out", ".", "simulate", "--state", "ghz", "--pulses", "40000"], capsys)
     if content is None:
         Path("bad.json").mkdir()
+    elif isinstance(content, bytes):
+        Path("bad.json").write_bytes(content)
     else:
         Path("bad.json").write_text(content)
     code, _, err = run_cli(["--out", "out", *argv], capsys)
@@ -1395,6 +1423,19 @@ def test_readme_command_parses(argv):
     assert argv[0] == "kp40"
     args = cli.parse_args(argv[1:])    # parses only; runs nothing
     assert args.command == argv[1]
+
+
+@pytest.mark.slow
+def test_readme_commands_run_as_written_in_order(tmp_path, monkeypatch, capsys):
+    # analyze reads the bundles that simulate and exclusivity wrote before it, and
+    # verify --rays reads myset.json, which holds the built-in set
+    monkeypatch.chdir(tmp_path)
+    Path("myset.json").write_text(json.dumps(canonical_set().to_json()))
+    commands = _readme_commands()
+    assert {argv[1] for argv in commands} == set(cli.COMMANDS)
+    for argv in commands:
+        assert run_cli(argv[1:], capsys)[0] == 0, argv
+
 
 def test_star_import_yields_every_public_name():
     namespace: dict = {}

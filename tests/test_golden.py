@@ -121,7 +121,7 @@ GOLDEN_BUNDLES = {
 # (command, --format) -> sha256 of stdout, taken with the same code as above
 GOLDEN_STDOUT = {
     ("verify", "json"): "ddbdbd32a4ca44f0188f6965f10e9e2f542fe54e6eae1e8573568fda8d61daab",
-    ("verify", "csv"): "2ebfe027569828e0f8d5f4fa03aebf0a045634768cd620699d3e5a8ec7da62b9",
+    ("verify", "csv"): "ed0c9d6d800e8d6712c2c264acf924bcde8e6fd6b7a83b71a73bd6c7396cfbed",
     ("octads", "json"): "60871a2b6985cc5766e9fbd667c5e7facddb11c4ab2946ae4efc398ffa637479",
     ("octads", "csv"): "971b1bf5c66f0838e502e288118c2382bd0ed5c0f828bef8630da4eb410b7676",
     ("bounds --epsilon 0.014 --extrapolated-quantum", "json"):

@@ -24,13 +24,22 @@ from kp40.pentagram import (
     pentagram_words,
 )
 from oracles import (canonical_form, common_eigenrays, pauli_matrix, pentagram_tally_loop,
-                     sign_pattern_projector)
+                     pentagram_words_from_lines, sign_pattern_projector)
 
 
 def test_ten_distinct_words():
     words = pentagram_words()
     assert len(words) == 10
     assert len({w.factors for w in words}) == 10
+
+
+def test_the_words_are_the_cached_contexts_own_in_first_appearance_order():
+    words = pentagram_words()
+    assert words == pentagram_words_from_lines()
+    for w in words:
+        first = next(c for c in pentagram_contexts() if w in c.words)
+        assert any(own is w for own in first.words)
+    assert pentagram_unsat() == (0, 4)
 
 
 def test_each_word_on_exactly_two_lines():
