@@ -7,12 +7,13 @@ import json
 import math
 from collections import namedtuple
 from fractions import Fraction
+from operator import itemgetter
 from typing import Mapping, NamedTuple, Sequence
 
 from .bounds import S_NCHV_BOUND, SIGMA_NCHV_BOUND, corrected_S_bound, corrected_sigma_bound
 from .ksset import (KS40_POOL, N_RAYS, basis_of, canonical_graph, mermin_subset, ray_indices,
                     read_fields)
-from .rays import Ray, integer, listed, nonnegative, number, positive
+from .rays import Ray, clipped_repr, integer, listed, nonnegative, number, positive
 from .states import ProbabilityProfile, S_of_profile, profile, sigma_of_profile
 
 
@@ -45,12 +46,14 @@ class CountRecord(namedtuple("CountRecord", "state projector_pool counts pulses_
         for key, table in (("counts", counts), ("pulses_per_projector", pulses_per_projector)):
             wild = [i for i in table if not 1 <= i <= N_RAYS]
             if wild or table.keys() != members:
-                problem = f"index {wild[0]} outside 1..{N_RAYS}" if wild else "keys do not match projector_pool"
+                problem = (f"index {clipped_repr(wild[0])} outside 1..{N_RAYS}" if wild
+                           else "keys do not match projector_pool")
                 raise ValueError(f"record field {key!r}: {problem}")
         groups = basis_of(N_RAYS)
         wild = [b for b in flux_calibration if not 1 <= b <= groups]
         if wild:
-            raise ValueError(f"record field 'flux_calibration': basis group {wild[0]} outside 1..{groups}")
+            raise ValueError(f"record field 'flux_calibration': basis group {clipped_repr(wild[0])} "
+                             f"outside 1..{groups}")
         missing = sorted({basis_of(i) for i in projector_pool} - flux_calibration.keys())
         if missing:
             raise ValueError(f"record field 'flux_calibration': no entry for basis group {missing[0]}")
@@ -84,7 +87,7 @@ class CountRecord(namedtuple("CountRecord", "state projector_pool counts pulses_
         def amount(v):
             f = number(v)
             if not 0 <= v <= 2**53:    # false for NaN too; above 2**53 floats stop counting exactly
-                raise ValueError(f"{v!r} is not a finite nonnegative number up to 2**53")
+                raise ValueError(f"{clipped_repr(v)} is not a finite nonnegative number up to 2**53")
             return integer(v) if f.is_integer() else f
 
         def per_key(d) -> dict:
@@ -97,7 +100,7 @@ class CountRecord(namedtuple("CountRecord", "state projector_pool counts pulses_
                 except ValueError:
                     i = None
                 if i is None or str(i) != k:    # to_json writes str(i); "010" could shadow "10"
-                    raise ValueError(f"key {k!r} is not an index in decimal form")
+                    raise ValueError(f"key {clipped_repr(k)} is not an index in decimal form")
                 out[i] = amount(v)
             return out
 
@@ -121,7 +124,8 @@ def exclusivity_document(initial_rays: Sequence[int], pairs: list[dict]) -> dict
     for k, p in enumerate(pairs, start=1):
         for key in ("probability", "error"):
             if not 0 <= p[key] < math.inf:    # false for NaN too
-                raise ValueError(f"row {k} field {key!r}: {p[key]!r} is not a finite nonnegative number")
+                raise ValueError(f"row {k} field {key!r}: {clipped_repr(p[key])} is not a finite "
+                                 "nonnegative number")
     total = _add(p["probability"] for p in pairs)
     if not pairs or not math.isfinite(total):
         raise ValueError(f"the probabilities of {len(pairs)} pairs have no finite mean")
@@ -182,19 +186,27 @@ class EstimateSet(NamedTuple):
 
 
 def estimate_probabilities(r: CountRecord) -> EstimateSet:
+    """The estimates of a record's counts, by `estimate_counts`."""
+    pool = r.projector_pool
+    return estimate_counts(pool, map(r.counts.__getitem__, pool),
+                           map(r.pulses_per_projector.__getitem__, pool),
+                           r.flux_calibration, r.flux_pulses)
+
+
+def estimate_counts(pool: Sequence[int], counts, pulses, flux_calibration: Mapping[int, float],
+                    flux_pulses: Mapping[int, int]) -> EstimateSet:
     """P_i = (counts_i / pulses_i) * (pulses_cal / flux_basis), errors by Poisson
-    propagation (sigma_count = sqrt(count)), sums with errors in quadrature."""
+    propagation (sigma_count = sqrt(count)), sums with errors in quadrature.  counts and pulses
+    hold one value per pool ray in pool order, and the flux tables are a CountRecord's."""
     probs: dict[int, tuple[float, float]] = {}
-    for i in r.projector_pool:
+    for i, c, n_i in zip(pool, counts, pulses, strict=True):
         b = basis_of(i)
-        flux = r.flux_calibration[b]
+        flux = flux_calibration[b]
         if flux <= 0:
             raise EstimationError(f"zero calibration flux for basis {b}")
-        n_i = r.pulses_per_projector[i]
         if n_i <= 0:
             raise EstimationError(f"no pulses allocated to projector {i}")
-        n_cal = r.flux_pulses[b]
-        c = r.counts[i]
+        n_cal = flux_pulses[b]
         try:
             scale = n_cal / (n_i * flux)
             var = scale * scale * c + (c * n_cal / (n_i * flux * flux)) ** 2 * flux
@@ -204,11 +216,11 @@ def estimate_probabilities(r: CountRecord) -> EstimateSet:
             raise EstimationError(f"projector {i}: {n_i} pulses and calibration flux {flux} give no estimate")
         probs[i] = (c * scale, math.sqrt(var))
 
-    sigma_est = _add(p for p, _ in probs.values())
+    sigma_est = _add(map(itemgetter(0), probs.values()))
     sigma_err = math.sqrt(_add(e * e for _, e in probs.values()))
-    in_s = [i for i in mermin_subset() if i in probs]
-    S_est = _add(probs[i][0] for i in in_s)
-    S_err = math.sqrt(_add(probs[i][1] ** 2 for i in in_s))
+    in_s = [probs[i] for i in mermin_subset() if i in probs]    # in Mermin order
+    S_est = _add(map(itemgetter(0), in_s))
+    S_err = math.sqrt(_add(e ** 2 for _, e in in_s))
     return EstimateSet(
         probabilities=probs,
         sigma_est=sigma_est,

@@ -13,6 +13,7 @@ import functools
 import json
 import os
 import sys
+from itertools import repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -20,7 +21,7 @@ from . import __version__
 # canonical_set has no caller here: the benchmark's set-up probe reads it through cli
 from .ksset import (KS40_POOL, N_RAYS, basis_of, canonical_octads, canonical_set, load_ksset_file,
                     mermin_subset, read_json, verification_checks)
-from .rays import rational_to_str
+from .rays import clipped_repr, rational_to_str
 
 if TYPE_CHECKING:
     from .simulate import NoiseModel
@@ -40,7 +41,7 @@ def _dump_json(obj) -> str:
     def dump(o, depth: int) -> str:
         inner = "\n" + "  " * (depth + 1)
         values = o.values() if isinstance(o, dict) else o if isinstance(o, (list, tuple)) else ()
-        if not any(isinstance(v, (dict, list, tuple)) for v in values):
+        if not any(map(isinstance, values, repeat((dict, list, tuple)))):
             encode = encoders.get(depth) or encoders.setdefault(depth, c_make_encoder(
                 None, default, string, None, ": ", "," + inner, True, False, True))
             s = "".join(encode(o, 0))
@@ -129,7 +130,7 @@ def _resolve_state_arg(args) -> tuple[str, tuple[int, ...]]:
         try:
             entries = resolve_state(values)
         except ValueError as e:
-            raise ValueError(f"--ray {args.ray!r}: {e}") from None
+            raise ValueError(f"--ray {clipped_repr(args.ray)}: {e}") from None
         return ",".join(str(e) for e in entries), entries
     return args.state, resolve_state(args.state)
 
@@ -142,7 +143,7 @@ def _int_list(flag: str, value: str) -> list[int]:
     except ValueError:
         values = []
     if not values:
-        raise ValueError(f"{flag} takes comma-separated integers, got {value!r}")
+        raise ValueError(f"{flag} takes comma-separated integers, got {clipped_repr(value)}")
     return values
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from . import pentagram
-from .rays import DIM, Ray, integer, listed
+from .rays import DIM, Ray, clipped_repr, integer, listed
 
 N_RAYS = 40
 RAY_DEGREE = 23
@@ -288,7 +288,7 @@ def ray_indices(values: Iterable, what: str) -> tuple[int, ...]:
     seen = set()
     for i in indices:
         if not 1 <= i <= N_RAYS:
-            raise ValueError(f"{what} {i} outside 1..{N_RAYS}")
+            raise ValueError(f"{what} {clipped_repr(i)} outside 1..{N_RAYS}")
         if i in seen:
             raise ValueError(f"{what} {i} is repeated")
         seen.add(i)
@@ -314,7 +314,8 @@ def read_fields(data, what: str, converters: Mapping[str, Callable]) -> dict:
         raise ValueError(f"{what}: expected a JSON object")
     for key in [*converters, *data]:
         if key not in data or key not in converters:
-            raise ValueError(f"{what}: {'missing' if key not in data else 'unexpected'} field {key!r}")
+            raise ValueError(f"{what}: {'missing' if key not in data else 'unexpected'} field "
+                             f"{clipped_repr(key)}")
     out = {}
     for key, convert in converters.items():
         try:

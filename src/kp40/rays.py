@@ -70,6 +70,13 @@ def rational_to_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def clipped_repr(v) -> str:
+    """repr(v) for a message that quotes an input value: its first 200 characters and "..."
+    when longer, so that the message stays a short line however large the value."""
+    text = repr(v)
+    return text if len(text) <= 200 else text[:200] + "..."
+
+
 def integer(v) -> int:
     """A whole number as an int: ints, NumPy ints and integral floats (1.0 is 1) pass;
     1.5, NaN, infinity, a bool or a string raise a ValueError naming the value."""
@@ -79,7 +86,7 @@ def integer(v) -> int:
         return int(v)
     if isinstance(v, Integral) and not isinstance(v, bool):
         return int(v)
-    raise ValueError(f"{v!r} is not an integer")
+    raise ValueError(f"{clipped_repr(v)} is not an integer")
 
 
 def listed(v):
@@ -88,7 +95,7 @@ def listed(v):
     if type(v) in (list, tuple):    # the common case, checked first
         return v
     if isinstance(v, (str, bytes, Mapping)) or not isinstance(v, Iterable):
-        raise ValueError(f"expected a list, got {v!r}")
+        raise ValueError(f"expected a list, got {clipped_repr(v)}")
     return v
 
 
@@ -96,7 +103,7 @@ def number(v) -> float:
     """A real number as a float; a bool, a string or anything else raises a ValueError."""
     if type(v) in (int, float) or isinstance(v, Real) and not isinstance(v, bool):    # common case first
         return float(v)
-    raise ValueError(f"{v!r} is not a number")
+    raise ValueError(f"{clipped_repr(v)} is not a number")
 
 
 def positive(v) -> float:
@@ -104,7 +111,7 @@ def positive(v) -> float:
     naming the value, and so does anything that is not a number."""
     f = number(v)
     if not 0 < f < inf:    # false for NaN too
-        raise ValueError(f"{v!r} is not a finite positive number")
+        raise ValueError(f"{clipped_repr(v)} is not a finite positive number")
     return f
 
 
@@ -113,5 +120,5 @@ def nonnegative(v) -> float:
     that is not a number raise a ValueError naming the value."""
     f = number(v)
     if not 0 <= f < inf:    # false for NaN too
-        raise ValueError(f"{v!r} is not a finite nonnegative number")
+        raise ValueError(f"{clipped_repr(v)} is not a finite nonnegative number")
     return f

@@ -39,11 +39,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import CountRecord, estimate_probabilities, exclusivity_document, judge
+from .analysis import CountRecord, estimate_counts, estimate_probabilities, exclusivity_document, judge
 from .bounds import corrected_S_bound, corrected_sigma_bound
 from .ksset import (KS40_POOL, basis_of, canonical_graph, canonical_set, mermin_subset, ray_indices,
                     read_fields, read_json)
-from .rays import DIM, Ray, integer, listed, number, positive
+from .rays import DIM, Ray, clipped_repr, integer, listed, number, positive
 from .states import resolve_state
 
 DEFAULT_MU = 0.14
@@ -153,7 +153,7 @@ def _config(search: list[dict], target: float, n_pulses: int, seed: int) -> dict
 def _true_or_false(v) -> bool:
     if isinstance(v, bool):
         return v
-    raise ValueError(f"{v!r} is not true or false")
+    raise ValueError(f"{clipped_repr(v)} is not true or false")
 
 
 def _check_config(config: dict) -> None:
@@ -180,8 +180,9 @@ def _check_config(config: dict) -> None:
         doc.update((f"calibration.{k}", v) for k, v in doc.pop("calibration").items())
     for name in want:
         if have[name] != want[name]:
-            raise ValueError(f"noise config field {name!r} is {have[name]!r}, but the search row "
-                             f"chosen for epsilon_target {target!r} holds {want[name]!r}")
+            raise ValueError(f"noise config field {name!r} is {clipped_repr(have[name])}, but the "
+                             f"search row chosen for epsilon_target {target!r} holds "
+                             f"{clipped_repr(want[name])}")
 
 
 def load_noise_config(path: str | Path | None) -> NoiseModel:
@@ -427,19 +428,19 @@ def convergence_trace(
         raise ValueError("checkpoints must be increasing")
     entries = resolve_state(state)
     flux = _flux_pass(run, noise)
-    marks = snap_checkpoints(checkpoints, run.n_pulses)
+    marks = set(snap_checkpoints(checkpoints, run.n_pulses))
     rows: list[dict] = []
     last = (0, 0, 0)    # the pulses, and the pulses and detections per projector, so far
     for block in _block_counts(entries, noise, run):
         done, alloc, det = (total + np.cumsum(x, axis=0) for total, x in zip(last, block))
         last = done[-1], alloc[-1], det[-1]
-        for k in np.flatnonzero(np.isin(done, marks)):
-            record = _record(entries, run, det[k], alloc[k], flux)
-            est = estimate_probabilities(record)
-            rows.append({"pulses": int(done[k]), "sigma_est": est.sigma_est,
-                         "sigma_err": est.sigma_err, "S_est": est.S_est, "S_err": est.S_err})
-    # the last chunk ends at n_pulses, always a mark, so record is the full run's
-    return rows, record
+        for k, pulses in enumerate(done.tolist()):
+            if pulses in marks:    # the simulator's own counts, which pass every record rule
+                est = estimate_counts(run.projector_pool, det[k].tolist(), alloc[k].tolist(), *flux)
+                rows.append({"pulses": pulses, "sigma_est": est.sigma_est,
+                             "sigma_err": est.sigma_err, "S_est": est.S_est, "S_err": est.S_err})
+    # the last chunk ends at n_pulses, always a mark, so the last row estimates the record
+    return rows, _record(entries, run, last[2], last[1], flux)
 
 
 F_TARGETS = {"ghz": 0.93, "w": 0.97, "beta": 0.92, "eta": 0.98, "prod": 0.95}

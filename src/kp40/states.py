@@ -8,7 +8,7 @@ from operator import mul
 from typing import Mapping, NamedTuple, Sequence
 
 from .ksset import canonical_set, mermin_subset
-from .rays import Ray
+from .rays import Ray, clipped_repr
 
 # Unnormalized integer components; basis order matches the ray table's qubit ordering.
 NAMED_STATES: dict[str, tuple[int, ...]] = {
@@ -32,7 +32,8 @@ def resolve_state(state: str | Sequence[int]) -> tuple[int, ...]:
         try:
             return NAMED_STATES[state.lower()]
         except KeyError:
-            raise ValueError(f"unknown state name {state!r}; known: {sorted(NAMED_STATES)}") from None
+            raise ValueError(f"unknown state name {clipped_repr(state)}; "
+                             f"known: {sorted(NAMED_STATES)}") from None
     return Ray(state).entries
 
 

@@ -13,12 +13,13 @@ from typing import Sequence
 import numpy as np
 
 from kp40 import cli, simulate
+from kp40.analysis import estimate_probabilities
 from kp40.ksset import N_RAYS, KSSet, PentagramMap, basis_of, canonical_set
 from kp40.pentagram import (_LINES, _SIGNS, Context, PauliWord, Vector, _apply, _masks,
                             pentagram_contexts)
 from kp40.rays import Ray, RayLike, entries_of, integer, listed
 from kp40.simulate import BLOCK, CHUNK, DIM, NoiseModel, PulseRun, derive_seed, ray_to_mask
-from kp40.states import ProbabilityProfile
+from kp40.states import ProbabilityProfile, resolve_state
 
 # an 8-slit mask as ray_to_mask returns it: (transmissivities, phases)
 Mask = tuple[Sequence[float], Sequence[float]]
@@ -297,6 +298,27 @@ def chunk_at_a_time(
         expected += (size / n) * probs
         running.append((start + size, alloc, det))
     return running, expected
+
+
+def trace_by_records(state, noise: NoiseModel, run: PulseRun, checkpoints: Sequence[int]):
+    """simulate.convergence_trace building and validating a full CountRecord at each mark and
+    estimating it with estimate_probabilities; the last mark's record is the full run's."""
+    if list(checkpoints) != sorted(checkpoints):
+        raise ValueError("checkpoints must be increasing")
+    entries = resolve_state(state)
+    flux = simulate._flux_pass(run, noise)
+    marks = simulate.snap_checkpoints(checkpoints, run.n_pulses)
+    rows: list[dict] = []
+    last = (0, 0, 0)
+    for block in simulate._block_counts(entries, noise, run):
+        done, alloc, det = (total + np.cumsum(x, axis=0) for total, x in zip(last, block))
+        last = done[-1], alloc[-1], det[-1]
+        for k in np.flatnonzero(np.isin(done, marks)):
+            record = simulate._record(entries, run, det[k], alloc[k], flux)
+            est = estimate_probabilities(record)
+            rows.append({"pulses": int(done[k]), "sigma_est": est.sigma_est,
+                         "sigma_err": est.sigma_err, "S_est": est.S_est, "S_err": est.S_err})
+    return rows, record
 
 
 def sliced_ray_indices(values, what: str) -> tuple[int, ...]:

@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,9 @@ from kp40 import analysis, cli, simulate
 from kp40.analysis import (
     EstimateSet,
     EstimationError,
+    _add,
     bhattacharyya,
+    estimate_counts,
     estimate_probabilities,
     exclusivity_document,
     exclusivity_epsilon,
@@ -66,6 +69,44 @@ def test_estimator_rejects_unallocated_projector():
     rec = _record((1,), {1: 0}, {1: 0}, {1: 5}, {1: 10})
     with pytest.raises(EstimationError, match="pulses"):
         estimate_probabilities(rec)
+
+
+def test_estimate_counts_reads_its_tables_in_pool_order():
+    # a record's tables may hold the pool's rays in another order than the pool lists them
+    pool = (17, 3, 40, 9)
+    counts, pulses = [5, 0, 7, 2], [60, 55, 70, 61]
+    flux, flux_pulses = {1: 30, 2: 31, 3: 32, 5: 29}, {1: 40, 2: 40, 3: 40, 5: 40}
+    rec = _record(pool, dict(sorted(zip(pool, counts))), dict(sorted(zip(pool, pulses))),
+                  flux, flux_pulses)
+    est = estimate_counts(pool, counts, pulses, flux, flux_pulses)
+    assert est == estimate_probabilities(rec)
+    assert list(est.probabilities) == list(pool)
+    with pytest.raises(ValueError):
+        estimate_counts(pool, counts[:3], pulses, flux, flux_pulses)
+
+
+def _sum_left_to_right(values):
+    total = 0
+    for v in values:
+        total = total + v
+    return total
+
+
+def _outcome(add, values):
+    """The type and bits of a sum, or its error's type and message."""
+    try:
+        total = add(values)
+    except (OverflowError, TypeError) as e:
+        return type(e), str(e)
+    return type(total), struct.pack("<d", total) if isinstance(total, float) else total
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(st.integers(-2**60, 2**60), st.integers(), st.floats(),
+                          st.sampled_from([-0.0, 0.0, math.inf, -math.inf, math.nan, 1e308, -1e308]))))
+def test_add_sums_left_to_right_bit_for_bit(values):
+    # not sum(), which compensates floats from Python 3.12 on, nor math.fsum
+    assert _outcome(_add, iter(values)) == _outcome(_sum_left_to_right, values)
 
 
 def test_estimation_error_is_a_value_error():

@@ -26,7 +26,7 @@ import kp40
 from kp40 import bounds, cli, ksset, simulate
 from kp40.ksset import build_graph, canonical_set, mermin_subset
 from kp40.simulate import CountRecord
-from oracles import fresh_parse_args
+from oracles import fresh_parse_args, trace_by_records
 
 
 def run_cli(argv, capsys):
@@ -842,6 +842,17 @@ _FILE_ARTIFACTS = (("noise", _SIMULATE_GHZ, "noise config"), ("eps", _ANALYZE_WI
                    ("record", ["analyze", "bad.json"], "record"),
                    ("ray-file", ["verify", "--rays", "bad.json"], "ray file"))
 
+# a value or key of a megabyte or so: its error line quotes the start of it, not all of it
+LARGE_VALUE_ARTIFACTS = {
+    "eps-epsilon-a-million-xs": ('{"epsilon": "%s"}' % ("x" * 10**6), _ANALYZE_WITH_EPS,
+                                 "eps file field 'epsilon': 'xxxxxxxx"),
+    "noise-amplitude-jitter-300000-zeros": (_NOISE_WITH_JITTER.format([0] * 300000), _SIMULATE_GHZ,
+                                            "noise config field 'amplitude_jitter': [0, 0, 0"),
+    "record-field-name-of-100000-characters": (_mermin16_ghz_record(**{"n" * 10**5: 0}),
+                                               ["analyze", "bad.json"],
+                                               "record: unexpected field 'nnnnnnnn"),
+}
+
 # case -> (content of bad.json, text or bytes, or None to make it a directory; command; what the
 # error names)
 MALFORMED_ARTIFACTS = {
@@ -1064,6 +1075,7 @@ MALFORMED_ARTIFACTS = {
     **{f"{name}-leading-0xff": (b"\xff{}", argv, f"{what} bad.json is not JSON: 'utf-8' codec can't "
                                 "decode byte 0xff in position 0")
        for name, argv, what in _FILE_ARTIFACTS},
+    **LARGE_VALUE_ARTIFACTS,
     "ray-flag-too-short": ("{}", ["predict", "--ray", "1,2,3"],
                            "--ray '1,2,3': expected 8 entries, got 3"),
     "ray-flag-all-zero": ("{}", ["predict", "--ray", "0 0 0 0 0 0 0 0"],
@@ -1087,6 +1099,18 @@ def test_malformed_artifact_is_a_one_line_usage_error(tmp_path, monkeypatch, cap
     assert code == 2
     assert err.count("\n") == 1 and err.startswith("error: "), err
     assert named in err
+
+
+@pytest.mark.parametrize("case", list(LARGE_VALUE_ARTIFACTS))
+def test_an_error_line_quotes_the_start_of_a_large_value(tmp_path, monkeypatch, capsys, case):
+    content, argv, named = LARGE_VALUE_ARTIFACTS[case]
+    monkeypatch.chdir(tmp_path)
+    Path("record.json").write_text(_mermin16_ghz_record())
+    Path("bad.json").write_text(content)
+    code, _, err = run_cli(["--out", "out", *argv], capsys)
+    assert code == 2
+    assert err.count("\n") == 1 and named in err and len(err.encode()) < 500, err[:600]
+    assert err.rstrip("\n").endswith(("...", "... is not a number"))
 
 
 def test_analyze_refuses_a_literal_epsilon_and_a_file_together(tmp_path, capsys):
@@ -1150,6 +1174,15 @@ BAD_FLAG_VALUES = {
     "pulses-above-2**53": (["simulate", "--state", "ghz", "--pulses", str(2**53 + 1)],
                            f"n_pulses must be in 1..2**53, got {2**53 + 1}"),
 }
+
+
+def test_simulate_too_short_for_its_flux_prints_the_error_of_a_record_of_its_counts(tmp_path, capsys):
+    run = simulate.PulseRun(seed=0, n_pulses=100)
+    with pytest.raises(ValueError) as want:
+        trace_by_records("ghz", simulate.load_noise_config(None), run, cli._default_checkpoints(100))
+    code, _, err = run_cli(["--out", str(tmp_path), "simulate", "--state", "ghz", "--pulses", "100"], capsys)
+    assert code == 2
+    assert err == f"error: --pulses 100 is too short for a flux calibration at --mu 0.14: {want.value}\n"
 
 
 @pytest.mark.parametrize("case", list(BAD_FLAG_VALUES))
@@ -1425,7 +1458,6 @@ def test_readme_command_parses(argv):
     assert args.command == argv[1]
 
 
-@pytest.mark.slow
 def test_readme_commands_run_as_written_in_order(tmp_path, monkeypatch, capsys):
     # analyze reads the bundles that simulate and exclusivity wrote before it, and
     # verify --rays reads myset.json, which holds the built-in set

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kp40.analysis import estimate_probabilities
+from kp40.analysis import EstimationError, estimate_probabilities
 from kp40.ksset import build_graph, canonical_set, mermin_subset
 from kp40.simulate import (
     BLOCK,
@@ -55,6 +55,7 @@ from oracles import (
     same_direction,
     slit_amplitudes,
     stream,
+    trace_by_records,
 )
 
 
@@ -838,6 +839,53 @@ def test_trace_final_point_matches_direct_run():
     assert last["pulses"] == 100_000
     assert last["sigma_est"] == est.sigma_est
     assert last["S_est"] == est.S_est
+
+
+def _trace_outcome(trace, state, noise, run, checkpoints):
+    """A trace's rows and record, or the message of the EstimationError it raised."""
+    try:
+        return trace(state, noise, run, checkpoints)
+    except EstimationError as e:
+        return str(e)
+
+
+# a ray whose mask has transmissivities strictly between 0 and 1: 1/9, 4/9 and 1
+_GREY_RAY = (3, 1, -2, 1, 1, -1, 2, 1)
+_TRACE_STATES = st.one_of(st.sampled_from([*NAMED_STATES, _GREY_RAY]),
+                          st.lists(st.integers(-3, 3), min_size=DIM, max_size=DIM).filter(any).map(tuple))
+_TRACE_POOLS = st.one_of(st.sampled_from([KS40_POOL, mermin_subset()]),
+                         st.integers(0, 4).map(lambda g: tuple(range(8 * g + 1, 8 * g + 9))),
+                         st.lists(st.integers(1, 40), min_size=1, max_size=40, unique=True).map(tuple))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_TRACE_STATES, _TRACE_POOLS, st.sampled_from(["ideal", "packaged"]), st.integers(0, 2**32),
+       st.integers(1, 3), st.integers(1, 7), st.sampled_from([0, 1, 777, CHUNK - 1]),
+       st.lists(st.integers(1, 7 * CHUNK), max_size=4))
+def test_trace_estimates_each_mark_as_a_record_of_its_counts_would(state, pool, noise, seed, block,
+                                                                  chunks, short, extra):
+    # up to 7 blocks, the last chunk full or short by `short` pulses; the chunks before and
+    # after the first block boundary are marks whenever the run reaches them.  A run shorter
+    # than its flux raises at its first mark, in both
+    noise = IDEAL_NOISE if noise == "ideal" else load_noise_config(None)
+    pulses = chunks * CHUNK - short
+    run = PulseRun(seed=seed, n_pulses=pulses, projector_pool=pool)
+    marks = sorted(m for m in [block * CHUNK, block * CHUNK + 1, *extra] if m <= pulses)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulate, "BLOCK", block)
+        got = _trace_outcome(convergence_trace, state, noise, run, marks)
+        want = _trace_outcome(trace_by_records, state, noise, run, marks)
+    assert repr(got) == repr(want)
+    assert got == want
+
+
+def test_a_run_too_short_for_its_flux_raises_what_a_record_of_its_counts_raises():
+    run = PulseRun(seed=0, n_pulses=100)
+    with pytest.raises(EstimationError) as want:
+        trace_by_records("ghz", load_noise_config(None), run, [50, 100])
+    with pytest.raises(EstimationError) as got:
+        convergence_trace("ghz", load_noise_config(None), run, [50, 100])
+    assert str(got.value) == str(want.value) == "zero calibration flux for basis 1"
 
 
 def test_trace_rejects_decreasing_checkpoints():
