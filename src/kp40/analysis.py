@@ -133,6 +133,12 @@ def exclusivity_document(initial_rays: Sequence[int], pairs: list[dict]) -> dict
             "pairs": pairs}
 
 
+def _pair(p: tuple[int, int] | str) -> str:
+    """An (initial, partner) pair as "(1, 9)", each side quoted by clipped_repr; the "no pair"
+    end marker as it is."""
+    return p if isinstance(p, str) else "(%s, %s)" % tuple(map(clipped_repr, p))
+
+
 def exclusivity_epsilon(data) -> float:
     """The epsilon of a loaded eps.json document, which holds `epsilon` alone or is the document
     `exclusivity_document` rebuilds from its `pairs`; a ValueError names the first field that is not."""
@@ -147,7 +153,7 @@ def exclusivity_epsilon(data) -> float:
         want = [(i, j) for i in initial for j in graph.neighbors(i)] + ["no pair"]
         for k, (a, b) in enumerate(zip([(r["initial"], r["partner"]) for r in rows] + ["no pair"], want), 1):
             if a != b:    # "no pair" marks the end, so that a missing or an extra row is named too
-                raise ValueError(f"row {k} holds {a} where initial_rays' partners give {b}")
+                raise ValueError(f"row {k} holds {_pair(a)} where initial_rays' partners give {_pair(b)}")
         return exclusivity_document(initial, rows)
 
     fields = read_fields(data, "eps file", {"epsilon": number, "n_pairs": integer,

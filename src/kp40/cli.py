@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import os
 import sys
@@ -101,15 +102,23 @@ def _write_bundle(args, arguments: dict, files: dict) -> Path:
         "version": __version__,
     }
     for path, content in [*paths.items(), (manifest, listing)]:
+        if isinstance(content, list):
+            _write_rows(text := io.StringIO(), content)
+            data = text.getvalue().encode()
+        else:
+            data = _dump_json(content).encode()
         try:
-            with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline="") as f:
-                if isinstance(content, list):
-                    _write_rows(f, content)
-                else:
-                    f.write(_dump_json(content))
-                f.truncate()
-        except OSError:
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+            try:
+                view = memoryview(data)
+                while view:
+                    view = view[os.write(fd, view):]
+                os.ftruncate(fd, len(data))
+            finally:
+                os.close(fd)
+        except OSError as e:
             manifest.unlink(missing_ok=True)
+            e.filename = e.filename or str(path)    # os.write and ftruncate name no file
             raise
     return out
 

@@ -149,8 +149,8 @@ def _match_pentagram(rays: tuple[Ray, ...], groups: tuple[tuple[int, ...], ...])
     return mapping
 
 
-# the pentagram map that the cached canonical_set() certified when it was built, and the graph
-# and octads derived from that set on first use; each construction starts them afresh
+# the pentagram map that the cached canonical_set() certified when it was built, and the ray
+# norms, graph and octads derived from that set on first use; each construction starts them afresh
 _derived: dict[str, object] = {}
 
 
@@ -208,6 +208,15 @@ def canonical_graph() -> OrthoGraph:
     if "graph" not in _derived:
         _derived["graph"] = build_graph(s)
     return _derived["graph"]
+
+
+def canonical_norms() -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Each canonical ray's (entries, squared norm), in table order, kept the way
+    canonical_graph() is."""
+    s = canonical_set()
+    if "norms" not in _derived:
+        _derived["norms"] = tuple((r.entries, sum(map(mul, r.entries, r.entries))) for r in s.rays)
+    return _derived["norms"]
 
 
 def canonical_octads() -> tuple[Octad, ...]:
@@ -297,10 +306,11 @@ def ray_indices(values: Iterable, what: str) -> tuple[int, ...]:
 
 def read_json(path: str | Path, what: str):
     """Parse a JSON file as UTF-8 whatever the locale (RFC 8259); bytes that are not UTF-8, text
-    that is not JSON, or nesting past the parser's depth raise a ValueError naming `what` and the path."""
+    that is not JSON, nesting past the parser's depth or an integer past Python's digit limit
+    raise a ValueError naming `what` and the path."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
+    except (ValueError, RecursionError) as e:    # JSONDecodeError and UnicodeDecodeError too
         raise ValueError(f"{what} {path} is not JSON: {e}") from None
 
 

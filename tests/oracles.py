@@ -68,6 +68,18 @@ def norm_sq(ray: Ray) -> int:
     return sum(e * e for e in ray.entries)
 
 
+def fresh_profile(state) -> ProbabilityProfile:
+    """states.profile with nothing kept: every ray's squared norm and all 40 Fractions are
+    computed afresh from canonical_set() on each call."""
+    entries = resolve_state(state)
+    norm = sum(map(mul, entries, entries))
+    probs = {
+        i: Fraction(sum(map(mul, entries, v)) ** 2, norm * sum(map(mul, v, v)))
+        for i, v in enumerate((r.entries for r in canonical_set().rays), start=1)
+    }
+    return ProbabilityProfile(probs=probs)
+
+
 def basis_sums(p: ProbabilityProfile, s: KSSet) -> dict[int, Fraction]:
     """Exact sum of a profile's probabilities over each basis group, by group number."""
     return {

@@ -1075,6 +1075,12 @@ MALFORMED_ARTIFACTS = {
     **{f"{name}-leading-0xff": (b"\xff{}", argv, f"{what} bad.json is not JSON: 'utf-8' codec can't "
                                 "decode byte 0xff in position 0")
        for name, argv, what in _FILE_ARTIFACTS},
+    # an integer past Python's 4300-digit limit on reading one from text
+    **{f"{name}-seed-of-5000-digits": ('{"seed": %s}' % ("9" * 5000), argv,
+                                       f"{what} bad.json is not JSON: Exceeds the limit (4300 digits)")
+       for name, argv, what in _FILE_ARTIFACTS},
+    "eps-partner-of-4000-digits": (_ray_1_eps(lambda d: d["pairs"][0].update(partner=int("9" * 4000))),
+                                   _ANALYZE_WITH_EPS, "'pairs': row 1 holds (1, 99999"),
     **LARGE_VALUE_ARTIFACTS,
     "ray-flag-too-short": ("{}", ["predict", "--ray", "1,2,3"],
                            "--ray '1,2,3': expected 8 entries, got 3"),
@@ -1097,7 +1103,7 @@ def test_malformed_artifact_is_a_one_line_usage_error(tmp_path, monkeypatch, cap
         Path("bad.json").write_text(content)
     code, _, err = run_cli(["--out", "out", *argv], capsys)
     assert code == 2
-    assert err.count("\n") == 1 and err.startswith("error: "), err
+    assert err.count("\n") == 1 and err.startswith("error: ") and len(err.encode()) < 500, err[:600]
     assert named in err
 
 
@@ -1350,6 +1356,36 @@ def test_a_failed_write_leaves_no_manifest_of_the_previous_run(tmp_path, monkeyp
     assert not Path("o/manifest.json").exists()
 
 
+def test_a_hard_linked_output_keeps_its_inode_and_both_names_read_the_new_bytes(tmp_path, monkeypatch,
+                                                                               capsys):
+    monkeypatch.chdir(tmp_path)
+
+    def simulate(out: str, pulses: str) -> list[str]:
+        return ["--seed", "3", "--out", out, "simulate", "--state", "ghz", "--pulses", pulses]
+
+    assert run_cli(simulate("o", "100000"), capsys)[0] == 0
+    os.link("o/trace.csv", "other.csv")
+    inode, old = os.stat("o/trace.csv").st_ino, Path("other.csv").read_bytes()
+    assert run_cli(simulate("o", "40000"), capsys)[0] == 0
+    assert run_cli(simulate("fresh", "40000"), capsys)[0] == 0
+    new = Path("fresh/trace.csv").read_bytes()
+    assert new != old
+    assert (os.stat("o/trace.csv").st_ino, os.stat("o/trace.csv").st_nlink) == (inode, 2)
+    assert Path("o/trace.csv").read_bytes() == Path("other.csv").read_bytes() == new
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full to fail every write")
+def test_a_write_that_finds_no_space_names_its_output(tmp_path, monkeypatch, capsys):
+    # /dev/full opens, and every write to it fails with ENOSPC, an error that names no file
+    monkeypatch.chdir(tmp_path)
+    Path("o").mkdir()
+    Path("o/trace.csv").symlink_to("/dev/full")
+    code, _, err = run_cli(["--out", "o", "simulate", "--state", "ghz", "--pulses", "40000"], capsys)
+    assert code == 2
+    assert err.splitlines() == ["error: [Errno 28] No space left on device: 'o/trace.csv'"]
+    assert not Path("o/manifest.json").exists()
+
+
 # command -> its argv after --out; analyze reads the record a short simulate wrote first
 MANIFEST_CASES = {
     "simulate": ["simulate", "--state", "w", "--pulses", "40000"],
@@ -1575,6 +1611,32 @@ def test_no_module_imports_a_private_name_of_another():
                     node.level or (node.module or "").split(".")[0] == "kp40"):
                 private += [f"{path.name}: {a.name}" for a in node.names
                             if a.name.startswith("_") and not re.fullmatch(r"__\w+__", a.name)]
+    assert not private
+
+
+def test_no_module_reads_a_private_name_of_another():
+    # `ksset._derived` read from states is the same breach as `from .ksset import _derived`
+    package = Path(kp40.__file__).parent
+    modules = {p.stem for p in package.glob("*.py")}
+
+    def dotted(node) -> str:
+        if isinstance(node, ast.Attribute):
+            return f"{dotted(node.value)}.{node.attr}"
+        return node.id if isinstance(node, ast.Name) else ""
+
+    private = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        others = {f"kp40.{m}" for m in modules}    # and below, the names the file binds to them
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level and not node.module
+                                                     or node.module == "kp40"):
+                others |= {a.asname or a.name for a in node.names if a.name in modules}
+            elif isinstance(node, ast.Import):
+                others |= {a.asname for a in node.names if a.asname and a.name.startswith("kp40.")}
+        private += [f"{path.name}: {dotted(node)}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and dotted(node.value) in others
+                    and node.attr.startswith("_") and not re.fullmatch(r"__\w+__", node.attr)]
     assert not private
 
 

@@ -1,11 +1,15 @@
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kp40 import analysis, ksset, simulate, states
 from kp40.ksset import canonical_set, mermin_subset
-from kp40.rays import Ray
+from kp40.rays import Ray, overlap_prob
 from kp40.states import (
     NAMED_STATES,
     S_of_profile,
@@ -14,7 +18,7 @@ from kp40.states import (
     sigma_of_profile,
 )
 
-from oracles import basis_sums
+from oracles import basis_sums, fresh_profile
 
 nonzero_state = st.lists(st.integers(-20, 20), min_size=8, max_size=8).filter(any)
 
@@ -97,3 +101,90 @@ def test_profile_sums_over_one_denominator_equal_the_term_by_term_sums(entries):
     assert type(sigma) is type(S) is Fraction
     assert sigma == sum(probs.values()) == 5
     assert S == sum(probs[i] for i in mermin_subset())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.integers(-3, 3) | st.integers(-10**40, 10**40), min_size=8, max_size=8).filter(any))
+def test_profile_is_the_fresh_oracle_and_overlap_prob_before_and_after_a_rebuild(entries):
+    for rebuilt in (False, True):
+        if rebuilt:
+            canonical_set.cache_clear()
+        probs = profile(entries).probs
+        assert probs == fresh_profile(entries).probs
+        assert probs == {i: overlap_prob(entries, v) for i, v in enumerate(canonical_set().rays, 1)}
+        assert all(type(q) is Fraction for q in probs.values())
+
+
+def test_a_set_rebuilt_from_another_table_rebuilds_the_kept_profiles(monkeypatch):
+    before = profile("ghz").probs
+    table = list(ksset._TABLE)
+    table[0], table[1] = table[1], table[0]    # rows 1 and 2 swap within their basis group
+    monkeypatch.setattr(ksset, "_TABLE", tuple(table))
+    canonical_set.cache_clear()
+    try:
+        after = profile("ghz").probs
+        assert after == fresh_profile("ghz").probs
+        assert (after[1], after[2]) == (before[2], before[1]) == (0, 1)
+    finally:
+        monkeypatch.undo()
+        canonical_set.cache_clear()
+    assert profile("ghz").probs == before
+
+
+def test_editing_a_returned_profile_changes_no_later_call():
+    probs = profile("w").probs
+    want = dict(probs)
+    probs[1] = Fraction(7)
+    del probs[2]
+    assert profile("w").probs == want
+    profile("w").probs.clear()
+    assert profile("w").probs == want
+
+
+def test_a_thousand_distinct_rays_keep_no_more_profiles_than_the_bound():
+    rng = random.Random(42)
+    rays = set()
+    while len(rays) < 1000:
+        if any(ray := tuple(rng.randint(-9, 9) for _ in range(8))):
+            rays.add(ray)
+    for ray in rays:
+        profile(ray)
+    assert 0 < len(states._kept) <= states._KEPT
+
+
+def test_threads_that_switch_often_get_the_oracles_profiles():
+    # more states than are kept, so the threads evict each other's profiles as they go
+    asked = [*NAMED_STATES, *(tuple(random.Random(k).choices(range(-4, 5), k=7)) + (1,)
+                              for k in range(states._KEPT))]
+    want = {resolve_state(s): fresh_profile(s).probs for s in asked}
+
+    def ask(seed: int) -> list[bool]:
+        order = asked * 20
+        random.Random(seed).shuffle(order)
+        return [profile(s).probs == want[resolve_state(s)] for s in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            results = list(pool.map(ask, range(4), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [len(r) for r in results] == [20 * len(asked)] * 4
+    assert all(all(r) for r in results)
+
+
+def test_one_reproduce_builds_each_named_states_profile_at_most_once(monkeypatch):
+    judged: dict[tuple[int, ...], list] = {}
+
+    def spy(state):
+        judged.setdefault(resolve_state(state), []).append(p := profile(state))
+        return p
+
+    monkeypatch.setattr(analysis, "profile", spy)
+    files = simulate.reproduce(7, 40_000, simulate.DEFAULT_MU, simulate.load_noise_config(None))
+    assert len(files["summary.json"]["rows"]) == sum(map(len, judged.values())) == 7
+    assert sorted(judged) == sorted(NAMED_STATES.values())
+    for kept in judged.values():    # one build: the same Fractions, in a new dict each call
+        assert len({id(p.probs) for p in kept}) == len(kept)
+        assert all(p.probs[i] is kept[0].probs[i] for p in kept for i in p.probs)
