@@ -6,7 +6,7 @@ import json
 from functools import lru_cache
 from operator import mul
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple, TypeVar
 
 from . import pentagram
 from .rays import DIM, Ray, clipped_repr, integer, listed
@@ -74,6 +74,7 @@ _MERMIN_SUBSET: tuple[int, ...] = (10, 11, 13, 16, 17, 20, 22, 23, 26, 27, 29, 3
 KS40_POOL: tuple[int, ...] = tuple(range(1, N_RAYS + 1))    # every ray, the pool of the sigma runs
 
 Octad = tuple[int, ...]
+T = TypeVar("T")
 
 
 PentagramMap = dict[tuple[int, tuple[int, int, int, int]], int]
@@ -149,8 +150,8 @@ def _match_pentagram(rays: tuple[Ray, ...], groups: tuple[tuple[int, ...], ...])
     return mapping
 
 
-# the pentagram map that the cached canonical_set() certified when it was built, and the ray
-# norms, graph and octads derived from that set on first use; each construction starts them afresh
+# the pentagram map that the cached canonical_set() certified when it was built, and the values
+# kept(name, build) derived from that set on first use; each construction starts them afresh
 _derived: dict[str, object] = {}
 
 
@@ -161,6 +162,15 @@ def canonical_set() -> KSSet:
     _derived.clear()
     _derived["map"] = _match_pentagram(rays, _BASIS_GROUPS)
     return KSSet(rays=rays, basis_groups=_BASIS_GROUPS)
+
+
+def kept(name: str, build: Callable[[KSSet], T]) -> T:
+    """build(canonical_set()), built at most once per construction of the set, on first use,
+    kept under `name` beside the cached set and gone with it on `canonical_set.cache_clear()`."""
+    s = canonical_set()
+    if name not in _derived:
+        _derived[name] = build(s)
+    return _derived[name]
 
 
 def build_graph(s: KSSet) -> OrthoGraph:
@@ -202,29 +212,13 @@ def enumerate_octads(g: OrthoGraph) -> tuple[Octad, ...]:
 
 
 def canonical_graph() -> OrthoGraph:
-    """build_graph(canonical_set()), built at most once per construction of the set, on first
-    use, and gone with the set on `canonical_set.cache_clear()`."""
-    s = canonical_set()
-    if "graph" not in _derived:
-        _derived["graph"] = build_graph(s)
-    return _derived["graph"]
-
-
-def canonical_norms() -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Each canonical ray's (entries, squared norm), in table order, kept the way
-    canonical_graph() is."""
-    s = canonical_set()
-    if "norms" not in _derived:
-        _derived["norms"] = tuple((r.entries, sum(map(mul, r.entries, r.entries))) for r in s.rays)
-    return _derived["norms"]
+    """build_graph(canonical_set()), kept with the set (see kept)."""
+    return kept("graph", build_graph)
 
 
 def canonical_octads() -> tuple[Octad, ...]:
-    """enumerate_octads(canonical_graph()), kept the way canonical_graph() is."""
-    g = canonical_graph()
-    if "octads" not in _derived:
-        _derived["octads"] = enumerate_octads(g)
-    return _derived["octads"]
+    """enumerate_octads(canonical_graph()), kept with the set (see kept)."""
+    return kept("octads", lambda s: enumerate_octads(canonical_graph()))
 
 
 def basis_of(index: int) -> int:
@@ -252,7 +246,7 @@ def verification_checks(s: KSSet | None = None,
     """All structural checks as (name, ok, detail) rows; injectable for fault testing.
 
     On the canonical set they read the pentagram map, graph and octads kept with it, each
-    derived at most once per construction (see canonical_graph); any other set, or an
+    derived at most once per construction (see kept); any other set, or an
     injected `g`, is matched, built and enumerated afresh."""
     checks: list[tuple[str, bool, str]] = []
     try:

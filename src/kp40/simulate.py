@@ -41,8 +41,8 @@ import numpy as np
 
 from .analysis import CountRecord, estimate_counts, estimate_probabilities, exclusivity_document, judge
 from .bounds import corrected_S_bound, corrected_sigma_bound
-from .ksset import (KS40_POOL, basis_of, canonical_graph, canonical_set, mermin_subset, ray_indices,
-                    read_fields, read_json)
+from .ksset import (KS40_POOL, KSSet, basis_of, canonical_graph, canonical_set, kept, mermin_subset,
+                    ray_indices, read_fields, read_json)
 from .rays import DIM, Ray, clipped_repr, integer, listed, number, positive
 from .states import resolve_state
 
@@ -214,12 +214,9 @@ class PulseRun(namedtuple("PulseRun", "seed n_pulses mu projector_pool")):
         return super().__new__(cls, seed, n_pulses, mu, pool)
 
 
-@lru_cache(maxsize=128)
-def _pool_masks(pool: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """(P, 8) transmissivities and phases of the pool's rays in order, read-only, built once
-    per pool."""
-    s = canonical_set()
-    stacked = tuple(map(np.array, zip(*(ray_to_mask(s.ray(i).entries) for i in pool))))
+def _ray_masks(s: KSSet) -> tuple[np.ndarray, np.ndarray]:
+    """(40, 8) transmissivities and phases of the set's rays in table order, read-only."""
+    stacked = tuple(map(np.array, zip(*(ray_to_mask(r.entries) for r in s.rays))))
     for a in stacked:
         a.flags.writeable = False
     return stacked
@@ -227,7 +224,9 @@ def _pool_masks(pool: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
 
 def _mask_stack(entries: tuple[int, ...], pool: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """(1+P, 8) transmissivities and phases: the state's mask, then the pool's in order."""
-    return tuple(np.vstack(rows) for rows in zip(ray_to_mask(entries), _pool_masks(tuple(pool))))
+    rows = np.subtract(pool, 1)
+    return tuple(np.vstack((state, plane[rows]))
+                 for state, plane in zip(ray_to_mask(entries), kept("masks", _ray_masks)))
 
 
 def _chunk_probs(

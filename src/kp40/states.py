@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from operator import mul
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .ksset import canonical_norms, mermin_subset
+from .ksset import KSSet, kept, mermin_subset
 from .rays import Ray, clipped_repr
 
 # Unnormalized integer components; basis order matches the ray table's qubit ordering.
@@ -41,35 +40,29 @@ def resolve_state(state: str | Sequence[int]) -> tuple[int, ...]:
 
 _KEPT = 8    # profiles kept: the five named states, and room for a few rays asked again
 
-# entries -> (the canonical_norms() they were built from, probs), least recently asked first
-_kept: OrderedDict[tuple[int, ...], tuple[tuple, dict[int, Fraction]]] = OrderedDict()
-_kept_lock = threading.Lock()
+
+def _profiles(s: KSSet) -> Callable[[tuple[int, ...]], dict[int, Fraction]]:
+    """Validated entries -> their exact probabilities against the rays of `s`, whose squared
+    norms are computed once here; the 8 most recently asked are kept."""
+    rows = tuple((r.entries, sum(map(mul, r.entries, r.entries))) for r in s.rays)
+
+    @lru_cache(maxsize=_KEPT)
+    def probs(entries: tuple[int, ...]) -> dict[int, Fraction]:
+        norm = sum(map(mul, entries, entries))
+        return {i: Fraction(sum(map(mul, entries, v)) ** 2, norm * norm_v)
+                for i, (v, norm_v) in enumerate(rows, start=1)}
+
+    return probs
 
 
 def profile(state: str | Sequence[int]) -> ProbabilityProfile:
-    """Exact overlap_prob(state, v_i) for every ray, on the validated entry tuples and the ray
-    norms kept with the canonical set.
+    """Exact overlap_prob(state, v_i) for every ray, on the validated entry tuples.
 
-    The profiles of the 8 most recently asked states are kept, each with the norms it was
-    built from, so a state asked again is not built again, and one asked after
+    The profiles of the 8 most recently asked states are kept with the canonical set (see
+    ksset.kept), so a state asked again is not built again, and one asked after
     `canonical_set.cache_clear()` is.  Every call returns a new `probs` dict, so a caller that
     edits it changes no other call's profile."""
-    entries = resolve_state(state)
-    rows = canonical_norms()
-    with _kept_lock:
-        kept = _kept.get(entries)
-        if kept is not None and kept[0] is rows:
-            _kept.move_to_end(entries)
-            return ProbabilityProfile(probs=dict(kept[1]))
-    norm = sum(map(mul, entries, entries))
-    probs = {i: Fraction(sum(map(mul, entries, v)) ** 2, norm * norm_v)
-             for i, (v, norm_v) in enumerate(rows, start=1)}
-    with _kept_lock:
-        _kept[entries] = rows, probs
-        _kept.move_to_end(entries)
-        if len(_kept) > _KEPT:
-            _kept.popitem(last=False)
-    return ProbabilityProfile(probs=dict(probs))
+    return ProbabilityProfile(probs=dict(kept("profiles", _profiles)(resolve_state(state))))
 
 
 def sigma_of_profile(probs: Mapping[int, Fraction]) -> Fraction:

@@ -93,12 +93,16 @@ def _sum_left_to_right(values):
 
 
 def _outcome(add, values):
-    """The type and bits of a sum, or its error's type and message."""
+    """The type and bits of a sum, or its error's type and message.  A NaN sum reads as "nan"
+    whatever its sign bit: IEEE 754 leaves that bit open, and CPython's specialized float
+    adds set it differently once warm, so two left-to-right sums may differ only there."""
     try:
         total = add(values)
     except (OverflowError, TypeError) as e:
         return type(e), str(e)
-    return type(total), struct.pack("<d", total) if isinstance(total, float) else total
+    if isinstance(total, float):
+        return type(total), "nan" if math.isnan(total) else struct.pack("<d", total)
+    return type(total), total
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

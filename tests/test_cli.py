@@ -1640,6 +1640,23 @@ def test_no_module_reads_a_private_name_of_another():
     assert not private
 
 
+def test_no_module_caches_a_value_derived_from_the_canonical_set_but_ksset_kept():
+    # an lru_cache outlives `canonical_set.cache_clear()`; ksset.kept goes with the set
+    readers = {"canonical_set", "canonical_graph", "canonical_octads"}
+    cached = []
+    for path in sorted(Path(kp40.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.FunctionDef) or node.name == "canonical_set":
+                continue
+            decorators = {ast.unparse(d.func if isinstance(d, ast.Call) else d)
+                          for d in node.decorator_list}
+            if decorators & {"lru_cache", "cache", "functools.lru_cache", "functools.cache"}:
+                called = {ast.unparse(c.func).split(".")[-1] for c in ast.walk(node)
+                          if isinstance(c, ast.Call)}
+                cached += [f"{path.name}: {node.name} calls {name}" for name in called & readers]
+    assert not cached
+
+
 def test_console_script_is_installed(tmp_path):
     # The suite runs from a checkout with no install, so build the launcher
     # that pip would write for [project.scripts] and run it from a PATH

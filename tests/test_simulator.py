@@ -42,7 +42,7 @@ from kp40.simulate import (
     _blocks,
     _stream,
 )
-from kp40 import simulate
+from kp40 import ksset, simulate
 from kp40.states import NAMED_STATES, profile, resolve_state
 
 from oracles import (
@@ -168,15 +168,19 @@ def test_mask_stack_keeps_the_python_square_of_each_entry():
 
 def test_each_pools_masks_are_stacked_once_and_read_only(kset):
     pool = mermin_subset()
-    kept = simulate._pool_masks(pool)
-    assert simulate._pool_masks(tuple(list(pool))) is kept
+    kept = ksset.kept("masks", simulate._ray_masks)
+    assert ksset.kept("masks", simulate._ray_masks) is kept    # one stack per construction
+    assert [a.shape for a in kept] == [(40, 8), (40, 8)]
     for array in kept:
         with pytest.raises(ValueError, match="read-only"):
             array[0, 0] = 1.0
     t, phases = simulate._mask_stack(GENERAL_RAY, list(pool))    # a fresh stack on each call
     assert t.flags.writeable and phases.flags.writeable
-    assert t[1:].tolist() == kept[0].tolist() == [list(ray_to_mask(kset.ray(i))[0]) for i in pool]
-    assert phases[1:].tolist() == kept[1].tolist()
+    assert t[1:].tolist() == [list(ray_to_mask(kset.ray(i))[0]) for i in pool]
+    assert phases[1:].tolist() == [list(ray_to_mask(kset.ray(i))[1]) for i in pool]
+    assert simulate._mask_stack(GENERAL_RAY, pool)[0] is not t
+    canonical_set.cache_clear()    # a new construction stacks its masks afresh
+    assert ksset.kept("masks", simulate._ray_masks) is not kept
 
 
 def test_mask_rejects_zero_ray():

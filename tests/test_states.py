@@ -117,6 +117,8 @@ def test_profile_is_the_fresh_oracle_and_overlap_prob_before_and_after_a_rebuild
 
 def test_a_set_rebuilt_from_another_table_rebuilds_the_kept_profiles(monkeypatch):
     before = profile("ghz").probs
+    run = simulate.PulseRun(1, 32768)
+    truth = simulate.ground_truth_probabilities("ghz", simulate.IDEAL_NOISE, run)
     table = list(ksset._TABLE)
     table[0], table[1] = table[1], table[0]    # rows 1 and 2 swap within their basis group
     monkeypatch.setattr(ksset, "_TABLE", tuple(table))
@@ -125,10 +127,13 @@ def test_a_set_rebuilt_from_another_table_rebuilds_the_kept_profiles(monkeypatch
         after = profile("ghz").probs
         assert after == fresh_profile("ghz").probs
         assert (after[1], after[2]) == (before[2], before[1]) == (0, 1)
+        swapped = simulate.ground_truth_probabilities("ghz", simulate.IDEAL_NOISE, run)
+        assert (swapped[1], swapped[2]) == (truth[2], truth[1]) == (0.0, 1.0)
     finally:
         monkeypatch.undo()
         canonical_set.cache_clear()
     assert profile("ghz").probs == before
+    assert simulate.ground_truth_probabilities("ghz", simulate.IDEAL_NOISE, run) == truth
 
 
 def test_editing_a_returned_profile_changes_no_later_call():
@@ -149,7 +154,7 @@ def test_a_thousand_distinct_rays_keep_no_more_profiles_than_the_bound():
             rays.add(ray)
     for ray in rays:
         profile(ray)
-    assert 0 < len(states._kept) <= states._KEPT
+    assert 0 < ksset.kept("profiles", states._profiles).cache_info().currsize <= states._KEPT
 
 
 def test_threads_that_switch_often_get_the_oracles_profiles():
