@@ -85,6 +85,8 @@ class CountRecord(namedtuple("CountRecord", "state projector_pool counts pulses_
         """Load a record; malformed input raises a ValueError that names the field."""
 
         def amount(v):
+            if type(v) is int and 0 <= v <= 2**53:    # the common case, checked first
+                return v
             f = number(v)
             if not 0 <= v <= 2**53:    # false for NaN too; above 2**53 floats stop counting exactly
                 raise ValueError(f"{clipped_repr(v)} is not a finite nonnegative number up to 2**53")

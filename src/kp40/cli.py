@@ -15,6 +15,8 @@ import json
 import os
 import sys
 from itertools import repeat
+from json.encoder import c_make_encoder, encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -35,36 +37,40 @@ def _dump_json(obj) -> str:
     """`json.dumps(obj, indent=2, sort_keys=True) + "\n"`, byte for byte.  Before Python 3.13
     json.dumps indents in pure Python, a token at a time; here each dict or list that holds no
     container is encoded in C in one call, with its indent in the item separator."""
-    from json.encoder import c_make_encoder, encode_basestring_ascii as string
+    return _dump(obj, 0) + "\n"
 
-    default, encoders = json.JSONEncoder().default, {}    # one encoder per depth, none kept
 
-    def dump(o, depth: int) -> str:
-        inner = "\n" + "  " * (depth + 1)
-        values = o.values() if isinstance(o, dict) else o if isinstance(o, (list, tuple)) else ()
-        if not any(map(isinstance, values, repeat((dict, list, tuple)))):
-            encode = encoders.get(depth) or encoders.setdefault(depth, c_make_encoder(
-                None, default, string, None, ": ", "," + inner, True, False, True))
-            s = "".join(encode(o, 0))
-        elif isinstance(o, dict):    # a key that is not a str takes json's text, or its refusal
-            s = "{%s}" % ("," + inner).join(
-                f"{string(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4]}: {dump(v, depth + 1)}"
-                for k, v in sorted(o.items()))
-        else:
-            s = "[%s]" % ("," + inner).join(dump(v, depth + 1) for v in o)
-        return f"{s[0]}{inner}{s[1:-1]}{inner[:-2]}{s[-1]}" if values else s
+@functools.lru_cache(maxsize=None)
+def _encoder(depth: int):
+    """The C encoder of a container at `depth` that holds no container, kept for the process:
+    built without markers, it keeps no state between calls, so calls and threads share it."""
+    return c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii, None, ": ",
+                          ",\n" + "  " * (depth + 1), True, False, True)
 
-    return dump(obj, 0) + "\n"
+
+def _dump(o, depth: int) -> str:
+    inner = "\n" + "  " * (depth + 1)
+    values = o.values() if isinstance(o, dict) else o if isinstance(o, (list, tuple)) else ()
+    if not any(map(isinstance, values, repeat((dict, list, tuple)))):
+        s = "".join(_encoder(depth)(o, 0))
+    elif isinstance(o, dict):    # a key that is not a str takes json's text, or its refusal
+        s = "{%s}" % ("," + inner).join(
+            f"{encode_basestring_ascii(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4]}: "
+            f"{_dump(v, depth + 1)}" for k, v in sorted(o.items()))
+    else:
+        s = "[%s]" % ("," + inner).join(_dump(v, depth + 1) for v in o)
+    return f"{s[0]}{inner}{s[1:-1]}{inner[:-2]}{s[-1]}" if values else s
 
 
 def _write_rows(f, rows: Sequence[dict]) -> None:
     """CSV with a header taken from the first row's keys, then each row's values in that order,
-    each row a list for csv.writer, where DictWriter would rebuild it from the dict."""
+    taken by one C getter per row, where DictWriter would rebuild a list from the dict."""
     import csv
 
     w = csv.writer(f, lineterminator="\n")
-    w.writerow(header := list(rows[0]))
-    w.writerows([row[k] for k in header] for row in rows)
+    w.writerow(header := tuple(rows[0]))
+    values = map(itemgetter(*header), rows)
+    w.writerows(values if len(header) > 1 else zip(values))    # one key gets no tuple from itemgetter
 
 
 def _print(args, default: str, obj, rows: Sequence[dict]) -> None:
@@ -75,39 +81,55 @@ def _print(args, default: str, obj, rows: Sequence[dict]) -> None:
         print(_dump_json(obj), end="")
 
 
-def _write_bundle(args, arguments: dict, files: dict) -> Path:
+def _write_bundle(args, arguments: dict, files: dict) -> list[str]:
     """Write `files` under `args.out` (an absolute name lands as given), a list of rows as CSV
     and anything else as JSON, then the manifest of `args.command`, which lists them relative
-    to `args.out`; return that directory.  A failed write removes the manifest, which would
-    otherwise describe the previous run.
+    to `args.out` (a relative name, which holds no "." or "..", as it is given); return their
+    paths, spelt as `pathlib` joins them.  Two paths that name one file, by a symlink or a hard
+    link, are refused before anything is written.  A directory that cannot be created, or a
+    failed write, removes the manifest, which would otherwise describe the previous run.
 
     A file that exists is written in place and cut at its new end, not truncated to zero
     first: it keeps its inode, so a symlink or a hard link is written through as before,
     and ext4 neither frees its blocks nor forces the new ones out at close."""
-    out = Path(args.out)
-    manifest = out / "manifest.json"
-    paths = {out / name: content for name, content in files.items()}
-    for path in paths:    # before anything is written; only a symlink or a path named
-        # like the manifest can resolve to it, so the others are not resolved
-        collides = path.name == manifest.name or path.is_symlink()
-        if collides and path.resolve() == manifest.resolve():
-            raise ValueError(f"output {path} would be overwritten by the bundle's {manifest.name}; "
-                             "name another file")
-    for directory in dict.fromkeys([out, *(path.parent for path in paths)]):
-        directory.mkdir(parents=True, exist_ok=True)
+    out = os.fspath(Path(args.out))    # one Path, for its spelling of the directory
+
+    def at(name) -> str:    # `Path(out) / name` as a str: pathlib drops a leading "."
+        return os.path.join(out, name) if out != "." else os.fspath(name)
+
+    paths = {at(name): content for name, content in files.items()}
+    manifest = at("manifest.json")
+    seen, missing = {}, []    # file key -> the first path with it; paths with no file yet
+    for path in [*paths, manifest]:
+        try:
+            st = os.stat(path)
+            key = st.st_dev, st.st_ino
+        except OSError:    # a dangling link is keyed by the name it points to
+            key = os.path.realpath(path)
+            missing.append(path)
+        if key in seen:
+            raise ValueError(
+                f"output {seen[key]} would be overwritten by the bundle's manifest.json; "
+                "name another file" if path is manifest else
+                f"outputs {seen[key]} and {path} are one file; name another file")
+        seen[key] = path
     listing = {
         "command": args.command,
         "arguments": arguments,
-        "outputs": sorted(os.path.relpath(path, out) for path in paths),
+        "outputs": sorted(os.path.relpath(name, out) if os.path.isabs(name) else name
+                          for name in files),
         "version": __version__,
     }
-    for path, content in [*paths.items(), (manifest, listing)]:
-        if isinstance(content, list):
-            _write_rows(text := io.StringIO(), content)
-            data = text.getvalue().encode()
-        else:
-            data = _dump_json(content).encode()
-        try:
+    try:
+        for directory in dict.fromkeys([out, *(os.path.dirname(path) or "." for path in missing)]):
+            if not os.path.isdir(directory):    # out first, and pathlib's messages, as they were
+                Path(directory).mkdir(parents=True, exist_ok=True)
+        for path, content in [*paths.items(), (manifest, listing)]:
+            if isinstance(content, list):
+                _write_rows(text := io.StringIO(), content)
+                data = text.getvalue().encode()
+            else:
+                data = _dump_json(content).encode()
             fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
             try:
                 view = memoryview(data)
@@ -116,11 +138,14 @@ def _write_bundle(args, arguments: dict, files: dict) -> Path:
                 os.ftruncate(fd, len(data))
             finally:
                 os.close(fd)
-        except OSError as e:
-            manifest.unlink(missing_ok=True)
-            e.filename = e.filename or str(path)    # os.write and ftruncate name no file
-            raise
-    return out
+    except OSError as e:
+        try:
+            os.unlink(manifest)
+        except (FileNotFoundError, NotADirectoryError):    # no manifest there
+            pass
+        e.filename = e.filename or path    # os.write and ftruncate name no file
+        raise
+    return list(paths)
 
 
 def __getattr__(name: str):
@@ -247,10 +272,10 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"--checkpoints mark {max(checkpoints)} is beyond --pulses {args.pulses}")
     rows, record = convergence_trace(entries, noise, run, checkpoints)
 
-    out = _write_bundle(args, {"state": label, "pool": args.pool, "checkpoints": checkpoints,
-                               **_run_arguments(args, noise)},
-                        {"record.json": record.to_json(), "trace.csv": rows})
-    print(f"wrote {out / 'record.json'} and {out / 'trace.csv'}")
+    json_at, csv_at = _write_bundle(args, {"state": label, "pool": args.pool, "checkpoints": checkpoints,
+                                           **_run_arguments(args, noise)},
+                                    {"record.json": record.to_json(), "trace.csv": rows})
+    print(f"wrote {json_at} and {csv_at}")
     return 0
 
 
@@ -266,9 +291,9 @@ def cmd_exclusivity(args) -> int:
     run = PulseRun(seed=args.seed, n_pulses=args.pulses, mu=args.mu)
     eps = run_exclusivity_campaign(run, noise, initial)
 
-    out = _write_bundle(args, {**_run_arguments(args, noise), "initial_rays": eps["initial_rays"]},
-                        {"eps.json": eps})
-    print(f"epsilon = {eps['epsilon']:.5f} over {eps['n_pairs']} pairs; wrote {out / 'eps.json'}")
+    eps_at, = _write_bundle(args, {**_run_arguments(args, noise), "initial_rays": eps["initial_rays"]},
+                            {"eps.json": eps})
+    print(f"epsilon = {eps['epsilon']:.5f} over {eps['n_pairs']} pairs; wrote {eps_at}")
     return 0
 
 
@@ -316,11 +341,11 @@ def cmd_analyze(args) -> int:
         "epsilon": epsilon,
     }
 
-    out = _write_bundle(args, {"record": str(args.record), "epsilon": epsilon,
-                               "global_F": bool(args.global_F)},
-                        {"report.json": report, "fig3.csv": fig3_rows(j.estimates, j.ideal),
-                         "fig4.csv": fig4_rows(j.verdict)})
-    print(f"wrote {out / 'report.json'}, {out / 'fig3.csv'}, {out / 'fig4.csv'}")
+    written = _write_bundle(args, {"record": str(args.record), "epsilon": epsilon,
+                                   "global_F": bool(args.global_F)},
+                            {"report.json": report, "fig3.csv": fig3_rows(j.estimates, j.ideal),
+                             "fig4.csv": fig4_rows(j.verdict)})
+    print("wrote " + ", ".join(written))
     return 0
 
 
@@ -333,14 +358,14 @@ def cmd_reproduce(args) -> int:
         raise ValueError(f"--workers must be at least 1, got {args.workers}")
     noise = load_noise_config(args.noise)
     files = reproduce(args.seed, args.pulses, args.mu, noise, args.workers)
-    out = _write_bundle(args, {**_run_arguments(args, noise), "workers_invariant": True}, files)
+    _write_bundle(args, {**_run_arguments(args, noise), "workers_invariant": True}, files)
     for row in files["summary.csv"]:
         print(
             f"{row['state']:>5} {row['quantity']:>5}: {row['estimate']:.3f} +- {row['error']:.3f} "
             f"(corrected bound {row['corrected_bound']:.3f}, "
             f"{'violates' if row['violates'] else 'no violation'})"
         )
-    print(f"epsilon = {files['eps.json']['epsilon']:.5f}; bundle in {out}")
+    print(f"epsilon = {files['eps.json']['epsilon']:.5f}; bundle in {Path(args.out)}")
     return 0
 
 

@@ -13,11 +13,11 @@ from typing import Sequence
 import numpy as np
 
 from kp40 import cli, simulate
-from kp40.analysis import estimate_probabilities
-from kp40.ksset import N_RAYS, KSSet, PentagramMap, basis_of, canonical_set
+from kp40.analysis import CountRecord, estimate_probabilities
+from kp40.ksset import N_RAYS, KSSet, PentagramMap, basis_of, canonical_set, ray_indices, read_fields
 from kp40.pentagram import (_LINES, _SIGNS, Context, PauliWord, Vector, _apply, _masks,
                             pentagram_contexts)
-from kp40.rays import Ray, RayLike, entries_of, integer, listed
+from kp40.rays import Ray, RayLike, clipped_repr, entries_of, integer, listed, number, positive
 from kp40.simulate import BLOCK, CHUNK, DIM, NoiseModel, PulseRun, derive_seed, ray_to_mask
 from kp40.states import ProbabilityProfile, resolve_state
 
@@ -479,3 +479,40 @@ def fresh_parse_args(argv: Sequence[str]) -> argparse.Namespace:
         own_flags(p)
     p.set_defaults(func=handler)
     return p.parse_args(ns.args, namespace=ns)
+
+
+def record_from_json(data: dict) -> CountRecord:
+    """CountRecord.from_json as it was before its loader checked the common case first: every
+    amount goes through number, the range check, is_integer and integer."""
+
+    def amount(v):
+        f = number(v)
+        if not 0 <= v <= 2**53:
+            raise ValueError(f"{clipped_repr(v)} is not a finite nonnegative number up to 2**53")
+        return integer(v) if f.is_integer() else f
+
+    def per_key(d) -> dict:
+        if not isinstance(d, dict):
+            raise ValueError("expected a JSON object")
+        out = {}
+        for k, v in d.items():
+            try:
+                i = int(k)
+            except ValueError:
+                i = None
+            if i is None or str(i) != k:
+                raise ValueError(f"key {clipped_repr(k)} is not an index in decimal form")
+            out[i] = amount(v)
+        return out
+
+    fields = read_fields(data, "record", {
+        "state": lambda v: Ray(v).entries,
+        "projector_pool": lambda v: ray_indices(v, "index"),
+        "counts": per_key,
+        "pulses_per_projector": per_key,
+        "flux_calibration": per_key,
+        "flux_pulses": lambda d: {b: integer(n) for b, n in per_key(d).items()},
+        "mu": positive,
+        "seed": integer,
+    })
+    return CountRecord(**fields)

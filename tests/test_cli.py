@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import shlex
 import shutil
@@ -276,6 +277,47 @@ def test_write_rows_writes_the_bytes_of_dictwriter_for_every_table(tmp_path, mon
         w.writerows(rows)
         write_rows(got, rows)
         assert got.getvalue() == want.getvalue()
+
+
+@pytest.mark.parametrize("rows", [
+    [{"only": 1}, {"only": "a,b"}, {"only": None}],
+    [{"a": 1, "b": 2, "c": 3}, {"c": 6, "a": 4, "b": 5}, {"b": 8, "c": 9, "a": 7}],
+], ids=["one-column", "keys-in-another-order"])
+def test_write_rows_writes_the_bytes_of_dictwriter_for_any_key_order(rows):
+    want, got = io.StringIO(), io.StringIO()
+    w = csv.DictWriter(want, fieldnames=list(rows[0]), lineterminator="\n")
+    w.writeheader()
+    w.writerows(rows)
+    cli._write_rows(got, rows)
+    assert got.getvalue() == want.getvalue()
+
+
+def test_threads_that_switch_often_share_the_kept_encoders():
+    # documents of different depths, so the threads build and read encoders of each depth at once
+    def nested(depth: int):
+        doc = [depth, 2.5, None, "x"]
+        for d in range(depth):
+            doc = {"d": d, "in": doc, "s": "\u00e9"} if d % 2 else [doc, True, {"k": d}]
+        return doc
+
+    docs = [nested(depth) for depth in range(12)]
+    want = [json.dumps(doc, indent=2, sort_keys=True) + "\n" for doc in docs]
+    cli._encoder.cache_clear()
+
+    def dump(seed: int) -> list[bool]:
+        order = list(range(len(docs))) * 30
+        random.Random(seed).shuffle(order)
+        return [cli._dump_json(docs[k]) == want[k] for k in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            results = list(pool.map(dump, range(4), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [len(r) for r in results] == [30 * len(docs)] * 4
+    assert all(all(r) for r in results)
 
 
 def test_global_flags_accepted_before_or_after_subcommand(capsys):
@@ -1372,6 +1414,55 @@ def test_a_hard_linked_output_keeps_its_inode_and_both_names_read_the_new_bytes(
     assert new != old
     assert (os.stat("o/trace.csv").st_ino, os.stat("o/trace.csv").st_nlink) == (inode, 2)
     assert Path("o/trace.csv").read_bytes() == Path("other.csv").read_bytes() == new
+
+
+_ONE_FILE = "error: outputs o/record.json and o/trace.csv are one file; name another file"
+
+
+@pytest.mark.parametrize("first,second,how,line", [
+    ("o/manifest.json", "o/record.json", "hard",
+     "error: output o/record.json would be overwritten by the bundle's manifest.json; "
+     "name another file"),
+    ("o/record.json", "o/trace.csv", "symlink", _ONE_FILE),
+    ("o/record.json", "o/trace.csv", "hard", _ONE_FILE),
+], ids=["output-hard-linked-to-the-manifest", "output-symlinked-to-another-output",
+        "two-outputs-hard-linked"])
+def test_two_bundle_paths_that_are_one_file_are_refused_before_anything_is_written(
+        tmp_path, monkeypatch, capsys, first, second, how, line):
+    monkeypatch.chdir(tmp_path)
+    argv = ["--out", "o", "simulate", "--state", "ghz", "--pulses", "40000"]
+    assert run_cli(argv, capsys)[0] == 0
+    Path(second).unlink()    # then make it name the file `first` names, both in o/
+    if how == "hard":
+        os.link(first, second)
+    else:
+        Path(second).symlink_to(Path(first).name)
+    before = {p: (p.is_symlink(), p.read_bytes()) for p in sorted(Path("o").iterdir())}
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, err.splitlines()) == (2, "", [line])
+    assert {p: (p.is_symlink(), p.read_bytes()) for p in sorted(Path("o").iterdir())} == before
+
+
+def test_a_dangling_link_onto_another_output_is_refused(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("o").mkdir()
+    Path("o/trace.csv").symlink_to("record.json")    # dangling until the record exists
+    code, _, err = run_cli(["--out", "o", "simulate", "--state", "ghz", "--pulses", "40000"], capsys)
+    assert code == 2
+    assert err.splitlines() == [_ONE_FILE]
+    assert [p.name for p in Path("o").iterdir()] == ["trace.csv"]
+
+
+def test_a_directory_that_cannot_be_created_leaves_no_manifest(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ["--out", "o", "reproduce", "--pulses", "200000"]
+    assert run_cli(argv, capsys)[0] == 0
+    shutil.rmtree("o/records")
+    Path("o/records").write_text("")
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.splitlines() == ["error: [Errno 17] File exists: 'o/records'"]
+    assert not Path("o/manifest.json").exists()
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full to fail every write")

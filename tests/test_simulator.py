@@ -52,6 +52,7 @@ from oracles import (
     fresh_blocks,
     mask_to_ray,
     norm_sq,
+    record_from_json,
     same_direction,
     slit_amplitudes,
     stream,
@@ -676,6 +677,43 @@ def test_count_record_loads_integral_floats_as_integers():
     rec = CountRecord.from_json(data)
     assert rec.seed == 11 and type(rec.seed) is int
     assert all(type(n) is int for n in rec.flux_pulses.values())
+
+
+# the loader's inputs beside a whole count: a bool, integral and fractional floats, negative
+# zero, the ends of the exact range and past it, and values that are not numbers
+_AMOUNT_EDITS = (True, 1.0, 1.5, -0.0, 0, 2**53, 2**53 + 1, 10**29, 10**400, "1", None)
+# keys that int() reads as an index but that to_json never writes
+_KEY_EDITS = ("010", "+1", " 1")
+_RECORD_TEXTS = {
+    "ks40": lambda: _simulated_record(KS40_POOL),
+    "mermin16": lambda: _simulated_record(mermin_subset()),
+    "expected": lambda: json.dumps(
+        expected_record("ghz", IDEAL_NOISE, PulseRun(seed=11, n_pulses=40_000)).to_json()),
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(_RECORD_TEXTS)), st.sampled_from(_TABLES), st.integers(0, 39),
+       st.just(("none", None)) | st.sampled_from(_AMOUNT_EDITS).map(lambda v: ("value", v))
+       | st.sampled_from(_KEY_EDITS).map(lambda k: ("key", k)))
+def test_count_record_loader_gives_the_oracles_record_or_its_message(source, table, k, edit):
+    data = json.loads(_RECORD_TEXTS[source]())
+    entries = data[table]
+    key = list(entries)[k % len(entries)]
+    kind, v = edit
+    if kind == "value":
+        entries[key] = v
+    elif kind == "key":
+        entries[v] = entries.pop(key)
+    try:
+        want = record_from_json(data)
+    except ValueError as e:
+        with pytest.raises(ValueError) as got:
+            CountRecord.from_json(data)
+        assert (type(got.value), str(got.value)) == (type(e), str(e))
+    else:
+        got = CountRecord.from_json(data)
+        assert got == want and repr(got) == repr(want)    # repr tells 1 from 1.0 and -0.0 from 0
 
 
 # ------------------------------------------------------------- runs
